@@ -20,9 +20,7 @@
 // never-interrupted run. Jobs hash across -shards directories per tenant
 // (independent fsync domains), a full snapshot anchors every
 // -full-every-th checkpoint, and the last -keep full chains are retained
-// per job. Pre-tenant -data-dir layouts (flat or root-sharded) migrate
-// automatically into the default tenant's root at boot. Without -data-dir
-// jobs live in RAM only.
+// per job. Without -data-dir jobs live in RAM only.
 //
 // With -mmap (the default where the platform supports it) new jobs' graphs
 // are written in the mappable container format and every job's graphs are
@@ -31,12 +29,13 @@
 // heap, and concurrent processes share one page-cache copy. Either setting
 // reads graph files written under the other, so -mmap can be flipped over
 // an existing data directory without migration (legacy files are decoded
-// onto the heap behind the same lifetime API). -range-nodes shards the
+// onto the heap behind the same lifetime API). -range-nodes cuts the
 // checkpoint state of large jobs: a job whose graphs total more than
-// -range-nodes nodes checkpoints as per-node-range shard files plus a small
-// manifest — shards are written (and replayed at boot) in parallel, and the
-// manifest's durable rename is the checkpoint's commit point. 0 disables
-// sharding; existing jobs keep the chain geometry they were created with.
+// -range-nodes nodes checkpoints as one record per node range — the tail
+// records written concurrently, then the head record (range 0), whose
+// durable rename is the checkpoint's commit point; boot reads them one
+// after another. 0 keeps one record per checkpoint; existing jobs keep the
+// chain geometry they were created with.
 //
 // Multi-tenancy: every job belongs to a tenant. The un-namespaced routes
 // below operate on the built-in "default" tenant, so single-tenant
@@ -158,7 +157,7 @@ func main() {
 	fullEvery := flag.Int("full-every", 8, "checkpoint chain period: one full state snapshot, then full-every-1 cheap delta records (1 = every checkpoint full)")
 	keep := flag.Int("keep", 3, "full checkpoint chains retained per job; older records are removed after each new full and on boot")
 	mmapGraphs := flag.Bool("mmap", reconcile.MmapSupported, "serve job graphs from read-only file mappings: new graphs are written in the mappable container format and restored jobs page them in on demand (either setting reads files written under the other)")
-	rangeNodes := flag.Int("range-nodes", 1<<20, "node-range shard target: jobs whose graphs total more than this many nodes checkpoint as per-range shard files plus a manifest, written and replayed in parallel (0: always one monolithic record)")
+	rangeNodes := flag.Int("range-nodes", 1<<20, "node-range target: jobs whose graphs total more than this many nodes checkpoint as one record per node range, the tails written concurrently and the head last (0: always one record per checkpoint)")
 	tenantsFile := flag.String("tenants", "", "tenant registry JSON ({\"tenants\": [{name, token|tokenEnv, weight, maxJobs, maxNodes, maxCheckpointBytes}, ...]}); empty: only the open default tenant")
 	adminToken := flag.String("admin-token", os.Getenv("RECONCILE_ADMIN_TOKEN"), "bearer token for /v1/admin (default $RECONCILE_ADMIN_TOKEN; empty leaves the admin API open)")
 	runSlots := flag.Int("run-slots", runtime.GOMAXPROCS(0), "concurrent run goroutines across all tenants, shared by weighted fair scheduling (0: unlimited)")

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -44,26 +45,25 @@ import (
 // incrementally afterwards, and the serve layer checks that figure against
 // the tenant's checkpoint-byte quota at job admission.
 //
-// Checkpoints form chains: a full snapshot (reconcile.Checkpointer
-// .WriteFull), then cheap delta records holding only the pairs, phase
-// entries and frontier-cache edits since the previous checkpoint —
-// O(churn) instead of O(matching), which is what lets per-sweep
-// checkpointing stay on by default at paper scale. Recovery replays the
-// newest readable full plus its contiguous deltas; a missing or corrupt
-// trailing record makes recovery fall back to the last consistent prefix
-// and surface the job as "interrupted" (its next resume finishes
-// bit-identically from there — the chain resume-equivalence suite pins
-// this). Retention keeps the last -keep full chains per job and removes
-// older records after each new full and on boot.
+// Checkpoints form chains (reconcile.Checkpointer): a full state record,
+// then cheap delta records holding only the pairs, phase entries and
+// frontier-cache edits since the previous checkpoint — O(churn) instead of
+// O(matching), which is what lets per-sweep checkpointing stay on by
+// default at paper scale. A large job's chain is cut into R node ranges
+// (-range-nodes, fixed at submission): each checkpoint is then the head
+// record above plus R−1 tail records <id>.ckpt-SEQ.rNNNN.full|delta, the
+// tails written concurrently and the head last, so the head's rename is the
+// commit point. Recovery replays the newest readable full plus its
+// contiguous, complete deltas; a missing or corrupt trailing record makes
+// recovery fall back to the last consistent prefix and surface the job as
+// "interrupted" (its next resume finishes bit-identically from there — the
+// chain resume-equivalence suite pins this). Retention keeps the last -keep
+// full chains per job and removes older records after each new full and on
+// boot.
 //
 // Every write is atomic — a temp file in the same directory, fsynced,
 // renamed, directory fsynced — so a crash mid-checkpoint leaves the
-// previous chain intact. Pre-tenant layouts migrate automatically: a
-// -data-dir whose root still holds shard-NN directories or flat job files
-// (the PR 3/4 layouts) has them moved under default/ at open, after which
-// the old read-compatibility paths keep working inside the default root
-// (legacy flat jobs load from their .state snapshot and move onto chain
-// checkpoints, which retire the .state file, on their first write).
+// previous chain intact.
 type store struct {
 	root string
 	cfg  storeConfig
@@ -102,12 +102,12 @@ type storeConfig struct {
 	// (falling back to heap copies where mmap is unavailable). Either
 	// setting reads files written under the other.
 	mmap bool
-	// rangeNodes is the node-range shard target: a new job whose graphs
-	// total more than rangeNodes nodes checkpoints as per-range shard files
-	// plus a manifest (written and replayed in parallel) instead of one
-	// monolithic record per checkpoint. 0 disables ranged chains. The shard
-	// count is fixed per job at submission; existing jobs keep the geometry
-	// their chain was created with.
+	// rangeNodes is the node-range target: a new job whose graphs total
+	// more than rangeNodes nodes checkpoints as one record per node range,
+	// the tails written concurrently, instead of one record per checkpoint.
+	// 0 means one record per checkpoint. The range count is fixed per job at
+	// submission; existing jobs keep the geometry their chain was created
+	// with.
 	rangeNodes int
 }
 
@@ -121,85 +121,10 @@ func newStore(dir string, cfg storeConfig) (*store, error) {
 	if cfg.keep < 1 {
 		return nil, fmt.Errorf("store: -keep must be >= 1 (got %d)", cfg.keep)
 	}
-	st := &store{root: dir, cfg: cfg, tenants: make(map[string]*tenantStore)}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	if err := st.migrateLegacy(); err != nil {
-		return nil, fmt.Errorf("store: migrating pre-tenant layout: %w", err)
-	}
-	return st, nil
-}
-
-// migrateLegacy moves a pre-tenant -data-dir layout under the default
-// tenant's root: shard-NN directories and flat job files that used to live
-// at the top level belong to default/ now. Renames within one filesystem
-// are cheap and leave file contents untouched, so chains stay replayable
-// byte for byte. A partially migrated dir (crash mid-migration) is fine:
-// migration is idempotent and merges into an existing default/.
-func (st *store) migrateLegacy() error {
-	entries, err := os.ReadDir(st.root)
-	if err != nil {
-		return err
-	}
-	var legacy []os.DirEntry
-	for _, e := range entries {
-		if e.IsDir() {
-			if strings.HasPrefix(e.Name(), "shard-") {
-				legacy = append(legacy, e)
-			}
-			continue
-		}
-		if strings.Contains(e.Name(), ".tmp-") {
-			os.Remove(filepath.Join(st.root, e.Name())) // orphaned temp file
-			continue
-		}
-		legacy = append(legacy, e)
-	}
-	if len(legacy) == 0 {
-		return nil
-	}
-	defRoot := filepath.Join(st.root, tenant.Default)
-	if err := os.MkdirAll(defRoot, 0o755); err != nil {
-		return err
-	}
-	for _, e := range legacy {
-		src := filepath.Join(st.root, e.Name())
-		dst := filepath.Join(defRoot, e.Name())
-		if err := moveMerge(src, dst); err != nil {
-			return err
-		}
-	}
-	return syncDir(st.root)
-}
-
-// moveMerge renames src to dst; when dst is an existing directory the
-// contents are merged file by file (a re-run after a crash mid-migration,
-// or a shard dir that already exists under default/).
-func moveMerge(src, dst string) error {
-	if _, err := os.Stat(dst); os.IsNotExist(err) {
-		//lint:allow atomic-write migration renames already-durable files within one filesystem; there is no torn-write window and migrateLegacy fsyncs the affected directories afterwards
-		return os.Rename(src, dst)
-	}
-	fi, err := os.Stat(src)
-	if err != nil {
-		return err
-	}
-	if !fi.IsDir() {
-		// Overwrite a half-moved file.
-		//lint:allow atomic-write migration re-run after a crash: both names hold the same already-durable bytes, so either outcome of the rename is consistent
-		return os.Rename(src, dst)
-	}
-	entries, err := os.ReadDir(src)
-	if err != nil {
-		return err
-	}
-	for _, e := range entries {
-		if err := moveMerge(filepath.Join(src, e.Name()), filepath.Join(dst, e.Name())); err != nil {
-			return err
-		}
-	}
-	return os.Remove(src)
+	return &store{root: dir, cfg: cfg, tenants: make(map[string]*tenantStore)}, nil
 }
 
 // tenantNames lists the tenant roots present on disk, sorted. Directories
@@ -244,9 +169,10 @@ func (st *store) tenant(name string) *tenantStore {
 	}
 	// A crash between CreateTemp and rename orphans a temp file; sweep them
 	// so checkpoint-heavy servers do not leak one per crash. Swept in every
-	// directory that exists, including shards beyond the current -shards
-	// (the store reads jobs wherever a previous configuration put them).
-	for _, d := range append([]string{ts.root}, ts.allShardDirs()...) {
+	// shard directory that exists, including shards beyond the current
+	// -shards (the store reads jobs wherever a previous configuration put
+	// them).
+	for _, d := range ts.allShardDirs() {
 		if stale, err := filepath.Glob(filepath.Join(d, "*.tmp-*")); err == nil {
 			for _, path := range stale {
 				os.Remove(path)
@@ -266,8 +192,8 @@ type tenantStore struct {
 	root  string
 	// shardDirs are the placement targets for new jobs, len == cfg.shards.
 	shardDirs []string
-	// bytes is the durable footprint under root: graphs, chain records,
-	// metas and legacy .state files. Rebuilt by a walk at boot
+	// bytes is the durable footprint under root: graphs, chain records and
+	// metas. Rebuilt by a walk at boot
 	// (recountBytes), adjusted incrementally by tracked writes/removes.
 	bytes atomic.Int64
 }
@@ -348,9 +274,9 @@ type jobMeta struct {
 	UntilStable bool        `json:"untilStable"`
 	MaxSweeps   int         `json:"maxSweeps"`
 	Phases      []phaseJSON `json:"phases"`
-	// Ranges is the job's chain geometry: > 1 means checkpoints are written
-	// as that many per-node-range shard files plus a manifest. Fixed when
-	// the job is submitted; recovery replays with the same geometry.
+	// Ranges is the job's chain geometry: every checkpoint is that many
+	// range records (0 or absent reads as 1). Fixed when the job is
+	// submitted; recovery replays with the same geometry.
 	Ranges int `json:"ranges,omitempty"`
 	// Trace is the job's span recorder snapshot as of this meta write. A
 	// restart restores it (trace.Restore), so a resumed job's trace timeline
@@ -368,21 +294,19 @@ type jobStore struct {
 	dir string
 	id  string
 
-	seq       int // sequence number of the newest chain record on disk
-	sinceFull int // chain records written since the last full
-	haveBase  bool
-	ckpt      reconcile.Checkpointer
-	// ranges > 1 switches the chain to ranged form: each checkpoint is
-	// ranges shard files plus a manifest, the manifest written last as the
-	// commit point. rckpt is its checkpointer, built lazily.
+	seq       int // newest sequence number on disk or attempted
+	sinceFull int // checkpoints written since the last full
+	// ranges is the job's chain geometry (jobMeta.Ranges); ckpt is its
+	// checkpointer, holding the delta base — built lazily, dropped when the
+	// job goes idle.
 	ranges int
-	rckpt  *reconcile.RangedCheckpointer
+	ckpt   *reconcile.Checkpointer
 
 	// tracer, when set by the serve layer, receives a checkpoint-write span
-	// per durable record (each range shard and the manifest separately on
-	// ranged chains). Set before any run goroutine starts and never replaced;
-	// the recorder itself is concurrency-safe, so the ranged path's parallel
-	// shard writers may all emit spans at once. All emission is nil-safe.
+	// per durable range record. Set before any run goroutine starts and
+	// never replaced; the recorder itself is concurrency-safe, so the
+	// concurrent tail writers may all emit spans at once. All emission is
+	// nil-safe.
 	tracer *trace.Recorder
 	// boot accumulates spans for work done before the job's recorder exists —
 	// graph opens and chain replay at load. The serve layer observes them
@@ -406,13 +330,21 @@ func (js *jobStore) path(suffix string) string {
 	return filepath.Join(js.dir, js.id+suffix)
 }
 
-func (js *jobStore) chainPath(seq int, kind string) string {
-	return js.path(fmt.Sprintf(".ckpt-%08d.%s", seq, kind))
+// chainPath names range rng's record of checkpoint seq: the head (range 0)
+// keeps the one-record name, tails carry their range number.
+func (js *jobStore) chainPath(seq, rng int, kind string) string {
+	if rng == 0 {
+		return js.path(fmt.Sprintf(".ckpt-%08d.%s", seq, kind))
+	}
+	return js.path(fmt.Sprintf(".ckpt-%08d.r%04d.%s", seq, rng, kind))
 }
 
-// rangePath names one range shard of a ranged checkpoint.
-func (js *jobStore) rangePath(seq, rng int, kind string) string {
-	return js.path(fmt.Sprintf(".ckpt-%08d.r%04d.%s", seq, rng, kind))
+// recordDetail labels range rng's record of checkpoint seq in trace spans.
+func recordDetail(kind string, seq, rng, ranges int) string {
+	if ranges == 1 {
+		return fmt.Sprintf("%s #%d", kind, seq)
+	}
+	return fmt.Sprintf("%s #%d r%d/%d", kind, seq, rng+1, ranges)
 }
 
 // fileSize returns a file's size, or 0 when it does not exist.
@@ -517,53 +449,76 @@ func (js *jobStore) saveGraphs(g1, g2 *reconcile.Graph) error {
 	return nil
 }
 
-// checkpoint appends one record to the job's chain — a delta when a durable
-// base exists and the chain period allows it, a full otherwise — then
-// persists the meta. The chain record lands first: if the crash window falls
-// between the two renames, recovery sees a fresh state with slightly stale
-// bookkeeping, which restore reconciles (counters are re-derived from the
-// state). Any write failure poisons the delta base, so the next checkpoint
-// re-anchors the chain with a full instead of building on a record that may
-// never have become durable.
+// checkpoint appends one checkpoint to the job's chain — a delta when a
+// durable base exists and the chain period allows it, a full otherwise —
+// then persists the meta. The chain records land first: if the crash window
+// falls between them and the meta, recovery sees a fresh state with
+// slightly stale bookkeeping, which restore reconciles (counters are
+// re-derived from the state). Every attempt takes a fresh sequence number,
+// even one that fails, so no sequence ever holds records of two attempts;
+// and any failure drops the delta base, so the next checkpoint re-anchors
+// the chain with a full instead of building on records that may never have
+// become durable.
 func (js *jobStore) checkpoint(rec *reconcile.Reconciler, meta jobMeta) error {
 	meta.Ranges = js.ranges
-	if js.ranges > 1 {
-		return js.checkpointRanged(rec, meta)
+	js.seq++
+	if js.ckpt == nil {
+		js.ckpt = reconcile.NewCheckpointer(js.ranges)
 	}
-	seq := js.seq + 1
-	wantFull := !js.haveBase || js.sinceFull+1 >= js.ts.store.cfg.fullEvery
-	if !wantFull {
-		sp := js.tracer.Begin(trace.KindCheckpointWrite, fmt.Sprintf("delta #%d", seq))
-		err := js.writeTracked(js.chainPath(seq, "delta"), func(w *os.File) error {
-			return js.ckpt.WriteDelta(w, rec)
-		})
-		sp.End()
-		switch {
-		case err == nil:
-			js.sinceFull++
-		case errors.Is(err, reconcile.ErrFullRequired):
-			wantFull = true
-		default:
-			js.haveBase = false
-			return fmt.Errorf("store: delta checkpoint of %s: %w", js.id, err)
-		}
+	ck, err := js.ckpt.Prepare(rec, js.sinceFull+1 >= js.ts.store.cfg.fullEvery)
+	if errors.Is(err, reconcile.ErrFullRequired) {
+		ck, err = js.ckpt.Prepare(rec, true)
 	}
-	if wantFull {
-		sp := js.tracer.Begin(trace.KindCheckpointWrite, fmt.Sprintf("full #%d", seq))
-		err := js.writeTracked(js.chainPath(seq, "full"), func(w *os.File) error {
-			return js.ckpt.WriteFull(w, rec)
-		})
-		sp.End()
-		if err != nil {
-			js.haveBase = false
-			return fmt.Errorf("store: full checkpoint of %s: %w", js.id, err)
-		}
+	if err == nil {
+		err = js.writeCheckpoint(ck)
+	}
+	if err != nil {
+		js.ckpt.Reset()
+		return fmt.Errorf("store: checkpoint #%d of %s: %w", js.seq, js.id, err)
+	}
+	js.ckpt.Commit(ck)
+	if ck.Full() {
 		js.sinceFull = 0
-		js.haveBase = true
 		js.retireOld()
+	} else {
+		js.sinceFull++
 	}
-	js.seq = seq
 	return js.writeMeta(meta)
+}
+
+// writeCheckpoint writes ck's records under sequence js.seq: the tails
+// concurrently (each atomically, so every core the host has can fsync a
+// slice of the state at once), then the head, whose durable rename is the
+// checkpoint's commit point. A crash or failure before it leaves tail
+// records recovery ignores.
+func (js *jobStore) writeCheckpoint(ck *reconcile.Checkpoint) error {
+	errs := make([]error, ck.Ranges())
+	var wg sync.WaitGroup
+	for rng := 1; rng < ck.Ranges(); rng++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[rng] = js.writeRecord(ck, rng)
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return err
+	}
+	return js.writeRecord(ck, 0)
+}
+
+// writeRecord writes range rng's record of checkpoint ck.
+func (js *jobStore) writeRecord(ck *reconcile.Checkpoint, rng int) error {
+	kind := "delta"
+	if ck.Full() {
+		kind = "full"
+	}
+	sp := js.tracer.Begin(trace.KindCheckpointWrite, recordDetail(kind, js.seq, rng, ck.Ranges()))
+	defer sp.End()
+	return js.writeTracked(js.chainPath(js.seq, rng, kind), func(w *os.File) error {
+		return ck.Encode(rng, w)
+	})
 }
 
 func (js *jobStore) writeMeta(meta jobMeta) error {
@@ -576,121 +531,37 @@ func (js *jobStore) writeMeta(meta jobMeta) error {
 	return nil
 }
 
-// checkpointRanged appends one ranged checkpoint: the ranges shard files
-// written concurrently (each atomically, so every core the host has can
-// fsync a slice of the state at once), then the manifest — whose durable
-// presence is the checkpoint's commit point. A crash before the manifest
-// rename leaves orphan shard files recovery ignores; a crash after it left a
-// complete checkpoint. Failure handling matches the monolithic path: any
-// write error poisons the delta base so the next checkpoint re-anchors with
-// a full.
-func (js *jobStore) checkpointRanged(rec *reconcile.Reconciler, meta jobMeta) error {
-	seq := js.seq + 1
-	if js.rckpt == nil {
-		js.rckpt = reconcile.NewRangedCheckpointer(js.ranges)
-	}
-	wantFull := !js.haveBase || js.sinceFull+1 >= js.ts.store.cfg.fullEvery
-	ck, err := js.rckpt.Prepare(rec, wantFull)
-	if errors.Is(err, reconcile.ErrFullRequired) {
-		wantFull = true
-		ck, err = js.rckpt.Prepare(rec, true)
-	}
-	if err != nil {
-		js.haveBase = false
-		return fmt.Errorf("store: ranged checkpoint of %s: %w", js.id, err)
-	}
-	kind := "delta"
-	if ck.Full() {
-		kind = "full"
-	}
-	errs := make([]error, ck.Ranges())
-	var wg sync.WaitGroup
-	for j := 0; j < ck.Ranges(); j++ {
-		wg.Add(1)
-		go func(j int) {
-			defer wg.Done()
-			sp := js.tracer.Begin(trace.KindCheckpointWrite, fmt.Sprintf("%s #%d r%d/%d", kind, seq, j+1, ck.Ranges()))
-			errs[j] = js.writeTracked(js.rangePath(seq, j, kind), func(w *os.File) error {
-				return ck.EncodePart(j, w)
-			})
-			sp.End()
-		}(j)
-	}
-	wg.Wait()
-	for _, werr := range errs {
-		if werr != nil {
-			js.haveBase = false
-			return fmt.Errorf("store: ranged checkpoint of %s: %w", js.id, werr)
-		}
-	}
-	sp := js.tracer.Begin(trace.KindCheckpointWrite, fmt.Sprintf("manifest #%d", seq))
-	err = js.writeTracked(js.chainPath(seq, "manifest"), func(w *os.File) error {
-		return ck.EncodeManifest(w)
-	})
-	sp.End()
-	if err != nil {
-		js.haveBase = false
-		return fmt.Errorf("store: ranged checkpoint of %s: %w", js.id, err)
-	}
-	js.rckpt.Commit(ck)
-	// A failed attempt at this seq may have left shard files of the other
-	// kind; now that the manifest committed this one, drop them so recovery
-	// never sees two candidate shard sets for one checkpoint.
-	other := "full"
-	if ck.Full() {
-		other = "delta"
-	}
-	for j := 0; j < ck.Ranges(); j++ {
-		js.removeTracked(js.rangePath(seq, j, other))
-	}
-	if ck.Full() {
-		js.sinceFull = 0
-		js.haveBase = true
-		js.retireOld()
-	} else {
-		js.sinceFull++
-	}
-	js.seq = seq
-	return js.writeMeta(meta)
-}
-
-// releaseBase drops the in-memory delta base — a full deep copy of the
-// session state the Checkpointer keeps to diff the next record against.
+// releaseBase drops the checkpointer and with it the delta base — a full
+// deep copy of the session state kept to diff the next checkpoint against.
 // Called once a job goes idle: idle jobs checkpoint rarely, holding
 // megabytes per terminal job forever is how servers bloat, and the next
-// chain record simply re-anchors with a full.
+// checkpoint simply re-anchors with a full.
 func (js *jobStore) releaseBase() {
-	js.ckpt = reconcile.Checkpointer{}
-	js.rckpt = nil
-	js.haveBase = false
+	js.ckpt = nil
 }
 
-// purge deletes every durable record of the job — chain, graphs, meta and
-// any legacy .state — crediting the bytes back to the tenant. Used by
-// DELETE /v1/.../jobs/{id}; the caller guarantees no run goroutine is
-// still driving the job.
+// purge deletes every durable record of the job — chain, graphs and meta —
+// crediting the bytes back to the tenant. Used by DELETE /v1/.../jobs/{id};
+// the caller guarantees no run goroutine is still driving the job.
 func (js *jobStore) purge() {
 	for _, rec := range js.listChain() {
 		js.removeTracked(rec.path)
 	}
-	for _, suffix := range []string{".g1", ".g2", ".state", ".meta.json"} {
+	for _, suffix := range []string{".g1", ".g2", ".meta.json"} {
 		js.removeTracked(js.path(suffix))
 	}
 }
 
-// chainRecord locates one checkpoint file of a job's chain. kind is "full"
-// or "delta" for a monolithic record, "manifest" for a ranged checkpoint's
-// commit record, or "part" (with rng and pfull) for one range shard.
+// chainRecord locates one range record of a job's chain: the head (range
+// 0) is <id>.ckpt-SEQ.full|delta, tail r ≥ 1 is <id>.ckpt-SEQ.rNNNN.full|delta.
 type chainRecord struct {
-	seq   int
-	full  bool // monolithic full snapshot
-	kind  string
-	rng   int
-	pfull bool // a "part" holding a full state record (vs a delta)
-	path  string
+	seq, rng int
+	full     bool
+	path     string
 }
 
-// listChain returns the job's checkpoint files sorted by sequence number.
+// listChain returns the job's chain records sorted by sequence number, then
+// range.
 func (js *jobStore) listChain() []chainRecord {
 	matches, err := filepath.Glob(js.path(".ckpt-*.*"))
 	if err != nil {
@@ -710,285 +581,173 @@ func (js *jobStore) listChain() []chainRecord {
 		if err != nil || seq <= 0 {
 			continue
 		}
-		switch kind {
-		case "full", "delta":
-			out = append(out, chainRecord{seq: seq, full: kind == "full", kind: kind, path: path})
-		case "manifest":
-			out = append(out, chainRecord{seq: seq, kind: "manifest", path: path})
-		default:
-			// rNNNN.full / rNNNN.delta: one range shard of a ranged checkpoint.
-			rngStr, pkind, ok := strings.Cut(kind, ".")
-			if !ok || len(rngStr) < 2 || rngStr[0] != 'r' {
+		rng := 0
+		if rngStr, tailKind, ok := strings.Cut(kind, "."); ok {
+			n, err := strconv.Atoi(strings.TrimPrefix(rngStr, "r"))
+			if !strings.HasPrefix(rngStr, "r") || err != nil || n < 1 {
 				continue
 			}
-			rng, err := strconv.Atoi(rngStr[1:])
-			if err != nil || rng < 0 || (pkind != "full" && pkind != "delta") {
-				continue
-			}
-			out = append(out, chainRecord{seq: seq, kind: "part", rng: rng, pfull: pkind == "full", path: path})
+			rng, kind = n, tailKind
 		}
+		if kind != "full" && kind != "delta" {
+			continue
+		}
+		out = append(out, chainRecord{seq: seq, rng: rng, full: kind == "full", path: path})
 	}
 	sort.Slice(out, func(a, b int) bool {
 		if out[a].seq != out[b].seq {
 			return out[a].seq < out[b].seq
 		}
-		return out[a].path < out[b].path
+		return out[a].rng < out[b].rng
 	})
 	return out
 }
 
-// seqGroup collects the files of one checkpoint sequence number: at most one
-// monolithic record, and/or a ranged checkpoint's manifest and shard files.
+// seqGroup is one checkpoint: the range records sharing a sequence number.
 type seqGroup struct {
-	seq       int
-	mono      *chainRecord
-	manifest  string
-	partFull  map[int]string
-	partDelta map[int]string
+	seq   int
+	full  bool           // the head is a full record
+	paths map[int]string // record paths by range; the head is range 0
 }
 
-// groupChain folds per-file records into per-checkpoint groups, ascending.
+// groupChain folds listChain's records into checkpoints, ascending.
 func groupChain(records []chainRecord) []seqGroup {
 	var groups []seqGroup
-	bySeq := map[int]int{}
-	for i := range records {
-		rec := &records[i]
-		gi, ok := bySeq[rec.seq]
-		if !ok {
-			gi = len(groups)
-			bySeq[rec.seq] = gi
-			groups = append(groups, seqGroup{seq: rec.seq, partFull: map[int]string{}, partDelta: map[int]string{}})
+	for _, rec := range records {
+		if len(groups) == 0 || groups[len(groups)-1].seq != rec.seq {
+			groups = append(groups, seqGroup{seq: rec.seq, paths: map[int]string{}})
 		}
-		g := &groups[gi]
-		switch rec.kind {
-		case "full", "delta":
-			g.mono = rec
-		case "manifest":
-			g.manifest = rec.path
-		case "part":
-			if rec.pfull {
-				g.partFull[rec.rng] = rec.path
-			} else {
-				g.partDelta[rec.rng] = rec.path
-			}
+		g := &groups[len(groups)-1]
+		g.paths[rec.rng] = rec.path
+		if rec.rng == 0 {
+			g.full = rec.full
 		}
 	}
-	sort.Slice(groups, func(a, b int) bool { return groups[a].seq < groups[b].seq })
 	return groups
 }
 
 // retireOld enforces keep-last-K retention: chain records older than the
-// K-th newest full snapshot are deleted, as is a legacy flat .state file
-// once a chain full supersedes it. Called after each new full and once per
-// job on boot.
+// K-th newest full checkpoint are deleted. Called after each new full and
+// once per job on boot.
 func (js *jobStore) retireOld() {
 	records := js.listChain()
-	groups := groupChain(records)
-	fullSeqs := make([]int, 0, len(groups))
-	for _, g := range groups {
-		// An anchor is a monolithic full, or a committed ranged full
-		// (manifest plus at least one full shard — completeness is recovery's
-		// concern; retention only needs to know where chains can start).
-		if (g.mono != nil && g.mono.full) || (g.manifest != "" && len(g.partFull) > 0) {
-			fullSeqs = append(fullSeqs, g.seq)
+	var fullSeqs []int
+	for _, rec := range records {
+		// A full head anchors a chain; completeness is recovery's concern,
+		// retention only needs to know where chains can start.
+		if rec.rng == 0 && rec.full {
+			fullSeqs = append(fullSeqs, rec.seq)
 		}
 	}
-	if len(fullSeqs) == 0 {
+	keep := js.ts.store.cfg.keep
+	if len(fullSeqs) <= keep {
 		return
 	}
-	if len(fullSeqs) > js.ts.store.cfg.keep {
-		minKeep := fullSeqs[len(fullSeqs)-js.ts.store.cfg.keep]
-		for _, rec := range records {
-			if rec.seq < minKeep {
-				js.removeTracked(rec.path)
-			}
+	minKeep := fullSeqs[len(fullSeqs)-keep]
+	for _, rec := range records {
+		if rec.seq < minKeep {
+			js.removeTracked(rec.path)
 		}
 	}
-	js.removeTracked(js.path(".state")) // pre-shard layout, superseded by the chain
 }
 
-// recoverState replays the job's chain: the newest readable full checkpoint
-// (monolithic, or a ranged manifest plus all its full shards) and the
-// contiguous, applicable checkpoints that follow it. dropped counts the
-// checkpoints past the replayed prefix (corrupt, gapped, torn, or built on
-// a corrupt full) — zero means the restored state is the newest durable
-// checkpoint. With no readable chain it falls back to a legacy flat .state
-// snapshot.
+// recoverState replays the job's chain: the newest full checkpoint whose R
+// records all read, then each contiguous delta checkpoint after it whose R
+// records all apply and agree with its head, merging the ranges once at the
+// end. A torn, gapped or corrupt checkpoint ends the replay at the last
+// consistent prefix, and a full that does not read sends recovery back to
+// the one before it. dropped counts the checkpoints past the replayed
+// prefix — zero means the restored state is the newest durable checkpoint.
 func (js *jobStore) recoverState() (st *reconcile.SessionState, dropped int, err error) {
 	groups := groupChain(js.listChain())
-	var firstErr error
 	for i := len(groups) - 1; i >= 0; i-- {
-		gr := groups[i]
-		var lastApplied int
-		var rerr error
-		switch {
-		case gr.manifest != "" && len(gr.partFull) > 0:
-			st, lastApplied, rerr = js.replayRangedFrom(groups, i)
-		case gr.mono != nil && gr.mono.full:
-			st, lastApplied, rerr = js.replayMonoFrom(groups, i)
-		default:
+		if !groups[i].full {
 			continue
 		}
+		parts, last, rerr := js.replayFrom(groups, i)
+		if rerr == nil {
+			st, rerr = reconcile.MergeRanges(parts)
+		}
 		if rerr != nil {
-			if firstErr == nil {
-				firstErr = rerr
+			if err == nil {
+				err = rerr
 			}
 			continue
 		}
 		for _, g := range groups {
-			if g.seq > lastApplied {
+			if g.seq > last {
 				dropped++
 			}
 		}
 		return st, dropped, nil
 	}
-	// No readable full: the pre-shard flat layout kept a single .state file.
-	raw, rerr := os.Open(js.path(".state"))
-	if rerr != nil {
-		if firstErr != nil {
-			return nil, 0, firstErr
-		}
-		return nil, 0, fmt.Errorf("no readable checkpoint: %w", rerr)
+	if err == nil {
+		err = errors.New("no readable checkpoint")
 	}
-	defer raw.Close()
-	st, err = reconcile.ReadSessionState(raw)
-	if err != nil {
-		return nil, 0, fmt.Errorf("legacy state: %w", err)
-	}
-	return st, len(groups), nil
+	return nil, 0, err
 }
 
-// replayMonoFrom reads the monolithic full at groups[i] and applies the
-// monolithic deltas that follow it, stopping at the first gap, unreadable
-// record, or delta that does not fit — the last consistent prefix.
-func (js *jobStore) replayMonoFrom(groups []seqGroup, i int) (*reconcile.SessionState, int, error) {
-	rec := groups[i].mono
-	start := time.Now()
-	f, err := os.Open(rec.path)
-	if err != nil {
-		return nil, 0, fmt.Errorf("chain full #%d: %w", rec.seq, err)
+// replayFrom reads the full checkpoint groups[i] and applies the delta
+// checkpoints that follow it, stopping at the first gap or checkpoint whose
+// records do not all read and apply. It returns the range states and the
+// sequence number of the last checkpoint they hold.
+func (js *jobStore) replayFrom(groups []seqGroup, i int) ([]*reconcile.SessionState, int, error) {
+	anchor := groups[i]
+	parts := make([]*reconcile.SessionState, max(js.ranges, 1))
+	for rng := range parts {
+		var err error
+		if parts[rng], err = readRecord(js, anchor, rng, len(parts), reconcile.ReadSessionState); err != nil {
+			return nil, 0, fmt.Errorf("chain full #%d: %w", anchor.seq, err)
+		}
 	}
-	st, err := reconcile.ReadSessionState(f)
-	f.Close()
-	if err != nil {
-		return nil, 0, fmt.Errorf("chain full #%d: %w", rec.seq, err)
-	}
-	js.bootObserve(trace.KindCheckpointReplay, fmt.Sprintf("full #%d", rec.seq), time.Since(start))
-	lastApplied := rec.seq
+	last := anchor.seq
 	for _, g := range groups[i+1:] {
-		if g.mono == nil || g.mono.full || g.seq != lastApplied+1 {
+		if g.full || g.seq != last+1 {
 			break // a later full starts its own chain; a gap ends this one
 		}
-		start := time.Now()
-		df, err := os.Open(g.mono.path)
+		deltas := make([]*reconcile.StateDelta, len(parts))
+		var err error
+		for rng := range deltas {
+			if deltas[rng], err = readRecord(js, g, rng, len(parts), reconcile.ReadStateDelta); err != nil {
+				break
+			}
+		}
+		var next []*reconcile.SessionState
+		if err == nil {
+			next, err = reconcile.ApplyRanges(parts, deltas)
+		}
 		if err != nil {
 			break
 		}
-		d, err := reconcile.ReadStateDelta(df)
-		df.Close()
-		if err != nil {
-			break
-		}
-		if err := st.Apply(d); err != nil {
-			break
-		}
-		lastApplied = g.seq
-		js.bootObserve(trace.KindCheckpointReplay, fmt.Sprintf("delta #%d", g.seq), time.Since(start))
+		parts, last = next, g.seq
 	}
-	return st, lastApplied, nil
+	return parts, last, nil
 }
 
-// readManifestFile reads one ranged checkpoint's manifest record.
-func readManifestFile(path string) (*reconcile.RangeManifest, error) {
+// readRecord decodes range rng's record of checkpoint g with read, queueing
+// a checkpoint-replay span for the job's future recorder.
+func readRecord[T any](js *jobStore, g seqGroup, rng, ranges int, read func(io.Reader) (T, error)) (T, error) {
+	var zero T
+	path, ok := g.paths[rng]
+	if !ok {
+		return zero, fmt.Errorf("range %d of %d missing", rng, ranges)
+	}
+	start := time.Now()
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return zero, err
 	}
 	defer f.Close()
-	return reconcile.ReadRangeManifest(f)
-}
-
-// replayRangedFrom reads the ranged full at groups[i] — its manifest and
-// every full shard — and applies the ranged delta checkpoints that follow
-// it. Each later checkpoint is replayed all-or-nothing onto shard clones
-// and then merge-verified against its own manifest, so a torn or corrupt
-// checkpoint ends the replay at the last consistent prefix instead of
-// restoring a mixed state.
-func (js *jobStore) replayRangedFrom(groups []seqGroup, i int) (*reconcile.SessionState, int, error) {
-	anchor := groups[i]
-	man, err := readManifestFile(anchor.manifest)
+	v, err := read(f)
 	if err != nil {
-		return nil, 0, fmt.Errorf("chain manifest #%d: %w", anchor.seq, err)
+		return zero, fmt.Errorf("range %d of %d: %w", rng, ranges, err)
 	}
-	parts := make([]*reconcile.SessionState, man.Ranges())
-	for j := range parts {
-		path, ok := anchor.partFull[j]
-		if !ok {
-			return nil, 0, fmt.Errorf("chain full #%d: missing range %d of %d", anchor.seq, j, man.Ranges())
-		}
-		start := time.Now()
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, 0, fmt.Errorf("chain full #%d range %d: %w", anchor.seq, j, err)
-		}
-		parts[j], err = reconcile.ReadSessionState(f)
-		f.Close()
-		if err != nil {
-			return nil, 0, fmt.Errorf("chain full #%d range %d: %w", anchor.seq, j, err)
-		}
-		js.bootObserve(trace.KindCheckpointReplay, fmt.Sprintf("full #%d r%d/%d", anchor.seq, j+1, man.Ranges()), time.Since(start))
+	kind := "delta"
+	if g.full {
+		kind = "full"
 	}
-	merged, err := reconcile.MergeRangeParts(man, parts)
-	if err != nil {
-		return nil, 0, fmt.Errorf("chain full #%d: %w", anchor.seq, err)
-	}
-	lastApplied := anchor.seq
-	for _, g := range groups[i+1:] {
-		if g.seq != lastApplied+1 || g.manifest == "" || len(g.partFull) > 0 {
-			break // a later full starts its own chain; a gap ends this one
-		}
-		m2, err := readManifestFile(g.manifest)
-		if err != nil {
-			break
-		}
-		clones := make([]*reconcile.SessionState, len(parts))
-		ok := true
-		for j := range parts {
-			path, have := g.partDelta[j]
-			if !have {
-				ok = false
-				break
-			}
-			start := time.Now()
-			df, err := os.Open(path)
-			if err != nil {
-				ok = false
-				break
-			}
-			d, err := reconcile.ReadStateDelta(df)
-			df.Close()
-			if err != nil {
-				ok = false
-				break
-			}
-			clones[j] = parts[j].Clone()
-			if err := clones[j].Apply(d); err != nil {
-				ok = false
-				break
-			}
-			js.bootObserve(trace.KindCheckpointReplay, fmt.Sprintf("delta #%d r%d/%d", g.seq, j+1, len(parts)), time.Since(start))
-		}
-		if !ok {
-			break
-		}
-		m, err := reconcile.MergeRangeParts(m2, clones)
-		if err != nil {
-			break
-		}
-		parts, merged = clones, m
-		lastApplied = g.seq
-	}
-	return merged, lastApplied, nil
+	js.bootObserve(trace.KindCheckpointReplay, recordDetail(kind, g.seq, rng, ranges), time.Since(start))
+	return v, nil
 }
 
 // persisted is one job loaded back from disk.
@@ -1016,8 +775,7 @@ func (p *persisted) closeMapped() {
 }
 
 // loadAll reads every fully-persisted job, in creation order per tenant,
-// walking each tenant root (flat pre-shard layouts migrate here) and every
-// shard directory beneath it. Jobs whose files are incomplete or unreadable
+// walking every shard directory of each tenant root. Jobs whose files are incomplete or unreadable
 // (e.g. a crash between submission and the first checkpoint, or a snapshot
 // from a newer format version) are skipped and reported in the last return
 // value. maxNum maps each tenant to the highest job number present anywhere
@@ -1032,7 +790,7 @@ func (st *store) loadAll() (out []persisted, maxNum map[string]int, skipped []er
 		ts := st.tenant(name)
 		ts.recountBytes()
 		seen := map[string]string{}
-		for _, dir := range append([]string{ts.root}, ts.allShardDirs()...) {
+		for _, dir := range ts.allShardDirs() {
 			metas, err := filepath.Glob(filepath.Join(dir, "*.meta.json"))
 			if err != nil {
 				skipped = append(skipped, err)
@@ -1083,7 +841,12 @@ func (ts *tenantStore) load(dir, id string) (persisted, error) {
 	if p.meta.ID != id {
 		return p, fmt.Errorf("meta names job %q", p.meta.ID)
 	}
-	js.ranges = p.meta.Ranges // the chain keeps the geometry it was written with
+	// The chain keeps the geometry it was written with. The writer never
+	// records more than MaxStateRanges, so a larger count is a corrupt meta.
+	if p.meta.Ranges < 0 || p.meta.Ranges > reconcile.MaxStateRanges {
+		return p, fmt.Errorf("meta: chain of %d ranges, want 0 to %d", p.meta.Ranges, reconcile.MaxStateRanges)
+	}
+	js.ranges = p.meta.Ranges
 	for _, f := range []struct {
 		suffix string
 		dst    **reconcile.Graph

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -21,6 +23,13 @@ import (
 // testStoreConfig.fullEvery records). It returns the uninterrupted
 // reference result for bit-identity checks.
 func chainVictim(t *testing.T, st *store, id string, iterations, sweeps int) (want *reconcile.Result) {
+	t.Helper()
+	return chainVictimFailing(t, st, id, iterations, sweeps, 0)
+}
+
+// chainVictimFailing is chainVictim whose checkpoint at sweep failAt must
+// fail, and every other must succeed (failAt 0: none may fail).
+func chainVictimFailing(t *testing.T, st *store, id string, iterations, sweeps, failAt int) (want *reconcile.Result) {
 	t.Helper()
 	req := testInstance(t, 400, 0.15)
 	g1, err := buildGraph(req.G1)
@@ -67,8 +76,8 @@ func chainVictim(t *testing.T, st *store, id string, iterations, sweeps int) (wa
 					ID: id, Num: 1, Status: statusRunning,
 					Seeds: victim.Result().Seeds, Phases: phases,
 				}
-				if err := js.checkpoint(victim, meta); err != nil {
-					t.Errorf("checkpoint at sweep %d: %v", e.Iteration, err)
+				if err := js.checkpoint(victim, meta); (err != nil) != (e.Iteration == failAt) {
+					t.Errorf("checkpoint at sweep %d: err = %v, want failure only at sweep %d", e.Iteration, err, failAt)
 				}
 				if e.Iteration == sweeps {
 					cancel()
@@ -128,95 +137,206 @@ func resumeAndVerify(t *testing.T, st *store, id string, want *reconcile.Result)
 	}
 }
 
-// TestStoreRecoveryCorruptTrailingDelta pins the fallback contract: a
-// corrupt trailing delta record must make boot fall back to the last
-// consistent chain prefix and surface the job as interrupted — never panic,
-// never skip the job — and resume must still finish bit-identically.
-func TestStoreRecoveryCorruptTrailingDelta(t *testing.T) {
-	st := newTestStore(t)
-	want := chainVictim(t, st, "job-1", 6, 5)
-	js := st.jobStore("job-1")
-	// fullEvery=3: expect full, delta, delta, full, delta.
-	files := chainFiles(t, js)
-	if len(files) != 5 || !strings.HasSuffix(files[4], ".delta") {
-		t.Fatalf("unexpected chain %v", files)
+// chainConfigs are the store configurations every store chain suite runs
+// over: two chain geometries, each with graphs on the heap and mapped
+// (-mmap). testInstance(400) builds two ~400-node graphs, so without
+// -range-nodes a job checkpoints one record per checkpoint, and
+// -range-nodes 200 cuts its checkpoints into four range records.
+var chainConfigs = []struct {
+	name   string
+	ranges int
+	cfg    storeConfig
+}{
+	{"r1/heap", 1, testStoreConfig},
+	{"r1/mmap", 1, storeConfig{shards: 3, fullEvery: 3, keep: 2, mmap: true}},
+	{"r4/heap", 4, storeConfig{shards: 3, fullEvery: 3, keep: 2, rangeNodes: 200}},
+	{"r4/mmap", 4, storeConfig{shards: 3, fullEvery: 3, keep: 2, mmap: true, rangeNodes: 200}},
+}
+
+// forEachChain runs test once per chain configuration, each on a fresh
+// store.
+func forEachChain(t *testing.T, test func(t *testing.T, st *store, ranges int)) {
+	for _, c := range chainConfigs {
+		t.Run(c.name, func(t *testing.T) {
+			test(t, newChainStore(t, c.cfg), c.ranges)
+		})
 	}
-	records := js.listChain()
-	trailing := records[len(records)-1].path
-	raw, err := os.ReadFile(trailing)
+}
+
+// forEachBacking runs test on a fresh store per chain configuration of the
+// given range count: once with heap graphs, once with mapped ones.
+func forEachBacking(t *testing.T, ranges int, test func(t *testing.T, st *store)) {
+	for _, c := range chainConfigs {
+		if c.ranges != ranges {
+			continue
+		}
+		t.Run(strings.TrimPrefix(c.name, fmt.Sprintf("r%d/", ranges)), func(t *testing.T) {
+			test(t, newChainStore(t, c.cfg))
+		})
+	}
+}
+
+func newChainStore(t *testing.T, cfg storeConfig) *store {
+	t.Helper()
+	st, err := newStore(t.TempDir(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[len(raw)/2] ^= 0x40
-	if err := os.WriteFile(trailing, raw, 0o644); err != nil {
+	return st
+}
+
+// chainHandle returns a store handle for a job whose chain has the given
+// geometry, as boot would build it from the job's meta.
+func chainHandle(st *store, id string, ranges int) *jobStore {
+	js := st.jobStore(id)
+	js.ranges = ranges
+	return js
+}
+
+// requireChain asserts the job's chain is exactly the given checkpoints,
+// each complete: ranges records of the head's kind, named as chainPath
+// names them.
+func requireChain(t *testing.T, js *jobStore, ranges int, kinds ...string) []seqGroup {
+	t.Helper()
+	groups := groupChain(js.listChain())
+	if len(groups) != len(kinds) {
+		t.Fatalf("chain has %d checkpoints, want %d: %v", len(groups), len(kinds), chainFiles(t, js))
+	}
+	for i, g := range groups {
+		if len(g.paths) != ranges {
+			t.Fatalf("checkpoint #%d has %d records, want %d: %v", g.seq, len(g.paths), ranges, chainFiles(t, js))
+		}
+		for rng := 0; rng < ranges; rng++ {
+			if want := js.chainPath(g.seq, rng, kinds[i]); g.paths[rng] != want {
+				t.Fatalf("checkpoint #%d range %d is %q, want %q", g.seq, rng, g.paths[rng], want)
+			}
+		}
+	}
+	return groups
+}
+
+// rewrite replaces a file's bytes with edit's result.
+func rewrite(t *testing.T, path string, edit func([]byte) []byte) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
+	if err := os.WriteFile(path, edit(raw), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
 
-	resumeAndVerify(t, st, "job-1", want)
+// requireChainShape checkpoints a job killed after five of six sweeps and
+// pins the on-disk form of its chain: every checkpoint is the head record
+// plus one tail per further range (fulls on the fullEvery grid, deltas
+// between), and the meta records the geometry.
+func requireChainShape(t *testing.T, st *store, ranges int) (want *reconcile.Result) {
+	t.Helper()
+	want = chainVictim(t, st, "job-1", 6, 5)
+	js := chainHandle(st, "job-1", ranges)
+	requireChain(t, js, ranges, "full", "delta", "delta", "full", "delta")
+	meta, err := os.ReadFile(js.path(".meta.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := bytes.Contains(meta, []byte(`"ranges":4`)); got != (ranges == 4) {
+		t.Fatalf("meta does not record the chain geometry: %s", meta)
+	}
+	return want
+}
+
+// TestStoreChainShape pins the on-disk form of a one-range chain — each
+// checkpoint is exactly one head record — and its clean-kill path: the job
+// boots as interrupted and resumes bit-identically to the uninterrupted
+// run.
+func TestStoreChainShape(t *testing.T) {
+	forEachBacking(t, 1, func(t *testing.T, st *store) {
+		resumeAndVerify(t, st, "job-1", requireChainShape(t, st, 1))
+	})
+}
+
+// TestStoreRangedChainShape pins the on-disk form of a four-range chain:
+// every checkpoint is the head plus three tails, all of the head's kind.
+func TestStoreRangedChainShape(t *testing.T) {
+	forEachBacking(t, 4, func(t *testing.T, st *store) {
+		requireChainShape(t, st, 4)
+	})
+}
+
+// TestStoreRangedRecovery is the clean-kill path of a four-range chain: a
+// job killed mid-run boots as interrupted and resumes bit-identically to
+// the uninterrupted run.
+func TestStoreRangedRecovery(t *testing.T) {
+	forEachBacking(t, 4, func(t *testing.T, st *store) {
+		want := chainVictim(t, st, "job-1", 6, 5)
+		resumeAndVerify(t, st, "job-1", want)
+	})
+}
+
+// TestStoreRecoveryCorruptTrailingDelta pins the fallback contract: a
+// corrupt trailing record must make boot fall back to the last consistent
+// chain prefix and surface the job as interrupted — never panic, never
+// skip the job — and resume must still finish bit-identically.
+func TestStoreRecoveryCorruptTrailingDelta(t *testing.T) {
+	forEachChain(t, func(t *testing.T, st *store, ranges int) {
+		want := chainVictim(t, st, "job-1", 6, 5)
+		js := chainHandle(st, "job-1", ranges)
+		requireChain(t, js, ranges, "full", "delta", "delta", "full", "delta")
+		records := js.listChain()
+		rewrite(t, records[len(records)-1].path, func(raw []byte) []byte {
+			raw[len(raw)/2] ^= 0x40
+			return raw
+		})
+		resumeAndVerify(t, st, "job-1", want)
+	})
 }
 
 // TestStoreRecoveryTruncatedTrailingDelta is the torn-write variant: the
 // trailing record lost its tail.
 func TestStoreRecoveryTruncatedTrailingDelta(t *testing.T) {
-	st := newTestStore(t)
-	want := chainVictim(t, st, "job-1", 6, 5)
-	js := st.jobStore("job-1")
-	records := js.listChain()
-	trailing := records[len(records)-1].path
-	raw, err := os.ReadFile(trailing)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(trailing, raw[:len(raw)/3], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	resumeAndVerify(t, st, "job-1", want)
+	forEachChain(t, func(t *testing.T, st *store, ranges int) {
+		want := chainVictim(t, st, "job-1", 6, 5)
+		records := chainHandle(st, "job-1", ranges).listChain()
+		rewrite(t, records[len(records)-1].path, func(raw []byte) []byte { return raw[:len(raw)/3] })
+		resumeAndVerify(t, st, "job-1", want)
+	})
 }
 
-// TestStoreRecoveryMissingDelta removes a mid-chain delta: the records
-// after the gap must be abandoned and the job surfaced as interrupted.
+// TestStoreRecoveryMissingDelta removes a mid-chain delta's head: the
+// checkpoints after the gap must be abandoned and the job surfaced as
+// interrupted.
 func TestStoreRecoveryMissingDelta(t *testing.T) {
-	st := newTestStore(t)
-	want := chainVictim(t, st, "job-1", 6, 3)
-	js := st.jobStore("job-1")
-	// Chain is full(1), delta(2), delta(3); removing delta(2) leaves
-	// delta(3) unreachable — recovery must stop at the full.
-	records := js.listChain()
-	if len(records) != 3 {
-		t.Fatalf("unexpected chain %v", chainFiles(t, js))
-	}
-	if err := os.Remove(records[1].path); err != nil {
-		t.Fatal(err)
-	}
-	resumeAndVerify(t, st, "job-1", want)
+	forEachChain(t, func(t *testing.T, st *store, ranges int) {
+		want := chainVictim(t, st, "job-1", 6, 3)
+		js := chainHandle(st, "job-1", ranges)
+		// Chain is full(1), delta(2), delta(3); removing delta(2) leaves
+		// delta(3) unreachable — recovery must stop at the full.
+		groups := requireChain(t, js, ranges, "full", "delta", "delta")
+		if err := os.Remove(groups[1].paths[0]); err != nil {
+			t.Fatal(err)
+		}
+		resumeAndVerify(t, st, "job-1", want)
+	})
 }
 
-// TestStoreRecoveryCorruptFull corrupts the newest full snapshot: recovery
-// must fall back to the previous full's chain (replaying its deltas), not
-// panic and not lose the job.
+// TestStoreRecoveryCorruptFull corrupts the newest full checkpoint (its
+// last range record): recovery must fall back to the previous full's chain
+// (replaying its deltas), not panic and not lose the job.
 func TestStoreRecoveryCorruptFull(t *testing.T) {
-	st := newTestStore(t)
-	want := chainVictim(t, st, "job-1", 6, 5)
-	js := st.jobStore("job-1")
-	records := js.listChain()
-	var newestFull chainRecord
-	for _, rec := range records {
-		if rec.full {
-			newestFull = rec
+	forEachChain(t, func(t *testing.T, st *store, ranges int) {
+		want := chainVictim(t, st, "job-1", 6, 5)
+		js := chainHandle(st, "job-1", ranges)
+		groups := requireChain(t, js, ranges, "full", "delta", "delta", "full", "delta")
+		rewrite(t, groups[3].paths[ranges-1], func(raw []byte) []byte {
+			raw[len(raw)/2] ^= 0x01
+			return raw
+		})
+		if _, dropped, err := js.recoverState(); err != nil || dropped != 2 {
+			t.Fatalf("recovery past a corrupt full: dropped %d, err %v; want the 2 checkpoints built on it", dropped, err)
 		}
-	}
-	if newestFull.path == "" || newestFull.seq != 4 {
-		t.Fatalf("unexpected chain %v", chainFiles(t, js))
-	}
-	raw, err := os.ReadFile(newestFull.path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)/2] ^= 0x01
-	if err := os.WriteFile(newestFull.path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	resumeAndVerify(t, st, "job-1", want)
+		resumeAndVerify(t, st, "job-1", want)
+	})
 }
 
 // TestStoreRecoveryFallbackSurvivesRestarts pins that boot-time compaction
@@ -225,33 +345,28 @@ func TestStoreRecoveryCorruptFull(t *testing.T) {
 // be restarted any number of times without resuming and the job must keep
 // loading — retention waits for the next durable full.
 func TestStoreRecoveryFallbackSurvivesRestarts(t *testing.T) {
-	st := newTestStore(t)
-	want := chainVictim(t, st, "job-1", 6, 5)
-	js := st.jobStore("job-1")
-	records := js.listChain()
-	for _, rec := range records {
-		if rec.full && rec.seq > 1 {
-			raw, err := os.ReadFile(rec.path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			raw[len(raw)/2] ^= 0x01
-			if err := os.WriteFile(rec.path, raw, 0o644); err != nil {
-				t.Fatal(err)
+	forEachChain(t, func(t *testing.T, st *store, ranges int) {
+		want := chainVictim(t, st, "job-1", 6, 5)
+		for _, g := range groupChain(chainHandle(st, "job-1", ranges).listChain()) {
+			if g.full && g.seq > 1 {
+				rewrite(t, g.paths[0], func(raw []byte) []byte {
+					raw[len(raw)/2] ^= 0x01
+					return raw
+				})
 			}
 		}
-	}
-	for boot := 0; boot < 3; boot++ {
-		s, skipped := newServer(st)
-		if len(skipped) != 0 {
-			t.Fatalf("boot %d skipped the job: %v", boot, skipped)
+		for boot := 0; boot < 3; boot++ {
+			s, skipped := newServer(st)
+			if len(skipped) != 0 {
+				t.Fatalf("boot %d skipped the job: %v", boot, skipped)
+			}
+			j := s.jobs["job-1"]
+			if j == nil || j.status != statusInterrupted {
+				t.Fatalf("boot %d: job missing or not interrupted", boot)
+			}
 		}
-		j := s.jobs["job-1"]
-		if j == nil || j.status != statusInterrupted {
-			t.Fatalf("boot %d: job missing or not interrupted", boot)
-		}
-	}
-	resumeAndVerify(t, st, "job-1", want)
+		resumeAndVerify(t, st, "job-1", want)
+	})
 }
 
 // TestStoreRecoveryCorruptionMarksDoneJobInterrupted pins that the dropped
@@ -260,54 +375,203 @@ func TestStoreRecoveryFallbackSurvivesRestarts(t *testing.T) {
 // state and must come back interrupted (resumable), not silently "done"
 // with links missing.
 func TestStoreRecoveryCorruptionMarksDoneJobInterrupted(t *testing.T) {
-	st := newTestStore(t)
-	want := chainVictim(t, st, "job-1", 6, 5)
-	js := st.jobStore("job-1")
-	meta := jobMeta{ID: "job-1", Num: 1, Status: statusDone, Seeds: want.Seeds}
-	if err := atomicWriteJSON(js.path(".meta.json"), meta); err != nil {
-		t.Fatal(err)
+	forEachChain(t, func(t *testing.T, st *store, ranges int) {
+		want := chainVictim(t, st, "job-1", 6, 5)
+		js := chainHandle(st, "job-1", ranges)
+		meta := jobMeta{ID: "job-1", Num: 1, Status: statusDone, Seeds: want.Seeds, Ranges: ranges}
+		if err := atomicWriteJSON(js.path(".meta.json"), meta); err != nil {
+			t.Fatal(err)
+		}
+		records := js.listChain()
+		rewrite(t, records[len(records)-1].path, func(raw []byte) []byte {
+			raw[len(raw)-2] ^= 0x10 // inside the CRC trailer
+			return raw
+		})
+		resumeAndVerify(t, st, "job-1", want)
+	})
+}
+
+// TestStoreRejectsCorruptGeometry pins that boot takes a meta's chain
+// geometry only from the range the writer can produce: a job whose meta
+// records a negative range count, or more than MaxStateRanges, is reported
+// as skipped — not replayed into a panic or a huge allocation — and the
+// store's other jobs still load.
+func TestStoreRejectsCorruptGeometry(t *testing.T) {
+	for _, ranges := range []int{-1, reconcile.MaxStateRanges + 1, 1 << 40} {
+		t.Run(fmt.Sprint(ranges), func(t *testing.T) {
+			st := newChainStore(t, testStoreConfig)
+			chainVictim(t, st, "job-1", 4, 2)
+			chainVictim(t, st, "job-2", 4, 2)
+			js := st.jobStore("job-1")
+			meta := jobMeta{ID: "job-1", Num: 1, Status: statusRunning, Ranges: ranges}
+			if err := atomicWriteJSON(js.path(".meta.json"), meta); err != nil {
+				t.Fatal(err)
+			}
+			s, skipped := newServer(st)
+			if len(skipped) != 1 || !strings.Contains(skipped[0].Error(), "job-1") || !strings.Contains(skipped[0].Error(), "ranges") {
+				t.Fatalf("boot skipped %v, want job-1 reported for its range count", skipped)
+			}
+			if s.jobs["job-1"] != nil {
+				t.Fatal("boot loaded the job whose meta is corrupt")
+			}
+			if j := s.jobs["job-2"]; j == nil || j.status != statusInterrupted {
+				t.Fatal("the corrupt meta kept another job from loading")
+			}
+		})
 	}
-	records := js.listChain()
-	trailing := records[len(records)-1].path
-	raw, err := os.ReadFile(trailing)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestStoreTornTailFallback pins the head's commit-point contract: with the
+// newest checkpoint torn — its head missing (a crash before the commit
+// rename), or one tail corrupt or missing — boot falls back to the previous
+// consistent checkpoint, surfaces the job as interrupted, and resume still
+// finishes bit-identically. A one-range checkpoint has only its head to
+// tear.
+func TestStoreTornTailFallback(t *testing.T) {
+	for _, c := range chainConfigs {
+		ranges := c.ranges
+		for _, tear := range []string{"head-missing", "tail-corrupt", "tail-missing"} {
+			if ranges == 1 && tear != "head-missing" {
+				continue
+			}
+			t.Run(c.name+"/"+tear, func(t *testing.T) {
+				st := newChainStore(t, c.cfg)
+				want := chainVictim(t, st, "job-1", 6, 5)
+				js := chainHandle(st, "job-1", ranges)
+				groups := requireChain(t, js, ranges, "full", "delta", "delta", "full", "delta")
+				last := groups[len(groups)-1]
+				var err error
+				switch tear {
+				case "head-missing":
+					err = os.Remove(last.paths[0])
+				case "tail-corrupt":
+					rewrite(t, last.paths[2], func(raw []byte) []byte {
+						raw[len(raw)/2] ^= 0x41
+						return raw
+					})
+				case "tail-missing":
+					err = os.Remove(last.paths[1])
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				state, dropped, err := js.recoverState()
+				if err != nil || state == nil {
+					t.Fatalf("recovery with a torn tail: %v", err)
+				}
+				// Without its head a one-range checkpoint leaves no file:
+				// nothing is left to drop.
+				wantDropped := 1
+				if ranges == 1 {
+					wantDropped = 0
+				}
+				if dropped != wantDropped {
+					t.Fatalf("recovery dropped %d checkpoints, want %d", dropped, wantDropped)
+				}
+				resumeAndVerify(t, st, "job-1", want)
+			})
+		}
 	}
-	raw[len(raw)-2] ^= 0x10 // inside the CRC trailer
-	if err := os.WriteFile(trailing, raw, 0o644); err != nil {
-		t.Fatal(err)
+}
+
+// TestStoreFailedCheckpointAttempt pins what a failed attempt leaves: with
+// one record's rename made to fail (a directory squats on its path), the
+// attempt fails, its sequence number is spent, and the next checkpoint is a
+// full at the next one — so no sequence holds records of two attempts, the
+// byte accounting still matches a walk, and a kill either right after the
+// failure or after the re-anchoring full resumes bit-identically.
+func TestStoreFailedCheckpointAttempt(t *testing.T) {
+	for _, c := range chainConfigs {
+		ranges := c.ranges
+		for _, sweeps := range []int{3, 5} {
+			t.Run(fmt.Sprintf("%s/kill-after-%d", c.name, sweeps), func(t *testing.T) {
+				st := newChainStore(t, c.cfg)
+				// Checkpoint #3 is a delta; block its last range record.
+				js := chainHandle(st, "job-1", ranges)
+				blocker := js.chainPath(3, ranges-1, "delta")
+				if err := os.Mkdir(blocker, 0o755); err != nil {
+					t.Fatal(err)
+				}
+				want := chainVictimFailing(t, st, "job-1", 6, sweeps, 3)
+				if tracked, walked := js.ts.verifyBytes(); tracked != walked {
+					t.Fatalf("byte accounting drifted after the failed attempt: tracked %d, walked %d", tracked, walked)
+				}
+				if err := os.Remove(blocker); err != nil {
+					t.Fatal(err)
+				}
+				kinds := map[int]map[bool]bool{}
+				for _, rec := range js.listChain() {
+					if kinds[rec.seq] == nil {
+						kinds[rec.seq] = map[bool]bool{}
+					}
+					kinds[rec.seq][rec.full] = true
+				}
+				for seq, k := range kinds {
+					if len(k) != 1 {
+						t.Fatalf("checkpoint #%d holds full and delta records of two attempts: %v", seq, chainFiles(t, js))
+					}
+				}
+				groups := groupChain(js.listChain())
+				if ranges > 1 {
+					failed := groups[2]
+					if _, ok := failed.paths[0]; failed.seq != 3 || ok || len(failed.paths) != ranges-2 {
+						t.Fatalf("failed attempt #3 left %v, want its %d landed tails and no head", chainFiles(t, js), ranges-2)
+					}
+					groups = append(groups[:2], groups[3:]...)
+				}
+				wantSeqs, wantKinds := []int{1, 2}, []string{"full", "delta"}
+				if sweeps == 5 {
+					wantSeqs, wantKinds = []int{1, 2, 4, 5}, []string{"full", "delta", "full", "delta"}
+				}
+				if len(groups) != len(wantSeqs) {
+					t.Fatalf("chain %v, want complete checkpoints %v", chainFiles(t, js), wantSeqs)
+				}
+				for i, g := range groups {
+					if g.seq != wantSeqs[i] || len(g.paths) != ranges || g.full != (wantKinds[i] == "full") {
+						t.Fatalf("checkpoint %d is #%d (full=%v, %d records), want #%d %s: %v",
+							i, g.seq, g.full, len(g.paths), wantSeqs[i], wantKinds[i], chainFiles(t, js))
+					}
+				}
+				if tracked, walked := js.ts.verifyBytes(); tracked != walked {
+					t.Fatalf("byte accounting drifted: tracked %d, walked %d", tracked, walked)
+				}
+				resumeAndVerify(t, st, "job-1", want)
+			})
+		}
 	}
-	resumeAndVerify(t, st, "job-1", want)
 }
 
 // atomicWriteJSON is a small test helper over atomicWrite.
 func atomicWriteJSON(path string, v jobMeta) error {
 	return atomicWrite(path, func(w *os.File) error {
-		_, err := fmt.Fprintf(w, `{"id":%q,"num":%d,"status":%q,"seeds":%d,"untilStable":false,"maxSweeps":0,"phases":[]}`,
-			v.ID, v.Num, v.Status, v.Seeds)
-		return err
+		return json.NewEncoder(w).Encode(v)
 	})
 }
 
-// TestStoreRetention pins keep-last-K compaction: after enough sweeps the
-// chain holds at most keep full snapshots and no records older than the
-// oldest kept full, and the retained suffix still restores.
+// TestStoreRetention pins keep-last-K compaction on a one-range chain:
+// after enough sweeps the chain holds at most keep full checkpoints, each
+// still complete, and no records older than the oldest kept full, and the
+// retained suffix still restores.
 func TestStoreRetention(t *testing.T) {
-	st := newTestStore(t)
-	want := chainVictim(t, st, "job-1", 14, 13) // 13 records: fulls at 1,4,7,10,13
-	js := st.jobStore("job-1")
-	records := js.listChain()
-	fulls := 0
-	for _, rec := range records {
-		if rec.full {
-			fulls++
-		}
-		if rec.seq < 10 {
-			t.Fatalf("retention left record %d (chain %v)", rec.seq, chainFiles(t, js))
-		}
-	}
-	if fulls != testStoreConfig.keep {
-		t.Fatalf("retention kept %d fulls, want %d (chain %v)", fulls, testStoreConfig.keep, chainFiles(t, js))
+	forEachBacking(t, 1, func(t *testing.T, st *store) {
+		requireRetention(t, st, 1)
+	})
+}
+
+// TestStoreRangedRetention pins the same compaction on a four-range chain:
+// every retained checkpoint keeps its head and all its tails.
+func TestStoreRangedRetention(t *testing.T) {
+	forEachBacking(t, 4, func(t *testing.T, st *store) {
+		requireRetention(t, st, 4)
+	})
+}
+
+func requireRetention(t *testing.T, st *store, ranges int) {
+	want := chainVictim(t, st, "job-1", 14, 13) // 13 checkpoints: fulls at 1,4,7,10,13
+	js := chainHandle(st, "job-1", ranges)
+	requireChain(t, js, ranges, "full", "delta", "delta", "full")
+	if groups := groupChain(js.listChain()); groups[0].seq != 10 {
+		t.Fatalf("oldest surviving checkpoint is #%d, want 10 (chain %v)", groups[0].seq, chainFiles(t, js))
 	}
 	resumeAndVerify(t, st, "job-1", want)
 }
@@ -367,6 +631,31 @@ func TestStoreShardPlacement(t *testing.T) {
 	}
 }
 
+// TestStorePreTenantLayoutSkipped pins what boot does with a data dir from
+// before tenancy: its root-level shard directory is not a tenant, so boot
+// reports it as skipped, loads nothing from it and leaves it untouched.
+func TestStorePreTenantLayoutSkipped(t *testing.T) {
+	dir := t.TempDir()
+	legacy := filepath.Join(dir, "shard-00", "job-1.meta.json")
+	if err := os.MkdirAll(filepath.Dir(legacy), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(legacy, []byte(`{"id":"job-1","num":1}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := newStore(dir, testStoreConfig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, _, skipped := st.loadAll()
+	if len(jobs) != 0 || len(skipped) != 1 || !strings.Contains(skipped[0].Error(), "shard-00") {
+		t.Fatalf("boot over a pre-tenant layout loaded %d jobs, skipped %v; want the shard-00 dir reported", len(jobs), skipped)
+	}
+	if _, err := os.Stat(legacy); err != nil {
+		t.Fatalf("boot moved or removed the pre-tenant files: %v", err)
+	}
+}
+
 // TestStoreReleasesBaseWhenIdle pins that a terminal job does not pin its
 // delta base (a full deep copy of the session state) in memory for the
 // server's lifetime — the base exists to diff the next checkpoint against,
@@ -388,7 +677,7 @@ func TestStoreReleasesBaseWhenIdle(t *testing.T) {
 	j.pending.Wait() // the run goroutine's finish() writes the terminal checkpoint
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.js.haveBase {
+	if j.js.ckpt != nil {
 		t.Fatal("terminal job still pins its delta base")
 	}
 	// An explicit checkpoint of the idle job re-anchors with a full and
@@ -396,7 +685,7 @@ func TestStoreReleasesBaseWhenIdle(t *testing.T) {
 	if err := j.persistLocked(); err != nil {
 		t.Fatal(err)
 	}
-	if j.js.haveBase {
+	if j.js.ckpt != nil {
 		t.Fatal("idle checkpoint left the delta base pinned")
 	}
 	records := j.js.listChain()
@@ -405,156 +694,96 @@ func TestStoreReleasesBaseWhenIdle(t *testing.T) {
 	}
 }
 
-// TestStoreLegacyFlatLayout pins the migration contract: a pre-shard flat
-// -data-dir (graphs + one .state + meta in the root) is auto-detected and
-// read-compatible, and the job's first new checkpoint moves it onto a chain
-// that supersedes the .state file.
-func TestStoreLegacyFlatLayout(t *testing.T) {
-	dir := t.TempDir()
-	req := testInstance(t, 300, 0.2)
-	g1, err := buildGraph(req.G1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2, err := buildGraph(req.G2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := reconcile.New(g1, g2, reconcile.WithSeeds(toPairs(req.Seeds)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := rec.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Write the PR 3 flat layout by hand: <root>/<id>.{g1,g2,state,meta.json}.
-	writeFile := func(name string, write func(*os.File) error) {
-		t.Helper()
-		f, err := os.Create(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := write(f); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	writeFile("job-1.g1", func(f *os.File) error { return reconcile.WriteGraphBinary(f, g1) })
-	writeFile("job-1.g2", func(f *os.File) error { return reconcile.WriteGraphBinary(f, g2) })
-	writeFile("job-1.state", func(f *os.File) error { return rec.SnapshotState(f) })
-	meta := jobMeta{ID: "job-1", Num: 1, Status: statusDone, Seeds: res.Seeds, MaxSweeps: 50}
-	if err := atomicWriteJSON(filepath.Join(dir, "job-1.meta.json"), meta); err != nil {
-		t.Fatal(err)
-	}
-
-	st, err := newStore(dir, testStoreConfig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(newTestServer(t, st).handler())
-	v := jobPairs(t, ts.URL, "job-1")
-	if v.Status != statusDone || v.Links != len(res.Pairs) {
-		t.Fatalf("legacy job loaded as %q with %d links, want done with %d", v.Status, v.Links, len(res.Pairs))
-	}
-
-	// Migration moved the flat files under the default tenant's root.
-	if _, err := os.Stat(filepath.Join(dir, "job-1.state")); !os.IsNotExist(err) {
-		t.Fatalf("flat .state not migrated out of the data-dir root (err=%v)", err)
-	}
-
-	// Its first new checkpoint starts a chain in the tenant root and
-	// retires the .state file.
-	resp := postJSON(t, ts.URL+"/v1/jobs/job-1/checkpoint", nil)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("checkpoint of legacy job: status %d", resp.StatusCode)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "default", "job-1.state")); !os.IsNotExist(err) {
-		t.Fatalf(".state not retired after chain checkpoint (err=%v)", err)
-	}
-	chain, err := filepath.Glob(filepath.Join(dir, "default", "job-1.ckpt-*"))
-	if err != nil || len(chain) == 0 {
-		t.Fatalf("no chain records in the tenant root for the legacy job (err=%v)", err)
-	}
-	ts.Close()
-
-	// And it survives another restart from the chain alone.
-	st2, err := newStore(dir, testStoreConfig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts2 := httptest.NewServer(newTestServer(t, st2).handler())
-	defer ts2.Close()
-	v = jobPairs(t, ts2.URL, "job-1")
-	if v.Status != statusDone || v.Links != len(res.Pairs) {
-		t.Fatalf("migrated job reloaded as %q with %d links, want done with %d", v.Status, v.Links, len(res.Pairs))
-	}
-}
-
 // TestStoreByteAccountingInvariant pins the durable-byte invariant the
 // quota system depends on: the incrementally maintained per-tenant counter
 // equals a fresh walk of the tenant root after every path that moves bytes
 // — graph writes, delta and full checkpoints, retention compaction, failed
-// writes, legacy .state retirement, and purge. Aggressive chain settings
-// (fullEvery 2, keep 1) make compaction fire constantly.
+// writes and purge. Aggressive chain settings (fullEvery 2, keep 1) make
+// compaction fire constantly.
 func TestStoreByteAccountingInvariant(t *testing.T) {
-	st, err := newStore(t.TempDir(), storeConfig{shards: 2, fullEvery: 2, keep: 1})
+	for _, c := range chainConfigs {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := c.cfg
+			cfg.shards, cfg.fullEvery, cfg.keep = 2, 2, 1
+			st := newChainStore(t, cfg)
+			ts := st.tenant(tenant.Default)
+			check := func(stage string) {
+				t.Helper()
+				tracked, walked := ts.verifyBytes()
+				if tracked != walked {
+					t.Fatalf("%s: tracked %d bytes, walk found %d (drift %+d)", stage, tracked, walked, tracked-walked)
+				}
+			}
+			check("empty store")
+
+			// Two jobs checkpointing at every sweep boundary: fulls, deltas,
+			// and keep-1 retention all churn the counter.
+			chainVictim(t, st, "job-1", 6, 3)
+			check("after job-1 chain")
+			chainVictim(t, st, "job-2", 4, 2)
+			check("after job-2 chain")
+
+			// A write that fails before its rename moves nothing: the old
+			// file (or its absence) is still what is on disk.
+			js := st.jobStore("job-1")
+			boom := errors.New("boom")
+			if err := js.writeTracked(js.path(".probe"), func(*os.File) error { return boom }); !errors.Is(err, boom) {
+				t.Fatalf("failed write returned %v, want boom", err)
+			}
+			check("after failed write")
+
+			// Purge credits everything back.
+			st.jobStore("job-1").purge()
+			st.jobStore("job-2").purge()
+			check("after purges")
+			if got := ts.checkpointBytes(); got != 0 {
+				t.Fatalf("purged store still accounts %d bytes", got)
+			}
+		})
+	}
+}
+
+// TestRangedChainFilesAreChainRecords pins listChain's parse of the head
+// and tail names so purge and retention see every file (an unlisted file
+// would leak bytes forever).
+func TestRangedChainFilesAreChainRecords(t *testing.T) {
+	forEachChain(t, func(t *testing.T, st *store, ranges int) {
+		chainFilesAreChainRecords(t, st, ranges)
+	})
+}
+
+func chainFilesAreChainRecords(t *testing.T, st *store, ranges int) {
+	chainVictim(t, st, "job-1", 4, 3)
+	js := chainHandle(st, "job-1", ranges)
+	listed := map[string]bool{}
+	for _, rec := range js.listChain() {
+		listed[rec.path] = true
+	}
+	entries, err := os.ReadDir(js.dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := st.tenant(tenant.Default)
-	check := func(stage string) {
-		t.Helper()
-		tracked, walked := ts.verifyBytes()
-		if tracked != walked {
-			t.Fatalf("%s: tracked %d bytes, walk found %d (drift %+d)", stage, tracked, walked, tracked-walked)
+	for _, e := range entries {
+		name := e.Name()
+		if !strings.HasPrefix(name, "job-1.ckpt-") {
+			continue
+		}
+		if !listed[js.path(strings.TrimPrefix(name, "job-1"))] {
+			t.Fatalf("chain file %s not listed (purge would leak it)", name)
 		}
 	}
-	check("empty store")
 
-	// Two jobs checkpointing at every sweep boundary: fulls, deltas, and
-	// keep-1 retention all churn the counter.
-	chainVictim(t, st, "job-1", 6, 3)
-	check("after job-1 chain")
-	chainVictim(t, st, "job-2", 4, 2)
-	check("after job-2 chain")
-
-	// A write that fails before its rename moves nothing: the old file (or
-	// its absence) is still what is on disk.
-	js := st.jobStore("job-1")
-	boom := errors.New("boom")
-	if err := js.writeTracked(js.path(".probe"), func(*os.File) error { return boom }); !errors.Is(err, boom) {
-		t.Fatalf("failed write returned %v, want boom", err)
-	}
-	check("after failed write")
-
-	// Legacy flat layout: a pre-shard .state lands in the counter via the
-	// boot walk, then a chain full supersedes it and retireOld removes it.
-	legacyState := filepath.Join(ts.root, "job-9.state")
-	if err := os.WriteFile(legacyState, []byte("legacy snapshot bytes"), 0o644); err != nil {
+	js.purge()
+	entries, err = os.ReadDir(js.dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	ts.recountBytes()
-	check("after legacy .state boot walk")
-	js9 := &jobStore{ts: ts, dir: ts.root, id: "job-9"}
-	if err := js9.writeTracked(js9.chainPath(1, "full"), func(f *os.File) error {
-		_, err := f.Write([]byte("full record"))
-		return err
-	}); err != nil {
-		t.Fatal(err)
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), "job-1.") {
+			t.Fatalf("purge left %s behind", e.Name())
+		}
 	}
-	js9.retireOld()
-	if _, err := os.Stat(legacyState); !os.IsNotExist(err) {
-		t.Fatalf(".state not retired (err=%v)", err)
+	if tracked, walked := js.ts.verifyBytes(); tracked != walked {
+		t.Fatalf("byte accounting drifted after purge: tracked %d, walked %d", tracked, walked)
 	}
-	check("after legacy retirement")
-
-	// Purge credits everything back.
-	st.jobStore("job-2").purge()
-	js9.purge()
-	check("after purges")
 }

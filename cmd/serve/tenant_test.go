@@ -701,69 +701,6 @@ func tenantChainVictim(t *testing.T, st *store, tenantName, id string, iteration
 	return want
 }
 
-// TestTenantStoreMigration: a pre-tenant -data-dir (root shard dirs, as PR
-// 4 wrote them) is migrated into default/ at open and every job stays
-// readable through the un-namespaced API.
-func TestTenantStoreMigration(t *testing.T) {
-	dir := t.TempDir()
-	st, err := newStore(dir, testStoreConfig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(newTestServer(t, st).handler())
-	req := testInstance(t, 300, 0.2)
-	var ids []string
-	var want []jobView
-	for i := 0; i < 3; i++ {
-		resp := postJSON(t, ts.URL+"/v1/jobs", req)
-		ids = append(ids, decode[map[string]string](t, resp)["id"])
-	}
-	for _, id := range ids {
-		if v := waitForJob(t, ts.URL, id); v.Status != statusDone {
-			t.Fatalf("job %s: status %q", id, v.Status)
-		}
-		want = append(want, jobPairs(t, ts.URL, id))
-	}
-	ts.Close()
-
-	// Reconstruct the pre-tenant layout: everything under default/ moves
-	// back to the data-dir root, default/ disappears.
-	defRoot := filepath.Join(dir, "default")
-	entries, err := os.ReadDir(defRoot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if err := os.Rename(filepath.Join(defRoot, e.Name()), filepath.Join(dir, e.Name())); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := os.Remove(defRoot); err != nil {
-		t.Fatal(err)
-	}
-
-	// Re-open: migration must move it all back under default/ and reload.
-	st2, err := newStore(dir, testStoreConfig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"shard-00", "job-1.meta.json"} {
-		if matches, _ := filepath.Glob(filepath.Join(dir, "*", name)); len(matches) == 0 {
-			if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
-				t.Fatalf("%s still at the data-dir root after migration", name)
-			}
-		}
-	}
-	ts2 := httptest.NewServer(newTestServer(t, st2).handler())
-	defer ts2.Close()
-	for i, id := range ids {
-		v := jobPairs(t, ts2.URL, id)
-		if v.Status != statusDone || fmt.Sprint(v.Pairs) != fmt.Sprint(want[i].Pairs) {
-			t.Fatalf("job %s after migration: status %q, pairs changed=%v", id, v.Status, fmt.Sprint(v.Pairs) != fmt.Sprint(want[i].Pairs))
-		}
-	}
-}
-
 // TestMaxBodyBytes: oversized POST bodies are refused with 413 and the
 // standard error JSON, on both the create and seeds paths.
 func TestMaxBodyBytes(t *testing.T) {

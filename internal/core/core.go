@@ -38,7 +38,8 @@ type Engine int
 const (
 	// EngineParallel scans all candidates every pass with a goroutine pool.
 	EngineParallel Engine = iota
-	// EngineSequential is the single-threaded reference implementation.
+	// EngineSequential is EngineParallel with a single worker, whatever
+	// Workers says: the single-threaded reference run.
 	EngineSequential
 	// EngineFrontier re-scores only nodes whose scoring inputs changed since
 	// their last scoring (the dirty frontier around freshly committed links),
@@ -230,7 +231,12 @@ func (o Options) Validate() error {
 	return nil
 }
 
+// workers is the scoring pool size. EngineSequential is the parallel
+// engine with a single worker.
 func (o Options) workers() int {
+	if o.Engine == EngineSequential {
+		return 1
+	}
 	if o.Workers > 0 {
 		return o.Workers
 	}

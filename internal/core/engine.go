@@ -107,15 +107,8 @@ func runBucket(g1, g2 *graph.Graph, m *Matching, lc *linkedCounts, minDeg int, o
 	leftBest := make([]candidate, n1)
 	rightBest := make([]candidate, n2)
 
-	if opts.Engine == EngineSequential {
-		sc := newScorer(n2, p.weighted)
-		scoreRange(fromLeft, g1, g2, m, lc, p, 0, n1, sc, leftBest)
-		sc2 := newScorer(n1, p.weighted)
-		scoreRange(fromRight, g1, g2, m, lc, p, 0, n2, sc2, rightBest)
-	} else {
-		parallelPass(fromLeft, g1, g2, m, lc, p, leftBest, opts.workers())
-		parallelPass(fromRight, g1, g2, m, lc, p, rightBest, opts.workers())
-	}
+	parallelPass(fromLeft, g1, g2, m, lc, p, leftBest, opts.workers())
+	parallelPass(fromRight, g1, g2, m, lc, p, rightBest, opts.workers())
 
 	// Commit mutual bests. leftBest[v1] proposes v2; accept iff v2 proposes
 	// v1 back. Scores agree automatically (witness counts are symmetric),

@@ -7,28 +7,28 @@ import (
 	"github.com/sociograph/reconcile/internal/graph"
 )
 
-// Per-node-range state sharding: a SessionState splits into R shard states
-// plus one manifest, each shard holding a contiguous slice of both node
-// spaces (frontier cache rows) and a contiguous chunk of the pair log, so a
-// huge job's checkpoint encode and recovery decode parallelize across
-// shards the way a fleet parallelizes across jobs. Each shard is itself a
-// well-formed SessionState, so the existing full/delta codec applies per
-// shard unchanged; the manifest carries everything global — the schedule
-// position, the bounded phase log, the frontier worklists (whose queue
-// order a per-node split would destroy) — plus the fingerprint fields the
-// shards repeat, so a merge can prove the shards belong to the same
-// checkpoint before concatenating them.
+// Per-node-range state sharding: a SessionState splits into R range states,
+// each holding a contiguous slice of both node spaces (frontier cache rows)
+// and a contiguous chunk of the pair log, so a huge job's checkpoint encode
+// parallelizes across ranges the way a fleet parallelizes across jobs. Each
+// range is itself a well-formed SessionState, so the existing full/delta
+// codec applies per range unchanged. Range 0, the head, also carries what
+// must not be split: the bounded phase log and the frontier worklists (whose
+// queue order a per-node split would destroy). The R−1 tails repeat the
+// head's options, schedule and regime scalars and frontier counter, so a
+// merge can prove they belong to the head's checkpoint before concatenating
+// them. With R = 1 the head is the state itself.
 //
 // The split is purely structural: MergeStateRanges(SplitStateRanges(st))
 // reproduces st exactly, and the restore guarantee (resume bit-identically)
 // is inherited from RestoreSession on the merged state.
 
-// MaxStateRanges caps the shard count however large the graphs get: past
+// MaxStateRanges caps the range count however large the graphs get: past
 // ~64-way parallel encode the fsync path is the bottleneck, and the cap
-// bounds what a corrupt manifest can demand.
+// bounds what a corrupt job meta can demand.
 const MaxStateRanges = 64
 
-// RangeCount returns the number of state shards for a graph pair:
+// RangeCount returns the number of state ranges for a graph pair:
 // ceil((n1+n2)/targetNodes), clamped to [1, MaxStateRanges]. A
 // non-positive targetNodes disables sharding (returns 1).
 func RangeCount(n1, n2, targetNodes int) int {
@@ -72,7 +72,7 @@ func rangeSpans(n, ranges int) []rangeSpan {
 	return spans
 }
 
-// clampSeeds is a shard's seed count: the part of the global seed prefix
+// clampSeeds is a range's seed count: the part of the global seed prefix
 // that falls inside its pair chunk.
 func clampSeeds(globalSeeds, chunkStart, chunkLen int) int {
 	s := globalSeeds - chunkStart
@@ -85,66 +85,34 @@ func clampSeeds(globalSeeds, chunkStart, chunkLen int) int {
 	return s
 }
 
-// RangeManifest is the global record accompanying a set of state shards:
-// the shard geometry, every whole-checkpoint scalar, and the state that
-// must not be split (phase log, frontier worklists in queue order).
-type RangeManifest struct {
-	Ranges  int
-	NLevels int // frontier cache rows per node; 0 when no frontier state
-	N1, N2  int
-
-	TotalPairs int
-	Seeds      int
-
-	Sweeps         int
-	NextBucket     int
-	PhasesDropped  int
-	DroppedMatched int
-	HybridFrontier bool
-
-	Phases []PhaseStat
-
-	// Frontier is non-nil exactly when the checkpoint carries frontier
-	// state; the per-node cache rows live in the shards, the queue-ordered
-	// worklists and the lifetime counter live here.
-	Frontier *ManifestFrontier
-}
-
-// ManifestFrontier is the unsplittable part of a frontier snapshot.
-type ManifestFrontier struct {
-	Rescored   int64
-	DirtyLeft  []graph.NodeID
-	DirtyRight []graph.NodeID
-}
-
 // frontierLevels derives the cache-rows-per-node count from a snapshot's
 // side lengths, verifying the two sides agree.
 func frontierLevels(st *SessionState) (int, error) {
 	fr := st.Frontier
 	if len(fr.Left.ProposalNode) != len(fr.Left.ProposalScore) ||
 		len(fr.Right.ProposalNode) != len(fr.Right.ProposalScore) {
-		return 0, errors.New("core: range split: frontier node/score lengths disagree")
+		return 0, errors.New("core: range state: frontier node/score lengths disagree")
 	}
 	nl := -1
 	if st.N1 > 0 {
 		if len(fr.Left.ProposalNode)%st.N1 != 0 {
-			return 0, fmt.Errorf("core: range split: left cache length %d not a multiple of n1=%d", len(fr.Left.ProposalNode), st.N1)
+			return 0, fmt.Errorf("core: range state: left cache length %d not a multiple of n1=%d", len(fr.Left.ProposalNode), st.N1)
 		}
 		nl = len(fr.Left.ProposalNode) / st.N1
 	} else if len(fr.Left.ProposalNode) != 0 {
-		return 0, errors.New("core: range split: left cache nonempty with n1=0")
+		return 0, errors.New("core: range state: left cache nonempty with n1=0")
 	}
 	if st.N2 > 0 {
 		nr := len(fr.Right.ProposalNode) / st.N2
 		if len(fr.Right.ProposalNode)%st.N2 != 0 {
-			return 0, fmt.Errorf("core: range split: right cache length %d not a multiple of n2=%d", len(fr.Right.ProposalNode), st.N2)
+			return 0, fmt.Errorf("core: range state: right cache length %d not a multiple of n2=%d", len(fr.Right.ProposalNode), st.N2)
 		}
 		if nl >= 0 && nr != nl {
-			return 0, fmt.Errorf("core: range split: cache levels disagree: left %d, right %d", nl, nr)
+			return 0, fmt.Errorf("core: range state: cache levels disagree: left %d, right %d", nl, nr)
 		}
 		nl = nr
 	} else if len(fr.Right.ProposalNode) != 0 {
-		return 0, errors.New("core: range split: right cache nonempty with n2=0")
+		return 0, errors.New("core: range state: right cache nonempty with n2=0")
 	}
 	if nl < 0 {
 		nl = 0
@@ -152,25 +120,26 @@ func frontierLevels(st *SessionState) (int, error) {
 	return nl, nil
 }
 
-// SplitStateRanges splits st into ranges shard states plus a manifest.
+// SplitStateRanges splits st into ranges range states, the head first.
+// With ranges == 1 the only range is st itself.
 //
 // chunkStarts optionally pins where the pair log is cut: chunkStarts[r] is
-// the global index where shard r's chunk begins (chunkStarts[0] = 0,
-// non-decreasing, all ≤ len(st.Pairs); shard r owns [chunkStarts[r],
-// chunkStarts[r+1]) and the last shard runs to the end). A delta chain
+// the global index where range r's chunk begins (chunkStarts[0] = 0,
+// non-decreasing, all ≤ len(st.Pairs); range r owns [chunkStarts[r],
+// chunkStarts[r+1]) and the last range runs to the end). A delta chain
 // freezes the cut at the base checkpoint's chunk lengths so appended pairs
-// land in the last shard and every earlier shard diffs as a pure prefix;
-// nil cuts the log evenly. The returned shards and manifest alias st's
-// slices — encode or copy them before st changes.
-func SplitStateRanges(st *SessionState, ranges int, chunkStarts []int) (*RangeManifest, []*SessionState, error) {
+// land in the last range and every earlier range diffs as a pure prefix;
+// nil cuts the log evenly. The returned ranges alias st's slices — encode
+// or copy them before st changes.
+func SplitStateRanges(st *SessionState, ranges int, chunkStarts []int) ([]*SessionState, error) {
 	if st == nil {
-		return nil, nil, errors.New("core: range split: nil state")
+		return nil, errors.New("core: range split: nil state")
 	}
 	if ranges < 1 || ranges > MaxStateRanges {
-		return nil, nil, fmt.Errorf("core: range split: range count %d outside [1, %d]", ranges, MaxStateRanges)
+		return nil, fmt.Errorf("core: range split: range count %d outside [1, %d]", ranges, MaxStateRanges)
 	}
 	if st.N1 < 0 || st.N2 < 0 {
-		return nil, nil, fmt.Errorf("core: range split: negative node count (%d, %d)", st.N1, st.N2)
+		return nil, fmt.Errorf("core: range split: negative node count (%d, %d)", st.N1, st.N2)
 	}
 	total := len(st.Pairs)
 	starts := chunkStarts
@@ -187,43 +156,24 @@ func SplitStateRanges(st *SessionState, ranges int, chunkStarts []int) (*RangeMa
 		}
 	}
 	if len(starts) != ranges {
-		return nil, nil, fmt.Errorf("core: range split: %d chunk starts for %d ranges", len(starts), ranges)
+		return nil, fmt.Errorf("core: range split: %d chunk starts for %d ranges", len(starts), ranges)
 	}
 	for r, s := range starts {
 		if s < 0 || s > total || (r > 0 && s < starts[r-1]) || (r == 0 && s != 0) {
-			return nil, nil, fmt.Errorf("core: range split: bad chunk start %d at range %d", s, r)
+			return nil, fmt.Errorf("core: range split: bad chunk start %d at range %d", s, r)
 		}
+	}
+	if ranges == 1 {
+		return []*SessionState{st}, nil
 	}
 
 	nLevels := 0
 	if st.Frontier != nil {
 		nl, err := frontierLevels(st)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		nLevels = nl
-	}
-
-	man := &RangeManifest{
-		Ranges:         ranges,
-		NLevels:        nLevels,
-		N1:             st.N1,
-		N2:             st.N2,
-		TotalPairs:     total,
-		Seeds:          st.Seeds,
-		Sweeps:         st.Sweeps,
-		NextBucket:     st.NextBucket,
-		PhasesDropped:  st.PhasesDropped,
-		DroppedMatched: st.DroppedMatched,
-		HybridFrontier: st.HybridFrontier,
-		Phases:         st.Phases,
-	}
-	if st.Frontier != nil {
-		man.Frontier = &ManifestFrontier{
-			Rescored:   st.Frontier.Rescored,
-			DirtyLeft:  st.Frontier.Left.Dirty,
-			DirtyRight: st.Frontier.Right.Dirty,
-		}
 	}
 
 	spans1 := rangeSpans(st.N1, ranges)
@@ -246,6 +196,9 @@ func SplitStateRanges(st *SessionState, ranges int, chunkStarts []int) (*RangeMa
 			DroppedMatched: st.DroppedMatched,
 			HybridFrontier: st.HybridFrontier,
 		}
+		if r == 0 {
+			p.Phases = st.Phases
+		}
 		if st.Frontier != nil {
 			p.Frontier = &FrontierSnapshot{
 				Left: FrontierSideSnapshot{
@@ -258,14 +211,18 @@ func SplitStateRanges(st *SessionState, ranges int, chunkStarts []int) (*RangeMa
 				},
 				Rescored: st.Frontier.Rescored,
 			}
+			if r == 0 {
+				p.Frontier.Left.Dirty = st.Frontier.Left.Dirty
+				p.Frontier.Right.Dirty = st.Frontier.Right.Dirty
+			}
 		}
 		parts[r] = p
 	}
-	return man, parts, nil
+	return parts, nil
 }
 
-// PairChunkStarts returns the chunk cut implied by a set of shard states:
-// where each shard's pair chunk begins in the global log. Feeding it back
+// PairChunkStarts returns the chunk cut implied by a set of range states:
+// where each range's pair chunk begins in the global log. Feeding it back
 // into SplitStateRanges freezes the cut for a delta chain.
 func PairChunkStarts(parts []*SessionState) []int {
 	starts := make([]int, len(parts))
@@ -277,110 +234,134 @@ func PairChunkStarts(parts []*SessionState) []int {
 	return starts
 }
 
-// MergeStateRanges reassembles a SessionState from a manifest and its
-// shards. It proves the shards belong together — span geometry, repeated
-// fingerprint scalars, cache row counts, pair totals — before
-// concatenating; mismatches mean a torn or mixed checkpoint and fail
-// cleanly. Semantic validation of the merged state (pair injectivity,
-// schedule position, frontier contents) stays where it always was:
-// RestoreSession.
-func MergeStateRanges(man *RangeManifest, parts []*SessionState) (*SessionState, error) {
-	if man == nil {
-		return nil, errors.New("core: range merge: nil manifest")
+// CheckStateRanges proves that parts are the ranges of one checkpoint: the
+// node spans match the cut of the spans' totals, every tail repeats the
+// head's options, schedule and regime scalars and frontier counter and
+// carries neither phases nor worklists, the cache rows agree with the head's
+// level count, and the seed counts form one global prefix. A mismatch means
+// a torn or mixed checkpoint. Semantic validation of the merged state (pair
+// injectivity, schedule position, frontier contents) stays where it always
+// was: RestoreSession.
+func CheckStateRanges(parts []*SessionState) error {
+	if len(parts) < 1 || len(parts) > MaxStateRanges {
+		return fmt.Errorf("core: range merge: range count %d outside [1, %d]", len(parts), MaxStateRanges)
 	}
-	if man.Ranges < 1 || man.Ranges > MaxStateRanges {
-		return nil, fmt.Errorf("core: range merge: range count %d outside [1, %d]", man.Ranges, MaxStateRanges)
-	}
-	if len(parts) != man.Ranges {
-		return nil, fmt.Errorf("core: range merge: %d shards for %d ranges", len(parts), man.Ranges)
-	}
-	if man.N1 < 0 || man.N2 < 0 || man.NLevels < 0 || man.TotalPairs < 0 {
-		return nil, errors.New("core: range merge: negative manifest geometry")
-	}
-	if man.Seeds < 0 || man.Seeds > man.TotalPairs {
-		return nil, fmt.Errorf("core: range merge: seed count %d outside pair log of %d", man.Seeds, man.TotalPairs)
-	}
-	spans1 := rangeSpans(man.N1, man.Ranges)
-	spans2 := rangeSpans(man.N2, man.Ranges)
-
-	totalPairs := 0
-	at := 0
+	var n1, n2, seeds int
 	for r, p := range parts {
 		if p == nil {
-			return nil, fmt.Errorf("core: range merge: nil shard %d", r)
+			return fmt.Errorf("core: range merge: nil range %d", r)
 		}
-		if p.Opts != parts[0].Opts {
-			return nil, fmt.Errorf("core: range merge: shard %d options diverge", r)
+		if p.N1 < 0 || p.N2 < 0 || p.Seeds < 0 {
+			return fmt.Errorf("core: range merge: range %d has negative geometry", r)
 		}
+		n1, n2, seeds = n1+p.N1, n2+p.N2, seeds+p.Seeds
+	}
+	head := parts[0]
+	nLevels := 0
+	if head.Frontier != nil {
+		var err error
+		if nLevels, err = frontierLevels(head); err != nil {
+			return err
+		}
+	}
+	spans1 := rangeSpans(n1, len(parts))
+	spans2 := rangeSpans(n2, len(parts))
+	at := 0
+	for r, p := range parts {
 		if p.N1 != spans1[r].len() || p.N2 != spans2[r].len() {
-			return nil, fmt.Errorf("core: range merge: shard %d spans (%d, %d), manifest wants (%d, %d)",
+			return fmt.Errorf("core: range merge: range %d spans (%d, %d), totals want (%d, %d)",
 				r, p.N1, p.N2, spans1[r].len(), spans2[r].len())
 		}
-		if p.Sweeps != man.Sweeps || p.NextBucket != man.NextBucket ||
-			p.PhasesDropped != man.PhasesDropped || p.DroppedMatched != man.DroppedMatched ||
-			p.HybridFrontier != man.HybridFrontier {
-			return nil, fmt.Errorf("core: range merge: shard %d fingerprint diverges from manifest", r)
+		if p.Seeds != clampSeeds(seeds, at, len(p.Pairs)) {
+			return fmt.Errorf("core: range merge: range %d seed count %d is not its part of the %d-seed prefix", r, p.Seeds, seeds)
 		}
-		if len(p.Phases) != 0 {
-			return nil, fmt.Errorf("core: range merge: shard %d carries %d phase entries; phases live in the manifest", r, len(p.Phases))
-		}
-		if p.Seeds != clampSeeds(man.Seeds, at, len(p.Pairs)) {
-			return nil, fmt.Errorf("core: range merge: shard %d seed count %d inconsistent with manifest", r, p.Seeds)
-		}
-		if (p.Frontier != nil) != (man.Frontier != nil) {
-			return nil, fmt.Errorf("core: range merge: shard %d frontier presence diverges from manifest", r)
+		at += len(p.Pairs)
+		if (p.Frontier != nil) != (head.Frontier != nil) {
+			return fmt.Errorf("core: range merge: range %d frontier presence diverges from the head", r)
 		}
 		if p.Frontier != nil {
-			if len(p.Frontier.Left.ProposalNode) != p.N1*man.NLevels ||
-				len(p.Frontier.Left.ProposalScore) != p.N1*man.NLevels ||
-				len(p.Frontier.Right.ProposalNode) != p.N2*man.NLevels ||
-				len(p.Frontier.Right.ProposalScore) != p.N2*man.NLevels {
-				return nil, fmt.Errorf("core: range merge: shard %d cache rows disagree with %d levels", r, man.NLevels)
-			}
-			if len(p.Frontier.Left.Dirty) != 0 || len(p.Frontier.Right.Dirty) != 0 {
-				return nil, fmt.Errorf("core: range merge: shard %d carries dirty worklists; worklists live in the manifest", r)
-			}
-			if p.Frontier.Rescored != man.Frontier.Rescored {
-				return nil, fmt.Errorf("core: range merge: shard %d rescored counter diverges from manifest", r)
+			if len(p.Frontier.Left.ProposalNode) != p.N1*nLevels ||
+				len(p.Frontier.Left.ProposalScore) != p.N1*nLevels ||
+				len(p.Frontier.Right.ProposalNode) != p.N2*nLevels ||
+				len(p.Frontier.Right.ProposalScore) != p.N2*nLevels {
+				return fmt.Errorf("core: range merge: range %d cache rows disagree with %d levels", r, nLevels)
 			}
 		}
-		totalPairs += len(p.Pairs)
-		at += len(p.Pairs)
+		if r == 0 {
+			continue
+		}
+		if p.Opts != head.Opts {
+			return fmt.Errorf("core: range merge: range %d options diverge from the head", r)
+		}
+		if p.Sweeps != head.Sweeps || p.NextBucket != head.NextBucket ||
+			p.PhasesDropped != head.PhasesDropped || p.DroppedMatched != head.DroppedMatched ||
+			p.HybridFrontier != head.HybridFrontier {
+			return fmt.Errorf("core: range merge: range %d fingerprint diverges from the head", r)
+		}
+		if len(p.Phases) != 0 {
+			return fmt.Errorf("core: range merge: range %d carries %d phase entries; phases live in the head", r, len(p.Phases))
+		}
+		if p.Frontier != nil {
+			if len(p.Frontier.Left.Dirty) != 0 || len(p.Frontier.Right.Dirty) != 0 {
+				return fmt.Errorf("core: range merge: range %d carries dirty worklists; worklists live in the head", r)
+			}
+			if p.Frontier.Rescored != head.Frontier.Rescored {
+				return fmt.Errorf("core: range merge: range %d rescored counter diverges from the head", r)
+			}
+		}
 	}
-	if totalPairs != man.TotalPairs {
-		return nil, fmt.Errorf("core: range merge: shards hold %d pairs, manifest wants %d", totalPairs, man.TotalPairs)
-	}
+	return nil
+}
 
-	out := &SessionState{
-		Opts:           parts[0].Opts,
-		N1:             man.N1,
-		N2:             man.N2,
-		Pairs:          make([]graph.Pair, 0, totalPairs),
-		Seeds:          man.Seeds,
-		Sweeps:         man.Sweeps,
-		NextBucket:     man.NextBucket,
-		Phases:         append([]PhaseStat(nil), man.Phases...),
-		PhasesDropped:  man.PhasesDropped,
-		DroppedMatched: man.DroppedMatched,
-		HybridFrontier: man.HybridFrontier,
+// MergeStateRanges reassembles a SessionState from its ranges once
+// CheckStateRanges proves they belong together. A one-range merge returns
+// the head itself, without copying it.
+func MergeStateRanges(parts []*SessionState) (*SessionState, error) {
+	if err := CheckStateRanges(parts); err != nil {
+		return nil, err
 	}
+	head := parts[0]
+	if len(parts) == 1 {
+		return head, nil
+	}
+	out := &SessionState{
+		Opts:           head.Opts,
+		Sweeps:         head.Sweeps,
+		NextBucket:     head.NextBucket,
+		Phases:         head.Phases,
+		PhasesDropped:  head.PhasesDropped,
+		DroppedMatched: head.DroppedMatched,
+		HybridFrontier: head.HybridFrontier,
+	}
+	total, rows1, rows2 := 0, 0, 0
+	for _, p := range parts {
+		out.N1 += p.N1
+		out.N2 += p.N2
+		out.Seeds += p.Seeds
+		total += len(p.Pairs)
+		if p.Frontier != nil {
+			rows1 += len(p.Frontier.Left.ProposalNode)
+			rows2 += len(p.Frontier.Right.ProposalNode)
+		}
+	}
+	out.Pairs = make([]graph.Pair, 0, total)
 	for _, p := range parts {
 		out.Pairs = append(out.Pairs, p.Pairs...)
 	}
-	if man.Frontier != nil {
-		fr := &FrontierSnapshot{Rescored: man.Frontier.Rescored}
-		fr.Left.ProposalNode = make([]graph.NodeID, 0, man.N1*man.NLevels)
-		fr.Left.ProposalScore = make([]int32, 0, man.N1*man.NLevels)
-		fr.Right.ProposalNode = make([]graph.NodeID, 0, man.N2*man.NLevels)
-		fr.Right.ProposalScore = make([]int32, 0, man.N2*man.NLevels)
+	if head.Frontier != nil {
+		fr := &FrontierSnapshot{Rescored: head.Frontier.Rescored}
+		fr.Left.ProposalNode = make([]graph.NodeID, 0, rows1)
+		fr.Left.ProposalScore = make([]int32, 0, rows1)
+		fr.Right.ProposalNode = make([]graph.NodeID, 0, rows2)
+		fr.Right.ProposalScore = make([]int32, 0, rows2)
+		fr.Left.Dirty = head.Frontier.Left.Dirty
+		fr.Right.Dirty = head.Frontier.Right.Dirty
 		for _, p := range parts {
 			fr.Left.ProposalNode = append(fr.Left.ProposalNode, p.Frontier.Left.ProposalNode...)
 			fr.Left.ProposalScore = append(fr.Left.ProposalScore, p.Frontier.Left.ProposalScore...)
 			fr.Right.ProposalNode = append(fr.Right.ProposalNode, p.Frontier.Right.ProposalNode...)
 			fr.Right.ProposalScore = append(fr.Right.ProposalScore, p.Frontier.Right.ProposalScore...)
 		}
-		fr.Left.Dirty = append([]graph.NodeID(nil), man.Frontier.DirtyLeft...)
-		fr.Right.Dirty = append([]graph.NodeID(nil), man.Frontier.DirtyRight...)
 		out.Frontier = fr
 	}
 	return out, nil

@@ -152,6 +152,11 @@ func syntheticState(n1, n2, nLevels int) *SessionState {
 	return st
 }
 
+// TestSplitMergeRoundTrip pins the structural contract for every legal
+// range count: Merge(Split(st)) reproduces st, the head carries the phase
+// log and worklists while the tails carry neither, and a one-range split is
+// the state itself (which the one-range merge hands back uncopied) — what
+// keeps a one-range chain byte-identical to a plain state record.
 func TestSplitMergeRoundTrip(t *testing.T) {
 	states := map[string]*SessionState{
 		"frontier": syntheticState(50, 40, 3),
@@ -162,17 +167,28 @@ func TestSplitMergeRoundTrip(t *testing.T) {
 		"empty": {Opts: DefaultOptions(), N1: 0, N2: 0},
 	}
 	for name, st := range states {
-		for _, ranges := range []int{1, 2, 3, 7} {
-			man, parts, err := SplitStateRanges(st, ranges, nil)
+		for ranges := 1; ranges <= MaxStateRanges; ranges++ {
+			parts, err := SplitStateRanges(st, ranges, nil)
 			if err != nil {
 				t.Fatalf("%s/R=%d: split: %v", name, ranges, err)
 			}
-			if len(parts) != ranges || man.Ranges != ranges {
+			if len(parts) != ranges {
 				t.Fatalf("%s/R=%d: got %d parts", name, ranges, len(parts))
 			}
-			got, err := MergeStateRanges(man, parts)
+			if ranges == 1 && parts[0] != st {
+				t.Fatalf("%s: the one-range split is not the state itself", name)
+			}
+			for r, p := range parts[1:] {
+				if len(p.Phases) != 0 || (p.Frontier != nil && (len(p.Frontier.Left.Dirty) != 0 || len(p.Frontier.Right.Dirty) != 0)) {
+					t.Fatalf("%s/R=%d: tail %d carries head-only state", name, ranges, r+1)
+				}
+			}
+			got, err := MergeStateRanges(parts)
 			if err != nil {
 				t.Fatalf("%s/R=%d: merge: %v", name, ranges, err)
+			}
+			if ranges == 1 && got != st {
+				t.Fatalf("%s: the one-range merge copied the head", name)
 			}
 			if !statesEqual(st, got) {
 				t.Fatalf("%s/R=%d: merge(split(st)) != st", name, ranges)
@@ -201,12 +217,12 @@ func TestSplitFrozenChunksDelta(t *testing.T) {
 	cur := s.ExportState()
 
 	const ranges = 4
-	_, baseParts, err := SplitStateRanges(base, ranges, nil)
+	baseParts, err := SplitStateRanges(base, ranges, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	starts := PairChunkStarts(baseParts)
-	manCur, curParts, err := SplitStateRanges(cur, ranges, starts)
+	curParts, err := SplitStateRanges(cur, ranges, starts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +237,7 @@ func TestSplitFrozenChunksDelta(t *testing.T) {
 			t.Fatalf("shard %d: apply: %v", r, err)
 		}
 	}
-	got, err := MergeStateRanges(manCur, applied)
+	got, err := MergeStateRanges(applied)
 	if err != nil {
 		t.Fatalf("merge after apply: %v", err)
 	}
@@ -254,11 +270,11 @@ func TestRangedResumeEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			s.Run(2)
-			man, parts, err := SplitStateRanges(s.ExportState(), ranges, nil)
+			parts, err := SplitStateRanges(s.ExportState(), ranges, nil)
 			if err != nil {
 				t.Fatalf("engine %d/R=%d: split: %v", engine, ranges, err)
 			}
-			merged, err := MergeStateRanges(man, parts)
+			merged, err := MergeStateRanges(parts)
 			if err != nil {
 				t.Fatalf("engine %d/R=%d: merge: %v", engine, ranges, err)
 			}
@@ -275,13 +291,16 @@ func TestRangedResumeEquivalence(t *testing.T) {
 	}
 }
 
+// TestMergeRejectsInconsistentShards pins the cross-checks of the tails
+// against the head that stand between a torn checkpoint and a restored
+// state.
 func TestMergeRejectsInconsistentShards(t *testing.T) {
-	split := func() (*RangeManifest, []*SessionState) {
-		man, parts, err := SplitStateRanges(syntheticState(50, 40, 2), 3, nil)
+	split := func() []*SessionState {
+		parts, err := SplitStateRanges(syntheticState(50, 40, 2), 3, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Deep-copy the shards so a mutation cannot leak between cases
+		// Deep-copy the ranges so a mutation cannot leak between cases
 		// through the aliased source state.
 		cp := make([]*SessionState, len(parts))
 		for i, p := range parts {
@@ -294,73 +313,73 @@ func TestMergeRejectsInconsistentShards(t *testing.T) {
 			}
 			cp[i] = &c
 		}
-		return man, cp
+		return cp
 	}
 
-	cases := map[string]func(man *RangeManifest, parts []*SessionState) ([]*SessionState, *RangeManifest){
-		"shard-count": func(man *RangeManifest, parts []*SessionState) ([]*SessionState, *RangeManifest) {
-			return parts[:2], man
+	cases := map[string]func(parts []*SessionState) []*SessionState{
+		"no-ranges": func(parts []*SessionState) []*SessionState {
+			return nil
 		},
-		"nil-shard": func(man *RangeManifest, parts []*SessionState) ([]*SessionState, *RangeManifest) {
+		"too-many-ranges": func(parts []*SessionState) []*SessionState {
+			for len(parts) <= MaxStateRanges {
+				parts = append(parts, parts[len(parts)-1])
+			}
+			return parts
+		},
+		"nil-range": func(parts []*SessionState) []*SessionState {
 			parts[1] = nil
-			return parts, man
+			return parts
 		},
-		"fingerprint": func(man *RangeManifest, parts []*SessionState) ([]*SessionState, *RangeManifest) {
+		"fingerprint": func(parts []*SessionState) []*SessionState {
 			parts[2].Sweeps++
-			return parts, man
+			return parts
 		},
-		"options": func(man *RangeManifest, parts []*SessionState) ([]*SessionState, *RangeManifest) {
+		"options": func(parts []*SessionState) []*SessionState {
 			parts[1].Opts.Threshold++
-			return parts, man
+			return parts
 		},
-		"span": func(man *RangeManifest, parts []*SessionState) ([]*SessionState, *RangeManifest) {
+		"span": func(parts []*SessionState) []*SessionState {
 			parts[0].N1++
-			return parts, man
+			return parts
 		},
-		"phases-in-shard": func(man *RangeManifest, parts []*SessionState) ([]*SessionState, *RangeManifest) {
-			parts[0].Phases = []PhaseStat{{Iteration: 1}}
-			return parts, man
+		"phases-in-tail": func(parts []*SessionState) []*SessionState {
+			parts[1].Phases = []PhaseStat{{Iteration: 1}}
+			return parts
 		},
-		"dirty-in-shard": func(man *RangeManifest, parts []*SessionState) ([]*SessionState, *RangeManifest) {
-			parts[0].Frontier.Left.Dirty = []graph.NodeID{1}
-			return parts, man
+		"dirty-in-tail": func(parts []*SessionState) []*SessionState {
+			parts[2].Frontier.Left.Dirty = []graph.NodeID{1}
+			return parts
 		},
-		"cache-shape": func(man *RangeManifest, parts []*SessionState) ([]*SessionState, *RangeManifest) {
+		"cache-shape": func(parts []*SessionState) []*SessionState {
 			parts[1].Frontier.Left.ProposalNode = parts[1].Frontier.Left.ProposalNode[:1]
-			return parts, man
+			return parts
 		},
-		"rescored": func(man *RangeManifest, parts []*SessionState) ([]*SessionState, *RangeManifest) {
+		"head-cache-levels": func(parts []*SessionState) []*SessionState {
+			parts[0].Frontier.Right.ProposalNode = parts[0].Frontier.Right.ProposalNode[:parts[0].N2]
+			parts[0].Frontier.Right.ProposalScore = parts[0].Frontier.Right.ProposalScore[:parts[0].N2]
+			return parts
+		},
+		"rescored": func(parts []*SessionState) []*SessionState {
 			parts[1].Frontier.Rescored++
-			return parts, man
+			return parts
 		},
-		"pair-total": func(man *RangeManifest, parts []*SessionState) ([]*SessionState, *RangeManifest) {
-			man.TotalPairs++
-			return parts, man
+		"seed-prefix": func(parts []*SessionState) []*SessionState {
+			parts[1].Seeds = 1 // the head's chunk is not all seeds
+			return parts
 		},
-		"seed-lie": func(man *RangeManifest, parts []*SessionState) ([]*SessionState, *RangeManifest) {
-			man.Seeds = man.TotalPairs
-			return parts, man
-		},
-		"frontier-presence": func(man *RangeManifest, parts []*SessionState) ([]*SessionState, *RangeManifest) {
+		"frontier-presence": func(parts []*SessionState) []*SessionState {
 			parts[2].Frontier = nil
-			return parts, man
-		},
-		"range-bounds": func(man *RangeManifest, parts []*SessionState) ([]*SessionState, *RangeManifest) {
-			man.Ranges = MaxStateRanges + 1
-			return parts, man
+			return parts
 		},
 	}
 	for name, mutate := range cases {
-		man, parts := split()
-		mp, mm := mutate(man, parts)
-		if _, err := MergeStateRanges(mm, mp); err == nil {
-			t.Errorf("%s: merge accepted inconsistent shard set", name)
+		if _, err := MergeStateRanges(mutate(split())); err == nil {
+			t.Errorf("%s: merge accepted inconsistent range set", name)
 		}
 	}
 
 	// Control: the unmutated set must merge.
-	man, parts := split()
-	if _, err := MergeStateRanges(man, parts); err != nil {
+	if _, err := MergeStateRanges(split()); err != nil {
 		t.Fatalf("control merge failed: %v", err)
 	}
 }
@@ -373,14 +392,17 @@ func TestSplitRejectsBadChunkStarts(t *testing.T) {
 		"descending": {0, 5, 3},
 		"past-end":   {0, 2, len(st.Pairs) + 1},
 	} {
-		if _, _, err := SplitStateRanges(st, 3, starts); err == nil {
+		if _, err := SplitStateRanges(st, 3, starts); err == nil {
 			t.Errorf("%s: split accepted bad chunk starts", name)
 		}
 	}
-	if _, _, err := SplitStateRanges(st, 0, nil); err == nil {
+	if _, err := SplitStateRanges(st, 0, nil); err == nil {
 		t.Error("split accepted zero ranges")
 	}
-	if _, _, err := SplitStateRanges(nil, 2, nil); err == nil {
+	if _, err := SplitStateRanges(st, 1, []int{1}); err == nil {
+		t.Error("one-range split accepted a bad chunk start")
+	}
+	if _, err := SplitStateRanges(nil, 2, nil); err == nil {
 		t.Error("split accepted nil state")
 	}
 }
@@ -395,7 +417,7 @@ func TestSeedClampPartition(t *testing.T) {
 	for seedCount := 0; seedCount <= 30; seedCount += 3 {
 		st.Seeds = seedCount
 		for _, ranges := range []int{1, 4, 7} {
-			man, parts, err := SplitStateRanges(st, ranges, nil)
+			parts, err := SplitStateRanges(st, ranges, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -403,7 +425,7 @@ func TestSeedClampPartition(t *testing.T) {
 			for _, p := range parts {
 				sum += p.Seeds
 			}
-			if sum != seedCount || man.Seeds != seedCount {
+			if sum != seedCount {
 				t.Fatalf("seeds %d, R=%d: shards sum to %d", seedCount, ranges, sum)
 			}
 		}

@@ -6,16 +6,16 @@
 //
 //	magic "RSNP" | uvarint version | kind byte | payload | CRC32-IEEE trailer
 //
-// where the trailer covers everything before it. Five kinds exist: a full
+// where the trailer covers everything before it. Four kinds exist: a full
 // snapshot (both graphs followed by the session state), a single graph, a
 // state-only snapshot (for stores that write the immutable graphs once and
-// checkpoint only the mutable state), a delta record (the changes since a
-// prior state checkpoint — see delta.go — for stores that checkpoint every
-// sweep and amortize full snapshots), and a range manifest (the global
-// record binding a large job's per-node-range state shards — see
-// manifest.go). The encoding is canonical — one byte
-// stream per value — so decode∘encode is the identity on bytes as well as on
-// values, which the round-trip fuzz suite pins.
+// checkpoint only the mutable state), and a delta record (the changes since
+// a prior state checkpoint — see delta.go — for stores that checkpoint every
+// sweep and amortize full snapshots). A large job's per-node-range
+// checkpoint is R ordinary state or delta records, one per range. The
+// encoding is canonical — one byte stream per value — so decode∘encode is
+// the identity on bytes as well as on values, which the round-trip fuzz
+// suite pins.
 //
 // Decoding is defensive end to end: all lengths are re-derived or
 // cross-checked, allocations grow only as payload bytes actually arrive (a
@@ -60,11 +60,12 @@ var magic = [4]byte{'R', 'S', 'N', 'P'}
 
 // Stream kinds.
 const (
-	kindFull     byte = 1 // g1, g2, session state
-	kindGraph    byte = 2 // a single graph
-	kindState    byte = 3 // session state only
-	kindDelta    byte = 4 // a delta record against a prior state checkpoint
-	kindManifest byte = 5 // a range manifest binding per-range state shards (manifest.go)
+	kindFull  byte = 1 // g1, g2, session state
+	kindGraph byte = 2 // a single graph
+	kindState byte = 3 // session state only
+	kindDelta byte = 4 // a delta record against a prior state checkpoint
+	// Kind 5 is reserved: it framed a retired range-manifest record, and
+	// reusing it would let such a file decode as something else.
 )
 
 var errBadMagic = errors.New("snapshot: bad magic (not a snapshot stream)")

@@ -38,8 +38,9 @@ func ValidName(name string) bool {
 	if !nameRE.MatchString(name) {
 		return false
 	}
-	// Reserved: shard directories live alongside job files inside a tenant
-	// root, and migration moves root-level "shard-*" dirs into default/.
+	// Reserved: shard directories live inside a tenant root, so a
+	// root-level "shard-*" directory (a data dir from before tenancy) is
+	// never taken for a tenant; the store's boot reports it as skipped.
 	if len(name) >= 6 && name[:6] == "shard-" {
 		return false
 	}

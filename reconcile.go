@@ -146,8 +146,9 @@ type NoisyCopyParams = sampling.NoisyCopyParams
 // since their last scoring (the dirty frontier around freshly committed
 // links), caching per-bucket proposals across passes. EngineParallel
 // re-scans all candidates every pass with a goroutine pool; EngineSequential
-// is the single-threaded reference. All four produce bit-identical matchings
-// for every option combination — the engine is purely a scheduling choice.
+// is that pass with one worker, the single-threaded reference. All four
+// produce bit-identical matchings for every option combination — the
+// engine is purely a scheduling choice.
 const (
 	EngineParallel    = core.EngineParallel
 	EngineSequential  = core.EngineSequential

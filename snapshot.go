@@ -3,7 +3,6 @@ package reconcile
 import (
 	"bufio"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 
@@ -153,80 +152,16 @@ func restoreReconciler(g1, g2 *Graph, st *core.SessionState, opts []Option) (*Re
 	return &Reconciler{sess: sess, opts: s.opts}, nil
 }
 
-// Delta checkpointing: a store that checkpoints every sweep pays
-// O(links + frontier cache) per checkpoint with SnapshotState — on a large
-// converged session, megabytes rewritten to record a kilobyte of change. A
-// Checkpointer instead writes a full state snapshot occasionally and cheap
-// delta records (the pairs, phase entries and cache edits since the last
-// checkpoint) in between; restoring replays (full + deltas) back into the
-// identical state, so the resume-equivalence guarantee carries over
-// unchanged. cmd/serve's sharded -data-dir store is the reference consumer.
-
-// ErrFullRequired reports that a delta checkpoint cannot be written — there
-// is no base yet, or the session changed in a way deltas do not express
-// (e.g. an engine switch dropped the frontier caches). Callers write a full
-// checkpoint (WriteFull) and continue.
-var ErrFullRequired = errors.New("reconcile: delta checkpoint requires a full snapshot first")
-
-// A Checkpointer writes a Reconciler's checkpoint chain: full state
-// snapshots interleaved with delta records, each delta relative to the
-// checkpoint written immediately before it. The caller owns durability
-// ordering — a Checkpointer assumes every successfully returned write
-// reached its destination; after a failed or discarded write, start a new
-// chain (fresh Checkpointer, or WriteFull) rather than continuing deltas
-// over the gap.
-//
-// A Checkpointer follows the same calling rules as Snapshot: drive it
-// between runs or from inside a progress hook, never concurrently with a
-// run from another goroutine.
-type Checkpointer struct {
-	base *core.SessionState
-}
-
-// WriteFull writes a state-only snapshot (the SnapshotState format) and
-// makes it the base the next delta is diffed against.
-func (c *Checkpointer) WriteFull(w io.Writer, r *Reconciler) error {
-	st := r.sess.ExportState()
-	if err := snapshot.WriteState(w, st); err != nil {
-		return err
-	}
-	c.base = st
-	return nil
-}
-
-// WriteDelta writes a delta record holding the changes since the previous
-// WriteFull/WriteDelta, and advances the base to the current state. With no
-// base, or when the state is not delta-expressible from it, it writes
-// nothing and returns ErrFullRequired — fall back to WriteFull.
-func (c *Checkpointer) WriteDelta(w io.Writer, r *Reconciler) error {
-	if c.base == nil {
-		return ErrFullRequired
-	}
-	st := r.sess.ExportState()
-	d, err := core.DiffStates(c.base, st)
-	if err != nil {
-		if errors.Is(err, core.ErrNotDiffable) {
-			return fmt.Errorf("%w: %v", ErrFullRequired, err)
-		}
-		return err
-	}
-	if err := snapshot.WriteDelta(w, d); err != nil {
-		return err
-	}
-	c.base = st
-	return nil
-}
-
-// SessionState is a decoded state-only checkpoint held as a value: delta
-// records apply to it (Apply), and RestoreSessionState attaches the final
-// state to its graphs. It is the replay half of the Checkpointer's chain
-// format.
+// SessionState is a decoded state-only checkpoint held as a value:
+// ApplyRanges advances a checkpoint's range states by its delta records,
+// and RestoreSessionState attaches the final state to its graphs. It is the
+// replay half of the Checkpointer's chain format.
 type SessionState struct {
 	st *core.SessionState
 }
 
-// ReadSessionState reads a state-only snapshot (written by SnapshotState or
-// Checkpointer.WriteFull) without yet attaching it to graphs.
+// ReadSessionState reads a state-only snapshot (written by SnapshotState, or
+// a full Checkpoint's range record) without yet attaching it to graphs.
 func ReadSessionState(r io.Reader) (*SessionState, error) {
 	st, err := snapshot.ReadState(r)
 	if err != nil {
@@ -240,26 +175,13 @@ type StateDelta struct {
 	d *core.StateDelta
 }
 
-// ReadStateDelta reads a delta record written by Checkpointer.WriteDelta.
+// ReadStateDelta reads a delta Checkpoint's range record.
 func ReadStateDelta(r io.Reader) (*StateDelta, error) {
 	d, err := snapshot.ReadDelta(r)
 	if err != nil {
 		return nil, err
 	}
 	return &StateDelta{d: d}, nil
-}
-
-// Apply advances the state by one delta record. Deltas must be applied in
-// the order they were written; a record that does not fit the state's
-// current position (wrong order, wrong chain, or a gap) returns an error
-// and leaves the state unchanged.
-func (s *SessionState) Apply(d *StateDelta) error {
-	st, err := core.ApplyDelta(s.st, d.d)
-	if err != nil {
-		return err
-	}
-	s.st = st
-	return nil
 }
 
 // RestoreSessionState attaches a replayed state to the graphs it was
