@@ -257,7 +257,7 @@ func BenchmarkReconcileFrontier(b *testing.B) {
 // BenchmarkReconcileHybrid is the same instance on the hybrid engine — the
 // default. Cold batch runs stay in the parallel regime until the commit rate
 // decays, so this row must track BenchmarkReconcileParallel, not
-// BenchmarkReconcileFrontier's 0.6x; the recorded gap is the cost of the
+// BenchmarkReconcileFrontier's 0.4x; the recorded gap is the cost of the
 // late-sweep handoff minus the frontier's win on the converged tail.
 func BenchmarkReconcileHybrid(b *testing.B) {
 	inst := makeInstance(10000, 10)
@@ -288,7 +288,7 @@ func BenchmarkReconcileParallelIncremental(b *testing.B) {
 
 // BenchmarkReconcileHybridIncremental is the incremental workload on the
 // default engine: by ingest time the run converged long ago, so the hybrid
-// has handed off and this row must track the frontier's order-of-magnitude
+// has handed off and this row must track the frontier's several-fold
 // win over BenchmarkReconcileParallelIncremental — the degenerate default
 // this PR's engine switch exists to fix, measured on the workload users get
 // without choosing an engine.

@@ -13,14 +13,15 @@
 // concentrate; the paper measures that this step alone removes over a third
 // of the errors.
 //
-// The package provides a sequential reference engine, a parallel engine that
-// partitions the candidate scan across goroutines, a frontier engine that
-// re-scores only nodes whose scoring inputs changed since their last scoring,
-// and a hybrid engine (the default) that starts parallel and hands off to the
-// frontier engine once the per-sweep commit rate falls below a measured
-// crossover; all are deterministic and produce identical matchings. A further
-// formulation as explicit MapReduce rounds lives in internal/mapreduce and is
-// tested for equivalence against these engines.
+// The package provides a parallel engine that partitions the candidate scan
+// across goroutines (EngineSequential is the same pass with one worker), a
+// frontier engine that re-scores only nodes whose scoring inputs changed
+// since their last scoring, and a hybrid engine (the default) that starts
+// parallel and hands off to the frontier engine once the per-sweep commit
+// rate falls below a measured crossover; all are deterministic and produce
+// identical matchings. A further formulation as explicit MapReduce rounds
+// lives in internal/mapreduce and is tested for equivalence against these
+// engines.
 package core
 
 import (
@@ -47,8 +48,8 @@ const (
 	// bit-identical to the other engines at a fraction of the scoring work on
 	// incremental workloads, and Workers parallelizes its re-scoring batches.
 	// On commit-dense cold batches its invalidation churn approaches a full
-	// rescan and it runs ~0.6x the parallel engine. See frontierState for the
-	// scheduling invariants.
+	// rescan and it runs ~0.4x the parallel engine. See frontierState
+	// for the scheduling invariants.
 	EngineFrontier
 	// EngineHybrid is the default: it starts on the parallel engine and, at
 	// the first sweep boundary whose observed commit rate falls below the

@@ -99,28 +99,66 @@ func (lc *linkedCounts) addPair(g1, g2 *graph.Graph, p graph.Pair) {
 	}
 }
 
+// scanState is the full-scan engines' per-session state: both graphs'
+// candidate lists, synced to the matching's pair log, and the pass buffers —
+// both sides' proposals and the per-worker scorers of both directions —
+// reused by every pass. It is built at the session's first full-scan
+// bucket, dropped when a hybrid session hands off to the frontier, and
+// never serialized: a restored session rebuilds it from the matching.
+type scanState struct {
+	left, right candLists // G1's and G2's candidate lists
+	// synced is the length of the pair-log prefix the lists reflect.
+	synced int
+
+	leftBest, rightBest []candidate
+	// leftScorers score G1 nodes against G2 partners, rightScorers the
+	// reverse; the pools grow to the largest worker count a pass asked for.
+	leftScorers, rightScorers []*scorer
+}
+
+func newScanState(g1, g2 *graph.Graph, m *Matching) *scanState {
+	return &scanState{
+		left:      newCandLists(g1, m.left),
+		right:     newCandLists(g2, m.right),
+		synced:    len(m.pairs),
+		leftBest:  make([]candidate, g1.NumNodes()),
+		rightBest: make([]candidate, g2.NumNodes()),
+	}
+}
+
+// sync removes the nodes matched since the last sync from the candidate
+// lists. Seeds, AddSeeds and commits all append to the pair log, so reading
+// the log's new suffix sees every one of them; only the lists of a newly
+// matched node's neighbors change.
+func (st *scanState) sync(g1, g2 *graph.Graph, m *Matching) {
+	for _, p := range m.pairs[st.synced:] {
+		st.left.markNeighbors(g1, p.Left)
+		st.right.markNeighbors(g2, p.Right)
+	}
+	st.synced = len(m.pairs)
+	st.left.compact(m.left)
+	st.right.compact(m.right)
+}
+
 // runBucket performs one scoring pass at the given degree floor and commits
 // every mutual-best pair with score >= T. Returns the number of new links.
-func runBucket(g1, g2 *graph.Graph, m *Matching, lc *linkedCounts, minDeg int, opts Options) int {
-	n1, n2 := g1.NumNodes(), g2.NumNodes()
+func (st *scanState) runBucket(g1, g2 *graph.Graph, m *Matching, lc *linkedCounts, minDeg int, opts Options) int {
+	st.sync(g1, g2, m)
 	p := opts.passParams(minDeg)
-	leftBest := make([]candidate, n1)
-	rightBest := make([]candidate, n2)
-
-	parallelPass(fromLeft, g1, g2, m, lc, p, leftBest, opts.workers())
-	parallelPass(fromRight, g1, g2, m, lc, p, rightBest, opts.workers())
+	workers := opts.workers()
+	st.pass(fromLeft, g1, g2, m, lc, p, workers)
+	st.pass(fromRight, g1, g2, m, lc, p, workers)
 
 	// Commit mutual bests. leftBest[v1] proposes v2; accept iff v2 proposes
 	// v1 back. Scores agree automatically (witness counts are symmetric),
 	// and each node occurs in at most one accepted pair, so the commits
 	// cannot conflict.
 	matched := 0
-	for v1 := 0; v1 < n1; v1++ {
-		c := leftBest[v1]
+	for v1, c := range st.leftBest {
 		if c.score == 0 {
 			continue
 		}
-		back := rightBest[c.node]
+		back := st.rightBest[c.node]
 		if back.score == 0 || back.node != graph.NodeID(v1) {
 			continue
 		}
@@ -132,24 +170,23 @@ func runBucket(g1, g2 *graph.Graph, m *Matching, lc *linkedCounts, minDeg int, o
 	return matched
 }
 
-// parallelPass is scoreRange sharded over a worker pool. Each worker owns a
-// scratch scorer; outputs land in disjoint slices of best, so no
+// pass is scoreRange sharded over a worker pool. Each worker owns a scorer
+// from the direction's pool; outputs land in disjoint slices of the
+// direction's proposals and the candidate lists are only read, so no
 // synchronization beyond the WaitGroup is needed and the result is
 // independent of scheduling.
-func parallelPass(dir passDirection, g1, g2 *graph.Graph, m *Matching, lc *linkedCounts, p passParams, best []candidate, workers int) {
+func (st *scanState) pass(dir passDirection, g1, g2 *graph.Graph, m *Matching, lc *linkedCounts, p passParams, workers int) {
+	best, pool, partners, nPartners := st.leftBest, &st.leftScorers, &st.right, g2.NumNodes()
+	if dir == fromRight {
+		best, pool, partners, nPartners = st.rightBest, &st.rightScorers, &st.left, g1.NumNodes()
+	}
 	n := len(best)
 	if n == 0 {
 		return
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	nPartners := g1.NumNodes()
-	if dir == fromLeft {
-		nPartners = g2.NumNodes()
+	workers = max(1, min(workers, n))
+	for len(*pool) < workers {
+		*pool = append(*pool, newScorer(nPartners, p.weighted))
 	}
 	var wg sync.WaitGroup
 	chunk := (n + workers - 1) / workers
@@ -158,16 +195,12 @@ func parallelPass(dir passDirection, g1, g2 *graph.Graph, m *Matching, lc *linke
 		if lo >= n {
 			break
 		}
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+chunk, n)
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func(sc *scorer, lo, hi int) {
 			defer wg.Done()
-			sc := newScorer(nPartners, p.weighted)
-			scoreRange(dir, g1, g2, m, lc, p, lo, hi, sc, best)
-		}(lo, hi)
+			scoreRange(dir, g1, g2, m, lc, partners, p, lo, hi, sc, best)
+		}((*pool)[w], lo, hi)
 	}
 	wg.Wait()
 }

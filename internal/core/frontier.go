@@ -388,12 +388,15 @@ func newFrontierScorer(nPartners int, weighted bool, nLevels int) *frontierScore
 }
 
 // allLevels computes out[j] — v's proposal at every schedule level j — in one
-// accumulation pass. The witness accumulation is identical to
-// scorer.bestFor's (same iteration order, so weighted float sums are
-// bit-identical); the degree floor only gates which candidates participate
-// in the selection, so the per-level selections are derived by adding
-// candidates band by band as the floor descends, maintaining the running
-// best/tie state and the top-two witness counts for the margin rule.
+// accumulation pass. Like scorer.bestFor it adds each candidate's witnesses
+// in N(v) order, so every candidate's weighted float sum is bit-identical to
+// the full engines'; the order in which candidates are first touched differs
+// (bestFor walks degree-ordered candidate lists) and cannot matter, because
+// selection depends only on each candidate's count and weight. The degree
+// floor only gates which candidates participate in the selection, so the
+// per-level selections are derived by adding candidates band by band as the
+// floor descends, maintaining the running best/tie state and the top-two
+// witness counts for the margin rule.
 func (sc *frontierScorer) allLevels(
 	v graph.NodeID,
 	ga, gb *graph.Graph,

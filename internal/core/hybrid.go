@@ -14,8 +14,8 @@ import "github.com/sociograph/reconcile/internal/trace"
 // (every committed link invalidates its neighborhood on both sides), while
 // the parallel engine pays for graph size regardless. When the sweep commit
 // rate is high, frontier invalidation churn approaches a full rescan and the
-// cache maintenance makes it ~0.6x parallel; when it is low, frontier skips
-// almost all scoring work and wins by an order of magnitude.
+// cache maintenance makes it ~0.4x parallel; when it is low, frontier skips
+// almost all scoring work and wins several times over.
 
 // hybridCrossoverRate is the per-sweep commit rate — pairs committed during
 // the sweep divided by the total node count n1+n2 — below which EngineHybrid
@@ -26,23 +26,28 @@ import "github.com/sociograph/reconcile/internal/trace"
 //
 // Measured with BenchmarkHybridCrossover (internal/core/bench_test.go) on
 // the recording machine of BENCH_engines.json (linux/amd64, GOMAXPROCS=1,
-// go1.24, 2026-08-08). On the 2x20k-node preferential-attachment calibration
+// go1.24, 2026-10-17). On the 2x20k-node preferential-attachment calibration
 // instance, per-sweep cost (parallel vs frontier, ns):
 //
-//	rate 0.241  35.4M vs 66.6M  (parallel 1.9x)
-//	rate 0.062  10.4M vs 12.2M  (parallel 1.2x)
-//	rate 0.012   6.1M vs  5.0M  (frontier 1.2x)
-//	rate 0.0023  5.2M vs  2.7M  (frontier 1.9x)
-//	rate 0.0006  5.0M vs  1.6M  (frontier 3.1x)
+//	rate 0.241   32.4M vs 96.9M  (parallel 3.0x)
+//	rate 0.062    9.5M vs 18.3M  (parallel 1.9x)
+//	rate 0.012    5.5M vs  7.1M  (parallel 1.3x)
+//	rate 0.0023   5.3M vs  4.3M  (frontier 1.2x)
+//	rate 0.0006   5.1M vs  2.5M  (frontier 2.0x)
+//	rate 0.0002   5.3M vs  1.2M  (frontier 4.4x)
 //
-// The regimes trade places between observed rates 0.062 and 0.012. 0.02
-// makes the switch fire at the first sweep whose rate lands in frontier-won
-// territory (0.012 here) while staying 3x below the last parallel-won rate,
-// so commit-dense sweeps never trigger it: cold-batch sweeps on the recorded
-// workloads run at rates 0.05-0.3 until convergence, incremental AddSeeds
-// sweeps at <0.001. Firing a sweep earlier (crossover above 0.062) would pay
-// the all-dirty handoff rebuild while commits are still active; a sweep later
-// (below 0.012) forgoes a ~2x frontier win on the following sweep.
+// The regimes trade places between observed rates 0.012 and 0.0023. The
+// switch fires at the sweep boundary after a sweep whose rate is below 0.02,
+// so here it fires after the 0.012 sweep, and the 0.0023 sweep — the first
+// frontier-won one — is the first to run on the frontier. Commit-dense
+// sweeps never trigger it: cold-batch sweeps on the recorded workloads run
+// at rates 0.05-0.3 until convergence, incremental AddSeeds sweeps at
+// <0.001. Firing a sweep earlier (crossover above 0.062) would pay the
+// all-dirty handoff rebuild while commits are still active; a sweep later
+// (below 0.0023) forgoes a ~2x frontier win on the following sweep. The
+// crossover sits below the 0.012-0.062 band this constant was chosen in;
+// moving the constant changes which regime serve and incremental jobs run,
+// so it waits for a measurement of its own (ROADMAP).
 const hybridCrossoverRate = 0.02
 
 // phaseRetainSweeps bounds the session's phase log: at every completed sweep
@@ -84,7 +89,9 @@ func (s *Session) endSweep() {
 		// the next bucket actually runs, so a run that ends here pays
 		// nothing, and a kill/restore at this exact boundary rebuilds the
 		// identical state from the matching (the cross-engine restore path).
+		// The full-scan state has no further use.
 		s.hybridSwitched = true
+		s.scan = nil
 	}
 	s.evictPhases()
 }

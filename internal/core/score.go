@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 
 	"github.com/sociograph/reconcile/internal/graph"
 )
@@ -16,7 +17,10 @@ type candidate struct {
 
 // passParams bundles the per-bucket scoring configuration.
 type passParams struct {
-	minDeg    int
+	minDeg int
+	// minClass is minDeg's degree class: bucket floors are powers of two,
+	// so deg >= minDeg exactly when bits.Len(deg) >= minClass.
+	minClass  uint8
 	threshold int32
 	ties      TieBreak
 	weighted  bool // rank by Adamic-Adar weights instead of raw counts
@@ -26,6 +30,7 @@ type passParams struct {
 func (o Options) passParams(minDeg int) passParams {
 	return passParams{
 		minDeg:    minDeg,
+		minClass:  uint8(bits.Len(uint(minDeg))),
 		threshold: int32(o.Threshold),
 		ties:      o.Ties,
 		weighted:  o.Scoring == ScoreAdamicAdar,
@@ -47,7 +52,7 @@ func witnessWeight(d1, d2 int) float32 {
 // scorer is the per-worker scratch for one directional scoring pass. Scores
 // are accumulated in dense arrays indexed by partner node, with a touched
 // list for O(candidates) clearing — the matcher's hot path allocates nothing
-// per node.
+// per node. A session's scan state keeps its scorers across passes.
 type scorer struct {
 	scores  []int32
 	weights []float32 // nil unless weighted scoring is on
@@ -69,14 +74,18 @@ func newScorer(nPartners int, weighted bool) *scorer {
 //	    every unmatched w ∈ N_gb(u') with deg_gb(w) >= minDeg
 //	    gains one witness (u, u').
 //
-// Candidates are ranked by witness count (or by Adamic-Adar weight under
-// weighted scoring); the winner must have count >= threshold, survive the
-// tie policy, and beat every other candidate's count by minMargin.
-// partnerMatched[w] != NoMatch excludes already-linked partners.
+// The unmatched, floor-eligible neighbors of u' are a prefix of partners'
+// candidate list for u' (unmatched neighbors only, by descending degree
+// class), so the walk stops at the first partner below the floor and never
+// looks at a matched one. Candidates are ranked by witness count (or by
+// Adamic-Adar weight under weighted scoring); the winner must have count >=
+// threshold, survive the tie policy, and beat every other candidate's count
+// by minMargin.
 func (s *scorer) bestFor(
 	v graph.NodeID,
 	ga, gb *graph.Graph,
-	link, partnerMatched []graph.NodeID,
+	link []graph.NodeID,
+	partners *candLists,
 	p passParams,
 ) candidate {
 	for _, u := range ga.Neighbors(v) {
@@ -88,12 +97,9 @@ func (s *scorer) bestFor(
 		if s.weights != nil {
 			wt = witnessWeight(ga.Degree(u), gb.Degree(u2))
 		}
-		for _, w := range gb.Neighbors(u2) {
-			if partnerMatched[w] != NoMatch {
-				continue
-			}
-			if gb.Degree(w) < p.minDeg {
-				continue
+		for _, w := range partners.list(u2) {
+			if partners.class[w] < p.minClass {
+				break
 			}
 			if s.scores[w] == 0 {
 				s.touched = append(s.touched, w)
@@ -104,49 +110,94 @@ func (s *scorer) bestFor(
 			}
 		}
 	}
-	if len(s.touched) == 0 {
-		return candidate{}
+	if s.weights != nil {
+		return s.selectWeighted(p)
 	}
+	return s.selectCount(p)
+}
 
-	// Selection pass: rank by the configured key with the tie policy.
-	rank := func(w graph.NodeID) float64 {
-		if s.weights != nil {
-			return float64(s.weights[w])
-		}
-		return float64(s.scores[w])
-	}
-	best := s.touched[0]
-	bestKey := rank(best)
-	tie := false
-	for _, w := range s.touched[1:] {
-		k := rank(w)
+// selectCount is the selection under witness-count ranking, in one loop
+// over the touched candidates that also clears the scratch: the proposal is
+// the lowest-ID candidate with the top count; a tie is more than one
+// candidate at the top count, and the margin is measured against the
+// runner-up count (the top count itself when tied). The result depends on
+// the candidates' counts only, not on the order they were touched in.
+func (s *scorer) selectCount(p passParams) candidate {
+	var (
+		best      graph.NodeID
+		top, next int32 // the top count and the highest count below it
+		atTop     int32 // candidates scoring top
+	)
+	for _, w := range s.touched {
+		c := s.scores[w]
+		s.scores[w] = 0
 		switch {
-		case k > bestKey:
-			best, bestKey = w, k
-			tie = false
-		case k == bestKey:
-			if p.ties == TieLowestID && w < best {
+		case c > top:
+			best, top, next, atTop = w, c, top, 1
+		case c == top:
+			atTop++
+			if w < best {
 				best = w
 			}
-			tie = true
-		}
-	}
-
-	// Margin pass: the selected candidate's count must clear the threshold
-	// and beat every other candidate's count by minMargin; clear scratch.
-	selCount := s.scores[best]
-	var maxOther int32
-	for _, w := range s.touched {
-		if w != best && s.scores[w] > maxOther {
-			maxOther = s.scores[w]
-		}
-		s.scores[w] = 0
-		if s.weights != nil {
-			s.weights[w] = 0
+		case c > next:
+			next = c
 		}
 	}
 	s.touched = s.touched[:0]
+	if atTop > 1 {
+		next = top
+	}
+	return p.accept(best, top, next, atTop > 1)
+}
 
+// selectWeighted is the selection under Adamic-Adar ranking: the proposal is
+// the lowest-ID candidate with the top weight, a tie is more than one
+// candidate at that weight, and the threshold and margin still apply to
+// witness counts — the margin against the highest count among the other
+// candidates. Each weight is a sum accumulated in N(v) order, so it too is
+// independent of the order candidates were touched in.
+func (s *scorer) selectWeighted(p passParams) candidate {
+	var (
+		best      graph.NodeID
+		bestW     float32
+		bestCount int32
+		tie       bool
+		top, next int32 // the top count and the highest count below it
+		atTop     int32 // candidates scoring top
+	)
+	for _, w := range s.touched {
+		c, wt := s.scores[w], s.weights[w]
+		s.scores[w], s.weights[w] = 0, 0
+		switch {
+		case wt > bestW:
+			best, bestW, bestCount, tie = w, wt, c, false
+		case wt == bestW:
+			tie = true
+			if w < best {
+				best, bestCount = w, c
+			}
+		}
+		switch {
+		case c > top:
+			top, next, atTop = c, top, 1
+		case c == top:
+			atTop++
+		case c > next:
+			next = c
+		}
+	}
+	s.touched = s.touched[:0]
+	maxOther := top
+	if bestCount == top && atTop == 1 {
+		maxOther = next
+	}
+	return p.accept(best, bestCount, maxOther, tie)
+}
+
+// accept applies the threshold, tie and margin rules to the selected
+// candidate best with witness count selCount, where maxOther is the highest
+// count among the other candidates.
+func (p passParams) accept(best graph.NodeID, selCount, maxOther int32, tie bool) candidate {
 	switch {
 	case selCount < p.threshold:
 		return candidate{}
@@ -180,17 +231,19 @@ func passViews(dir passDirection, g1, g2 *graph.Graph, m *Matching) (ga, gb *gra
 // Eligibility: the node itself is unmatched, has degree >= minDeg, and has
 // at least threshold linked neighbors (its score with any partner is
 // bounded by that count, so fewer linked neighbors cannot clear T).
+// partners holds the candidate lists of the other side's graph.
 func scoreRange(
 	dir passDirection,
 	g1, g2 *graph.Graph,
 	m *Matching,
 	lc *linkedCounts,
+	partners *candLists,
 	p passParams,
 	lo, hi int,
 	sc *scorer,
 	out []candidate,
 ) {
-	ga, gb, link, selfMatched, partnerMatched := passViews(dir, g1, g2, m)
+	ga, gb, link, selfMatched, _ := passViews(dir, g1, g2, m)
 	linked := lc.left
 	if dir == fromRight {
 		linked = lc.right
@@ -201,6 +254,103 @@ func scoreRange(
 		if selfMatched[id] != NoMatch || ga.Degree(id) < p.minDeg || linked[id] < p.threshold {
 			continue
 		}
-		out[v] = sc.bestFor(id, ga, gb, link, partnerMatched, p)
+		out[v] = sc.bestFor(id, ga, gb, link, partners, p)
 	}
+}
+
+// candLists holds one graph's candidate lists: for every node x, the
+// neighbors of x that are still unmatched, ordered by descending degree
+// class bits.Len(deg), ties by ascending ID. A scoring walk over list(x)
+// therefore sees exactly the partners the pass may score, with the ones
+// below the bucket floor forming a suffix it never reaches. Lists only
+// shrink: when a node is matched, the lists of its neighbors are compacted
+// by a stable filter, so the order needs no maintenance.
+type candLists struct {
+	off   []int64  // list(x) starts at adj[off[x]]; len n+1, as wide as the graph's offsets
+	live  []uint32 // live[x] is list(x)'s current length
+	adj   []graph.NodeID
+	class []uint8 // class[w] = bits.Len(deg(w))
+	// stale marks the lists queued on dirty for compaction.
+	stale []bool
+	dirty []graph.NodeID
+}
+
+// numClasses bounds the degree classes: degrees are below 2^32.
+const numClasses = 33
+
+// newCandLists builds g's candidate lists against the matched array of g's
+// side, in O(n + E): a counting sort orders the nodes by (class descending,
+// ID ascending), and appending each unmatched node to its neighbors' lists
+// in that order leaves every list sorted.
+func newCandLists(g *graph.Graph, matched []graph.NodeID) candLists {
+	n := g.NumNodes()
+	c := candLists{
+		off:   make([]int64, n+1),
+		live:  make([]uint32, n),
+		class: make([]uint8, n),
+		stale: make([]bool, n),
+	}
+	var start [numClasses]int
+	for x := 0; x < n; x++ {
+		d := g.Degree(graph.NodeID(x))
+		c.class[x] = uint8(bits.Len(uint(d)))
+		c.off[x+1] = c.off[x] + int64(d)
+		start[c.class[x]]++
+	}
+	pos := 0
+	for k := numClasses - 1; k >= 0; k-- {
+		pos, start[k] = pos+start[k], pos
+	}
+	order := make([]graph.NodeID, n)
+	for x := 0; x < n; x++ {
+		k := c.class[x]
+		order[start[k]] = graph.NodeID(x)
+		start[k]++
+	}
+	c.adj = make([]graph.NodeID, c.off[n])
+	for _, w := range order {
+		if matched[w] != NoMatch {
+			continue
+		}
+		for _, x := range g.Neighbors(w) {
+			c.adj[c.off[x]+int64(c.live[x])] = w
+			c.live[x]++
+		}
+	}
+	return c
+}
+
+// list returns x's current candidate list. It aliases the lists' storage.
+func (c *candLists) list(x graph.NodeID) []graph.NodeID {
+	o := c.off[x]
+	return c.adj[o : o+int64(c.live[x])]
+}
+
+// markNeighbors queues the lists that contain the newly matched node v —
+// those of v's neighbors — for compaction.
+func (c *candLists) markNeighbors(g *graph.Graph, v graph.NodeID) {
+	for _, x := range g.Neighbors(v) {
+		if !c.stale[x] {
+			c.stale[x] = true
+			c.dirty = append(c.dirty, x)
+		}
+	}
+}
+
+// compact drops the matched nodes from every queued list, keeping the order
+// of the rest.
+func (c *candLists) compact(matched []graph.NodeID) {
+	for _, x := range c.dirty {
+		c.stale[x] = false
+		l := c.list(x)
+		k := 0
+		for _, w := range l {
+			if matched[w] == NoMatch {
+				l[k] = w
+				k++
+			}
+		}
+		c.live[x] = uint32(k)
+	}
+	c.dirty = c.dirty[:0]
 }

@@ -37,7 +37,11 @@ type Session struct {
 	// fr is the frontier engine's persistent scheduling state: non-nil for
 	// EngineFrontier always, and for EngineHybrid once the session has
 	// switched regimes and run a bucket on the frontier engine.
-	fr     *frontierState
+	fr *frontierState
+	// scan is the full-scan engines' state: candidate lists and pass
+	// buffers, built at the first full-scan bucket and dropped at a hybrid
+	// handoff. It is never exported.
+	scan   *scanState
 	phases []PhaseStat
 	// dropped aggregates the phase entries evicted from the bounded log
 	// (see evictPhases); phases plus dropped is the complete history.
@@ -187,7 +191,10 @@ func (s *Session) RunContext(ctx context.Context, sweeps int) (int, error) {
 		if s.fr != nil {
 			matched = s.fr.runBucket(s.g1, s.g2, s.m, s.lc, bi, minDeg, s.opts)
 		} else {
-			matched = runBucket(s.g1, s.g2, s.m, s.lc, minDeg, s.opts)
+			if s.scan == nil {
+				s.scan = newScanState(s.g1, s.g2, s.m)
+			}
+			matched = s.scan.runBucket(s.g1, s.g2, s.m, s.lc, minDeg, s.opts)
 		}
 		if bsp != nil {
 			bsp.SetDetail(fmt.Sprintf("b%d/%d min %d matched %d", bi+1, len(buckets), minDeg, matched))
