@@ -9,20 +9,19 @@ import (
 	"github.com/sociograph/reconcile/internal/snapshot"
 )
 
-// Checkpoint chains: a store that checkpoints every sweep pays
-// O(links + frontier cache) per checkpoint with SnapshotState — on a large
-// converged session, megabytes rewritten to record a kilobyte of change. A
-// Checkpointer instead writes a full state record occasionally and cheap
-// delta records (the pairs, phase entries and cache edits since the last
-// checkpoint) in between; replaying (full + deltas) restores the identical
-// state, so the resume-equivalence guarantee carries over unchanged.
+// Checkpoint chains: a store that checkpoints every sweep pays O(links) per
+// checkpoint with SnapshotState — on a large converged session, the whole
+// matching rewritten to record a handful of new links. A Checkpointer
+// instead writes a full state record occasionally and cheap delta records
+// (the pairs and phase entries since the last checkpoint) in between;
+// replaying (full + deltas) restores the identical state, so the
+// resume-equivalence guarantee carries over unchanged.
 //
 // A chain is cut into R ≥ 1 node ranges, fixed for its life. Each checkpoint
 // is R records, every one an ordinary state or delta record of its range.
 // Range 0, the head, also carries what must not be split — the phase window
-// and the frontier worklists — and the R−1 tails repeat the head's schedule
-// and regime scalars, so a replay can prove they belong to the head's
-// checkpoint. With R = 1 the head is the exported state itself: its fulls
+// — and the R−1 tails repeat the head's schedule and regime scalars, so a
+// replay can prove they belong to the head's checkpoint. With R = 1 the head is the exported state itself: its fulls
 // are SnapshotState bytes and its deltas plain delta records. With R > 1 a
 // store can encode and fsync the ranges of one huge job on every core it
 // has. cmd/serve's -data-dir store is the reference consumer: it writes the
@@ -41,8 +40,8 @@ func StateRangeCount(n1, n2, targetNodes int) int {
 
 // ErrFullRequired reports that a delta checkpoint cannot be prepared — there
 // is no base yet, or the session changed in a way deltas do not express
-// (seed ingestion, an engine switch that dropped the frontier caches).
-// Callers prepare a full checkpoint and continue.
+// (a hybrid session handing off to the frontier regime). Callers prepare a
+// full checkpoint and continue.
 var ErrFullRequired = errors.New("reconcile: delta checkpoint requires a full snapshot first")
 
 // A Checkpointer writes a Reconciler's checkpoint chain over a fixed number

@@ -46,10 +46,9 @@ import (
 // the tenant's checkpoint-byte quota at job admission.
 //
 // Checkpoints form chains (reconcile.Checkpointer): a full state record,
-// then cheap delta records holding only the pairs, phase entries and
-// frontier-cache edits since the previous checkpoint — O(churn) instead of
-// O(matching), which is what lets per-sweep checkpointing stay on by
-// default at paper scale. A large job's chain is cut into R node ranges
+// then cheap delta records holding only the pairs and phase entries since
+// the previous checkpoint — O(churn) instead of O(matching), which is what
+// lets per-sweep checkpointing stay on by default at paper scale. A large job's chain is cut into R node ranges
 // (-range-nodes, fixed at submission): each checkpoint is then the head
 // record above plus R−1 tail records <id>.ckpt-SEQ.rNNNN.full|delta, the
 // tails written concurrently and the head last, so the head's rename is the

@@ -7,23 +7,22 @@ import (
 	"github.com/sociograph/reconcile/internal/graph"
 )
 
-// State diffing: between two checkpoints of the same run, almost everything
-// in a SessionState is either append-only (the matching is monotone; the
-// phase history only grows, even though the retained window over it is
-// bounded and slides) or a small dense structure of which only a small
-// fraction changes (the frontier proposal cache — exactly the entries the
-// engine re-scored). A StateDelta captures precisely that churn, so a
-// per-sweep checkpoint costs O(changes since the last checkpoint) instead of
-// O(matching + caches). ApplyDelta replays a delta onto the base state it was
-// diffed from and reproduces the later state exactly — restore from
-// (full + deltas) is therefore bit-identical to restore from a monolithic
-// snapshot, which the delta round-trip fuzz suite and the chain
-// resume-equivalence suite pin.
+// State diffing: between two checkpoints of the same run, everything in a
+// SessionState is either append-only (the matching is monotone; the phase
+// history only grows, even though the retained window over it is bounded
+// and slides) or a handful of scalars. A StateDelta captures exactly that
+// change, so a per-sweep checkpoint costs O(links and phases added since
+// the last checkpoint) instead of O(matching). ApplyDelta replays a delta
+// onto the base state it was diffed from and reproduces the later state
+// exactly — restore from (full + deltas) is therefore bit-identical to
+// restore from a monolithic snapshot, which the delta round-trip fuzz suite
+// and the chain resume-equivalence suite pin.
 
 // ErrNotDiffable reports that two states cannot be related by a StateDelta —
 // they belong to different runs (options, graph shape or seed boundary
 // differ), the matching is not an append (never the case within one run), or
-// the frontier caches changed shape. Callers fall back to a full snapshot.
+// the hybrid regime changed between them. Callers fall back to a full
+// snapshot.
 var ErrNotDiffable = errors.New("core: states are not delta-compatible; write a full snapshot")
 
 // StateDelta is the change record between a base SessionState and a later
@@ -45,9 +44,8 @@ type StateDelta struct {
 	NextBucket int
 
 	// The target's phase-window offset and evicted totals. Deltas never span
-	// a hybrid regime change (the frontier caches appearing makes the states
-	// not diffable), so a single regime flag fingerprints the base and
-	// describes the target.
+	// a hybrid regime change (DiffStates refuses one), so a single regime
+	// flag fingerprints the base and describes the target.
 	PhasesDropped  int
 	DroppedMatched int
 	HybridFrontier bool
@@ -58,38 +56,14 @@ type StateDelta struct {
 	// how far it slid).
 	NewPairs  []graph.Pair
 	NewPhases []PhaseStat
-
-	// Frontier carries the frontier-engine churn; nil when the run has no
-	// frontier state (and then both base and target must have none).
-	Frontier *FrontierDelta
-}
-
-// FrontierDelta is the frontier engine's churn between two checkpoints: the
-// proposal-cache entries that were re-scored, plus both dirty worklists
-// (recorded whole — queue order matters and the lists are small next to the
-// cache).
-type FrontierDelta struct {
-	Left, Right FrontierSideDelta
-	Rescored    int64
-}
-
-// FrontierSideDelta is one side's cache churn. Index holds the changed
-// row-major cache positions in strictly ascending order; Node and Score are
-// the new values at those positions, parallel to Index.
-type FrontierSideDelta struct {
-	Index []int
-	Node  []graph.NodeID
-	Score []int32
-
-	// Dirty is the complete new worklist, replacing the base's.
-	Dirty []graph.NodeID
 }
 
 // DiffStates computes the delta from base to cur, two exported states of the
 // same run with base the earlier checkpoint. It returns ErrNotDiffable when
-// the states cannot be related by appends and cache edits — different
-// options, shapes, or seed boundaries, or a matching that is not an append
-// (none of which occur between checkpoints of a live session).
+// the states cannot be related by appends — different options, shapes, or
+// seed boundaries, or a matching that is not an append (none of which occur
+// between checkpoints of a live session) — or when a hybrid handoff lies
+// between them.
 func DiffStates(base, cur *SessionState) (*StateDelta, error) {
 	if base == nil || cur == nil {
 		return nil, errors.New("core: diff: nil state")
@@ -133,7 +107,7 @@ func DiffStates(base, cur *SessionState) (*StateDelta, error) {
 	if newFrom < 0 {
 		newFrom = 0 // the target window starts past the base's end entirely
 	}
-	d := &StateDelta{
+	return &StateDelta{
 		BasePairs:         len(base.Pairs),
 		BasePhases:        len(base.Phases),
 		BaseSweeps:        base.Sweeps,
@@ -146,54 +120,14 @@ func DiffStates(base, cur *SessionState) (*StateDelta, error) {
 		HybridFrontier:    cur.HybridFrontier,
 		NewPairs:          append([]graph.Pair(nil), cur.Pairs[len(base.Pairs):]...),
 		NewPhases:         append([]PhaseStat(nil), cur.Phases[newFrom:]...),
-	}
-	switch {
-	case base.Frontier == nil && cur.Frontier == nil:
-	case base.Frontier == nil || cur.Frontier == nil:
-		return nil, fmt.Errorf("%w: frontier state appeared or vanished", ErrNotDiffable)
-	default:
-		fd := &FrontierDelta{Rescored: cur.Frontier.Rescored}
-		for _, s := range []struct {
-			base, cur *FrontierSideSnapshot
-			dst       *FrontierSideDelta
-		}{
-			{&base.Frontier.Left, &cur.Frontier.Left, &fd.Left},
-			{&base.Frontier.Right, &cur.Frontier.Right, &fd.Right},
-		} {
-			var err error
-			*s.dst, err = diffSide(s.base, s.cur)
-			if err != nil {
-				return nil, err
-			}
-		}
-		d.Frontier = fd
-	}
-	return d, nil
-}
-
-func diffSide(base, cur *FrontierSideSnapshot) (FrontierSideDelta, error) {
-	var d FrontierSideDelta
-	if len(base.ProposalNode) != len(cur.ProposalNode) ||
-		len(base.ProposalScore) != len(cur.ProposalScore) ||
-		len(cur.ProposalNode) != len(cur.ProposalScore) {
-		return d, fmt.Errorf("%w: frontier cache shapes differ", ErrNotDiffable)
-	}
-	for i := range cur.ProposalNode {
-		if cur.ProposalNode[i] != base.ProposalNode[i] || cur.ProposalScore[i] != base.ProposalScore[i] {
-			d.Index = append(d.Index, i)
-			d.Node = append(d.Node, cur.ProposalNode[i])
-			d.Score = append(d.Score, cur.ProposalScore[i])
-		}
-	}
-	d.Dirty = append([]graph.NodeID(nil), cur.Dirty...)
-	return d, nil
+	}, nil
 }
 
 // ApplyDelta replays a delta onto the base state it was diffed from and
 // returns the resulting state; base is not modified. The base's position is
-// checked against the delta's fingerprint and every edit is bounds-checked,
-// so a delta applied out of order, onto the wrong base, or after corruption
-// the codec's CRC somehow missed returns an error — never a wrong state.
+// checked against the delta's fingerprint, so a delta applied out of order,
+// onto the wrong base, or after corruption the codec's CRC somehow missed
+// returns an error — never a wrong state.
 // ApplyDelta(base, d) for d = DiffStates(base, cur) reproduces cur exactly.
 func ApplyDelta(base *SessionState, d *StateDelta) (*SessionState, error) {
 	if base == nil || d == nil {
@@ -218,7 +152,7 @@ func ApplyDelta(base *SessionState, d *StateDelta) (*SessionState, error) {
 	} else {
 		phases = appendCopy(base.Phases[d.PhasesDropped-d.BasePhasesDropped:], d.NewPhases)
 	}
-	st := &SessionState{
+	return &SessionState{
 		Opts:           base.Opts,
 		N1:             base.N1,
 		N2:             base.N2,
@@ -230,54 +164,7 @@ func ApplyDelta(base *SessionState, d *StateDelta) (*SessionState, error) {
 		HybridFrontier: d.HybridFrontier,
 		Pairs:          appendCopy(base.Pairs, d.NewPairs),
 		Phases:         phases,
-	}
-	switch {
-	case base.Frontier == nil && d.Frontier == nil:
-	case base.Frontier == nil || d.Frontier == nil:
-		return nil, errors.New("core: apply delta: frontier state present on one side only")
-	default:
-		fr := &FrontierSnapshot{Rescored: d.Frontier.Rescored}
-		for _, s := range []struct {
-			base *FrontierSideSnapshot
-			d    *FrontierSideDelta
-			dst  *FrontierSideSnapshot
-		}{
-			{&base.Frontier.Left, &d.Frontier.Left, &fr.Left},
-			{&base.Frontier.Right, &d.Frontier.Right, &fr.Right},
-		} {
-			var err error
-			*s.dst, err = applySide(s.base, s.d)
-			if err != nil {
-				return nil, err
-			}
-		}
-		st.Frontier = fr
-	}
-	return st, nil
-}
-
-func applySide(base *FrontierSideSnapshot, d *FrontierSideDelta) (FrontierSideSnapshot, error) {
-	var out FrontierSideSnapshot
-	if len(d.Index) != len(d.Node) || len(d.Index) != len(d.Score) {
-		return out, fmt.Errorf("core: apply delta: edit slices disagree (%d indices, %d nodes, %d scores)",
-			len(d.Index), len(d.Node), len(d.Score))
-	}
-	out.ProposalNode = append([]graph.NodeID(nil), base.ProposalNode...)
-	out.ProposalScore = append([]int32(nil), base.ProposalScore...)
-	prev := -1
-	for i, idx := range d.Index {
-		if idx <= prev {
-			return out, fmt.Errorf("core: apply delta: cache edit indices not ascending (%d after %d)", idx, prev)
-		}
-		if idx >= len(out.ProposalNode) {
-			return out, fmt.Errorf("core: apply delta: cache edit index %d out of range (%d entries)", idx, len(out.ProposalNode))
-		}
-		out.ProposalNode[idx] = d.Node[i]
-		out.ProposalScore[idx] = d.Score[i]
-		prev = idx
-	}
-	out.Dirty = append([]graph.NodeID(nil), d.Dirty...)
-	return out, nil
+	}, nil
 }
 
 // appendCopy returns a fresh slice holding base followed by extra; unlike

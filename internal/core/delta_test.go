@@ -49,33 +49,6 @@ func statesEquivalent(a, b *SessionState) bool {
 			return false
 		}
 	}
-	if (a.Frontier == nil) != (b.Frontier == nil) {
-		return false
-	}
-	if a.Frontier == nil {
-		return true
-	}
-	if a.Frontier.Rescored != b.Frontier.Rescored {
-		return false
-	}
-	for _, s := range []struct{ x, y *FrontierSideSnapshot }{
-		{&a.Frontier.Left, &b.Frontier.Left},
-		{&a.Frontier.Right, &b.Frontier.Right},
-	} {
-		if len(s.x.ProposalNode) != len(s.y.ProposalNode) || len(s.x.Dirty) != len(s.y.Dirty) {
-			return false
-		}
-		for i := range s.x.ProposalNode {
-			if s.x.ProposalNode[i] != s.y.ProposalNode[i] || s.x.ProposalScore[i] != s.y.ProposalScore[i] {
-				return false
-			}
-		}
-		for i := range s.x.Dirty {
-			if s.x.Dirty[i] != s.y.Dirty[i] {
-				return false
-			}
-		}
-	}
 	return true
 }
 
@@ -113,9 +86,9 @@ func TestDiffApplyIdentity(t *testing.T) {
 				cur := s.ExportState()
 				d, err := DiffStates(base, cur)
 				if errors.Is(err, ErrNotDiffable) && engine == EngineHybrid {
-					// The hybrid regime handoff makes the frontier caches
-					// appear between checkpoints; a Checkpointer falls back
-					// to one full snapshot there, so the chain just restarts.
+					// The hybrid regime handoff flips the regime bit between
+					// checkpoints; a Checkpointer falls back to one full
+					// snapshot there, so the chain just restarts.
 					notDiffable++
 					base = cur
 					continue
@@ -204,11 +177,10 @@ func TestDiffApplyMidSweep(t *testing.T) {
 }
 
 // TestDiffNotDiffable pins the fallback contract: states that are not
-// related by appends and cache edits return ErrNotDiffable, never a delta
-// that would replay wrongly.
+// related by appends return ErrNotDiffable, never a delta that would replay
+// wrongly.
 func TestDiffNotDiffable(t *testing.T) {
 	opts := DefaultOptions()
-	opts.Engine = EngineFrontier // the frontier-cache corruptions below need caches present
 	_, _, s := deltaInstance(t, 31, 200, opts)
 	s.Run(1)
 	base := s.ExportState()
@@ -235,9 +207,9 @@ func TestDiffNotDiffable(t *testing.T) {
 	}
 
 	alt = s.ExportState()
-	alt.Frontier = nil
+	alt.HybridFrontier = !base.HybridFrontier
 	if _, err := DiffStates(base, alt); !errors.Is(err, ErrNotDiffable) {
-		t.Fatalf("vanished frontier: err = %v, want ErrNotDiffable", err)
+		t.Fatalf("regime flip: err = %v, want ErrNotDiffable", err)
 	}
 
 	// A target behind the base (replay order reversed) is refused.
@@ -248,10 +220,9 @@ func TestDiffNotDiffable(t *testing.T) {
 }
 
 // TestApplyDeltaValidation pins that a delta applied onto the wrong base, or
-// with malformed edits, errors instead of producing a wrong state.
+// with a malformed phase window, errors instead of producing a wrong state.
 func TestApplyDeltaValidation(t *testing.T) {
 	opts := DefaultOptions()
-	opts.Engine = EngineFrontier // the cache-edit corruptions below need frontier churn
 	_, _, s := deltaInstance(t, 37, 200, opts)
 	base := s.ExportState()
 	s.Run(1)
@@ -266,33 +237,12 @@ func TestApplyDeltaValidation(t *testing.T) {
 		t.Fatal("delta applied onto the wrong base")
 	}
 
-	// Non-ascending edit indices.
-	if d.Frontier == nil || len(d.Frontier.Left.Index) < 2 {
-		t.Fatal("expected frontier cache churn in the first sweep")
-	}
+	// A phase window that slides backwards.
 	bad := *d
-	badFr := *d.Frontier
-	badFr.Left.Index = append([]int(nil), d.Frontier.Left.Index...)
-	badFr.Left.Index[1] = badFr.Left.Index[0]
-	bad.Frontier = &badFr
-	if _, err := ApplyDelta(base, &bad); err == nil {
-		t.Fatal("non-ascending edit indices accepted")
-	}
-
-	// Out-of-range edit index.
-	badFr2 := *d.Frontier
-	badFr2.Left.Index = append([]int(nil), d.Frontier.Left.Index...)
-	badFr2.Left.Index[len(badFr2.Left.Index)-1] = len(base.Frontier.Left.ProposalNode)
-	bad.Frontier = &badFr2
-	if _, err := ApplyDelta(base, &bad); err == nil {
-		t.Fatal("out-of-range edit index accepted")
-	}
-
-	// Mismatched parallel edit slices.
-	badFr3 := *d.Frontier
-	badFr3.Left.Node = badFr3.Left.Node[:len(badFr3.Left.Node)-1]
-	bad.Frontier = &badFr3
-	if _, err := ApplyDelta(base, &bad); err == nil {
-		t.Fatal("mismatched edit slices accepted")
+	bad.BasePhasesDropped, bad.PhasesDropped = 1, 0
+	shifted := *base
+	shifted.PhasesDropped = 1
+	if _, err := ApplyDelta(&shifted, &bad); err == nil {
+		t.Fatal("backwards phase window accepted")
 	}
 }

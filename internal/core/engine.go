@@ -173,7 +173,7 @@ func (st *scanState) runBucket(g1, g2 *graph.Graph, m *Matching, lc *linkedCount
 // pass is scoreRange sharded over a worker pool. Each worker owns a scorer
 // from the direction's pool; outputs land in disjoint slices of the
 // direction's proposals and the candidate lists are only read, so no
-// synchronization beyond the WaitGroup is needed and the result is
+// synchronization beyond waiting for the chunks is needed and the result is
 // independent of scheduling.
 func (st *scanState) pass(dir passDirection, g1, g2 *graph.Graph, m *Matching, lc *linkedCounts, p passParams, workers int) {
 	best, pool, partners, nPartners := st.leftBest, &st.leftScorers, &st.right, g2.NumNodes()
@@ -188,19 +188,29 @@ func (st *scanState) pass(dir passDirection, g1, g2 *graph.Graph, m *Matching, l
 	for len(*pool) < workers {
 		*pool = append(*pool, newScorer(nPartners, p.weighted))
 	}
+	scorers := *pool
+	parallelChunks(n, workers, func(w, lo, hi int) {
+		scoreRange(dir, g1, g2, m, lc, partners, p, lo, hi, scorers[w], best)
+	})
+}
+
+// parallelChunks cuts [0, n) into at most workers contiguous chunks and
+// runs fn(w, lo, hi) for chunk w, each on its own goroutine, returning when
+// all have. A single chunk runs on the caller's goroutine.
+func parallelChunks(n, workers int, fn func(w, lo, hi int)) {
+	workers = max(1, min(workers, n))
+	if workers == 1 {
+		fn(0, 0, n)
+		return
+	}
 	var wg sync.WaitGroup
 	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= n {
-			break
-		}
-		hi := min(lo+chunk, n)
+	for w := 0; w*chunk < n; w++ {
 		wg.Add(1)
-		go func(sc *scorer, lo, hi int) {
+		go func() {
 			defer wg.Done()
-			scoreRange(dir, g1, g2, m, lc, partners, p, lo, hi, sc, best)
-		}((*pool)[w], lo, hi)
+			fn(w, w*chunk, min((w+1)*chunk, n))
+		}()
 	}
 	wg.Wait()
 }

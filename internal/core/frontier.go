@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/bits"
-	"sync"
 
 	"github.com/sociograph/reconcile/internal/graph"
 )
@@ -50,8 +49,9 @@ type frontierState struct {
 	left  frontierSide
 	right frontierSide
 
-	// rescored counts nodes drained from the worklists over the session's
-	// lifetime — the engine's total scoring work. The full engines'
+	// rescored counts nodes drained from the worklists since the state was
+	// built — at session start, at the hybrid handoff, or at restore, which
+	// starts it over — the engine's scoring work. The full engines'
 	// equivalent is (n1+n2) × passes; tests assert the frontier stays far
 	// below that and goes fully idle once a sweep commits nothing.
 	rescored int64
@@ -294,47 +294,16 @@ func (f *frontierState) refreshSide(dir passDirection, g1, g2 *graph.Graph, m *M
 	// eligibility is applied during derivation.
 	p := opts.passParams(f.levels[len(f.levels)-1])
 
-	workers := opts.workers()
-	if max := len(work) / frontierGrain; workers > max {
-		workers = max
+	workers := max(1, min(opts.workers(), len(work)/frontierGrain))
+	for len(side.scratch) < workers {
+		side.scratch = append(side.scratch, newFrontierScorer(nPartners, p.weighted, len(f.levels)))
 	}
-	if workers <= 1 {
-		sc := side.scorer(0, nPartners, p.weighted, len(f.levels))
-		for _, v := range work {
-			f.rescoreNode(dir, sc, v, g1, g2, m, lc, p)
+	scorers := side.scratch
+	parallelChunks(len(work), workers, func(w, lo, hi int) {
+		for _, v := range work[lo:hi] {
+			f.rescoreNode(dir, scorers[w], v, g1, g2, m, lc, p)
 		}
-	} else {
-		var wg sync.WaitGroup
-		chunk := (len(work) + workers - 1) / workers
-		for w := 0; w < workers; w++ {
-			lo := w * chunk
-			if lo >= len(work) {
-				break
-			}
-			hi := lo + chunk
-			if hi > len(work) {
-				hi = len(work)
-			}
-			sc := side.scorer(w, nPartners, p.weighted, len(f.levels))
-			wg.Add(1)
-			go func(sc *frontierScorer, part []graph.NodeID) {
-				defer wg.Done()
-				for _, v := range part {
-					f.rescoreNode(dir, sc, v, g1, g2, m, lc, p)
-				}
-			}(sc, work[lo:hi])
-		}
-		wg.Wait()
-	}
-}
-
-// scorer returns the side's persistent scratch for worker i, growing the pool
-// on first use.
-func (s *frontierSide) scorer(i, nPartners int, weighted bool, nLevels int) *frontierScorer {
-	for len(s.scratch) <= i {
-		s.scratch = append(s.scratch, newFrontierScorer(nPartners, weighted, nLevels))
-	}
-	return s.scratch[i]
+	})
 }
 
 // rescoreNode recomputes v's cache row — its proposal at every bucket level —
@@ -478,16 +447,7 @@ func (sc *frontierScorer) allLevels(
 		if selCount == cnt1 && mult1 == 1 {
 			maxOther = cnt2
 		}
-		switch {
-		case selCount < p.threshold:
-			out[j] = candidate{}
-		case tie && p.ties == TieReject:
-			out[j] = candidate{}
-		case p.minMargin > 0 && selCount-maxOther < p.minMargin:
-			out[j] = candidate{}
-		default:
-			out[j] = candidate{node: best, score: selCount}
-		}
+		out[j] = p.accept(best, selCount, maxOther, tie)
 	}
 
 	for _, w := range sc.touched {

@@ -85,8 +85,8 @@ func FuzzEngineEquivalence(f *testing.F) {
 		}
 
 		// Forced mid-run engine switch: kill a run at a cfg-derived bucket
-		// boundary, export, restore under another engine (mirroring the
-		// public restore mask), finish — still bit-identical. When the victim
+		// boundary, export, restore under another engine (by the public
+		// restore's rule), finish — still bit-identical. When the victim
 		// is hybrid this crosses its automatic switch point from both sides.
 		if total := len(seq.Phases); total > 1 {
 			engines := []Engine{EngineSequential, EngineParallel, EngineFrontier, EngineHybrid}
@@ -112,21 +112,7 @@ func FuzzEngineEquivalence(f *testing.F) {
 			}
 			cancel()
 			st := s.ExportState()
-			st.Opts.Engine = resumeAs
-			switch resumeAs {
-			case EngineFrontier:
-				st.HybridFrontier = false
-			case EngineHybrid:
-				if runAs != EngineHybrid {
-					st.HybridFrontier = st.InferHybridRegime()
-				}
-				if !st.HybridFrontier {
-					st.Frontier = nil
-				}
-			default:
-				st.HybridFrontier = false
-				st.Frontier = nil
-			}
+			st.SwitchEngine(resumeAs)
 			restored, err := RestoreSession(g1, g2, st)
 			if err != nil {
 				t.Fatalf("%v->%v stop=%d: restore: %v", runAs, resumeAs, stop, err)

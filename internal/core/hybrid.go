@@ -130,15 +130,13 @@ func (s *Session) evictPhases() {
 	s.phases = append(s.phases[:0], s.phases[cut:]...)
 }
 
-// InferHybridRegime returns the regime EngineHybrid would run at the state's
+// inferHybridRegime returns the regime EngineHybrid would run at the state's
 // schedule position, judged from the recorded commit history: true (frontier)
 // when the last completed sweep's commit rate is below the crossover, false
-// (parallel) when it is above or when no completed sweep is in the log. It
-// exists for restores that switch a fixed-engine state onto the hybrid
-// engine, where no regime was recorded — resuming a converged run in the
-// parallel regime would be correct but slow, so the restore path derives the
-// regime from the history instead of always starting parallel.
-func (st *SessionState) InferHybridRegime() bool {
+// (parallel) when it is above or when no completed sweep is in the log.
+// SwitchEngine uses it when a fixed-engine state, which records no regime,
+// is restored onto the hybrid engine.
+func (st *SessionState) inferHybridRegime() bool {
 	last := st.Sweeps
 	if st.NextBucket > 0 {
 		last--

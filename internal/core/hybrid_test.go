@@ -2,6 +2,8 @@ package core
 
 import (
 	"testing"
+
+	"github.com/sociograph/reconcile/internal/trace"
 )
 
 // TestHybridMatchesSequential pins the hybrid engine's bit-identity against
@@ -142,7 +144,56 @@ func TestHybridRestoreAfterSwitch(t *testing.T) {
 	}
 }
 
-// TestInferHybridRegime pins the restore-mask helper: a converged snapshot
+// TestRestoreRebuildsFrontierState pins the one frontier restore path: a
+// state restored in the frontier regime — fixed EngineFrontier, or a hybrid
+// past its handoff — gets its frontier state from the matching at restore,
+// with the work counter starting over, and the resumed run records no
+// handoff span.
+func TestRestoreRebuildsFrontierState(t *testing.T) {
+	g1, g2, seeds := testInstance(11, 350)
+	for _, engine := range []Engine{EngineFrontier, EngineHybrid} {
+		opts := DefaultOptions()
+		opts.Engine = engine
+		opts.Iterations = 6
+		full, err := Reconcile(g1, g2, seeds, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checked := 0
+		for stop := 1; stop < full.Totals.Buckets; stop++ {
+			st := runToBoundary(t, g1, g2, seeds, opts, opts.Iterations, stop).ExportState()
+			restored, err := RestoreSession(g1, g2, st)
+			if err != nil {
+				t.Fatalf("%v stop=%d: restore: %v", engine, stop, err)
+			}
+			frontierRegime := engine == EngineFrontier || st.HybridFrontier
+			if (restored.fr != nil) != frontierRegime {
+				t.Fatalf("%v stop=%d: frontier state built %v, regime is frontier %v", engine, stop, restored.fr != nil, frontierRegime)
+			}
+			if !frontierRegime {
+				continue
+			}
+			checked++
+			if restored.fr.rescored != 0 {
+				t.Fatalf("%v stop=%d: restored work counter %d, want 0", engine, stop, restored.fr.rescored)
+			}
+			tr := trace.New(trace.Config{Clock: (&traceClock{}).read})
+			restored.SetTracer(tr)
+			finishSchedule(t, restored, opts.Iterations)
+			if n := len(spansByKind(tr.Export())[trace.KindHandoff]); n != 0 {
+				t.Fatalf("%v stop=%d: resumed run recorded %d handoff spans, want 0", engine, stop, n)
+			}
+			if got := restored.Result(); !resultsIdentical(full, got) {
+				t.Fatalf("%v stop=%d: restored run diverged", engine, stop)
+			}
+		}
+		if checked == 0 {
+			t.Fatalf("%v: no boundary in the frontier regime", engine)
+		}
+	}
+}
+
+// TestInferHybridRegime pins SwitchEngine's inference: a converged snapshot
 // reads as the frontier regime, a commit-dense early one as parallel, and an
 // empty history defaults to parallel.
 func TestInferHybridRegime(t *testing.T) {
@@ -153,16 +204,53 @@ func TestInferHybridRegime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.ExportState().InferHybridRegime() {
+	if s.ExportState().inferHybridRegime() {
 		t.Fatal("empty history inferred as frontier regime")
 	}
 	s.Run(1)
-	if s.ExportState().InferHybridRegime() {
+	if s.ExportState().inferHybridRegime() {
 		t.Fatal("commit-dense first sweep inferred as frontier regime")
 	}
 	s.RunUntilStable(10)
-	if !s.ExportState().InferHybridRegime() {
+	if !s.ExportState().inferHybridRegime() {
 		t.Fatal("converged history inferred as parallel regime")
+	}
+}
+
+// TestSwitchEngine pins the restore rule for the regime bit: a fixed target
+// clears it, a hybrid target keeps a hybrid source's bit and infers one for
+// a fixed source.
+func TestSwitchEngine(t *testing.T) {
+	g1, g2, seeds := testInstance(7, 400)
+	o := DefaultOptions()
+	o.Engine = EngineSequential
+	s, err := NewSession(g1, g2, seeds, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.RunUntilStable(10)
+	converged := s.ExportState() // infers as the frontier regime
+	for _, tc := range []struct {
+		from   Engine
+		bit    bool
+		to     Engine
+		wantOn bool
+	}{
+		{EngineHybrid, true, EngineFrontier, false},
+		{EngineHybrid, true, EngineParallel, false},
+		{EngineHybrid, true, EngineHybrid, true},
+		{EngineHybrid, false, EngineHybrid, false}, // kept, not inferred
+		{EngineSequential, false, EngineHybrid, true},
+		{EngineFrontier, false, EngineHybrid, true},
+		{EngineParallel, false, EngineSequential, false},
+	} {
+		st := *converged
+		st.Opts.Engine, st.HybridFrontier = tc.from, tc.bit
+		st.SwitchEngine(tc.to)
+		if st.Opts.Engine != tc.to || st.HybridFrontier != tc.wantOn {
+			t.Errorf("%v (bit %v) -> %v: engine %v, bit %v; want bit %v",
+				tc.from, tc.bit, tc.to, st.Opts.Engine, st.HybridFrontier, tc.wantOn)
+		}
 	}
 }
 

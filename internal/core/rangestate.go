@@ -8,16 +8,15 @@ import (
 )
 
 // Per-node-range state sharding: a SessionState splits into R range states,
-// each holding a contiguous slice of both node spaces (frontier cache rows)
-// and a contiguous chunk of the pair log, so a huge job's checkpoint encode
-// parallelizes across ranges the way a fleet parallelizes across jobs. Each
-// range is itself a well-formed SessionState, so the existing full/delta
-// codec applies per range unchanged. Range 0, the head, also carries what
-// must not be split: the bounded phase log and the frontier worklists (whose
-// queue order a per-node split would destroy). The R−1 tails repeat the
-// head's options, schedule and regime scalars and frontier counter, so a
-// merge can prove they belong to the head's checkpoint before concatenating
-// them. With R = 1 the head is the state itself.
+// each holding a contiguous span of both node spaces and a contiguous chunk
+// of the pair log, so a huge job's checkpoint encode parallelizes across
+// ranges the way a fleet parallelizes across jobs. Each range is itself a
+// well-formed SessionState, so the existing full/delta codec applies per
+// range unchanged. Range 0, the head, also carries what must not be split:
+// the bounded phase log. The R−1 tails repeat the head's options, schedule
+// and regime scalars, so a merge can prove they belong to the head's
+// checkpoint before concatenating them. With R = 1 the head is the state
+// itself.
 //
 // The split is purely structural: MergeStateRanges(SplitStateRanges(st))
 // reproduces st exactly, and the restore guarantee (resume bit-identically)
@@ -85,41 +84,6 @@ func clampSeeds(globalSeeds, chunkStart, chunkLen int) int {
 	return s
 }
 
-// frontierLevels derives the cache-rows-per-node count from a snapshot's
-// side lengths, verifying the two sides agree.
-func frontierLevels(st *SessionState) (int, error) {
-	fr := st.Frontier
-	if len(fr.Left.ProposalNode) != len(fr.Left.ProposalScore) ||
-		len(fr.Right.ProposalNode) != len(fr.Right.ProposalScore) {
-		return 0, errors.New("core: range state: frontier node/score lengths disagree")
-	}
-	nl := -1
-	if st.N1 > 0 {
-		if len(fr.Left.ProposalNode)%st.N1 != 0 {
-			return 0, fmt.Errorf("core: range state: left cache length %d not a multiple of n1=%d", len(fr.Left.ProposalNode), st.N1)
-		}
-		nl = len(fr.Left.ProposalNode) / st.N1
-	} else if len(fr.Left.ProposalNode) != 0 {
-		return 0, errors.New("core: range state: left cache nonempty with n1=0")
-	}
-	if st.N2 > 0 {
-		nr := len(fr.Right.ProposalNode) / st.N2
-		if len(fr.Right.ProposalNode)%st.N2 != 0 {
-			return 0, fmt.Errorf("core: range state: right cache length %d not a multiple of n2=%d", len(fr.Right.ProposalNode), st.N2)
-		}
-		if nl >= 0 && nr != nl {
-			return 0, fmt.Errorf("core: range state: cache levels disagree: left %d, right %d", nl, nr)
-		}
-		nl = nr
-	} else if len(fr.Right.ProposalNode) != 0 {
-		return 0, errors.New("core: range state: right cache nonempty with n2=0")
-	}
-	if nl < 0 {
-		nl = 0
-	}
-	return nl, nil
-}
-
 // SplitStateRanges splits st into ranges range states, the head first.
 // With ranges == 1 the only range is st itself.
 //
@@ -167,15 +131,6 @@ func SplitStateRanges(st *SessionState, ranges int, chunkStarts []int) ([]*Sessi
 		return []*SessionState{st}, nil
 	}
 
-	nLevels := 0
-	if st.Frontier != nil {
-		nl, err := frontierLevels(st)
-		if err != nil {
-			return nil, err
-		}
-		nLevels = nl
-	}
-
 	spans1 := rangeSpans(st.N1, ranges)
 	spans2 := rangeSpans(st.N2, ranges)
 	parts := make([]*SessionState, ranges)
@@ -199,23 +154,6 @@ func SplitStateRanges(st *SessionState, ranges int, chunkStarts []int) ([]*Sessi
 		if r == 0 {
 			p.Phases = st.Phases
 		}
-		if st.Frontier != nil {
-			p.Frontier = &FrontierSnapshot{
-				Left: FrontierSideSnapshot{
-					ProposalNode:  st.Frontier.Left.ProposalNode[spans1[r].start*nLevels : spans1[r].end*nLevels],
-					ProposalScore: st.Frontier.Left.ProposalScore[spans1[r].start*nLevels : spans1[r].end*nLevels],
-				},
-				Right: FrontierSideSnapshot{
-					ProposalNode:  st.Frontier.Right.ProposalNode[spans2[r].start*nLevels : spans2[r].end*nLevels],
-					ProposalScore: st.Frontier.Right.ProposalScore[spans2[r].start*nLevels : spans2[r].end*nLevels],
-				},
-				Rescored: st.Frontier.Rescored,
-			}
-			if r == 0 {
-				p.Frontier.Left.Dirty = st.Frontier.Left.Dirty
-				p.Frontier.Right.Dirty = st.Frontier.Right.Dirty
-			}
-		}
 		parts[r] = p
 	}
 	return parts, nil
@@ -236,12 +174,10 @@ func PairChunkStarts(parts []*SessionState) []int {
 
 // CheckStateRanges proves that parts are the ranges of one checkpoint: the
 // node spans match the cut of the spans' totals, every tail repeats the
-// head's options, schedule and regime scalars and frontier counter and
-// carries neither phases nor worklists, the cache rows agree with the head's
-// level count, and the seed counts form one global prefix. A mismatch means
-// a torn or mixed checkpoint. Semantic validation of the merged state (pair
-// injectivity, schedule position, frontier contents) stays where it always
-// was: RestoreSession.
+// head's options, schedule and regime scalars and carries no phases, and
+// the seed counts form one global prefix. A mismatch means a torn or mixed
+// checkpoint. Semantic validation of the merged state (pair injectivity,
+// schedule position) stays where it always was: RestoreSession.
 func CheckStateRanges(parts []*SessionState) error {
 	if len(parts) < 1 || len(parts) > MaxStateRanges {
 		return fmt.Errorf("core: range merge: range count %d outside [1, %d]", len(parts), MaxStateRanges)
@@ -257,13 +193,6 @@ func CheckStateRanges(parts []*SessionState) error {
 		n1, n2, seeds = n1+p.N1, n2+p.N2, seeds+p.Seeds
 	}
 	head := parts[0]
-	nLevels := 0
-	if head.Frontier != nil {
-		var err error
-		if nLevels, err = frontierLevels(head); err != nil {
-			return err
-		}
-	}
 	spans1 := rangeSpans(n1, len(parts))
 	spans2 := rangeSpans(n2, len(parts))
 	at := 0
@@ -276,17 +205,6 @@ func CheckStateRanges(parts []*SessionState) error {
 			return fmt.Errorf("core: range merge: range %d seed count %d is not its part of the %d-seed prefix", r, p.Seeds, seeds)
 		}
 		at += len(p.Pairs)
-		if (p.Frontier != nil) != (head.Frontier != nil) {
-			return fmt.Errorf("core: range merge: range %d frontier presence diverges from the head", r)
-		}
-		if p.Frontier != nil {
-			if len(p.Frontier.Left.ProposalNode) != p.N1*nLevels ||
-				len(p.Frontier.Left.ProposalScore) != p.N1*nLevels ||
-				len(p.Frontier.Right.ProposalNode) != p.N2*nLevels ||
-				len(p.Frontier.Right.ProposalScore) != p.N2*nLevels {
-				return fmt.Errorf("core: range merge: range %d cache rows disagree with %d levels", r, nLevels)
-			}
-		}
 		if r == 0 {
 			continue
 		}
@@ -300,14 +218,6 @@ func CheckStateRanges(parts []*SessionState) error {
 		}
 		if len(p.Phases) != 0 {
 			return fmt.Errorf("core: range merge: range %d carries %d phase entries; phases live in the head", r, len(p.Phases))
-		}
-		if p.Frontier != nil {
-			if len(p.Frontier.Left.Dirty) != 0 || len(p.Frontier.Right.Dirty) != 0 {
-				return fmt.Errorf("core: range merge: range %d carries dirty worklists; worklists live in the head", r)
-			}
-			if p.Frontier.Rescored != head.Frontier.Rescored {
-				return fmt.Errorf("core: range merge: range %d rescored counter diverges from the head", r)
-			}
 		}
 	}
 	return nil
@@ -333,36 +243,16 @@ func MergeStateRanges(parts []*SessionState) (*SessionState, error) {
 		DroppedMatched: head.DroppedMatched,
 		HybridFrontier: head.HybridFrontier,
 	}
-	total, rows1, rows2 := 0, 0, 0
+	total := 0
 	for _, p := range parts {
 		out.N1 += p.N1
 		out.N2 += p.N2
 		out.Seeds += p.Seeds
 		total += len(p.Pairs)
-		if p.Frontier != nil {
-			rows1 += len(p.Frontier.Left.ProposalNode)
-			rows2 += len(p.Frontier.Right.ProposalNode)
-		}
 	}
 	out.Pairs = make([]graph.Pair, 0, total)
 	for _, p := range parts {
 		out.Pairs = append(out.Pairs, p.Pairs...)
-	}
-	if head.Frontier != nil {
-		fr := &FrontierSnapshot{Rescored: head.Frontier.Rescored}
-		fr.Left.ProposalNode = make([]graph.NodeID, 0, rows1)
-		fr.Left.ProposalScore = make([]int32, 0, rows1)
-		fr.Right.ProposalNode = make([]graph.NodeID, 0, rows2)
-		fr.Right.ProposalScore = make([]int32, 0, rows2)
-		fr.Left.Dirty = head.Frontier.Left.Dirty
-		fr.Right.Dirty = head.Frontier.Right.Dirty
-		for _, p := range parts {
-			fr.Left.ProposalNode = append(fr.Left.ProposalNode, p.Frontier.Left.ProposalNode...)
-			fr.Left.ProposalScore = append(fr.Left.ProposalScore, p.Frontier.Left.ProposalScore...)
-			fr.Right.ProposalNode = append(fr.Right.ProposalNode, p.Frontier.Right.ProposalNode...)
-			fr.Right.ProposalScore = append(fr.Right.ProposalScore, p.Frontier.Right.ProposalScore...)
-		}
-		out.Frontier = fr
 	}
 	return out, nil
 }

@@ -45,28 +45,6 @@ func statesEqual(a, b *SessionState) bool {
 			return false
 		}
 	}
-	if (a.Frontier == nil) != (b.Frontier == nil) {
-		return false
-	}
-	if a.Frontier != nil {
-		fa, fb := a.Frontier, b.Frontier
-		if fa.Rescored != fb.Rescored {
-			return false
-		}
-		for _, s := range []struct{ x, y *FrontierSideSnapshot }{{&fa.Left, &fb.Left}, {&fa.Right, &fb.Right}} {
-			if !nodesEq(s.x.ProposalNode, s.y.ProposalNode) || !nodesEq(s.x.Dirty, s.y.Dirty) {
-				return false
-			}
-			if len(s.x.ProposalScore) != len(s.y.ProposalScore) {
-				return false
-			}
-			for i := range s.x.ProposalScore {
-				if s.x.ProposalScore[i] != s.y.ProposalScore[i] {
-					return false
-				}
-			}
-		}
-	}
 	return true
 }
 
@@ -114,11 +92,10 @@ func TestRangeSpansPartition(t *testing.T) {
 	}
 }
 
-// syntheticState builds a structurally rich state by hand — frontier caches,
-// dirty worklists, a phase log — without needing a session, so the
-// round-trip test covers shapes (non-empty worklists) that depend on where
-// a real run happens to stop.
-func syntheticState(n1, n2, nLevels int) *SessionState {
+// syntheticState builds a structurally rich state by hand — a mid-sweep
+// position, a phase log with an evicted prefix, the hybrid regime bit —
+// without needing a session.
+func syntheticState(n1, n2 int) *SessionState {
 	st := &SessionState{
 		Opts:           DefaultOptions(),
 		N1:             n1,
@@ -137,29 +114,17 @@ func syntheticState(n1, n2, nLevels int) *SessionState {
 	for i := 0; i < 9 && i < n1 && i < n2; i++ {
 		st.Pairs = append(st.Pairs, graph.Pair{Left: graph.NodeID(i), Right: graph.NodeID((i + 1) % n2)})
 	}
-	fr := &FrontierSnapshot{Rescored: 1234}
-	for v := 0; v < n1*nLevels; v++ {
-		fr.Left.ProposalNode = append(fr.Left.ProposalNode, graph.NodeID(v%n2))
-		fr.Left.ProposalScore = append(fr.Left.ProposalScore, int32(v%5))
-	}
-	for v := 0; v < n2*nLevels; v++ {
-		fr.Right.ProposalNode = append(fr.Right.ProposalNode, graph.NodeID(v%n1))
-		fr.Right.ProposalScore = append(fr.Right.ProposalScore, int32(v%3))
-	}
-	fr.Left.Dirty = []graph.NodeID{5, 1, 3}
-	fr.Right.Dirty = []graph.NodeID{2, 7}
-	st.Frontier = fr
 	return st
 }
 
 // TestSplitMergeRoundTrip pins the structural contract for every legal
 // range count: Merge(Split(st)) reproduces st, the head carries the phase
-// log and worklists while the tails carry neither, and a one-range split is
+// log while the tails do not, and a one-range split is
 // the state itself (which the one-range merge hands back uncopied) — what
 // keeps a one-range chain byte-identical to a plain state record.
 func TestSplitMergeRoundTrip(t *testing.T) {
 	states := map[string]*SessionState{
-		"frontier": syntheticState(50, 40, 3),
+		"hybrid": syntheticState(50, 40),
 		"plain": {
 			Opts: DefaultOptions(), N1: 30, N2: 30, Seeds: 1, Sweeps: 1,
 			Pairs: []graph.Pair{{Left: 0, Right: 0}, {Left: 4, Right: 5}},
@@ -179,7 +144,7 @@ func TestSplitMergeRoundTrip(t *testing.T) {
 				t.Fatalf("%s: the one-range split is not the state itself", name)
 			}
 			for r, p := range parts[1:] {
-				if len(p.Phases) != 0 || (p.Frontier != nil && (len(p.Frontier.Left.Dirty) != 0 || len(p.Frontier.Right.Dirty) != 0)) {
+				if len(p.Phases) != 0 {
 					t.Fatalf("%s/R=%d: tail %d carries head-only state", name, ranges, r+1)
 				}
 			}
@@ -296,21 +261,15 @@ func TestRangedResumeEquivalence(t *testing.T) {
 // state.
 func TestMergeRejectsInconsistentShards(t *testing.T) {
 	split := func() []*SessionState {
-		parts, err := SplitStateRanges(syntheticState(50, 40, 2), 3, nil)
+		parts, err := SplitStateRanges(syntheticState(50, 40), 3, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Deep-copy the ranges so a mutation cannot leak between cases
-		// through the aliased source state.
+		// Copy the ranges so a mutation cannot leak between cases through
+		// the aliased source state.
 		cp := make([]*SessionState, len(parts))
 		for i, p := range parts {
 			c := *p
-			if p.Frontier != nil {
-				f := *p.Frontier
-				f.Left.ProposalNode = append([]graph.NodeID(nil), p.Frontier.Left.ProposalNode...)
-				f.Left.ProposalScore = append([]int32(nil), p.Frontier.Left.ProposalScore...)
-				c.Frontier = &f
-			}
 			cp[i] = &c
 		}
 		return cp
@@ -346,29 +305,12 @@ func TestMergeRejectsInconsistentShards(t *testing.T) {
 			parts[1].Phases = []PhaseStat{{Iteration: 1}}
 			return parts
 		},
-		"dirty-in-tail": func(parts []*SessionState) []*SessionState {
-			parts[2].Frontier.Left.Dirty = []graph.NodeID{1}
-			return parts
-		},
-		"cache-shape": func(parts []*SessionState) []*SessionState {
-			parts[1].Frontier.Left.ProposalNode = parts[1].Frontier.Left.ProposalNode[:1]
-			return parts
-		},
-		"head-cache-levels": func(parts []*SessionState) []*SessionState {
-			parts[0].Frontier.Right.ProposalNode = parts[0].Frontier.Right.ProposalNode[:parts[0].N2]
-			parts[0].Frontier.Right.ProposalScore = parts[0].Frontier.Right.ProposalScore[:parts[0].N2]
-			return parts
-		},
-		"rescored": func(parts []*SessionState) []*SessionState {
-			parts[1].Frontier.Rescored++
+		"regime": func(parts []*SessionState) []*SessionState {
+			parts[1].HybridFrontier = !parts[0].HybridFrontier
 			return parts
 		},
 		"seed-prefix": func(parts []*SessionState) []*SessionState {
 			parts[1].Seeds = 1 // the head's chunk is not all seeds
-			return parts
-		},
-		"frontier-presence": func(parts []*SessionState) []*SessionState {
-			parts[2].Frontier = nil
 			return parts
 		},
 	}
@@ -385,7 +327,7 @@ func TestMergeRejectsInconsistentShards(t *testing.T) {
 }
 
 func TestSplitRejectsBadChunkStarts(t *testing.T) {
-	st := syntheticState(20, 20, 1)
+	st := syntheticState(20, 20)
 	for name, starts := range map[string][]int{
 		"wrong-len":  {0, 1},
 		"nonzero":    {1, 2, 3},

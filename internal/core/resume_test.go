@@ -94,9 +94,7 @@ func TestResumeEquivalence(t *testing.T) {
 
 // TestResumeEquivalenceCrossEngine restores frontier-engine snapshots into
 // the sequential engine and sequential snapshots into the frontier engine at
-// every boundary; the finished runs must still be bit-identical. Switching
-// into the frontier exercises the rebuild-from-matching path (no serialized
-// caches to lean on).
+// every boundary; the finished runs must still be bit-identical.
 func TestResumeEquivalenceCrossEngine(t *testing.T) {
 	g1, g2, seeds := testInstance(11, 350)
 	opts := DefaultOptions()
@@ -130,26 +128,7 @@ func TestResumeEquivalenceCrossEngine(t *testing.T) {
 				o.Engine = tc.runAs
 				victim := runToBoundary(t, g1, g2, seeds, o, o.Iterations, stop)
 				st := victim.ExportState()
-				st.Opts.Engine = tc.resumeAs
-				// Mirror the public restore mask (restoreReconciler): the
-				// frontier engine keeps or rebuilds caches, the hybrid engine
-				// derives its regime from the commit history, fixed scan
-				// engines drop both.
-				switch tc.resumeAs {
-				case EngineFrontier:
-					st.HybridFrontier = false
-					st.Frontier = nil // force the rebuild path explicitly
-				case EngineHybrid:
-					if tc.runAs != EngineHybrid {
-						st.HybridFrontier = st.InferHybridRegime()
-					}
-					if !st.HybridFrontier {
-						st.Frontier = nil
-					}
-				default:
-					st.HybridFrontier = false
-					st.Frontier = nil
-				}
+				st.SwitchEngine(tc.resumeAs) // the public restore's rule
 				restored, err := RestoreSession(g1, g2, st)
 				if err != nil {
 					t.Fatalf("stop=%d: restore: %v", stop, err)
@@ -208,7 +187,7 @@ func TestResumeMidSweepContinuation(t *testing.T) {
 func TestRestoreSessionRejectsInvalidState(t *testing.T) {
 	g1, g2, seeds := testInstance(19, 200)
 	opts := DefaultOptions()
-	opts.Engine = EngineFrontier // the frontier-cache corruptions below need caches present
+	opts.Engine = EngineFrontier // a fixed engine: a set hybrid flag is a corruption
 	s, err := NewSession(g1, g2, seeds, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -247,29 +226,6 @@ func TestRestoreSessionRejectsInvalidState(t *testing.T) {
 	check("phase log non-monotone", func(st *SessionState) {
 		st.Phases[len(st.Phases)-1].TotalL = st.Phases[0].TotalL - 1
 	})
-	check("frontier cache truncated", func(st *SessionState) {
-		st.Frontier.Left.ProposalNode = st.Frontier.Left.ProposalNode[:1]
-	})
-	check("frontier proposal out of range", func(st *SessionState) {
-		st.Frontier.Left.ProposalNode[0] = graph.NodeID(g2.NumNodes())
-		st.Frontier.Left.ProposalScore[0] = 1
-	})
-	check("frontier abstention naming a node", func(st *SessionState) {
-		st.Frontier.Left.ProposalNode[0] = 1
-		st.Frontier.Left.ProposalScore[0] = 0
-	})
-	check("frontier negative score", func(st *SessionState) { st.Frontier.Right.ProposalScore[0] = -1 })
-	check("frontier dirty out of range", func(st *SessionState) {
-		st.Frontier.Left.Dirty = append(st.Frontier.Left.Dirty, graph.NodeID(g1.NumNodes()))
-	})
-	check("frontier dirty duplicate", func(st *SessionState) {
-		if len(st.Frontier.Left.Dirty) == 0 {
-			st.Frontier.Left.Dirty = []graph.NodeID{0, 0}
-		} else {
-			st.Frontier.Left.Dirty = append(st.Frontier.Left.Dirty, st.Frontier.Left.Dirty[0])
-		}
-	})
-	check("negative rescored counter", func(st *SessionState) { st.Frontier.Rescored = -1 })
 	check("negative evicted-phase count", func(st *SessionState) { st.PhasesDropped = -1 })
 	check("negative evicted-match count", func(st *SessionState) { st.DroppedMatched = -1 })
 	check("evicted prefix not whole sweeps", func(st *SessionState) {
@@ -282,11 +238,6 @@ func TestRestoreSessionRejectsInvalidState(t *testing.T) {
 		st.PhasesDropped += len(st.Opts.buckets(g1, g2))
 	})
 	check("hybrid flag under fixed engine", func(st *SessionState) { st.HybridFrontier = true })
-	check("hybrid parallel regime with caches", func(st *SessionState) {
-		st.Opts.Engine = EngineHybrid
-		st.HybridFrontier = false
-		// keep st.Frontier: caches without the frontier regime are inconsistent
-	})
 }
 
 // TestExportStateIsDeepCopy ensures a snapshot is immune to the session

@@ -36,7 +36,9 @@ type Session struct {
 	lc     *linkedCounts
 	// fr is the frontier engine's persistent scheduling state: non-nil for
 	// EngineFrontier always, and for EngineHybrid once the session has
-	// switched regimes and run a bucket on the frontier engine.
+	// switched regimes and run a bucket on the frontier engine, or was
+	// restored in the frontier regime. It is never exported: restore
+	// rebuilds it from the matching.
 	fr *frontierState
 	// scan is the full-scan engines' state: candidate lists and pass
 	// buffers, built at the first full-scan bucket and dropped at a hybrid

@@ -9,10 +9,13 @@ import (
 
 // SessionState is the complete serializable state of a Session beyond the two
 // immutable graphs: the configuration, the matching with its seed boundary,
-// the bucket-schedule position, the phase log, and (for EngineFrontier) the
-// persistent scheduling state. Exporting at any bucket boundary and restoring
-// over the same graphs yields a session whose future output is bit-identical
-// to the uninterrupted original — the guarantee the resume-equivalence and
+// the bucket-schedule position, the phase log and the hybrid regime bit.
+// Everything else a session holds — linked-neighbor counts, the full-scan
+// candidate lists, the frontier engine's proposal cache and worklists — is
+// a function of the graphs and the matching, so restore rebuilds it instead
+// of reading it. Exporting at any bucket boundary and restoring over the
+// same graphs yields a session whose future output is bit-identical to the
+// uninterrupted original — the guarantee the resume-equivalence and
 // snapshot fuzz suites pin.
 //
 // All slices are deep copies; a SessionState shares no memory with the
@@ -48,44 +51,13 @@ type SessionState struct {
 	// still in the parallel regime, true once the session has decided to
 	// hand off to the frontier engine. Always false for fixed engines.
 	HybridFrontier bool
-
-	// Frontier is the frontier engine's persistent state; nil for the
-	// parallel and sequential engines and for EngineHybrid's parallel
-	// regime. It may be nil for EngineFrontier — or for EngineHybrid with
-	// HybridFrontier set, e.g. exported between the regime decision and the
-	// first frontier bucket — in which case restore rebuilds an equivalent
-	// state from the matching.
-	Frontier *FrontierSnapshot
-}
-
-// FrontierSnapshot is the frontier engine's persistent scheduling state: both
-// sides' proposal caches and dirty worklists, plus the lifetime re-scoring
-// counter.
-type FrontierSnapshot struct {
-	Left, Right FrontierSideSnapshot
-
-	// Rescored is the engine's lifetime scoring-work counter (observability
-	// only; it never influences output).
-	Rescored int64
-}
-
-// FrontierSideSnapshot is one side's cache and worklist. The proposal cache
-// is row-major like frontierSide.cache: entry v*nLevels+j is node v's
-// proposal at schedule level j, split into parallel node/score slices.
-type FrontierSideSnapshot struct {
-	ProposalNode  []graph.NodeID
-	ProposalScore []int32
-
-	// Dirty lists the queued nodes awaiting re-scoring, in queue order. The
-	// queued-bitmap is implied: a node is queued iff it appears here.
-	Dirty []graph.NodeID
 }
 
 // ExportState deep-copies the session's complete state. It may be called at
 // any bucket boundary — between runs, or from inside a progress hook (which
 // runs synchronously between buckets on the run's own goroutine).
 func (s *Session) ExportState() *SessionState {
-	st := &SessionState{
+	return &SessionState{
 		Opts:           s.opts,
 		N1:             s.g1.NumNodes(),
 		N2:             s.g2.NumNodes(),
@@ -98,18 +70,15 @@ func (s *Session) ExportState() *SessionState {
 		DroppedMatched: s.dropped.Matched,
 		HybridFrontier: s.opts.Engine == EngineHybrid && s.hybridSwitched,
 	}
-	if s.fr != nil {
-		st.Frontier = s.fr.export()
-	}
-	return st
 }
 
 // RestoreSession rebuilds a Session over the two graphs from an exported
 // state, re-deriving everything the state omits (linked-neighbor counts, the
-// bucket schedule). Every invariant the state must satisfy is checked before
-// any of it is installed: an invalid or corrupt state returns an error and
-// never a session in a half-restored shape. The restored session's future
-// output is bit-identical to the exporting session's.
+// bucket schedule, the frontier engine's state). Every invariant the state
+// must satisfy is checked before any of it is installed: an invalid or
+// corrupt state returns an error and never a session in a half-restored
+// shape. The restored session's future output is bit-identical to the
+// exporting session's.
 func RestoreSession(g1, g2 *graph.Graph, st *SessionState) (*Session, error) {
 	if g1 == nil || g2 == nil {
 		return nil, errors.New("core: restore: nil graph")
@@ -180,9 +149,6 @@ func RestoreSession(g1, g2 *graph.Graph, st *SessionState) (*Session, error) {
 	if st.HybridFrontier && st.Opts.Engine != EngineHybrid {
 		return nil, fmt.Errorf("core: restore: hybrid regime flag set under fixed engine %v", st.Opts.Engine)
 	}
-	if st.Opts.Engine == EngineHybrid && !st.HybridFrontier && st.Frontier != nil {
-		return nil, errors.New("core: restore: frontier caches present but hybrid state is in the parallel regime")
-	}
 
 	s := &Session{
 		g1:             g1,
@@ -205,107 +171,30 @@ func RestoreSession(g1, g2 *graph.Graph, st *SessionState) (*Session, error) {
 			s.sweepMatched += ph.Matched
 		}
 	}
-	wantFrontier := st.Opts.Engine == EngineFrontier ||
-		(st.Opts.Engine == EngineHybrid && st.HybridFrontier)
-	if wantFrontier {
-		if st.Frontier != nil {
-			fr, err := restoreFrontier(g1, g2, st.Opts, st.Frontier)
-			if err != nil {
-				return nil, err
-			}
-			s.fr = fr
-		} else if st.Opts.Engine == EngineFrontier {
-			// No serialized frontier state (e.g. an engine switch at restore):
-			// a fresh initialization is equivalent — every node that could
-			// propose is queued, and re-scoring a clean node reproduces its
-			// cached row, so only the scheduling-work counter differs. A
-			// hybrid session in the frontier regime takes the same rebuild
-			// lazily at its next bucket (ensureHybridFrontier).
-			s.fr = newFrontierState(g1, g2, m, s.lc, st.Opts)
-		}
+	if st.Opts.Engine == EngineFrontier || st.HybridFrontier {
+		// The frontier regime's state is rebuilt from the matching: every
+		// node that could propose is queued, and re-scoring it in the first
+		// bucket reproduces the row the exporting engine held, because a
+		// clean row equals a fresh scoring. The restore itself scores
+		// nothing, and emits no handoff span: a hybrid state in this regime
+		// handed off before it was exported.
+		s.fr = newFrontierState(g1, g2, m, s.lc, st.Opts)
 	}
 	return s, nil
 }
 
-// export deep-copies the frontier state into its serializable form.
-func (f *frontierState) export() *FrontierSnapshot {
-	return &FrontierSnapshot{
-		Left:     f.left.export(),
-		Right:    f.right.export(),
-		Rescored: f.rescored,
+// SwitchEngine re-targets the state at another engine before a restore.
+// Engines share one state layout, so only the hybrid regime bit needs a
+// rule: a fixed engine clears it, and a hybrid target keeps a hybrid
+// source's bit and otherwise infers the regime from the recorded commit
+// history — resuming a converged run in the parallel regime would be
+// correct but slow.
+func (st *SessionState) SwitchEngine(e Engine) {
+	switch {
+	case e != EngineHybrid:
+		st.HybridFrontier = false
+	case st.Opts.Engine != EngineHybrid:
+		st.HybridFrontier = st.inferHybridRegime()
 	}
-}
-
-func (s *frontierSide) export() FrontierSideSnapshot {
-	nodes := make([]graph.NodeID, len(s.cache))
-	scores := make([]int32, len(s.cache))
-	for i, c := range s.cache {
-		nodes[i], scores[i] = c.node, c.score
-	}
-	return FrontierSideSnapshot{
-		ProposalNode:  nodes,
-		ProposalScore: scores,
-		Dirty:         append([]graph.NodeID(nil), s.dirty...),
-	}
-}
-
-// restoreFrontier validates a serialized frontier state against the graphs
-// and schedule and rebuilds the engine state from it.
-func restoreFrontier(g1, g2 *graph.Graph, opts Options, snap *FrontierSnapshot) (*frontierState, error) {
-	levels := opts.buckets(g1, g2)
-	if snap.Rescored < 0 {
-		return nil, fmt.Errorf("core: restore: negative frontier work counter %d", snap.Rescored)
-	}
-	f := &frontierState{
-		levels:    levels,
-		topExp:    topExpOf(levels),
-		threshold: int32(opts.Threshold),
-		rescored:  snap.Rescored,
-	}
-	if err := f.left.restore(g1.NumNodes(), len(levels), g2.NumNodes(), snap.Left); err != nil {
-		return nil, fmt.Errorf("core: restore: left frontier: %w", err)
-	}
-	if err := f.right.restore(g2.NumNodes(), len(levels), g1.NumNodes(), snap.Right); err != nil {
-		return nil, fmt.Errorf("core: restore: right frontier: %w", err)
-	}
-	return f, nil
-}
-
-func (s *frontierSide) restore(n, nLevels, nPartners int, snap FrontierSideSnapshot) error {
-	if len(snap.ProposalNode) != n*nLevels || len(snap.ProposalScore) != n*nLevels {
-		return fmt.Errorf("cache is %dx%d entries, schedule needs %d x %d levels",
-			len(snap.ProposalNode), len(snap.ProposalScore), n, nLevels)
-	}
-	cache := make([]candidate, n*nLevels)
-	for i := range cache {
-		node, score := snap.ProposalNode[i], snap.ProposalScore[i]
-		switch {
-		case score < 0:
-			return fmt.Errorf("cache entry %d has negative score %d", i, score)
-		case score == 0 && node != 0:
-			return fmt.Errorf("cache entry %d is an abstention naming node %d", i, node)
-		case score > 0 && int(node) >= nPartners:
-			return fmt.Errorf("cache entry %d proposes out-of-range node %d (%d partners)", i, node, nPartners)
-		}
-		cache[i] = candidate{node: node, score: score}
-	}
-	queued := make([]bool, n)
-	dirty := make([]graph.NodeID, 0, len(snap.Dirty))
-	for _, v := range snap.Dirty {
-		if int(v) >= n {
-			return fmt.Errorf("dirty entry %d out of range (%d nodes)", v, n)
-		}
-		if queued[v] {
-			return fmt.Errorf("node %d queued twice", v)
-		}
-		queued[v] = true
-		dirty = append(dirty, v)
-	}
-	s.cache = cache
-	s.nLevels = nLevels
-	s.queued = queued
-	s.dirty = dirty
-	s.run = nil
-	s.scratch = nil
-	return nil
+	st.Opts.Engine = e
 }

@@ -4,198 +4,274 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/sociograph/reconcile/internal/core"
+	"github.com/sociograph/reconcile/internal/graph"
 )
 
-// Version-1 backward compatibility: streams written before the hybrid engine
-// and the bounded phase log (format version 1) must keep decoding. The
-// helpers below replicate the version-1 wire layout byte for byte — the
-// version-2 layout minus the hybrid regime flag and the evicted-phase totals
-// — so the tests cannot silently start exercising the new encoder.
+// Records written while the frontier engine's proposal cache was part of
+// the durable state must keep decoding. testdata/legacy holds such records,
+// written by that encoder (see its README): version-1 and version-2 state
+// and delta records whose payloads end in a frontier section, and a
+// two-range checkpoint cut the way the Checkpointer cuts one. Each decodes,
+// with the frontier section dropped, to exactly the state this code exports
+// at the same schedule position of the same run, and restores to a run that
+// finishes bit-identically to the uninterrupted one.
 
-// v1Frame frames a payload exactly as the version-1 writer did.
-func v1Frame(kind byte, payload []byte) []byte {
-	out := []byte{'R', 'S', 'N', 'P'}
-	out = binary.AppendUvarint(out, 1) // version
-	out = append(out, kind)
-	out = append(out, payload...)
-	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
+// legacyRun regenerates the run a legacy record was exported from:
+// testSession's instance for seed and n, run uninterrupted, with the state
+// exported after every bucket.
+type legacyRun struct {
+	g1, g2 *graph.Graph
+	opts   core.Options
+	states []*core.SessionState // states[k-1] is the export after k buckets
+	final  *core.Result
 }
 
-func v1AppendPhases(out []byte, phases []core.PhaseStat) []byte {
-	out = binary.AppendUvarint(out, uint64(len(phases)))
-	for _, ph := range phases {
-		out = binary.AppendUvarint(out, uint64(ph.Iteration))
-		out = binary.AppendUvarint(out, uint64(ph.MinDegree))
-		out = binary.AppendUvarint(out, uint64(ph.Matched))
-		out = binary.AppendUvarint(out, uint64(ph.TotalL))
-	}
-	return out
-}
-
-func v1AppendFrontier(out []byte, fr *core.FrontierSnapshot) []byte {
-	if fr == nil {
-		return append(out, 0)
-	}
-	out = append(out, 1)
-	out = binary.AppendUvarint(out, uint64(fr.Rescored))
-	for _, side := range []*core.FrontierSideSnapshot{&fr.Left, &fr.Right} {
-		out = binary.AppendUvarint(out, uint64(len(side.ProposalNode)))
-		for _, v := range side.ProposalNode {
-			out = binary.LittleEndian.AppendUint32(out, uint32(v))
-		}
-		for _, sc := range side.ProposalScore {
-			out = binary.LittleEndian.AppendUint32(out, uint32(sc))
-		}
-		out = binary.AppendUvarint(out, uint64(len(side.Dirty)))
-		for _, v := range side.Dirty {
-			out = binary.LittleEndian.AppendUint32(out, uint32(v))
-		}
-	}
-	return out
-}
-
-// v1EncodeState renders st in the version-1 state layout. The state must be
-// one a version-1 session could have held: no hybrid regime, nothing evicted.
-func v1EncodeState(t *testing.T, st *core.SessionState) []byte {
+func newLegacyRun(t *testing.T, seed uint64, n int, engine core.Engine, iterations int) *legacyRun {
 	t.Helper()
-	if st.HybridFrontier || st.PhasesDropped != 0 || st.DroppedMatched != 0 {
-		t.Fatal("state uses version-2 fields; a version-1 stream cannot hold it")
-	}
-	var out []byte
-	o := st.Opts
-	for _, v := range []int{o.Threshold, o.Iterations, o.MinBucketExp, o.MaxDegree,
-		int(o.Engine), o.Workers, int(o.Ties), int(o.Scoring), o.MinMargin} {
-		out = binary.AppendUvarint(out, uint64(v))
-	}
-	if o.DisableBucketing {
-		out = append(out, 1)
-	} else {
-		out = append(out, 0)
-	}
-	out = binary.AppendUvarint(out, uint64(st.N1))
-	out = binary.AppendUvarint(out, uint64(st.N2))
-	out = binary.AppendUvarint(out, uint64(len(st.Pairs)))
-	for _, p := range st.Pairs {
-		out = binary.LittleEndian.AppendUint32(out, uint32(p.Left))
-		out = binary.LittleEndian.AppendUint32(out, uint32(p.Right))
-	}
-	out = binary.AppendUvarint(out, uint64(st.Seeds))
-	out = binary.AppendUvarint(out, uint64(st.Sweeps))
-	out = binary.AppendUvarint(out, uint64(st.NextBucket))
-	out = v1AppendPhases(out, st.Phases)
-	return v1AppendFrontier(out, st.Frontier)
-}
-
-// TestReadStateV1 pins that version-1 state streams — frontier and
-// cache-free alike — still decode, restore, and re-encode (as version 2)
-// without loss.
-func TestReadStateV1(t *testing.T) {
-	for _, engine := range []core.Engine{core.EngineFrontier, core.EngineParallel} {
-		t.Run(engine.String(), func(t *testing.T) {
-			opts := core.DefaultOptions()
-			opts.Engine = engine
-			g1, g2, s := testSession(t, 99, 200, opts, 3)
-			st := s.ExportState()
-
-			stream := v1Frame(kindState, v1EncodeState(t, st))
-			got, err := ReadState(bytes.NewReader(stream))
-			if err != nil {
-				t.Fatalf("version-1 stream rejected: %v", err)
-			}
-			if !stateEqual(st, got) {
-				t.Fatal("version-1 decode differs from the exported state")
-			}
-			if _, err := core.RestoreSession(g1, g2, got); err != nil {
-				t.Fatalf("restore of version-1 state: %v", err)
-			}
-
-			// Re-encoding writes the current version; the upgraded stream
-			// must hold the same state.
-			var v2 bytes.Buffer
-			if err := WriteState(&v2, got); err != nil {
-				t.Fatal(err)
-			}
-			again, err := ReadState(bytes.NewReader(v2.Bytes()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !stateEqual(st, again) {
-				t.Fatal("version upgrade changed the state")
-			}
-		})
-	}
-}
-
-// TestReadDeltaV1 pins that version-1 delta records still decode and replay.
-func TestReadDeltaV1(t *testing.T) {
 	opts := core.DefaultOptions()
-	opts.Engine = core.EngineFrontier
-	_, _, s := testSession(t, 101, 200, opts, 0)
+	opts.Engine = engine
+	opts.Iterations = iterations
+	g1, g2, s := testSession(t, seed, n, opts, 0)
+	r := &legacyRun{g1: g1, g2: g2, opts: opts}
+	s.SetProgress(func(core.PhaseEvent) { r.states = append(r.states, s.ExportState()) })
+	s.Run(iterations)
+	r.final = s.Result()
+	return r
+}
+
+// check requires st to be the export after k buckets, then restores it and
+// requires the finished run to be the uninterrupted one.
+func (r *legacyRun) check(t *testing.T, what string, st *core.SessionState, k int) {
+	t.Helper()
+	if !stateEqual(r.states[k-1], st) {
+		t.Fatalf("%s: decoded state differs from the export after %d buckets", what, k)
+	}
+	restored, err := core.RestoreSession(r.g1, r.g2, st)
+	if err != nil {
+		t.Fatalf("%s: restore: %v", what, err)
+	}
+	restored.Run(r.opts.Iterations - restored.Sweeps())
+	if got := restored.Result(); !reflect.DeepEqual(r.final, got) {
+		t.Fatalf("%s: restored run diverged: %d pairs, want %d", what, len(got.Pairs), len(r.final.Pairs))
+	}
+}
+
+func readLegacy(t *testing.T, name string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", "legacy", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+func readLegacyState(t *testing.T, name string) *core.SessionState {
+	t.Helper()
+	st, err := ReadState(bytes.NewReader(readLegacy(t, name)))
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return st
+}
+
+func readLegacyDelta(t *testing.T, name string) *core.StateDelta {
+	t.Helper()
+	d, err := ReadDelta(bytes.NewReader(readLegacy(t, name)))
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return d
+}
+
+// TestReadStateV1 pins that version-1 state records, with a frontier
+// section and without one, decode, restore and finish.
+func TestReadStateV1(t *testing.T) {
+	t.Run("frontier", func(t *testing.T) {
+		r := newLegacyRun(t, 201, 200, core.EngineFrontier, 2)
+		r.check(t, "v1 frontier state", readLegacyState(t, "state-v1-frontier.rsnp"), 2)
+	})
+	t.Run("parallel", func(t *testing.T) {
+		r := newLegacyRun(t, 202, 200, core.EngineParallel, 2)
+		r.check(t, "v1 parallel state", readLegacyState(t, "state-v1-parallel.rsnp"), 3)
+	})
+}
+
+// TestReadDeltaV1 pins that a version-1 delta record with cache edits
+// decodes and replays.
+func TestReadDeltaV1(t *testing.T) {
+	r := newLegacyRun(t, 201, 200, core.EngineFrontier, 2)
+	base := readLegacyState(t, "state-v1-frontier.rsnp")
+	st, err := core.ApplyDelta(base, readLegacyDelta(t, "delta-v1-frontier.rsnp"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.check(t, "v1 frontier delta", st, 3)
+}
+
+// TestReadStateV2Frontier pins a version-2 hybrid state past its handoff,
+// cache included, and a delta with cache edits on top of it.
+func TestReadStateV2Frontier(t *testing.T) {
+	r := newLegacyRun(t, 203, 300, core.EngineHybrid, 6)
+	base := readLegacyState(t, "state-v2-hybrid.rsnp")
+	if !base.HybridFrontier {
+		t.Fatal("record is not in the frontier regime")
+	}
+	r.check(t, "v2 hybrid state", base, 25)
+	st, err := core.ApplyDelta(base, readLegacyDelta(t, "delta-v2-hybrid.rsnp"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.check(t, "v2 hybrid delta", st, 28)
+}
+
+// TestReadRangedCheckpointV2 pins a two-range full checkpoint and the delta
+// checkpoint after it, each range carrying its slice of the cache rows and
+// the head the worklists.
+func TestReadRangedCheckpointV2(t *testing.T) {
+	r := newLegacyRun(t, 204, 300, core.EngineHybrid, 6)
+	parts := []*core.SessionState{
+		readLegacyState(t, "ranged-full.rsnp"),
+		readLegacyState(t, "ranged-full.r0001.rsnp"),
+	}
+	full, err := core.MergeStateRanges(parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.check(t, "ranged full", full, 19)
+
+	for i, name := range []string{"ranged-delta.rsnp", "ranged-delta.r0001.rsnp"} {
+		if parts[i], err = core.ApplyDelta(parts[i], readLegacyDelta(t, name)); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	merged, err := core.MergeStateRanges(parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.check(t, "ranged delta", merged, 23)
+}
+
+// reframe rewrites a stream's CRC trailer after its body was edited.
+func reframe(b []byte) []byte {
+	body := b[:len(b)-4]
+	return binary.LittleEndian.AppendUint32(append([]byte(nil), body...), crc32.ChecksumIEEE(body))
+}
+
+// frontierFlagAt returns the offset of the frontier flag in a version-2
+// legacy record: the record and its re-encoding share every byte before it,
+// and the re-encoding ends with the flag and the trailer.
+func frontierFlagAt(t *testing.T, legacy, reencoded []byte) int {
+	t.Helper()
+	at := len(reencoded) - 5
+	if !bytes.Equal(legacy[:at], reencoded[:at]) || legacy[at] != 1 {
+		t.Fatal("legacy record and its re-encoding do not share the prefix before the frontier flag")
+	}
+	return at
+}
+
+// TestLegacyFrontierSectionErrors pins that writers leave the frontier flag
+// at 0 and the defensive decode of a legacy section: a flag other than 0 or
+// 1, a truncation anywhere, and a forged length all return an error, and
+// the forged length is never allocated.
+func TestLegacyFrontierSectionErrors(t *testing.T) {
+	_, _, s := testSession(t, 13, 120, core.DefaultOptions(), 2)
 	base := s.ExportState()
 	s.Run(1)
-	cur := s.ExportState()
-	d, err := core.DiffStates(base, cur)
+	d, err := core.DiffStates(base, s.ExportState())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.BasePhasesDropped != 0 || d.PhasesDropped != 0 || d.DroppedMatched != 0 || d.HybridFrontier {
-		t.Fatal("delta uses version-2 fields; a version-1 stream cannot hold it")
+	var sb, db bytes.Buffer
+	if err := WriteState(&sb, base); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteDelta(&db, d); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range [][]byte{sb.Bytes(), db.Bytes()} {
+		if b[len(b)-5] != 0 {
+			t.Fatal("writer set the frontier flag")
+		}
 	}
 
-	var payload []byte
-	for _, v := range []int{d.BasePairs, d.BasePhases, d.BaseSweeps, d.BaseNextBucket, d.Sweeps, d.NextBucket} {
-		payload = binary.AppendUvarint(payload, uint64(v))
+	read := map[string]func([]byte) error{
+		"state": func(b []byte) error { _, err := ReadState(bytes.NewReader(b)); return err },
+		"delta": func(b []byte) error { _, err := ReadDelta(bytes.NewReader(b)); return err },
 	}
-	payload = binary.AppendUvarint(payload, uint64(len(d.NewPairs)))
-	for _, p := range d.NewPairs {
-		payload = binary.LittleEndian.AppendUint32(payload, uint32(p.Left))
-		payload = binary.LittleEndian.AppendUint32(payload, uint32(p.Right))
-	}
-	payload = v1AppendPhases(payload, d.NewPhases)
-	if d.Frontier == nil {
-		payload = append(payload, 0)
-	} else {
-		payload = append(payload, 1)
-		payload = binary.AppendUvarint(payload, uint64(d.Frontier.Rescored))
-		for _, side := range []*core.FrontierSideDelta{&d.Frontier.Left, &d.Frontier.Right} {
-			payload = binary.AppendUvarint(payload, uint64(len(side.Index)))
-			prev := 0
-			for i, idx := range side.Index {
-				gap := idx - prev
-				if i == 0 {
-					gap = idx
-				}
-				payload = binary.AppendUvarint(payload, uint64(gap))
-				prev = idx
-			}
-			for _, v := range side.Node {
-				payload = binary.LittleEndian.AppendUint32(payload, uint32(v))
-			}
-			for _, sc := range side.Score {
-				payload = binary.LittleEndian.AppendUint32(payload, uint32(sc))
-			}
-			payload = binary.AppendUvarint(payload, uint64(len(side.Dirty)))
-			for _, v := range side.Dirty {
-				payload = binary.LittleEndian.AppendUint32(payload, uint32(v))
+	for _, rec := range []struct{ name, kind string }{
+		{"state-v1-frontier.rsnp", "state"},
+		{"state-v1-parallel.rsnp", "state"},
+		{"state-v2-hybrid.rsnp", "state"},
+		{"ranged-full.rsnp", "state"},
+		{"ranged-full.r0001.rsnp", "state"},
+		{"delta-v1-frontier.rsnp", "delta"},
+		{"delta-v2-hybrid.rsnp", "delta"},
+		{"ranged-delta.rsnp", "delta"},
+		{"ranged-delta.r0001.rsnp", "delta"},
+	} {
+		// Every cut of the small records; the large ones are mostly cache
+		// rows, where a stride still lands inside every field.
+		b := readLegacy(t, rec.name)
+		for cut := 0; cut < len(b); cut += 1 + len(b)/2048 {
+			if read[rec.kind](b[:cut]) == nil {
+				t.Fatalf("%s: truncation at %d of %d accepted", rec.name, cut, len(b))
 			}
 		}
 	}
 
-	got, err := ReadDelta(bytes.NewReader(v1Frame(kindDelta, payload)))
-	if err != nil {
-		t.Fatalf("version-1 delta rejected: %v", err)
+	// On each version-2 legacy record: a flag of 2 in front of a well-formed
+	// section, and a forged left-side row count (a state's cache length, a
+	// delta's edit count), which follows the flag and the work counter.
+	bounded := func(name string, decode func() error) {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := decode()
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: forged length accepted", name)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
+			t.Errorf("%s: decoding a forged length allocated %d bytes", name, grew)
+		}
 	}
-	if !deltaEqual(d, got) {
-		t.Fatal("version-1 delta decode differs")
-	}
-	replayed, err := core.ApplyDelta(base, got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !stateEqual(cur, replayed) {
-		t.Fatal("replay of version-1 delta diverged")
+	for _, rec := range []struct{ name, kind string }{
+		{"state-v2-hybrid.rsnp", "state"},
+		{"ranged-full.r0001.rsnp", "state"},
+		{"delta-v2-hybrid.rsnp", "delta"},
+		{"ranged-delta.rsnp", "delta"},
+	} {
+		legacy := readLegacy(t, rec.name)
+		var re bytes.Buffer
+		if rec.kind == "state" {
+			err = WriteState(&re, readLegacyState(t, rec.name))
+		} else {
+			err = WriteDelta(&re, readLegacyDelta(t, rec.name))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := frontierFlagAt(t, legacy, re.Bytes())
+
+		flag2 := append([]byte(nil), legacy...)
+		flag2[at] = 2
+		if read[rec.kind](reframe(flag2)) == nil {
+			t.Errorf("%s: frontier flag 2 accepted", rec.name)
+		}
+
+		count := at + 1
+		_, n := binary.Uvarint(legacy[count:])
+		count += n
+		_, n = binary.Uvarint(legacy[count:])
+		forged := binary.AppendUvarint(append([]byte(nil), legacy[:count]...), 1<<40)
+		forged = reframe(append(forged, legacy[count+n:]...))
+		bounded(rec.name, func() error { return read[rec.kind](forged) })
 	}
 }

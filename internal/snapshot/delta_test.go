@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/sociograph/reconcile/internal/core"
-	"github.com/sociograph/reconcile/internal/graph"
 )
 
 // deltaEqual compares delta records treating nil and empty slices as equal.
@@ -17,24 +16,6 @@ func deltaEqual(a, b *core.StateDelta) bool {
 		}
 		if len(d.NewPhases) == 0 {
 			d.NewPhases = nil
-		}
-		if d.Frontier != nil {
-			fd := *d.Frontier
-			for _, side := range []*core.FrontierSideDelta{&fd.Left, &fd.Right} {
-				if len(side.Index) == 0 {
-					side.Index = nil
-				}
-				if len(side.Node) == 0 {
-					side.Node = nil
-				}
-				if len(side.Score) == 0 {
-					side.Score = nil
-				}
-				if len(side.Dirty) == 0 {
-					side.Dirty = nil
-				}
-			}
-			d.Frontier = &fd
 		}
 		return d
 	}
@@ -120,41 +101,13 @@ func TestDeltaKindMismatch(t *testing.T) {
 // could not have come from DiffStates are refused before a byte is framed
 // into a stream a decoder would then have to distrust.
 func TestDeltaEncodeRejectsMalformed(t *testing.T) {
-	mk := func() *core.StateDelta {
-		return &core.StateDelta{
-			Frontier: &core.FrontierDelta{
-				Left: core.FrontierSideDelta{Index: []int{3, 7}, Node: []graph.NodeID{1, 2}, Score: []int32{4, 5}},
-			},
-		}
-	}
-
-	d := mk()
-	d.Frontier.Left.Index = []int{7, 3}
-	if err := WriteDelta(new(bytes.Buffer), d); err == nil {
-		t.Fatal("non-ascending indices encoded")
-	}
-
-	d = mk()
-	d.Frontier.Left.Node = d.Frontier.Left.Node[:1]
-	if err := WriteDelta(new(bytes.Buffer), d); err == nil {
-		t.Fatal("mismatched edit slices encoded")
-	}
-
-	d = mk()
-	d.Frontier.Left.Score[0] = -1
-	if err := WriteDelta(new(bytes.Buffer), d); err == nil {
-		t.Fatal("negative score encoded")
-	}
-
-	d = mk()
-	d.Frontier.Rescored = -1
-	if err := WriteDelta(new(bytes.Buffer), d); err == nil {
-		t.Fatal("negative work counter encoded")
-	}
-
-	d = mk()
-	d.BasePairs = -1
+	d := &core.StateDelta{BasePairs: -1}
 	if err := WriteDelta(new(bytes.Buffer), d); err == nil {
 		t.Fatal("negative base position encoded")
+	}
+
+	d = &core.StateDelta{NewPhases: []core.PhaseStat{{Iteration: 1, Matched: -1}}}
+	if err := WriteDelta(new(bytes.Buffer), d); err == nil {
+		t.Fatal("negative phase count encoded")
 	}
 }

@@ -1,6 +1,7 @@
 // Package snapshot is the versioned binary codec for durable reconciliation
 // state: CSR graphs, the matching with its seed boundary, the bucket-schedule
-// position, and the frontier engine's proposal cache and dirty worklists.
+// position, the phase log and the hybrid regime bit. Engine caches are not
+// state: restore rebuilds them from the matching.
 //
 // Every stream is framed the same way:
 //
@@ -14,16 +15,16 @@
 // sweep and amortize full snapshots). A large job's per-node-range
 // checkpoint is R ordinary state or delta records, one per range. The
 // encoding is canonical — one byte stream per value — so decode∘encode is
-// the identity on bytes as well as on values, which the round-trip fuzz
-// suite pins.
+// the identity on bytes as well as on values for every stream this encoder
+// writes, which the round-trip fuzz suite pins (a legacy frontier section,
+// see Version, is dropped on decode).
 //
 // Decoding is defensive end to end: all lengths are re-derived or
 // cross-checked, allocations grow only as payload bytes actually arrive (a
 // forged length fails at the truncated read, it does not pre-allocate), and
 // corrupt, truncated, or version-skewed input returns an error — never a
 // panic. Semantic invariants of the state itself (injectivity, schedule
-// consistency, frontier-cache shape) are checked one layer up by
-// core.RestoreSession.
+// consistency) are checked one layer up by core.RestoreSession.
 package snapshot
 
 import (
@@ -51,6 +52,14 @@ import (
 //	    the bounded phase log's evicted totals (phases dropped, matches
 //	    dropped). Version-1 streams decode with those fields zero — exactly
 //	    the state every pre-hybrid session was in.
+//
+// Both versions end a state or delta payload with a frontier flag byte.
+// Earlier writers set it to 1 and appended the frontier engine's proposal
+// cache and worklists (or their edits); writers now always write 0, and
+// decoders read such a legacy section through the checksum and drop it
+// (skipFrontier), since restore rebuilds that state from the matching. So
+// this build reads records written with the section, and builds that wrote
+// it read records written without it.
 const Version = 2
 
 // oldestReadable is the oldest format version Read still understands.
@@ -358,6 +367,22 @@ func appendU32s[T ~uint32](r *reader, count uint64, what string) ([]T, error) {
 	return out, nil
 }
 
+// skipU32s reads count uint32s through the checksum and drops them. The
+// copy moves one bounded buffer at a time, so a forged count fails at the
+// truncated read instead of allocating it.
+func skipU32s(r *reader, count uint64, what string) error {
+	if count > math.MaxInt64/4 {
+		return fmt.Errorf("snapshot: decode %s: length %d out of range", what, count)
+	}
+	if _, err := io.CopyN(io.Discard, r, int64(4*count)); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return fmt.Errorf("snapshot: decode %s: %w", what, err)
+	}
+	return nil
+}
+
 // optionFields flattens the Options struct into its wire order, shared by
 // encode and decode so the two cannot drift.
 func optionFields(o *core.Options) []struct {
@@ -455,52 +480,7 @@ func encodeState(w *writer, st *core.SessionState) error {
 		}
 	}
 
-	if st.Frontier == nil {
-		return w.byte(0)
-	}
-	if err := w.byte(1); err != nil {
-		return err
-	}
-	fr := st.Frontier
-	if fr.Rescored < 0 {
-		return fmt.Errorf("snapshot: encode: negative frontier work counter %d", fr.Rescored)
-	}
-	if err := w.uvarint(uint64(fr.Rescored)); err != nil {
-		return err
-	}
-	for _, side := range []*core.FrontierSideSnapshot{&fr.Left, &fr.Right} {
-		if len(side.ProposalNode) != len(side.ProposalScore) {
-			return fmt.Errorf("snapshot: encode: frontier cache slices disagree (%d nodes, %d scores)",
-				len(side.ProposalNode), len(side.ProposalScore))
-		}
-		if err := w.uint(len(side.ProposalNode), "frontier cache length"); err != nil {
-			return err
-		}
-		if err := writeU32s(w, len(side.ProposalNode), func(i int) uint32 {
-			return uint32(side.ProposalNode[i])
-		}); err != nil {
-			return err
-		}
-		for _, sc := range side.ProposalScore {
-			if sc < 0 {
-				return fmt.Errorf("snapshot: encode: negative proposal score %d", sc)
-			}
-		}
-		if err := writeU32s(w, len(side.ProposalScore), func(i int) uint32 {
-			return uint32(side.ProposalScore[i])
-		}); err != nil {
-			return err
-		}
-		if err := w.uint(len(side.Dirty), "frontier worklist length"); err != nil {
-			return err
-		}
-		if err := writeU32s(w, len(side.Dirty), func(i int) uint32 {
-			return uint32(side.Dirty[i])
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
+	return w.byte(0) // the frontier flag: no legacy frontier section
 }
 
 // decodeState reads the session-state payload of the given format version.
@@ -595,55 +575,59 @@ func decodeState(r *reader, version uint64) (*core.SessionState, error) {
 		st.Phases = append(st.Phases, ph)
 	}
 
-	hasFrontier, err := r.byte("frontier flag")
-	if err != nil {
+	if err := skipFrontier(r, "frontier", false); err != nil {
 		return nil, err
 	}
-	switch hasFrontier {
+	return st, nil
+}
+
+// skipFrontier reads the frontier flag that ends a state (edits false) or
+// delta (edits true) payload and drops the legacy frontier section a 1
+// opens: a work counter, then per side a row count, for a delta that many
+// gap-encoded edit indices, that many proposal nodes and scores, and a
+// worklist. Every length is consumed in bounded chunks through the
+// checksum, so a forged one fails at the truncated read instead of
+// allocating it.
+func skipFrontier(r *reader, what string, edits bool) error {
+	flag, err := r.byte(what + " flag")
+	if err != nil {
+		return err
+	}
+	switch flag {
 	case 0:
-		return st, nil
+		return nil
 	case 1:
 	default:
-		return nil, fmt.Errorf("snapshot: decode frontier flag: bad value %d", hasFrontier)
+		return fmt.Errorf("snapshot: decode %s flag: bad value %d", what, flag)
 	}
-	fr := &core.FrontierSnapshot{}
-	rescored, err := r.uvarint("frontier work counter")
-	if err != nil {
-		return nil, err
+	if _, err := r.uvarint(what + " work counter"); err != nil {
+		return err
 	}
-	if rescored > math.MaxInt64 {
-		return nil, fmt.Errorf("snapshot: decode frontier work counter: value %d out of range", rescored)
-	}
-	fr.Rescored = int64(rescored)
-	for _, side := range []*core.FrontierSideSnapshot{&fr.Left, &fr.Right} {
-		cacheLen, err := r.uint("frontier cache length")
+	for side := 0; side < 2; side++ {
+		rows, err := r.uvarint(what + " row count")
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if side.ProposalNode, err = appendU32s[graph.NodeID](r, uint64(cacheLen), "frontier proposals"); err != nil {
-			return nil, err
-		}
-		scores, err := appendU32s[uint32](r, uint64(cacheLen), "frontier scores")
-		if err != nil {
-			return nil, err
-		}
-		if cacheLen > 0 {
-			side.ProposalScore = make([]int32, cacheLen)
-			for i, v := range scores {
-				if v > math.MaxInt32 {
-					return nil, fmt.Errorf("snapshot: decode frontier scores: score %d out of range", v)
+		if edits {
+			for i := uint64(0); i < rows; i++ {
+				if _, err := r.uvarint(what + " edit index"); err != nil {
+					return err
 				}
-				side.ProposalScore[i] = int32(v)
 			}
 		}
-		dirtyLen, err := r.uint("frontier worklist length")
-		if err != nil {
-			return nil, err
+		if err := skipU32s(r, rows, what+" proposals"); err != nil {
+			return err
 		}
-		if side.Dirty, err = appendU32s[graph.NodeID](r, uint64(dirtyLen), "frontier worklist"); err != nil {
-			return nil, err
+		if err := skipU32s(r, rows, what+" scores"); err != nil {
+			return err
+		}
+		dirty, err := r.uvarint(what + " worklist length")
+		if err != nil {
+			return err
+		}
+		if err := skipU32s(r, dirty, what+" worklist"); err != nil {
+			return err
 		}
 	}
-	st.Frontier = fr
-	return st, nil
+	return nil
 }

@@ -50,21 +50,6 @@ func stateEqual(a, b *core.SessionState) bool {
 		if len(st.Phases) == 0 {
 			st.Phases = nil
 		}
-		if st.Frontier != nil {
-			fr := *st.Frontier
-			for _, side := range []*core.FrontierSideSnapshot{&fr.Left, &fr.Right} {
-				if len(side.ProposalNode) == 0 {
-					side.ProposalNode = nil
-				}
-				if len(side.ProposalScore) == 0 {
-					side.ProposalScore = nil
-				}
-				if len(side.Dirty) == 0 {
-					side.Dirty = nil
-				}
-			}
-			st.Frontier = &fr
-		}
 		return st
 	}
 	return reflect.DeepEqual(norm(*a), norm(*b))

@@ -12,10 +12,12 @@ import (
 )
 
 // Durable sessions: a Reconciler's complete state — graphs, matching, seed
-// boundary, bucket-schedule position, and the frontier engine's scheduling
-// caches — serializes to a versioned, checksummed binary snapshot and
-// restores to a Reconciler whose future output is bit-identical to the
-// original's, even when the snapshot was taken mid-run at a bucket boundary.
+// boundary, bucket-schedule position, phase log and hybrid regime —
+// serializes to a versioned, checksummed binary snapshot and restores to a
+// Reconciler whose future output is bit-identical to the original's, even
+// when the snapshot was taken mid-run at a bucket boundary. Engine caches
+// are not part of it: they are functions of the graphs and the matching,
+// and restore rebuilds them.
 // That is the crash-safety contract production runs need: hours of matching
 // work survive process death, and a restored run finishes exactly as the
 // uninterrupted one would have (pinned by the resume-equivalence and
@@ -34,9 +36,9 @@ func (r *Reconciler) Snapshot(w io.Writer) error {
 
 // SnapshotState writes only the mutable session state, for stores that
 // persist the immutable graphs once (WriteGraphBinary) and checkpoint
-// repeatedly: a state snapshot is O(links + frontier cache) however large
-// the graphs are. Restore the pair with RestoreState. The same calling rules
-// as Snapshot apply.
+// repeatedly: a state snapshot is O(links) however large the graphs are.
+// Restore the pair with RestoreState. The same calling rules as Snapshot
+// apply.
 func (r *Reconciler) SnapshotState(w io.Writer) error {
 	return snapshot.WriteState(w, r.sess.ExportState())
 }
@@ -69,10 +71,9 @@ func (r *Reconciler) Resume(ctx context.Context) (*Result, error) {
 // Reconciler mid-schedule. Options may adjust execution without touching
 // matching semantics:
 //
-//   - WithEngine switches engines — all four resume bit-identically (the
-//     frontier's caches are rebuilt when switching into it; restoring as
-//     hybrid infers which regime the run is in from the recorded commit
-//     history);
+//   - WithEngine switches engines — all four resume bit-identically
+//     (restoring as hybrid infers which regime the run is in from the
+//     recorded commit history);
 //   - WithWorkers and WithIterations re-tune execution;
 //   - WithProgress re-installs a progress hook (hooks do not serialize),
 //     and WithTracer a span recorder (tracers do not either — continue a
@@ -111,32 +112,13 @@ func restoreReconciler(g1, g2 *Graph, st *core.SessionState, opts []Option) (*Re
 		opt(&s)
 	}
 	// Engine, Workers and Iterations are pure execution knobs; everything
-	// else is baked into the committed links and cached proposals.
+	// else is baked into the committed links.
 	masked := st.Opts
 	masked.Engine, masked.Workers, masked.Iterations = s.opts.Engine, s.opts.Workers, s.opts.Iterations
 	if masked != s.opts {
 		return nil, fmt.Errorf("reconcile: restore options may change engine, workers and iterations only; matching semantics (threshold, scoring, ties, margin, bucket schedule) come from the snapshot")
 	}
-	switch s.opts.Engine {
-	case core.EngineFrontier:
-		// The fixed frontier engine keeps whatever caches the snapshot holds
-		// (absent ones are rebuilt from the matching); the hybrid regime flag
-		// is meaningful only under EngineHybrid.
-		st.HybridFrontier = false
-	case core.EngineHybrid:
-		// Hybrid must resume in the regime the run had earned, not restart
-		// parallel: a snapshot from a fixed engine carries no flag, so derive
-		// it from the recorded commit history.
-		if st.Opts.Engine != core.EngineHybrid {
-			st.HybridFrontier = st.InferHybridRegime()
-		}
-		if !st.HybridFrontier {
-			st.Frontier = nil // parallel regime holds no caches
-		}
-	default:
-		st.Frontier = nil // switching away from the frontier drops its caches
-		st.HybridFrontier = false
-	}
+	st.SwitchEngine(s.opts.Engine)
 	st.Opts = s.opts
 	sess, err := core.RestoreSession(g1, g2, st)
 	if err != nil {
@@ -191,8 +173,7 @@ func ReadStateDelta(r io.Reader) (*StateDelta, error) {
 // resume-equivalence suite pins this on all engines.
 func RestoreSessionState(g1, g2 *Graph, s *SessionState, opts ...Option) (*Reconciler, error) {
 	// Work on a shallow copy: restoreReconciler canonicalizes options and
-	// may drop the frontier snapshot, and the caller's SessionState must
-	// stay reusable.
+	// the regime bit, and the caller's SessionState must stay reusable.
 	st := *s.st
 	return restoreReconciler(g1, g2, &st, opts)
 }

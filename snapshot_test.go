@@ -157,8 +157,8 @@ func TestRestoreOptionRules(t *testing.T) {
 
 	// Engine switches resume bit-identically (here: after convergence, more
 	// sweeps find nothing either way). Restoring as hybrid from this
-	// converged hybrid snapshot exercises the regime-preserving mask;
-	// switching to the fixed engines exercises cache drop and rebuild.
+	// converged hybrid snapshot keeps its regime; the fixed engines clear
+	// it, and the frontier rebuilds its state from the matching.
 	for _, engine := range []reconcile.Engine{reconcile.EngineSequential, reconcile.EngineParallel, reconcile.EngineFrontier, reconcile.EngineHybrid} {
 		r2, err := reconcile.Restore(bytes.NewReader(snap),
 			reconcile.WithEngine(engine), reconcile.WithWorkers(2), reconcile.WithIterations(3))
