@@ -5,19 +5,19 @@
 //
 // Usage:
 //
-//	benchcheck -tolerance 0.25 -baseline BENCH_engines.json [-baseline …] \
+//	benchcheck -tolerance 0.25 -baseline BENCH_store.json [-baseline …] \
 //	    [-dominance 'BenchmarkDefault:BenchmarkFixedA,BenchmarkFixedB' …] out1.txt [out2.txt …]
 //
 // Bench output files are whatever `go test -run '^$' -bench … -count N`
 // printed (CI tees them and uploads them as artifacts). Baselines are the
 // repository's BENCH_*.json files; only their "benchmarks" arrays are read,
 // matching on the "name" field with the GOMAXPROCS suffix ("-8") stripped
-// from measured names. When several baseline files define the same name the
-// last one wins (BENCH_store.json re-baselines engine rows in 1x mode this
-// way). Benchmarks without a baseline row — or whose row carries no
-// ns_per_op, the convention for fsync-bound benchmarks too noisy to gate —
-// are reported informationally and do not gate; baseline rows that were not
-// measured are ignored (other CI jobs cover them).
+// from measured names. A name that two gating rows define — in one file or
+// across files — is an error rather than a silent override: every gate has
+// exactly one baseline. Benchmarks without a baseline row — or whose row
+// carries no ns_per_op, the convention for fsync-bound benchmarks too noisy
+// to gate — are reported informationally and do not gate; baseline rows
+// that were not measured are ignored (other CI jobs cover them).
 //
 // The tolerance is deliberately loose (see the note field of each BENCH
 // file): baselines are recorded on the maintainer's hardware, CI runners
@@ -152,6 +152,7 @@ func run() error {
 	}
 
 	baseline := map[string]float64{}
+	source := map[string]string{} // the baseline file that defined each name
 	for _, path := range baselines {
 		raw, err := os.ReadFile(path)
 		if err != nil {
@@ -162,9 +163,13 @@ func run() error {
 			return fmt.Errorf("%s: %w", path, err)
 		}
 		for _, b := range doc.Benchmarks {
-			if b.NsPerOp > 0 {
-				baseline[b.Name] = b.NsPerOp
+			if b.NsPerOp <= 0 {
+				continue
 			}
+			if prev, ok := source[b.Name]; ok {
+				return fmt.Errorf("%s is defined by both %s and %s; a gated benchmark needs exactly one baseline", b.Name, prev, path)
+			}
+			baseline[b.Name], source[b.Name] = b.NsPerOp, path
 		}
 	}
 

@@ -135,4 +135,28 @@ func TestGateEndToEnd(t *testing.T) {
 		"-dominance", "garbage", engines).CombinedOutput(); err == nil {
 		t.Fatal("malformed dominance rule accepted")
 	}
+
+	// A name two baseline files define is an error naming both files, not
+	// a silent override by the later one — even when the later row would
+	// pass the run the earlier one fails. Rows without ns_per_op do not
+	// gate, so they define nothing.
+	stale := write("BENCH_stale.json", `{
+	  "benchmarks": [
+	    {"name": "BenchmarkA", "ns_per_op": 2000000},
+	    {"name": "BenchmarkB/sub=1"}
+	  ]
+	}`)
+	out, err = exec.Command(bin, "-tolerance", "0.25", "-baseline", baseline, "-baseline", stale, bad).CombinedOutput()
+	if err == nil {
+		t.Fatalf("a name defined by two baseline files passed:\n%s", out)
+	}
+	for _, want := range []string{"BenchmarkA", "BENCH_test.json", "BENCH_stale.json"} {
+		if !strings.Contains(string(out), want) {
+			t.Fatalf("duplicate-baseline error does not name %s:\n%s", want, out)
+		}
+	}
+	observed := write("BENCH_observed.json", `{"benchmarks": [{"name": "BenchmarkB/sub=1"}]}`)
+	if out, err := exec.Command(bin, "-tolerance", "0.25", "-baseline", baseline, "-baseline", observed, ok).CombinedOutput(); err != nil {
+		t.Fatalf("an ungated row counted as a second baseline: %v\n%s", err, out)
+	}
 }

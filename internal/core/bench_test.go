@@ -45,34 +45,50 @@ func BenchmarkEngine(b *testing.B) {
 // BenchmarkHybridCrossover is the calibration harness behind
 // hybridCrossoverRate: on the BenchmarkEngine instance it prices one
 // additional sweep at each point of the commit-rate decay, on both fixed
-// regimes. Each sub-benchmark advances a session to sweep boundary s-1 once,
-// then repeatedly restores that state and times sweep s alone, reporting the
-// sweep's commit rate (matched per node, scaled by 1e6 to survive the metric
-// format) alongside ns/op. The crossover constant is chosen between the
-// commit rate of the last parallel-won sweep and the first frontier-won
-// sweep; see hybrid.go for the recorded numbers.
+// regimes. Each iteration runs a fresh session through sweeps 1..s-1
+// untimed, so its scoring state is warm, and times sweep s alone, reporting
+// the sweep's commit rate (matched per node, scaled by 1e6 to survive the
+// metric format) alongside ns/op. The rebuild row restores the frontier
+// engine from the state at boundary s-1 instead and times sweep s: the
+// all-dirty rebuild that a hybrid handoff, like any restore, pays in its
+// first frontier sweep (a restore also builds the candidate lists, which a
+// handoff takes over). The crossover constant is chosen between the commit
+// rate of the last parallel-won sweep and the first frontier-won sweep; see
+// hybrid.go for the recorded numbers.
 func BenchmarkHybridCrossover(b *testing.B) {
 	g1, g2, seeds := benchInstance(b)
 	nodes := float64(g1.NumNodes() + g2.NumNodes())
 	for s := 1; s <= 6; s++ {
-		for _, engine := range []Engine{EngineParallel, EngineFrontier} {
-			b.Run(fmt.Sprintf("sweep%d/%s", s, engine), func(b *testing.B) {
+		for _, row := range []string{"parallel", "frontier", "rebuild"} {
+			b.Run(fmt.Sprintf("sweep%d/%s", s, row), func(b *testing.B) {
 				o := DefaultOptions()
-				o.Engine = engine
-				base, err := NewSession(g1, g2, seeds, o)
-				if err != nil {
-					b.Fatal(err)
+				o.Engine = EngineFrontier
+				if row == "parallel" {
+					o.Engine = EngineParallel
 				}
-				base.Run(s - 1)
-				st := base.ExportState()
+				start := func() *Session {
+					sess, err := NewSession(g1, g2, seeds, o)
+					if err != nil {
+						b.Fatal(err)
+					}
+					sess.Run(s - 1)
+					return sess
+				}
+				if row == "rebuild" {
+					st := start().ExportState()
+					start = func() *Session {
+						sess, err := RestoreSession(g1, g2, st)
+						if err != nil {
+							b.Fatal(err)
+						}
+						return sess
+					}
+				}
 				matched := 0
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
-					sess, err := RestoreSession(g1, g2, st)
-					if err != nil {
-						b.Fatal(err)
-					}
+					sess := start()
 					before := sess.Len()
 					b.StartTimer()
 					sess.Run(1)

@@ -99,30 +99,28 @@ func (lc *linkedCounts) addPair(g1, g2 *graph.Graph, p graph.Pair) {
 	}
 }
 
-// scanState is the full-scan engines' per-session state: both graphs'
-// candidate lists, synced to the matching's pair log, and the pass buffers —
-// both sides' proposals and the per-worker scorers of both directions —
-// reused by every pass. It is built at the session's first full-scan
-// bucket, dropped when a hybrid session hands off to the frontier, and
-// never serialized: a restored session rebuilds it from the matching.
-type scanState struct {
+// walkState is the scoring state both regimes share for the life of a
+// session: both graphs' candidate lists, synced to the matching's pair log,
+// and the per-worker scorers of both directions. The full scan and the
+// frontier's re-scoring walk the same lists with the same kernel
+// (scorer.walk). It is built at the session's first bucket of either
+// regime, so NewSession and RestoreSession never pay for it, carried across
+// a hybrid handoff, and never serialized: a restored session rebuilds it
+// from the matching.
+type walkState struct {
 	left, right candLists // G1's and G2's candidate lists
 	// synced is the length of the pair-log prefix the lists reflect.
 	synced int
-
-	leftBest, rightBest []candidate
 	// leftScorers score G1 nodes against G2 partners, rightScorers the
 	// reverse; the pools grow to the largest worker count a pass asked for.
 	leftScorers, rightScorers []*scorer
 }
 
-func newScanState(g1, g2 *graph.Graph, m *Matching) *scanState {
-	return &scanState{
-		left:      newCandLists(g1, m.left),
-		right:     newCandLists(g2, m.right),
-		synced:    len(m.pairs),
-		leftBest:  make([]candidate, g1.NumNodes()),
-		rightBest: make([]candidate, g2.NumNodes()),
+func newWalkState(g1, g2 *graph.Graph, m *Matching) *walkState {
+	return &walkState{
+		left:   newCandLists(g1, m.left),
+		right:  newCandLists(g2, m.right),
+		synced: len(m.pairs),
 	}
 }
 
@@ -130,24 +128,51 @@ func newScanState(g1, g2 *graph.Graph, m *Matching) *scanState {
 // lists. Seeds, AddSeeds and commits all append to the pair log, so reading
 // the log's new suffix sees every one of them; only the lists of a newly
 // matched node's neighbors change.
-func (st *scanState) sync(g1, g2 *graph.Graph, m *Matching) {
-	for _, p := range m.pairs[st.synced:] {
-		st.left.markNeighbors(g1, p.Left)
-		st.right.markNeighbors(g2, p.Right)
+func (ws *walkState) sync(g1, g2 *graph.Graph, m *Matching) {
+	for _, p := range m.pairs[ws.synced:] {
+		ws.left.markNeighbors(g1, p.Left)
+		ws.right.markNeighbors(g2, p.Right)
 	}
-	st.synced = len(m.pairs)
-	st.left.compact(m.left)
-	st.right.compact(m.right)
+	ws.synced = len(m.pairs)
+	ws.left.compact(m.left)
+	ws.right.compact(m.right)
+}
+
+// scorers returns the first `workers` scorers of dir's pool, growing it as
+// needed, and the candidate lists of dir's partner side.
+func (ws *walkState) scorers(dir passDirection, g1, g2 *graph.Graph, weighted bool, workers int) ([]*scorer, *candLists) {
+	pool, partners, nPartners := &ws.leftScorers, &ws.right, g2.NumNodes()
+	if dir == fromRight {
+		pool, partners, nPartners = &ws.rightScorers, &ws.left, g1.NumNodes()
+	}
+	for len(*pool) < workers {
+		*pool = append(*pool, newScorer(nPartners, weighted))
+	}
+	return (*pool)[:workers], partners
+}
+
+// scanState is the full scan's own pass buffers: both sides' proposals,
+// reused by every pass. It is built at the session's first full-scan bucket
+// and dropped when a hybrid session hands off to the frontier.
+type scanState struct {
+	leftBest, rightBest []candidate
+}
+
+func newScanState(g1, g2 *graph.Graph) *scanState {
+	return &scanState{
+		leftBest:  make([]candidate, g1.NumNodes()),
+		rightBest: make([]candidate, g2.NumNodes()),
+	}
 }
 
 // runBucket performs one scoring pass at the given degree floor and commits
 // every mutual-best pair with score >= T. Returns the number of new links.
-func (st *scanState) runBucket(g1, g2 *graph.Graph, m *Matching, lc *linkedCounts, minDeg int, opts Options) int {
-	st.sync(g1, g2, m)
+func (st *scanState) runBucket(g1, g2 *graph.Graph, m *Matching, lc *linkedCounts, ws *walkState, minDeg int, opts Options) int {
+	ws.sync(g1, g2, m)
 	p := opts.passParams(minDeg)
 	workers := opts.workers()
-	st.pass(fromLeft, g1, g2, m, lc, p, workers)
-	st.pass(fromRight, g1, g2, m, lc, p, workers)
+	st.pass(fromLeft, g1, g2, m, lc, ws, p, workers)
+	st.pass(fromRight, g1, g2, m, lc, ws, p, workers)
 
 	// Commit mutual bests. leftBest[v1] proposes v2; accept iff v2 proposes
 	// v1 back. Scores agree automatically (witness counts are symmetric),
@@ -175,21 +200,17 @@ func (st *scanState) runBucket(g1, g2 *graph.Graph, m *Matching, lc *linkedCount
 // direction's proposals and the candidate lists are only read, so no
 // synchronization beyond waiting for the chunks is needed and the result is
 // independent of scheduling.
-func (st *scanState) pass(dir passDirection, g1, g2 *graph.Graph, m *Matching, lc *linkedCounts, p passParams, workers int) {
-	best, pool, partners, nPartners := st.leftBest, &st.leftScorers, &st.right, g2.NumNodes()
+func (st *scanState) pass(dir passDirection, g1, g2 *graph.Graph, m *Matching, lc *linkedCounts, ws *walkState, p passParams, workers int) {
+	best := st.leftBest
 	if dir == fromRight {
-		best, pool, partners, nPartners = st.rightBest, &st.rightScorers, &st.left, g1.NumNodes()
+		best = st.rightBest
 	}
 	n := len(best)
 	if n == 0 {
 		return
 	}
-	workers = max(1, min(workers, n))
-	for len(*pool) < workers {
-		*pool = append(*pool, newScorer(nPartners, p.weighted))
-	}
-	scorers := *pool
-	parallelChunks(n, workers, func(w, lo, hi int) {
+	scorers, partners := ws.scorers(dir, g1, g2, p.weighted, max(1, min(workers, n)))
+	parallelChunks(n, len(scorers), func(w, lo, hi int) {
 		scoreRange(dir, g1, g2, m, lc, partners, p, lo, hi, scorers[w], best)
 	})
 }

@@ -14,19 +14,29 @@ import (
 // link is committed near it. The frontier engine instead keeps, per side,
 //
 //   - a persistent proposal cache: for every node, its best-candidate
-//     proposal at every bucket level of the schedule, computed in one pass
-//     over the node's candidate set (the witness accumulation does not depend
-//     on the degree floor — the floor only gates which accumulated candidates
-//     are eligible — so all levels can be derived from one accumulation);
+//     proposal at every bucket level of the schedule, computed in one walk
+//     of the session's candidate lists down to the schedule's lowest floor
+//     (the witness accumulation does not depend on the degree floor — the
+//     floor only gates which accumulated candidates are eligible — so all
+//     levels can be derived from one accumulation; see
+//     scorer.selectLevels);
 //   - a dirty worklist of nodes whose cached proposals may be stale, seeded
 //     from the initial links with every unmatched node whose linked-neighbor
 //     count reaches the threshold (nodes below it provably abstain — the
-//     zero-initialized row — until a new link queues them).
+//     zero-initialized row — until a new link queues them);
+//
+// and, for the left side, one live-row bitset per schedule level: for every
+// unmatched v, bit v of level j is set exactly when v's cached row at level
+// j proposes someone. Rows change only when a node is re-scored, which
+// updates its bits, and a node's bits are cleared for good once it is
+// matched — at its commit, or when the scan meets a node AddSeeds matched.
 //
 // A bucket pass refreshes the dirty nodes, runs the same ascending
-// mutual-best commit scan as the full engines over the cached proposals, and
-// then invalidates exactly the nodes whose scoring inputs a committed link
-// (a, b) touched:
+// mutual-best commit scan as the full engines over the live rows of its
+// level — the bitset walked word by word, so the scan costs O(n1/64 + live
+// rows), not O(n1), and commits in the same ascending order — and then
+// invalidates exactly the nodes whose scoring inputs a committed link (a, b)
+// touched:
 //
 //   - N1(a) / N2(b): they gained a witness source (and their linked-neighbor
 //     count changed);
@@ -49,12 +59,22 @@ type frontierState struct {
 	left  frontierSide
 	right frontierSide
 
+	// live holds the left side's live-row bitsets, level-major: bit v of
+	// level j is word live[j*words+v/64]. A matched node's bits may lag
+	// until the commit scan meets them.
+	live  []uint64
+	words int
+
 	// rescored counts nodes drained from the worklists since the state was
 	// built — at session start, at the hybrid handoff, or at restore, which
 	// starts it over — the engine's scoring work. The full engines'
 	// equivalent is (n1+n2) × passes; tests assert the frontier stays far
 	// below that and goes fully idle once a sweep commits nothing.
 	rescored int64
+	// scanned counts the cache rows the commit scans read over the same
+	// span: one per live bit visited, where a full scan would read n1 per
+	// bucket.
+	scanned int64
 }
 
 // frontierSide is the per-side persistent state: the proposal cache and the
@@ -72,8 +92,7 @@ type frontierSide struct {
 	// dirty lists the nodes to re-score before the next commit scan.
 	dirty []graph.NodeID
 
-	run     []graph.NodeID    // scratch: the eligible slice of a drain
-	scratch []*frontierScorer // per-worker scoring scratch, reused across passes
+	run []graph.NodeID // scratch: the eligible slice of a drain
 }
 
 // topExpOf returns log2 of the schedule's highest degree floor.
@@ -88,6 +107,8 @@ func newFrontierState(g1, g2 *graph.Graph, m *Matching, lc *linkedCounts, opts O
 	}
 	f.left.init(g1.NumNodes(), len(levels), m.left, lc.left, f.threshold)
 	f.right.init(g2.NumNodes(), len(levels), m.right, lc.right, f.threshold)
+	f.words = (g1.NumNodes() + 63) / 64
+	f.live = make([]uint64, len(levels)*f.words)
 	return f
 }
 
@@ -117,60 +138,72 @@ func (s *frontierSide) mark(v graph.NodeID) {
 	}
 }
 
-// bandOf returns the first (highest-floor) schedule index whose floor is
-// <= d, i.e. the earliest bucket pass at which a partner of degree d is
-// eligible. Levels are consecutive descending powers of two, so this is pure
-// bit arithmetic. d must be >= levels[len(levels)-1].
-func (f *frontierState) bandOf(d int) int {
-	b := f.topExp - (bits.Len(uint(d)) - 1)
-	if b < 0 {
-		return 0
-	}
-	return b
-}
-
 // runBucket performs one frontier bucket pass at schedule level `level`
 // (floor minDeg == levels[level]): refresh stale proposals, commit mutual
 // bests in the same ascending order as the full engines, then invalidate
 // around the new links. Returns the number of links committed.
-func (f *frontierState) runBucket(g1, g2 *graph.Graph, m *Matching, lc *linkedCounts, level, minDeg int, opts Options) int {
-	f.refreshSide(fromLeft, g1, g2, m, lc, minDeg, opts)
-	f.refreshSide(fromRight, g1, g2, m, lc, minDeg, opts)
+func (f *frontierState) runBucket(g1, g2 *graph.Graph, m *Matching, lc *linkedCounts, ws *walkState, level, minDeg int, opts Options) int {
+	ws.sync(g1, g2, m)
+	f.refreshSide(fromLeft, g1, g2, m, lc, ws, minDeg, opts)
+	f.refreshSide(fromRight, g1, g2, m, lc, ws, minDeg, opts)
 
 	nLevels := len(f.levels)
-	n1 := g1.NumNodes()
 	start := m.Len()
-	for v1 := 0; v1 < n1; v1++ {
-		id := graph.NodeID(v1)
-		// Most rows abstain; check the cache cell before the degree lookup.
-		c := f.left.cache[v1*nLevels+level]
-		if c.score == 0 {
-			continue
+	// Only live rows can commit. Commits clear bits of the node being
+	// visited only, and the word being walked is a copy, so the walk visits
+	// exactly the rows that were live when the scan began.
+	for i, word := range f.live[level*f.words : (level+1)*f.words] {
+		for ; word != 0; word &= word - 1 {
+			id := graph.NodeID(i<<6 | bits.TrailingZeros64(word))
+			f.scanned++
+			// A node matched in an earlier pass (or by AddSeeds) has a stale
+			// row; gating on the Matching here is equivalent to the full
+			// engines' empty proposal (left nodes only become matched at
+			// their own scan index, so the check also matches the pass-start
+			// state during the scan). It never proposes again.
+			if m.left[id] != NoMatch {
+				f.setLive(id, true)
+				continue
+			}
+			if g1.Degree(id) < minDeg {
+				continue
+			}
+			// The partner's own floor and threshold eligibility are already
+			// baked into the cached back-proposal: level-j candidates have
+			// degree >= levels[j], and a node below the linked-count
+			// threshold caches empty proposals.
+			c := f.left.cache[int(id)*nLevels+level]
+			back := f.right.cache[int(c.node)*nLevels+level]
+			if back.score == 0 || back.node != id {
+				continue
+			}
+			pr := graph.Pair{Left: id, Right: c.node}
+			m.add(pr)
+			lc.addPair(g1, g2, pr)
+			f.setLive(id, true)
 		}
-		// A node matched in an earlier pass has a stale cache row; gating on
-		// the Matching here is equivalent to the full engines' empty proposal
-		// (left nodes only become matched at their own scan index, so the
-		// check also matches the pass-start state during the scan).
-		if m.left[id] != NoMatch || g1.Degree(id) < minDeg {
-			continue
-		}
-		// The partner's own floor and threshold eligibility are already baked
-		// into the cached back-proposal: level-j candidates have degree >=
-		// levels[j], and a node below the linked-count threshold caches empty
-		// proposals.
-		back := f.right.cache[int(c.node)*nLevels+level]
-		if back.score == 0 || back.node != id {
-			continue
-		}
-		pr := graph.Pair{Left: id, Right: c.node}
-		m.add(pr)
-		lc.addPair(g1, g2, pr)
 	}
 	committed := m.pairs[start:]
 	for _, pr := range committed {
 		f.invalidatePair(g1, g2, m, lc, pr)
 	}
 	return len(committed)
+}
+
+// setLive makes left node v's live bits match its cache row: set at every
+// level the row proposes someone, unless v is matched, which clears them
+// all for good.
+func (f *frontierState) setLive(v graph.NodeID, matched bool) {
+	row := f.left.cache[int(v)*len(f.levels) : (int(v)+1)*len(f.levels)]
+	bit := uint64(1) << (v & 63)
+	for j, c := range row {
+		w := &f.live[j*f.words+int(v>>6)]
+		if c.score != 0 && !matched {
+			*w |= bit
+		} else {
+			*w &^= bit
+		}
+	}
 }
 
 // invalidatePair marks every node whose cached proposals the new link (a, b)
@@ -256,13 +289,14 @@ const frontierGrain = 256
 // proposed at this floor, so they stay queued and are scored at their first
 // eligible (lower-floor) pass, collapsing any dirtying in between. Workers
 // (if any) write disjoint cache rows from read-only shared state, so the
-// result is independent of scheduling.
-func (f *frontierState) refreshSide(dir passDirection, g1, g2 *graph.Graph, m *Matching, lc *linkedCounts, minDeg int, opts Options) {
+// result is independent of scheduling; the left side's live bits are
+// updated afterwards, serially, so no bitset word is shared between workers.
+func (f *frontierState) refreshSide(dir passDirection, g1, g2 *graph.Graph, m *Matching, lc *linkedCounts, ws *walkState, minDeg int, opts Options) {
 	side := &f.left
-	ga, nPartners := g1, g2.NumNodes()
+	ga := g1
 	if dir == fromRight {
 		side = &f.right
-		ga, nPartners = g2, g1.NumNodes()
+		ga = g2
 	}
 	if len(side.dirty) == 0 {
 		return
@@ -291,25 +325,26 @@ func (f *frontierState) refreshSide(dir passDirection, g1, g2 *graph.Graph, m *M
 	}
 	f.rescored += int64(len(work))
 	// Accumulate candidates down to the schedule's lowest floor; per-level
-	// eligibility is applied during derivation.
-	p := opts.passParams(f.levels[len(f.levels)-1])
-
+	// eligibility is applied by the selection.
+	p := opts.passParams(floor)
 	workers := max(1, min(opts.workers(), len(work)/frontierGrain))
-	for len(side.scratch) < workers {
-		side.scratch = append(side.scratch, newFrontierScorer(nPartners, p.weighted, len(f.levels)))
-	}
-	scorers := side.scratch
+	scorers, partners := ws.scorers(dir, g1, g2, p.weighted, workers)
 	parallelChunks(len(work), workers, func(w, lo, hi int) {
 		for _, v := range work[lo:hi] {
-			f.rescoreNode(dir, scorers[w], v, g1, g2, m, lc, p)
+			f.rescoreNode(dir, scorers[w], v, g1, g2, m, lc, partners, p)
 		}
 	})
+	if dir == fromLeft {
+		for _, v := range work {
+			f.setLive(v, m.left[v] != NoMatch)
+		}
+	}
 }
 
 // rescoreNode recomputes v's cache row — its proposal at every bucket level —
-// from the current matching state.
-func (f *frontierState) rescoreNode(dir passDirection, sc *frontierScorer, v graph.NodeID, g1, g2 *graph.Graph, m *Matching, lc *linkedCounts, p passParams) {
-	ga, gb, link, selfMatched, partnerMatched := passViews(dir, g1, g2, m)
+// from the current matching state, walking partners' candidate lists.
+func (f *frontierState) rescoreNode(dir passDirection, sc *scorer, v graph.NodeID, g1, g2 *graph.Graph, m *Matching, lc *linkedCounts, partners *candLists, p passParams) {
+	ga, gb, link, selfMatched, _ := passViews(dir, g1, g2, m)
 	linked := lc.left
 	cache := f.left.cache
 	if dir == fromRight {
@@ -332,132 +367,6 @@ func (f *frontierState) rescoreNode(dir passDirection, sc *frontierScorer, v gra
 		}
 		return
 	}
-	sc.allLevels(v, ga, gb, link, partnerMatched, p, f, row)
-}
-
-// frontierScorer is the per-worker scratch for all-levels scoring: the same
-// dense score/weight arrays as scorer, plus the touched partners grouped by
-// the bucket level at which they first become eligible.
-type frontierScorer struct {
-	scores  []int32
-	weights []float32 // nil unless weighted scoring is on
-	touched []graph.NodeID
-	bands   [][]graph.NodeID
-}
-
-func newFrontierScorer(nPartners int, weighted bool, nLevels int) *frontierScorer {
-	s := &frontierScorer{
-		scores: make([]int32, nPartners),
-		bands:  make([][]graph.NodeID, nLevels),
-	}
-	if weighted {
-		s.weights = make([]float32, nPartners)
-	}
-	return s
-}
-
-// allLevels computes out[j] — v's proposal at every schedule level j — in one
-// accumulation pass. Like scorer.bestFor it adds each candidate's witnesses
-// in N(v) order, so every candidate's weighted float sum is bit-identical to
-// the full engines'; the order in which candidates are first touched differs
-// (bestFor walks degree-ordered candidate lists) and cannot matter, because
-// selection depends only on each candidate's count and weight. The degree
-// floor only gates which candidates participate in the selection, so the
-// per-level selections are derived by adding candidates band by band as the
-// floor descends, maintaining the running best/tie state and the top-two
-// witness counts for the margin rule.
-func (sc *frontierScorer) allLevels(
-	v graph.NodeID,
-	ga, gb *graph.Graph,
-	link, partnerMatched []graph.NodeID,
-	p passParams,
-	f *frontierState,
-	out []candidate,
-) {
-	for _, u := range ga.Neighbors(v) {
-		u2 := link[u]
-		if u2 == NoMatch {
-			continue
-		}
-		var wt float32
-		if sc.weights != nil {
-			wt = witnessWeight(ga.Degree(u), gb.Degree(u2))
-		}
-		for _, w := range gb.Neighbors(u2) {
-			if partnerMatched[w] != NoMatch {
-				continue
-			}
-			d := gb.Degree(w)
-			if d < p.minDeg {
-				continue
-			}
-			if sc.scores[w] == 0 {
-				sc.touched = append(sc.touched, w)
-				b := f.bandOf(d)
-				sc.bands[b] = append(sc.bands[b], w)
-			}
-			sc.scores[w]++
-			if sc.weights != nil {
-				sc.weights[w] += wt
-			}
-		}
-	}
-
-	var (
-		best    graph.NodeID
-		bestKey float64
-		tie     bool
-		have    bool
-		cnt1    int32 // top witness count among candidates so far
-		mult1   int32 // how many candidates attain cnt1
-		cnt2    int32 // runner-up witness count
-	)
-	for j := range out {
-		for _, w := range sc.bands[j] {
-			k := float64(sc.scores[w])
-			if sc.weights != nil {
-				k = float64(sc.weights[w])
-			}
-			switch {
-			case !have || k > bestKey:
-				best, bestKey, tie, have = w, k, false, true
-			case k == bestKey:
-				if p.ties == TieLowestID && w < best {
-					best = w
-				}
-				tie = true
-			}
-			c := sc.scores[w]
-			switch {
-			case c > cnt1:
-				cnt1, cnt2, mult1 = c, cnt1, 1
-			case c == cnt1:
-				mult1++
-			case c > cnt2:
-				cnt2 = c
-			}
-		}
-		if !have {
-			out[j] = candidate{}
-			continue
-		}
-		selCount := sc.scores[best]
-		// Max witness count among candidates other than the selected one.
-		maxOther := cnt1
-		if selCount == cnt1 && mult1 == 1 {
-			maxOther = cnt2
-		}
-		out[j] = p.accept(best, selCount, maxOther, tie)
-	}
-
-	for _, w := range sc.touched {
-		sc.scores[w] = 0
-		if sc.weights != nil {
-			sc.weights[w] = 0
-		}
-	}
-	sc.touched = sc.touched[:0]
-	for j := range sc.bands {
-		sc.bands[j] = sc.bands[j][:0]
-	}
+	sc.walk(v, ga, gb, link, partners, p.minClass)
+	sc.selectLevels(p, f.topExp, partners.class, row)
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -203,12 +205,27 @@ func TestFrontierSkipsCleanNodes(t *testing.T) {
 	}
 	s.RunUntilStable(10)
 	afterStable := s.fr.rescored
+	live := 0
+	for _, w := range s.fr.live {
+		live += bits.OnesCount64(w)
+	}
+	scanned := s.fr.scanned
 
 	// The stable sweep found nothing, so no node was invalidated.
 	s.Run(1)
 	if got := s.fr.rescored; got != afterStable {
 		t.Fatalf("converged sweep re-scored %d nodes, want 0", got-afterStable)
 	}
+	// Its commit scans read only live rows — at most what the live sets held
+	// when it began — where a scan of every row reads n1 per bucket.
+	got := s.fr.scanned - scanned
+	if got > int64(live) {
+		t.Fatalf("converged sweep's commit scans read %d rows, the live sets held %d", got, live)
+	}
+	if perRow := int64(g1.NumNodes()) * int64(len(s.fr.levels)); got*4 > perRow {
+		t.Fatalf("converged sweep's commit scans read %d rows, a quarter of the %d a scan of every row reads", got, perRow)
+	}
+	t.Logf("converged sweep read %d rows (%d live); a scan of every row reads %d", got, live, int64(g1.NumNodes())*int64(len(s.fr.levels)))
 
 	// Sanity-bound the total scheduling work: a full engine scores up to
 	// (n1+n2) nodes per bucket pass; the frontier's lifetime total should
@@ -218,6 +235,118 @@ func TestFrontierSkipsCleanNodes(t *testing.T) {
 	if s.fr.rescored*2 > fullWork {
 		t.Fatalf("frontier re-scored %d nodes over %d passes; full engines would score %d — no scheduling win",
 			s.fr.rescored, passes, fullWork)
+	}
+}
+
+// checkLiveRows requires the frontier's live-row bitsets to agree with its
+// cache: every unmatched left node has its bit set at level j exactly when
+// its row at level j proposes someone. Matched nodes are exempt; their bits
+// may lag until the commit scan meets them.
+func checkLiveRows(t *testing.T, s *Session, where string) {
+	t.Helper()
+	f := s.fr
+	nLevels := len(f.levels)
+	for v := 0; v < s.g1.NumNodes(); v++ {
+		if s.m.left[v] != NoMatch {
+			continue
+		}
+		for j := 0; j < nLevels; j++ {
+			set := f.live[j*f.words+v/64]&(1<<(v%64)) != 0
+			if row := f.left.cache[v*nLevels+j]; set != (row.score != 0) {
+				t.Fatalf("%s: left node %d level %d: live bit %v, row %+v", where, v, j, set, row)
+			}
+		}
+	}
+}
+
+// TestFrontierLiveRowInvariant checks the live-row bitsets after every
+// frontier bucket and every AddSeeds: from New, after a restore at a sweep
+// boundary, and after a mid-sweep restore, at one and four workers,
+// unbucketed, under a MaxDegree override, and across the hybrid handoff.
+func TestFrontierLiveRowInvariant(t *testing.T) {
+	g1, g2, seeds := testInstance(17, 2500)
+	configs := []struct {
+		name string
+		set  func(*Options)
+	}{
+		{"workers1", func(o *Options) { o.Workers = 1 }},
+		{"workers4", func(o *Options) { o.Workers = 4 }},
+		{"unbucketed", func(o *Options) { o.DisableBucketing = true }},
+		{"maxdegree8", func(o *Options) { o.MaxDegree = 8; o.MinBucketExp = 0 }},
+		{"hybrid", func(o *Options) { o.Engine = EngineHybrid }},
+	}
+	ctx := context.Background()
+	for _, cfg := range configs {
+		opts := DefaultOptions()
+		opts.Engine = EngineFrontier
+		cfg.set(&opts)
+		t.Run(cfg.name, func(t *testing.T) {
+			checked := 0
+			hook := func(s *Session, phase string) func(PhaseEvent) {
+				return func(ev PhaseEvent) {
+					if s.fr != nil {
+						checked++
+						checkLiveRows(t, s, fmt.Sprintf("%s sweep %d bucket %d", phase, ev.Iteration, ev.Bucket))
+					}
+				}
+			}
+			ingest := func(s *Session, phase string) {
+				t.Helper()
+				extra := unmatchedIdentity(s, 20)
+				if len(extra) == 0 {
+					t.Fatal("no unmatched identity pairs left to add")
+				}
+				if err := s.AddSeeds(extra); err != nil {
+					t.Fatal(err)
+				}
+				if s.fr == nil {
+					t.Fatalf("%s: no frontier state after convergence", phase)
+				}
+				checkLiveRows(t, s, phase+" AddSeeds")
+				if _, err := s.RunUntilStableContext(ctx, 10); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			s, err := NewSession(g1, g2, seeds, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.SetProgress(hook(s, "new"))
+			if _, err := s.RunUntilStableContext(ctx, 10); err != nil {
+				t.Fatal(err)
+			}
+			converged := s.Sweeps()
+			ingest(s, "new")
+
+			// A restore at a sweep boundary starts from empty live sets and an
+			// all-dirty worklist.
+			r, err := RestoreSession(g1, g2, s.ExportState())
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.SetProgress(hook(r, "restored"))
+			ingest(r, "restored")
+
+			// A restore inside the sweep after convergence, where the hybrid
+			// is past its handoff (the unbucketed schedule has no mid-sweep
+			// point; it restores at the next boundary).
+			nb := len(opts.buckets(g1, g2))
+			mid := runToBoundary(t, g1, g2, seeds, opts, converged+2, converged*nb+(nb+1)/2)
+			r, err = RestoreSession(g1, g2, mid.ExportState())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.fr == nil {
+				t.Fatal("mid-sweep restore is not in the frontier regime")
+			}
+			r.SetProgress(hook(r, "mid-sweep"))
+			finishSchedule(t, r, converged+2)
+			ingest(r, "mid-sweep")
+			if checked == 0 {
+				t.Fatal("no frontier bucket was checked")
+			}
+		})
 	}
 }
 

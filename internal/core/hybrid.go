@@ -14,8 +14,9 @@ import "github.com/sociograph/reconcile/internal/trace"
 // (every committed link invalidates its neighborhood on both sides), while
 // the parallel engine pays for graph size regardless. When the sweep commit
 // rate is high, frontier invalidation churn approaches a full rescan and the
-// cache maintenance makes it ~0.4x parallel; when it is low, frontier skips
-// almost all scoring work and wins several times over.
+// all-levels re-scoring makes it several times slower than parallel (0.3x
+// on the calibration instance's first sweep); when it is low, frontier
+// skips almost all scoring work and wins many times over.
 
 // hybridCrossoverRate is the per-sweep commit rate — pairs committed during
 // the sweep divided by the total node count n1+n2 — below which EngineHybrid
@@ -26,28 +27,34 @@ import "github.com/sociograph/reconcile/internal/trace"
 //
 // Measured with BenchmarkHybridCrossover (internal/core/bench_test.go) on
 // the recording machine of BENCH_engines.json (linux/amd64, GOMAXPROCS=1,
-// go1.24, 2026-10-17). On the 2x20k-node preferential-attachment calibration
-// instance, per-sweep cost (parallel vs frontier, ns):
+// go1.24, 2026-10-17; min of 6 runs at -benchtime 5x). On the 2x20k-node
+// preferential-attachment calibration instance, per-sweep cost of a warm
+// session (parallel vs frontier, ns), and of the frontier sweep right after
+// a restore (rebuild):
 //
-//	rate 0.241   32.4M vs 96.9M  (parallel 3.0x)
-//	rate 0.062    9.5M vs 18.3M  (parallel 1.9x)
-//	rate 0.012    5.5M vs  7.1M  (parallel 1.3x)
-//	rate 0.0023   5.3M vs  4.3M  (frontier 1.2x)
-//	rate 0.0006   5.1M vs  2.5M  (frontier 2.0x)
-//	rate 0.0002   5.3M vs  1.2M  (frontier 4.4x)
+//	rate 0.241   23.9M vs 80.6M  rebuild 71.4M  (parallel 3.4x)
+//	rate 0.062    7.4M vs 13.5M  rebuild 13.4M  (parallel 1.8x)
+//	rate 0.012    5.2M vs  4.7M  rebuild  5.4M  (tie)
+//	rate 0.0023   3.1M vs  2.0M  rebuild  4.1M  (frontier 1.5x)
+//	rate 0.0006   3.1M vs  0.9M  rebuild  3.9M  (frontier 3.5x)
+//	rate 0.0002   3.1M vs  0.2M  rebuild  4.1M  (frontier 17x)
 //
-// The regimes trade places between observed rates 0.012 and 0.0023. The
-// switch fires at the sweep boundary after a sweep whose rate is below 0.02,
-// so here it fires after the 0.012 sweep, and the 0.0023 sweep — the first
-// frontier-won one — is the first to run on the frontier. Commit-dense
-// sweeps never trigger it: cold-batch sweeps on the recorded workloads run
-// at rates 0.05-0.3 until convergence, incremental AddSeeds sweeps at
-// <0.001. Firing a sweep earlier (crossover above 0.062) would pay the
-// all-dirty handoff rebuild while commits are still active; a sweep later
-// (below 0.0023) forgoes a ~2x frontier win on the following sweep. The
-// crossover sits below the 0.012-0.062 band this constant was chosen in;
-// moving the constant changes which regime serve and incremental jobs run,
-// so it waits for a measurement of its own (ROADMAP).
+// The warm regimes tie at 0.012 and the frontier wins from 0.0023 on. The
+// switch fires at the sweep boundary after a sweep whose rate is below
+// 0.02, so here it fires after the tied 0.012 sweep, and the 0.0023 sweep —
+// the first the frontier wins — is the first to run on it. That sweep pays
+// the all-dirty rebuild: at most the rebuild row, which also builds the
+// candidate lists a handoff takes over, so about one parallel sweep, and the
+// next sweep saves more than that. Firing a sweep later (a constant of
+// 0.012 or less) would run the 0.0023 sweep on parallel and pay the rebuild
+// on the 0.0006 one instead: 3.1M + 3.9M against 4.1M + 0.9M. Firing a
+// sweep earlier (a constant above 0.062) would pay the rebuild on the tied
+// sweep and run the 0.0023 one warm; on these rows that is within noise of
+// the current choice (the rebuild at 0.012 read 5.4M-8.6M over the six
+// runs), so the constant stays until a measurement on the serve and
+// incremental workloads decides a move (ROADMAP). Commit-dense sweeps never
+// trigger it: cold-batch sweeps on the recorded workloads run at rates
+// 0.05-0.3 until convergence, incremental AddSeeds sweeps at <0.001.
 const hybridCrossoverRate = 0.02
 
 // phaseRetainSweeps bounds the session's phase log: at every completed sweep
@@ -89,7 +96,8 @@ func (s *Session) endSweep() {
 		// the next bucket actually runs, so a run that ends here pays
 		// nothing, and a kill/restore at this exact boundary rebuilds the
 		// identical state from the matching (the cross-engine restore path).
-		// The full-scan state has no further use.
+		// The frontier takes over the candidate lists; the full scan's
+		// proposal buffers have no further use.
 		s.hybridSwitched = true
 		s.scan = nil
 	}

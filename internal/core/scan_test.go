@@ -13,15 +13,15 @@ import (
 	"github.com/sociograph/reconcile/internal/xrand"
 )
 
-// checkCandLists requires the scan state's candidate lists to be exactly
-// what the pass that just ran read: synced up to the pass's first link, and
+// checkCandLists requires the session's candidate lists to be exactly what
+// the pass that just ran read: synced up to the pass's first link, and
 // every node's list equal to its neighbors unmatched at that point, ordered
 // by descending degree class, ties by ascending ID.
 func checkCandLists(t *testing.T, s *Session, ev PhaseEvent) {
 	t.Helper()
-	st := s.scan
+	st := s.walk
 	if st == nil {
-		t.Fatalf("sweep %d bucket %d: no scan state after a full-scan pass", ev.Iteration, ev.Bucket)
+		t.Fatalf("sweep %d bucket %d: no candidate lists after a pass", ev.Iteration, ev.Bucket)
 	}
 	if want := ev.TotalLinks - ev.Matched; st.synced != want {
 		t.Fatalf("sweep %d bucket %d: lists synced to %d links, the pass started at %d", ev.Iteration, ev.Bucket, st.synced, want)
@@ -75,11 +75,13 @@ func unmatchedIdentity(s *Session, k int) []graph.Pair {
 	return out
 }
 
-// TestCandidateListInvariant checks the candidate lists after every
-// full-scan pass: with seeds at New, with AddSeeds between runs, and after a
-// mid-sweep restore, at one and four workers, unbucketed and under a
-// MaxDegree override. Four workers read the lists concurrently, so under
-// -race this also checks that compaction stays between passes.
+// TestCandidateListInvariant checks the candidate lists after every pass
+// of either regime: with seeds at New, with AddSeeds between runs, and after
+// a mid-sweep restore. Full-scan passes run at one and four workers,
+// unbucketed and under a MaxDegree override; frontier passes run on a fixed
+// frontier session and on a hybrid session past its handoff. Four workers
+// read the lists concurrently, so under -race this also checks that
+// compaction stays between passes.
 func TestCandidateListInvariant(t *testing.T) {
 	g1, g2, seeds := testInstance(11, 500)
 	configs := []struct {
@@ -90,6 +92,8 @@ func TestCandidateListInvariant(t *testing.T) {
 		{"workers4", func(o *Options) { o.Workers = 4 }},
 		{"unbucketed", func(o *Options) { o.DisableBucketing = true }},
 		{"maxdegree8", func(o *Options) { o.MaxDegree = 8; o.MinBucketExp = 0 }},
+		{"frontier", func(o *Options) { o.Engine = EngineFrontier }},
+		{"hybrid", func(o *Options) { o.Engine = EngineHybrid }},
 	}
 	ctx := context.Background()
 	for _, cfg := range configs {
@@ -97,15 +101,29 @@ func TestCandidateListInvariant(t *testing.T) {
 		opts.Engine = EngineParallel
 		cfg.set(&opts)
 		t.Run(cfg.name, func(t *testing.T) {
-			passes := 0
+			passes, frontierPasses := 0, 0
 			hook := func(s *Session) func(PhaseEvent) {
 				return func(ev PhaseEvent) {
 					passes++
+					if s.fr != nil {
+						frontierPasses++
+					}
 					checkCandLists(t, s, ev)
 				}
 			}
+			ingest := func(s *Session) {
+				t.Helper()
+				extra := unmatchedIdentity(s, 20)
+				if len(extra) == 0 {
+					t.Fatal("no unmatched identity pairs left to add")
+				}
+				if err := s.AddSeeds(extra); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-			// Seeds at New, then AddSeeds between runs.
+			// Seeds at New, then AddSeeds between runs, before and after
+			// convergence (where a hybrid session has handed off).
 			s, err := NewSession(g1, g2, seeds, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -114,38 +132,52 @@ func TestCandidateListInvariant(t *testing.T) {
 			if _, err := s.RunContext(ctx, 1); err != nil {
 				t.Fatal(err)
 			}
-			extra := unmatchedIdentity(s, 20)
-			if len(extra) == 0 {
-				t.Fatal("no unmatched identity pairs left to add")
-			}
-			if err := s.AddSeeds(extra); err != nil {
+			ingest(s)
+			if _, err := s.RunContext(ctx, 2); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s.RunContext(ctx, 2); err != nil {
+			if _, err := s.RunUntilStableContext(ctx, 10); err != nil {
+				t.Fatal(err)
+			}
+			converged := s.Sweeps()
+			ingest(s)
+			if _, err := s.RunUntilStableContext(ctx, 10); err != nil {
 				t.Fatal(err)
 			}
 
 			// A mid-sweep restore rebuilds the lists at its first pass (the
 			// unbucketed schedule has no mid-sweep point; it restores at the
-			// first sweep boundary).
-			stop := 1 + len(opts.buckets(g1, g2))/2
-			mid := runToBoundary(t, g1, g2, seeds, opts, 2, stop)
-			r, err := RestoreSession(g1, g2, mid.ExportState())
-			if err != nil {
-				t.Fatal(err)
+			// first sweep boundary). The second one lands after convergence,
+			// in the hybrid's frontier regime.
+			nb := len(opts.buckets(g1, g2))
+			for _, at := range []struct{ sweeps, stop int }{
+				{2, 1 + nb/2},
+				{converged + 2, converged*nb + (nb+1)/2},
+			} {
+				mid := runToBoundary(t, g1, g2, seeds, opts, at.sweeps, at.stop)
+				r, err := RestoreSession(g1, g2, mid.ExportState())
+				if err != nil {
+					t.Fatal(err)
+				}
+				r.SetProgress(hook(r))
+				finishSchedule(t, r, at.sweeps)
 			}
-			r.SetProgress(hook(r))
-			finishSchedule(t, r, 2)
 			if passes == 0 {
 				t.Fatal("no pass was checked")
+			}
+			if opts.Engine != EngineParallel && frontierPasses == 0 {
+				t.Fatal("no frontier pass was checked")
 			}
 		})
 	}
 }
 
-// TestScanStateLifetime pins when the full-scan state exists: never after
-// NewSession or RestoreSession, never for a fixed frontier session, and not
-// after a hybrid session's handoff decision.
+// TestScanStateLifetime pins when each piece of per-session scoring state
+// exists. The candidate lists and scorers (walk) are never built by
+// NewSession or RestoreSession, are built at the first bucket of either
+// regime, and a hybrid session's frontier takes over the ones its full
+// scans built. The full scan's proposal buffers (scan) are never built for a
+// frontier pass and are dropped at a hybrid handoff.
 func TestScanStateLifetime(t *testing.T) {
 	g1, g2, seeds := testInstance(12, 400)
 	ctx := context.Background()
@@ -156,18 +188,26 @@ func TestScanStateLifetime(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s.scan != nil {
-			t.Fatalf("%v: NewSession built scan state", engine)
+		if s.walk != nil || s.scan != nil {
+			t.Fatalf("%v: NewSession built scoring state", engine)
 		}
 		built, handedOff := false, false
+		var lists *walkState
 		s.SetProgress(func(PhaseEvent) {
+			if s.walk == nil {
+				t.Fatalf("%v: a pass ran without candidate lists", engine)
+			}
+			if lists != nil && s.walk != lists {
+				t.Fatalf("%v: candidate lists rebuilt mid-session", engine)
+			}
+			lists = s.walk
 			switch {
 			case engine == EngineFrontier && s.scan != nil:
-				t.Fatal("frontier session built scan state")
+				t.Fatal("frontier session built full-scan buffers")
 			case s.FrontierActive():
 				handedOff = true
 				if s.scan != nil {
-					t.Fatal("hybrid session kept scan state after its handoff decision")
+					t.Fatal("hybrid session kept full-scan buffers after its handoff decision")
 				}
 			case s.scan != nil:
 				built = true
@@ -177,17 +217,17 @@ func TestScanStateLifetime(t *testing.T) {
 			t.Fatal(err)
 		}
 		if engine != EngineFrontier && !built {
-			t.Fatalf("%v: no full-scan pass built scan state", engine)
+			t.Fatalf("%v: no full-scan pass built its buffers", engine)
 		}
 		if engine == EngineHybrid && !handedOff {
-			t.Fatal("hybrid session never handed off; the instance does not exercise the drop")
+			t.Fatal("hybrid session never handed off; the instance does not exercise the takeover")
 		}
 		r, err := RestoreSession(g1, g2, s.ExportState())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.scan != nil {
-			t.Fatalf("%v: RestoreSession built scan state", engine)
+		if r.walk != nil || r.scan != nil {
+			t.Fatalf("%v: RestoreSession built scoring state", engine)
 		}
 	}
 }
@@ -239,7 +279,10 @@ func referenceSelect(scores []int32, weights []float32, touched []graph.NodeID, 
 
 // TestOnePassSelection runs hand-built touched sets through the one-pass
 // selection and checks each against the expected proposal and against the
-// three-loop rule it replaces; the scratch must come back cleared.
+// three-loop rule it replaces; the scratch must come back cleared. The
+// all-levels selection must agree with the same rule at every level: with
+// even IDs in the top level's degree class and odd IDs one class below,
+// level 0 sees the even candidates only and level 1 sees all of them.
 func TestOnePassSelection(t *testing.T) {
 	type cand struct {
 		node   graph.NodeID
@@ -324,6 +367,39 @@ func TestOnePassSelection(t *testing.T) {
 			for w := range sc.scores {
 				if sc.scores[w] != 0 || (tc.weighted && sc.weights[w] != 0) {
 					t.Fatalf("scratch not cleared at %d", w)
+				}
+			}
+
+			class := make([]uint8, len(sc.scores))
+			var even []graph.NodeID
+			for _, c := range tc.touched {
+				class[c.node] = uint8(2 - c.node%2)
+				sc.touched = append(sc.touched, c.node)
+				sc.scores[c.node] = c.count
+				if tc.weighted {
+					sc.weights[c.node] = c.weight
+				}
+				if c.node%2 == 0 {
+					even = append(even, c.node)
+				}
+			}
+			want := []candidate{{}, ref}
+			if len(even) > 0 {
+				want[0] = referenceSelect(sc.scores, sc.weights, even, p)
+			}
+			out := make([]candidate, 2)
+			sc.selectLevels(p, 1, class, out)
+			for j := range out {
+				if out[j] != want[j] {
+					t.Errorf("level %d selected %+v, the rule selects %+v", j, out[j], want[j])
+				}
+			}
+			if len(sc.touched) != 0 {
+				t.Errorf("all-levels selection left the touched list: %v", sc.touched)
+			}
+			for w := range sc.scores {
+				if sc.scores[w] != 0 || (tc.weighted && sc.weights[w] != 0) {
+					t.Fatalf("all-levels selection left scratch at %d", w)
 				}
 			}
 		})

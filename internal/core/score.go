@@ -52,11 +52,16 @@ func witnessWeight(d1, d2 int) float32 {
 // scorer is the per-worker scratch for one directional scoring pass. Scores
 // are accumulated in dense arrays indexed by partner node, with a touched
 // list for O(candidates) clearing — the matcher's hot path allocates nothing
-// per node. A session's scan state keeps its scorers across passes.
+// per node. A session's walk state keeps its scorers across passes and
+// regimes.
 type scorer struct {
 	scores  []int32
 	weights []float32 // nil unless weighted scoring is on
 	touched []graph.NodeID
+	// levels groups the touched candidates by the first schedule level at
+	// which they are eligible; only the frontier's all-levels selection
+	// uses it.
+	levels [][]graph.NodeID
 }
 
 func newScorer(nPartners int, weighted bool) *scorer {
@@ -67,17 +72,8 @@ func newScorer(nPartners int, weighted bool) *scorer {
 	return s
 }
 
-// bestFor computes the similarity-witness scores of every candidate partner
-// for node v in graph ga, where partners live in graph gb:
-//
-//	for each neighbor u of v in ga that is linked to u' = link[u],
-//	    every unmatched w ∈ N_gb(u') with deg_gb(w) >= minDeg
-//	    gains one witness (u, u').
-//
-// The unmatched, floor-eligible neighbors of u' are a prefix of partners'
-// candidate list for u' (unmatched neighbors only, by descending degree
-// class), so the walk stops at the first partner below the floor and never
-// looks at a matched one. Candidates are ranked by witness count (or by
+// bestFor is v's proposal at the pass's degree floor: one walk, then the
+// single-level selection. Candidates are ranked by witness count (or by
 // Adamic-Adar weight under weighted scoring); the winner must have count >=
 // threshold, survive the tie policy, and beat every other candidate's count
 // by minMargin.
@@ -88,6 +84,34 @@ func (s *scorer) bestFor(
 	partners *candLists,
 	p passParams,
 ) candidate {
+	s.walk(v, ga, gb, link, partners, p.minClass)
+	if s.weights != nil {
+		return s.selectWeighted(p)
+	}
+	return s.selectCount(p)
+}
+
+// walk accumulates the similarity-witness scores of every candidate partner
+// for node v in graph ga, where partners live in graph gb:
+//
+//	for each neighbor u of v in ga that is linked to u' = link[u],
+//	    every unmatched w ∈ N_gb(u') of degree class >= minClass
+//	    gains one witness (u, u').
+//
+// The unmatched, floor-eligible neighbors of u' are a prefix of partners'
+// candidate list for u' (unmatched neighbors only, by descending degree
+// class), so the walk stops at the first partner below the floor and never
+// looks at a matched one. Each candidate's witnesses are added in N(v)
+// order, so its Adamic-Adar weight is the same float sum whichever
+// selection reads it. It is the one scoring kernel: the full scan walks
+// down to the pass's floor, the frontier down to the schedule's lowest.
+func (s *scorer) walk(
+	v graph.NodeID,
+	ga, gb *graph.Graph,
+	link []graph.NodeID,
+	partners *candLists,
+	minClass uint8,
+) {
 	for _, u := range ga.Neighbors(v) {
 		u2 := link[u]
 		if u2 == NoMatch {
@@ -98,7 +122,7 @@ func (s *scorer) bestFor(
 			wt = witnessWeight(ga.Degree(u), gb.Degree(u2))
 		}
 		for _, w := range partners.list(u2) {
-			if partners.class[w] < p.minClass {
+			if partners.class[w] < minClass {
 				break
 			}
 			if s.scores[w] == 0 {
@@ -110,10 +134,6 @@ func (s *scorer) bestFor(
 			}
 		}
 	}
-	if s.weights != nil {
-		return s.selectWeighted(p)
-	}
-	return s.selectCount(p)
 }
 
 // selectCount is the selection under witness-count ranking, in one loop
@@ -207,6 +227,79 @@ func (p passParams) accept(best graph.NodeID, selCount, maxOther int32, tie bool
 		return candidate{}
 	}
 	return candidate{node: best, score: selCount}
+}
+
+// selectLevels is the selection at every schedule level at once, after a
+// walk down to the schedule's lowest floor: out[j] is the proposal bestFor
+// would return at level j's floor. A candidate of degree class c is first
+// eligible at level topExp+1-c (level 0 for every class above the top
+// floor's), so the touched list is grouped by that level and the levels are
+// added one by one as the floor descends, keeping the running best and tie
+// and the top two witness counts for the margin rule. Like the single-level
+// selections it reads only counts, weights and IDs, and it clears the
+// scratch.
+func (s *scorer) selectLevels(p passParams, topExp int, class []uint8, out []candidate) {
+	if len(s.levels) < len(out) {
+		s.levels = make([][]graph.NodeID, len(out))
+	}
+	for _, w := range s.touched {
+		j := max(0, topExp+1-int(class[w]))
+		s.levels[j] = append(s.levels[j], w)
+	}
+	var (
+		best    graph.NodeID
+		bestKey float64
+		tie     bool
+		have    bool
+		cnt1    int32 // top witness count among candidates so far
+		mult1   int32 // how many candidates attain cnt1
+		cnt2    int32 // runner-up witness count
+	)
+	for j := range out {
+		for _, w := range s.levels[j] {
+			k := float64(s.scores[w])
+			if s.weights != nil {
+				k = float64(s.weights[w])
+			}
+			switch {
+			case !have || k > bestKey:
+				best, bestKey, tie, have = w, k, false, true
+			case k == bestKey:
+				if p.ties == TieLowestID && w < best {
+					best = w
+				}
+				tie = true
+			}
+			c := s.scores[w]
+			switch {
+			case c > cnt1:
+				cnt1, cnt2, mult1 = c, cnt1, 1
+			case c == cnt1:
+				mult1++
+			case c > cnt2:
+				cnt2 = c
+			}
+		}
+		s.levels[j] = s.levels[j][:0]
+		if !have {
+			out[j] = candidate{}
+			continue
+		}
+		selCount := s.scores[best]
+		// Max witness count among candidates other than the selected one.
+		maxOther := cnt1
+		if selCount == cnt1 && mult1 == 1 {
+			maxOther = cnt2
+		}
+		out[j] = p.accept(best, selCount, maxOther, tie)
+	}
+	for _, w := range s.touched {
+		s.scores[w] = 0
+		if s.weights != nil {
+			s.weights[w] = 0
+		}
+	}
+	s.touched = s.touched[:0]
 }
 
 // passDirection identifies which side of the bipartite candidate space a

@@ -40,9 +40,11 @@ type Session struct {
 	// restored in the frontier regime. It is never exported: restore
 	// rebuilds it from the matching.
 	fr *frontierState
-	// scan is the full-scan engines' state: candidate lists and pass
-	// buffers, built at the first full-scan bucket and dropped at a hybrid
-	// handoff. It is never exported.
+	// walk is the candidate lists and scorers both regimes score with,
+	// built at the first bucket of either regime and kept across a hybrid
+	// handoff. scan is the full scan's proposal buffers, built at the first
+	// full-scan bucket and dropped at a hybrid handoff. Neither is exported.
+	walk   *walkState
 	scan   *scanState
 	phases []PhaseStat
 	// dropped aggregates the phase entries evicted from the bounded log
@@ -189,14 +191,17 @@ func (s *Session) RunContext(ctx context.Context, sweeps int) (int, error) {
 		if s.tracer != nil {
 			bsp = s.tracer.Begin(trace.KindBucket, "")
 		}
+		if s.walk == nil {
+			s.walk = newWalkState(s.g1, s.g2, s.m)
+		}
 		var matched int
 		if s.fr != nil {
-			matched = s.fr.runBucket(s.g1, s.g2, s.m, s.lc, bi, minDeg, s.opts)
+			matched = s.fr.runBucket(s.g1, s.g2, s.m, s.lc, s.walk, bi, minDeg, s.opts)
 		} else {
 			if s.scan == nil {
-				s.scan = newScanState(s.g1, s.g2, s.m)
+				s.scan = newScanState(s.g1, s.g2)
 			}
-			matched = s.scan.runBucket(s.g1, s.g2, s.m, s.lc, minDeg, s.opts)
+			matched = s.scan.runBucket(s.g1, s.g2, s.m, s.lc, s.walk, minDeg, s.opts)
 		}
 		if bsp != nil {
 			bsp.SetDetail(fmt.Sprintf("b%d/%d min %d matched %d", bi+1, len(buckets), minDeg, matched))
