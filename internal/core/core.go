@@ -47,10 +47,11 @@ const (
 	// caching every node's per-bucket-level proposal across passes, and its
 	// commit scan reads only the cached rows that propose at the bucket's
 	// level. Output is bit-identical to the other engines at a fraction of
-	// the work on incremental workloads (17.7x the parallel engine on
+	// the work on incremental workloads (7.2x the parallel engine on
 	// BenchmarkReconcileFrontierIncremental), and Workers parallelizes its
 	// re-scoring batches. On commit-dense cold batches its invalidation churn
-	// approaches a full rescan and it runs 0.37x the parallel engine
+	// approaches a full rescan of both sides, where the parallel engine
+	// scores only the left, and it runs 0.16x the parallel engine
 	// (BenchmarkReconcileFrontier). See frontierState for the scheduling
 	// invariants.
 	EngineFrontier

@@ -103,35 +103,36 @@ func (lc *linkedCounts) addPair(g1, g2 *graph.Graph, p graph.Pair) {
 // session: both graphs' candidate lists, synced to the matching's pair log,
 // and the per-worker scorers of both directions. The full scan and the
 // frontier's re-scoring walk the same lists with the same kernel
-// (scorer.walk). It is built at the session's first bucket of either
-// regime, so NewSession and RestoreSession never pay for it, carried across
-// a hybrid handoff, and never serialized: a restored session rebuilds it
-// from the matching.
+// (scorer.walk). Each side's lists are built at the first walk that reads
+// them, so NewSession and RestoreSession never pay for them, and a
+// count-scored full scan, which derives the right side's proposals instead
+// of walking G1's lists, never builds G1's at all. The state is carried
+// across a hybrid handoff and never serialized: a restored session rebuilds
+// it from the matching.
 type walkState struct {
-	left, right candLists // G1's and G2's candidate lists
-	// synced is the length of the pair-log prefix the lists reflect.
+	left, right candLists // G1's and G2's candidate lists, each built at its first walk
+	// synced is the length of the pair-log prefix the built lists reflect.
+	// A side built later reflects the same prefix: lists are built from the
+	// matching right after a sync, before the bucket commits anything.
 	synced int
 	// leftScorers score G1 nodes against G2 partners, rightScorers the
 	// reverse; the pools grow to the largest worker count a pass asked for.
 	leftScorers, rightScorers []*scorer
 }
 
-func newWalkState(g1, g2 *graph.Graph, m *Matching) *walkState {
-	return &walkState{
-		left:   newCandLists(g1, m.left),
-		right:  newCandLists(g2, m.right),
-		synced: len(m.pairs),
-	}
-}
-
-// sync removes the nodes matched since the last sync from the candidate
-// lists. Seeds, AddSeeds and commits all append to the pair log, so reading
-// the log's new suffix sees every one of them; only the lists of a newly
-// matched node's neighbors change.
+// sync removes the nodes matched since the last sync from the built
+// candidate lists. Seeds, AddSeeds and commits all append to the pair log,
+// so reading the log's new suffix sees every one of them; only the lists of
+// a newly matched node's neighbors change. A side whose lists are not built
+// yet has nothing to remove: they will be built from the matching itself.
 func (ws *walkState) sync(g1, g2 *graph.Graph, m *Matching) {
 	for _, p := range m.pairs[ws.synced:] {
-		ws.left.markNeighbors(g1, p.Left)
-		ws.right.markNeighbors(g2, p.Right)
+		if ws.left.built() {
+			ws.left.markNeighbors(g1, p.Left)
+		}
+		if ws.right.built() {
+			ws.right.markNeighbors(g2, p.Right)
+		}
 	}
 	ws.synced = len(m.pairs)
 	ws.left.compact(m.left)
@@ -139,14 +140,18 @@ func (ws *walkState) sync(g1, g2 *graph.Graph, m *Matching) {
 }
 
 // scorers returns the first `workers` scorers of dir's pool, growing it as
-// needed, and the candidate lists of dir's partner side.
-func (ws *walkState) scorers(dir passDirection, g1, g2 *graph.Graph, weighted bool, workers int) ([]*scorer, *candLists) {
-	pool, partners, nPartners := &ws.leftScorers, &ws.right, g2.NumNodes()
+// needed, and the candidate lists of dir's partner side, building them at
+// that side's first walk.
+func (ws *walkState) scorers(dir passDirection, g1, g2 *graph.Graph, m *Matching, weighted bool, workers int) ([]*scorer, *candLists) {
+	pool, partners, gb, matched := &ws.leftScorers, &ws.right, g2, m.right
 	if dir == fromRight {
-		pool, partners, nPartners = &ws.rightScorers, &ws.left, g1.NumNodes()
+		pool, partners, gb, matched = &ws.rightScorers, &ws.left, g1, m.left
+	}
+	if !partners.built() {
+		*partners = newCandLists(gb, matched)
 	}
 	for len(*pool) < workers {
-		*pool = append(*pool, newScorer(nPartners, weighted))
+		*pool = append(*pool, newScorer(gb.NumNodes(), weighted))
 	}
 	return (*pool)[:workers], partners
 }
@@ -167,12 +172,19 @@ func newScanState(g1, g2 *graph.Graph) *scanState {
 
 // runBucket performs one scoring pass at the given degree floor and commits
 // every mutual-best pair with score >= T. Returns the number of new links.
+// Under the paper's rule (count ranking, no margin) only the left side is
+// walked, and the right side's proposals are derived from the pairs the
+// left pass scored (deriveRight); any other rule walks both sides.
 func (st *scanState) runBucket(g1, g2 *graph.Graph, m *Matching, lc *linkedCounts, ws *walkState, minDeg int, opts Options) int {
 	ws.sync(g1, g2, m)
 	p := opts.passParams(minDeg)
 	workers := opts.workers()
-	st.pass(fromLeft, g1, g2, m, lc, ws, p, workers)
-	st.pass(fromRight, g1, g2, m, lc, ws, p, workers)
+	left := st.pass(fromLeft, g1, g2, m, lc, ws, p, workers)
+	if p.derive {
+		st.deriveRight(left, p)
+	} else {
+		st.pass(fromRight, g1, g2, m, lc, ws, p, workers)
+	}
 
 	// Commit mutual bests. leftBest[v1] proposes v2; accept iff v2 proposes
 	// v1 back. Scores agree automatically (witness counts are symmetric),
@@ -195,24 +207,58 @@ func (st *scanState) runBucket(g1, g2 *graph.Graph, m *Matching, lc *linkedCount
 	return matched
 }
 
-// pass is scoreRange sharded over a worker pool. Each worker owns a scorer
-// from the direction's pool; outputs land in disjoint slices of the
-// direction's proposals and the candidate lists are only read, so no
-// synchronization beyond waiting for the chunks is needed and the result is
-// independent of scheduling.
-func (st *scanState) pass(dir passDirection, g1, g2 *graph.Graph, m *Matching, lc *linkedCounts, ws *walkState, p passParams, workers int) {
+// pass is scoreRange sharded over a worker pool, returning the scorers it
+// used. Each worker owns a scorer from the direction's pool; outputs land in
+// disjoint slices of the direction's proposals and the candidate lists are
+// only read, so no synchronization beyond waiting for the chunks is needed
+// and the result is independent of scheduling.
+func (st *scanState) pass(dir passDirection, g1, g2 *graph.Graph, m *Matching, lc *linkedCounts, ws *walkState, p passParams, workers int) []*scorer {
 	best := st.leftBest
 	if dir == fromRight {
 		best = st.rightBest
 	}
 	n := len(best)
 	if n == 0 {
-		return
+		return nil
 	}
-	scorers, partners := ws.scorers(dir, g1, g2, p.weighted, max(1, min(workers, n)))
+	scorers, partners := ws.scorers(dir, g1, g2, m, p.weighted, max(1, min(workers, n)))
 	parallelChunks(n, len(scorers), func(w, lo, hi int) {
 		scoreRange(dir, g1, g2, m, lc, partners, p, lo, hi, scorers[w], best)
 	})
+	return scorers
+}
+
+// deriveRight sets rightBest from the pairs the left pass's scorers
+// recorded, and drains their buffers. Under count ranking with no margin, a
+// right node's proposal reads only its candidates at the top count, and only
+// when that count reaches T. Every pair at count >= T was recorded, with the
+// count the right pass would give it: its left endpoint has at least T
+// linked neighbors too, so the left pass scored it. A count below T can
+// neither beat nor tie one at T, and the runner-up is never read. So w's
+// proposal is the column maximum of the pairs (·, w): the top count, the
+// lowest left ID at it, and a tie when more than one pair reaches it,
+// through the same accept rule. The fold does not depend on which worker
+// recorded a pair or in what order.
+func (st *scanState) deriveRight(scorers []*scorer, p passParams) {
+	clear(st.rightBest)
+	for _, sc := range scorers {
+		for _, e := range sc.pairs {
+			b := &st.rightBest[e.right]
+			if e.count > b.score || e.count == b.score && e.left < b.node {
+				*b = candidate{node: e.left, score: e.count}
+			}
+		}
+	}
+	// A column's top pair already reaches T, so only a tie can change what
+	// accept returns: apply the rule once the column is known to be tied.
+	for _, sc := range scorers {
+		for _, e := range sc.pairs {
+			if b := &st.rightBest[e.right]; e.count == b.score && e.left != b.node {
+				*b = p.accept(b.node, b.score, b.score, true)
+			}
+		}
+		sc.pairs = sc.pairs[:0]
+	}
 }
 
 // parallelChunks cuts [0, n) into at most workers contiguous chunks and

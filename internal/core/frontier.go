@@ -9,9 +9,12 @@ import (
 // EngineFrontier is a scheduling optimization, never a semantic change: its
 // output is bit-identical to EngineSequential and EngineParallel for every
 // option combination (the equivalence, fuzz and equivariance suites pin
-// this). The full engines re-score every node on both sides in each of the
-// k·log D bucket passes even though a node's proposal can only change when a
-// link is committed near it. The frontier engine instead keeps, per side,
+// this). The full engines re-score every eligible left node in each of the
+// k·log D bucket passes (and every eligible right node too under Adamic-Adar
+// ranking or a margin; otherwise the right side's proposals are derived from
+// the left pass's scored pairs) even though a node's proposal can only change
+// when a link is committed near it. The frontier engine instead keeps, per
+// side,
 //
 //   - a persistent proposal cache: for every node, its best-candidate
 //     proposal at every bucket level of the schedule, computed in one walk
@@ -328,7 +331,7 @@ func (f *frontierState) refreshSide(dir passDirection, g1, g2 *graph.Graph, m *M
 	// eligibility is applied by the selection.
 	p := opts.passParams(floor)
 	workers := max(1, min(opts.workers(), len(work)/frontierGrain))
-	scorers, partners := ws.scorers(dir, g1, g2, p.weighted, workers)
+	scorers, partners := ws.scorers(dir, g1, g2, m, p.weighted, workers)
 	parallelChunks(len(work), workers, func(w, lo, hi int) {
 		for _, v := range work[lo:hi] {
 			f.rescoreNode(dir, scorers[w], v, g1, g2, m, lc, partners, p)

@@ -14,7 +14,7 @@ import "github.com/sociograph/reconcile/internal/trace"
 // (every committed link invalidates its neighborhood on both sides), while
 // the parallel engine pays for graph size regardless. When the sweep commit
 // rate is high, frontier invalidation churn approaches a full rescan and the
-// all-levels re-scoring makes it several times slower than parallel (0.3x
+// all-levels re-scoring makes it several times slower than parallel (0.17x
 // on the calibration instance's first sweep); when it is low, frontier
 // skips almost all scoring work and wins many times over.
 
@@ -27,34 +27,36 @@ import "github.com/sociograph/reconcile/internal/trace"
 //
 // Measured with BenchmarkHybridCrossover (internal/core/bench_test.go) on
 // the recording machine of BENCH_engines.json (linux/amd64, GOMAXPROCS=1,
-// go1.24, 2026-10-17; min of 6 runs at -benchtime 5x). On the 2x20k-node
-// preferential-attachment calibration instance, per-sweep cost of a warm
-// session (parallel vs frontier, ns), and of the frontier sweep right after
-// a restore (rebuild):
+// go1.24, 2026-10-17; min of 6 runs at -benchtime 5x), after the full scan
+// began deriving the right side's proposals instead of walking it. On the
+// 2x20k-node preferential-attachment calibration instance, per-sweep cost
+// of a warm session (parallel vs frontier, ns), and of the frontier sweep
+// right after a restore (rebuild):
 //
-//	rate 0.241   23.9M vs 80.6M  rebuild 71.4M  (parallel 3.4x)
-//	rate 0.062    7.4M vs 13.5M  rebuild 13.4M  (parallel 1.8x)
-//	rate 0.012    5.2M vs  4.7M  rebuild  5.4M  (tie)
-//	rate 0.0023   3.1M vs  2.0M  rebuild  4.1M  (frontier 1.5x)
-//	rate 0.0006   3.1M vs  0.9M  rebuild  3.9M  (frontier 3.5x)
-//	rate 0.0002   3.1M vs  0.2M  rebuild  4.1M  (frontier 17x)
+//	rate 0.241   12.2M vs 72.1M  rebuild 77.3M  (parallel 5.9x)
+//	rate 0.062    4.2M vs 12.4M  rebuild 16.1M  (parallel 2.9x)
+//	rate 0.012    2.7M vs  5.3M  rebuild  7.9M  (parallel 2.0x)
+//	rate 0.0023   1.9M vs  2.2M  rebuild  5.7M  (level)
+//	rate 0.0006   1.8M vs  0.7M  rebuild  4.3M  (frontier 2.6x)
+//	rate 0.0002   1.7M vs  0.16M rebuild  5.1M  (frontier 10x)
 //
-// The warm regimes tie at 0.012 and the frontier wins from 0.0023 on. The
-// switch fires at the sweep boundary after a sweep whose rate is below
-// 0.02, so here it fires after the tied 0.012 sweep, and the 0.0023 sweep —
-// the first the frontier wins — is the first to run on it. That sweep pays
-// the all-dirty rebuild: at most the rebuild row, which also builds the
-// candidate lists a handoff takes over, so about one parallel sweep, and the
-// next sweep saves more than that. Firing a sweep later (a constant of
-// 0.012 or less) would run the 0.0023 sweep on parallel and pay the rebuild
-// on the 0.0006 one instead: 3.1M + 3.9M against 4.1M + 0.9M. Firing a
-// sweep earlier (a constant above 0.062) would pay the rebuild on the tied
-// sweep and run the 0.0023 one warm; on these rows that is within noise of
-// the current choice (the rebuild at 0.012 read 5.4M-8.6M over the six
-// runs), so the constant stays until a measurement on the serve and
-// incremental workloads decides a move (ROADMAP). Commit-dense sweeps never
-// trigger it: cold-batch sweeps on the recorded workloads run at rates
-// 0.05-0.3 until convergence, incremental AddSeeds sweeps at <0.001.
+// The warm regimes are level at 0.0023 and the frontier wins from 0.0006
+// on. Before the derivation the frontier already won at 0.0023 (3.6M vs
+// 1.9M in a min-of-3 run of the same harness on the previous code), so the
+// crossover has moved about one sweep later. The switch fires at the sweep boundary after a sweep
+// whose rate is below 0.02, so here it fires after the 0.012 sweep: the
+// 0.0023 sweep pays the all-dirty rebuild (the rebuild row, which also
+// builds the candidate lists a handoff takes over), and every later sweep
+// and every AddSeeds re-run runs at frontier speed. Firing a sweep later (a
+// constant between 0.0023 and 0.012) would run the 0.0023 sweep on
+// parallel and pay the rebuild on the 0.0006 one: 1.9M + 4.3M against
+// 5.7M + 0.7M, within noise. A rebuild now costs two to four parallel
+// sweeps at every rate, so the handoff pays off over the sweeps and re-runs
+// that follow it; the serve and incremental workloads, which decide a move,
+// were not measured with another constant, so it stays (ROADMAP).
+// Commit-dense sweeps never trigger it: cold-batch sweeps on the recorded
+// workloads run at rates 0.05-0.3 until convergence, incremental AddSeeds
+// sweeps at <0.001.
 const hybridCrossoverRate = 0.02
 
 // phaseRetainSweeps bounds the session's phase log: at every completed sweep

@@ -13,8 +13,8 @@ import (
 	"github.com/sociograph/reconcile/internal/xrand"
 )
 
-// checkCandLists requires the session's candidate lists to be exactly what
-// the pass that just ran read: synced up to the pass's first link, and
+// checkCandLists requires each side's built candidate lists to be exactly
+// what the pass that just ran read: synced up to the pass's first link, and
 // every node's list equal to its neighbors unmatched at that point, ordered
 // by descending degree class, ties by ascending ID.
 func checkCandLists(t *testing.T, s *Session, ev PhaseEvent) {
@@ -57,8 +57,12 @@ func checkCandLists(t *testing.T, s *Session, ev PhaseEvent) {
 			}
 		}
 	}
-	checkSide("G1", s.g1, &st.left, left)
-	checkSide("G2", s.g2, &st.right, right)
+	if st.left.built() {
+		checkSide("G1", s.g1, &st.left, left)
+	}
+	if st.right.built() {
+		checkSide("G2", s.g2, &st.right, right)
+	}
 }
 
 // unmatchedIdentity returns up to k identity pairs whose endpoints are both
@@ -78,9 +82,13 @@ func unmatchedIdentity(s *Session, k int) []graph.Pair {
 // TestCandidateListInvariant checks the candidate lists after every pass
 // of either regime: with seeds at New, with AddSeeds between runs, and after
 // a mid-sweep restore. Full-scan passes run at one and four workers,
-// unbucketed and under a MaxDegree override; frontier passes run on a fixed
-// frontier session and on a hybrid session past its handoff. Four workers
-// read the lists concurrently, so under -race this also checks that
+// unbucketed, under a MaxDegree override, and under Adamic-Adar ranking and
+// a margin, the two rules whose right pass walks G1's lists; frontier passes
+// run on a fixed frontier session and on a hybrid session past its handoff.
+// A count-scored session that has run only full scans derives the right
+// side's proposals, so it must never build G1's lists or a right-side
+// scorer; every other config must check G1's lists at some pass. Four
+// workers read the lists concurrently, so under -race this also checks that
 // compaction stays between passes.
 func TestCandidateListInvariant(t *testing.T) {
 	g1, g2, seeds := testInstance(11, 500)
@@ -92,6 +100,8 @@ func TestCandidateListInvariant(t *testing.T) {
 		{"workers4", func(o *Options) { o.Workers = 4 }},
 		{"unbucketed", func(o *Options) { o.DisableBucketing = true }},
 		{"maxdegree8", func(o *Options) { o.MaxDegree = 8; o.MinBucketExp = 0 }},
+		{"adamic-adar", func(o *Options) { o.Scoring = ScoreAdamicAdar }},
+		{"margin1", func(o *Options) { o.MinMargin = 1 }},
 		{"frontier", func(o *Options) { o.Engine = EngineFrontier }},
 		{"hybrid", func(o *Options) { o.Engine = EngineHybrid }},
 	}
@@ -100,8 +110,9 @@ func TestCandidateListInvariant(t *testing.T) {
 		opts := DefaultOptions()
 		opts.Engine = EngineParallel
 		cfg.set(&opts)
+		derived := opts.passParams(1).derive
 		t.Run(cfg.name, func(t *testing.T) {
-			passes, frontierPasses := 0, 0
+			passes, frontierPasses, g1Checked := 0, 0, 0
 			hook := func(s *Session) func(PhaseEvent) {
 				return func(ev PhaseEvent) {
 					passes++
@@ -109,6 +120,15 @@ func TestCandidateListInvariant(t *testing.T) {
 						frontierPasses++
 					}
 					checkCandLists(t, s, ev)
+					if s.walk.left.built() {
+						g1Checked++
+						if derived && s.fr == nil {
+							t.Fatalf("sweep %d bucket %d: a count-scored full scan built G1's candidate lists", ev.Iteration, ev.Bucket)
+						}
+					}
+					if derived && s.fr == nil && len(s.walk.rightScorers) > 0 {
+						t.Fatalf("sweep %d bucket %d: a count-scored full scan built a right-side scorer", ev.Iteration, ev.Bucket)
+					}
 				}
 			}
 			ingest := func(s *Session) {
@@ -168,41 +188,62 @@ func TestCandidateListInvariant(t *testing.T) {
 			if opts.Engine != EngineParallel && frontierPasses == 0 {
 				t.Fatal("no frontier pass was checked")
 			}
+			if (!derived || opts.Engine != EngineParallel) && g1Checked == 0 {
+				t.Fatal("G1's candidate lists were never built, so never checked")
+			}
 		})
 	}
 }
 
 // TestScanStateLifetime pins when each piece of per-session scoring state
-// exists. The candidate lists and scorers (walk) are never built by
-// NewSession or RestoreSession, are built at the first bucket of either
-// regime, and a hybrid session's frontier takes over the ones its full
-// scans built. The full scan's proposal buffers (scan) are never built for a
-// frontier pass and are dropped at a hybrid handoff.
+// exists. NewSession and RestoreSession build none of it. The walk state is
+// created at the first bucket of either regime, and a hybrid session's
+// frontier takes over the one its full scans built. Inside it, each side's
+// candidate lists and scorers are built at that side's first walk: a
+// count-scored full scan walks only the left side, so it never builds G1's
+// lists or a right-side scorer; an Adamic-Adar full scan builds both at its
+// first pass; the frontier builds G1's at its first right refresh, which for
+// a hybrid session comes after the handoff. The full scan's proposal
+// buffers (scan) are never built for a frontier pass and are dropped at a
+// hybrid handoff.
 func TestScanStateLifetime(t *testing.T) {
 	g1, g2, seeds := testInstance(12, 400)
 	ctx := context.Background()
-	for _, engine := range []Engine{EngineSequential, EngineParallel, EngineFrontier, EngineHybrid} {
+	cases := []struct {
+		name    string
+		engine  Engine
+		scoring Scoring
+	}{
+		{"sequential", EngineSequential, ScoreWitnessCount},
+		{"parallel", EngineParallel, ScoreWitnessCount},
+		{"parallel/adamic-adar", EngineParallel, ScoreAdamicAdar},
+		{"frontier", EngineFrontier, ScoreWitnessCount},
+		{"hybrid", EngineHybrid, ScoreWitnessCount},
+	}
+	for _, tc := range cases {
 		opts := DefaultOptions()
-		opts.Engine = engine
+		opts.Engine = tc.engine
+		opts.Scoring = tc.scoring
 		s, err := NewSession(g1, g2, seeds, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if s.walk != nil || s.scan != nil {
-			t.Fatalf("%v: NewSession built scoring state", engine)
+			t.Fatalf("%s: NewSession built scoring state", tc.name)
 		}
 		built, handedOff := false, false
 		var lists *walkState
 		s.SetProgress(func(PhaseEvent) {
 			if s.walk == nil {
-				t.Fatalf("%v: a pass ran without candidate lists", engine)
+				t.Fatalf("%s: a pass ran without candidate lists", tc.name)
 			}
 			if lists != nil && s.walk != lists {
-				t.Fatalf("%v: candidate lists rebuilt mid-session", engine)
+				t.Fatalf("%s: candidate lists rebuilt mid-session", tc.name)
 			}
 			lists = s.walk
+			g1Lists := s.walk.left.built() || len(s.walk.rightScorers) > 0
 			switch {
-			case engine == EngineFrontier && s.scan != nil:
+			case tc.engine == EngineFrontier && s.scan != nil:
 				t.Fatal("frontier session built full-scan buffers")
 			case s.FrontierActive():
 				handedOff = true
@@ -211,23 +252,34 @@ func TestScanStateLifetime(t *testing.T) {
 				}
 			case s.scan != nil:
 				built = true
+				if !s.walk.right.built() || len(s.walk.leftScorers) == 0 {
+					t.Fatalf("%s: a full-scan pass ran without G2's lists or a left-side scorer", tc.name)
+				}
+				if weighted := tc.scoring == ScoreAdamicAdar; g1Lists != weighted {
+					t.Fatalf("%s: after a full-scan pass, G1's lists or right-side scorers built = %v, want %v", tc.name, g1Lists, weighted)
+				}
 			}
 		})
 		if _, err := s.RunUntilStableContext(ctx, 10); err != nil {
 			t.Fatal(err)
 		}
-		if engine != EngineFrontier && !built {
-			t.Fatalf("%v: no full-scan pass built its buffers", engine)
+		if tc.engine != EngineFrontier && !built {
+			t.Fatalf("%s: no full-scan pass built its buffers", tc.name)
 		}
-		if engine == EngineHybrid && !handedOff {
+		if tc.engine == EngineHybrid && !handedOff {
 			t.Fatal("hybrid session never handed off; the instance does not exercise the takeover")
+		}
+		if tc.engine == EngineFrontier || tc.engine == EngineHybrid {
+			if !s.walk.left.built() || len(s.walk.rightScorers) == 0 {
+				t.Fatalf("%s: the frontier's right refreshes never built G1's lists and a right-side scorer", tc.name)
+			}
 		}
 		r, err := RestoreSession(g1, g2, s.ExportState())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if r.walk != nil || r.scan != nil {
-			t.Fatalf("%v: RestoreSession built scoring state", engine)
+			t.Fatalf("%s: RestoreSession built scoring state", tc.name)
 		}
 	}
 }
@@ -353,7 +405,7 @@ func TestOnePassSelection(t *testing.T) {
 			if tc.weighted {
 				got = sc.selectWeighted(p)
 			} else {
-				got = sc.selectCount(p)
+				got = sc.selectCount(p, 0)
 			}
 			if got != tc.want {
 				t.Errorf("selected %+v, want %+v", got, tc.want)
@@ -439,4 +491,168 @@ func TestScanPassAllocations(t *testing.T) {
 		t.Fatalf("second sweep (%d links) allocated %d bytes, want < %d", found, got, limit)
 	}
 	t.Logf("second sweep (%d links) allocated %d bytes", found, got)
+}
+
+// TestDeriveRightColumnRule feeds hand-built per-worker pair buffers to the
+// column rule and checks every right node's derived proposal against the
+// rule the right pass applies (referenceSelect) to the same candidates. The
+// buffers hold only the candidates at count >= T, as the left pass records
+// them; the reference sees all of them. Each case splits its pairs over two
+// workers and merges the buffers in both orders; the buffers must come back
+// drained and a stale proposal from an earlier pass must not survive.
+func TestDeriveRightColumnRule(t *testing.T) {
+	type cand struct {
+		left  graph.NodeID
+		count int32
+	}
+	cases := []struct {
+		name      string
+		ties      TieBreak
+		threshold int32
+		columns   map[graph.NodeID][]cand // right node -> its candidates, all counts
+		want      map[graph.NodeID]candidate
+	}{
+		{name: "unique top", threshold: 2,
+			columns: map[graph.NodeID][]cand{3: {{1, 2}, {4, 5}, {6, 3}}},
+			want:    map[graph.NodeID]candidate{3: {node: 4, score: 5}}},
+		{name: "tie under TieReject", threshold: 2, ties: TieReject,
+			columns: map[graph.NodeID][]cand{2: {{5, 3}, {1, 3}, {7, 2}}}},
+		{name: "tie under TieLowestID", threshold: 2, ties: TieLowestID,
+			columns: map[graph.NodeID][]cand{2: {{5, 3}, {7, 2}, {1, 3}}},
+			want:    map[graph.NodeID]candidate{2: {node: 1, score: 3}}},
+		{name: "counts below T", threshold: 3,
+			columns: map[graph.NodeID][]cand{
+				1: {{2, 2}, {3, 1}},         // top below T: abstains
+				5: {{2, 2}, {6, 3}, {0, 2}}, // only the top reaches T
+				8: {{4, 2}, {9, 2}},         // tied below T: abstains under either policy
+			},
+			want: map[graph.NodeID]candidate{5: {node: 6, score: 3}}},
+		{name: "columns across both workers", threshold: 2, ties: TieLowestID,
+			columns: map[graph.NodeID][]cand{
+				0: {{9, 4}, {2, 4}, {5, 1}, {11, 4}},
+				7: {{3, 3}, {8, 4}, {10, 4}, {1, 3}},
+				9: {{12, 2}, {13, 5}},
+			},
+			want: map[graph.NodeID]candidate{0: {node: 2, score: 4}, 7: {node: 8, score: 4}, 9: {node: 13, score: 5}}},
+		{name: "columns across both workers, TieReject", threshold: 2, ties: TieReject,
+			columns: map[graph.NodeID][]cand{
+				0: {{9, 4}, {2, 4}, {5, 1}, {11, 4}},
+				7: {{3, 3}, {8, 4}, {10, 3}, {1, 3}},
+			},
+			want: map[graph.NodeID]candidate{7: {node: 8, score: 4}}},
+	}
+	const n = 16
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := passParams{threshold: tc.threshold, ties: tc.ties, derive: true}
+			// Split the recorded pairs over two workers, alternating, so a
+			// column's pairs land in both buffers.
+			var bufs [2][]scoredPair
+			k := 0
+			for w := graph.NodeID(0); w < n; w++ {
+				for _, c := range tc.columns[w] {
+					if c.count >= tc.threshold {
+						bufs[k%2] = append(bufs[k%2], scoredPair{left: c.left, right: w, count: c.count})
+						k++
+					}
+				}
+			}
+			for _, order := range [][2]int{{0, 1}, {1, 0}} {
+				scorers := []*scorer{{pairs: append([]scoredPair(nil), bufs[order[0]]...)}, {pairs: append([]scoredPair(nil), bufs[order[1]]...)}}
+				st := &scanState{rightBest: make([]candidate, n)}
+				for w := range st.rightBest {
+					st.rightBest[w] = candidate{node: 15, score: 9} // a stale proposal
+				}
+				st.deriveRight(scorers, p)
+				for w := graph.NodeID(0); w < n; w++ {
+					var want candidate
+					if cs := tc.columns[w]; len(cs) > 0 {
+						scores := make([]int32, n)
+						var touched []graph.NodeID
+						for _, c := range cs {
+							scores[c.left] = c.count
+							touched = append(touched, c.left)
+						}
+						want = referenceSelect(scores, nil, touched, p)
+					}
+					if got := st.rightBest[w]; got != want {
+						t.Errorf("order %v: right node %d derived %+v, the right pass selects %+v", order, w, got, want)
+					}
+					if got := st.rightBest[w]; got != tc.want[w] {
+						t.Errorf("order %v: right node %d derived %+v, want %+v", order, w, got, tc.want[w])
+					}
+				}
+				for i, sc := range scorers {
+					if len(sc.pairs) != 0 {
+						t.Errorf("order %v: worker %d's buffer not drained: %v", order, i, sc.pairs)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestDerivedRightProposals checks the derivation on whole sessions. At
+// every full-scan pass of random instances, the back-proposal the scan
+// derived at each left proposal's target must equal what the right pass it
+// replaces selects there: scoreRange from the right, walking G1's candidate
+// lists, on the matching the pass started from. It runs at one and four
+// workers, unbucketed, under a MaxDegree override and under TieLowestID.
+// Four workers record pairs concurrently, so under -race this also checks
+// that the buffers stay per worker.
+func TestDerivedRightProposals(t *testing.T) {
+	configs := []struct {
+		name string
+		set  func(*Options)
+	}{
+		{"workers1", func(o *Options) { o.Workers = 1 }},
+		{"workers4", func(o *Options) { o.Workers = 4 }},
+		{"unbucketed", func(o *Options) { o.DisableBucketing = true }},
+		{"maxdegree8", func(o *Options) { o.MaxDegree = 8; o.MinBucketExp = 0 }},
+		{"lowestid", func(o *Options) { o.Ties = TieLowestID; o.Workers = 4 }},
+	}
+	ctx := context.Background()
+	for _, cfg := range configs {
+		t.Run(cfg.name, func(t *testing.T) {
+			targets := 0
+			for _, seed := range []uint64{21, 22, 23} {
+				g1, g2, seeds := testInstance(seed, 600)
+				n1, n2 := g1.NumNodes(), g2.NumNodes()
+				opts := DefaultOptions()
+				opts.Engine = EngineParallel
+				cfg.set(&opts)
+				s, err := NewSession(g1, g2, seeds, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.SetProgress(func(ev PhaseEvent) {
+					start, err := NewMatching(n1, n2, s.m.pairs[:ev.TotalLinks-ev.Matched])
+					if err != nil {
+						t.Fatal(err)
+					}
+					lists := newCandLists(g1, start.left)
+					p := opts.passParams(ev.MinDegree)
+					p.derive = false
+					ref := make([]candidate, n2)
+					scoreRange(fromRight, g1, g2, start, newLinkedCounts(g1, g2, start), &lists, p, 0, n2, newScorer(n1, false), ref)
+					for v1, c := range s.scan.leftBest {
+						if c.score == 0 {
+							continue
+						}
+						targets++
+						if got := s.scan.rightBest[c.node]; got != ref[c.node] {
+							t.Fatalf("seed %d sweep %d bucket %d: left %d proposes %d, which derived %+v; the right pass selects %+v",
+								seed, ev.Iteration, ev.Bucket, v1, c.node, got, ref[c.node])
+						}
+					}
+				})
+				if _, err := s.RunUntilStableContext(ctx, 10); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if targets == 0 {
+				t.Fatal("no left proposal was checked")
+			}
+		})
+	}
 }

@@ -25,6 +25,10 @@ type passParams struct {
 	ties      TieBreak
 	weighted  bool // rank by Adamic-Adar weights instead of raw counts
 	minMargin int32
+	// derive is the paper's rule, count ranking with no margin, under which
+	// the full scan derives the right side's proposals from the pairs the
+	// left pass records instead of walking the right side.
+	derive bool
 }
 
 func (o Options) passParams(minDeg int) passParams {
@@ -35,6 +39,7 @@ func (o Options) passParams(minDeg int) passParams {
 		ties:      o.Ties,
 		weighted:  o.Scoring == ScoreAdamicAdar,
 		minMargin: int32(o.MinMargin),
+		derive:    o.Scoring == ScoreWitnessCount && o.MinMargin == 0,
 	}
 }
 
@@ -62,6 +67,16 @@ type scorer struct {
 	// which they are eligible; only the frontier's all-levels selection
 	// uses it.
 	levels [][]graph.NodeID
+	// pairs collects, under derive, every candidate pair at count >= T that
+	// selectCount saw, until the full scan's deriveRight drains it.
+	pairs []scoredPair
+}
+
+// scoredPair is a candidate pair (left, right) the left pass scored at a
+// witness count of at least T.
+type scoredPair struct {
+	left, right graph.NodeID
+	count       int32
 }
 
 func newScorer(nPartners int, weighted bool) *scorer {
@@ -88,7 +103,7 @@ func (s *scorer) bestFor(
 	if s.weights != nil {
 		return s.selectWeighted(p)
 	}
-	return s.selectCount(p)
+	return s.selectCount(p, v)
 }
 
 // walk accumulates the similarity-witness scores of every candidate partner
@@ -136,13 +151,14 @@ func (s *scorer) walk(
 	}
 }
 
-// selectCount is the selection under witness-count ranking, in one loop
+// selectCount is v's selection under witness-count ranking, in one loop
 // over the touched candidates that also clears the scratch: the proposal is
 // the lowest-ID candidate with the top count; a tie is more than one
 // candidate at the top count, and the margin is measured against the
 // runner-up count (the top count itself when tied). The result depends on
-// the candidates' counts only, not on the order they were touched in.
-func (s *scorer) selectCount(p passParams) candidate {
+// the candidates' counts only, not on the order they were touched in. Under
+// derive the loop also records every pair (v, w) at count >= T in s.pairs.
+func (s *scorer) selectCount(p passParams, v graph.NodeID) candidate {
 	var (
 		best      graph.NodeID
 		top, next int32 // the top count and the highest count below it
@@ -151,6 +167,9 @@ func (s *scorer) selectCount(p passParams) candidate {
 	for _, w := range s.touched {
 		c := s.scores[w]
 		s.scores[w] = 0
+		if p.derive && c >= p.threshold {
+			s.pairs = append(s.pairs, scoredPair{left: v, right: w, count: c})
+		}
 		switch {
 		case c > top:
 			best, top, next, atTop = w, c, top, 1
@@ -412,6 +431,9 @@ func newCandLists(g *graph.Graph, matched []graph.NodeID) candLists {
 	}
 	return c
 }
+
+// built reports whether the lists exist; they are built at their first walk.
+func (c *candLists) built() bool { return c.off != nil }
 
 // list returns x's current candidate list. It aliases the lists' storage.
 func (c *candLists) list(x graph.NodeID) []graph.NodeID {

@@ -41,9 +41,10 @@ type Session struct {
 	// rebuilds it from the matching.
 	fr *frontierState
 	// walk is the candidate lists and scorers both regimes score with,
-	// built at the first bucket of either regime and kept across a hybrid
-	// handoff. scan is the full scan's proposal buffers, built at the first
-	// full-scan bucket and dropped at a hybrid handoff. Neither is exported.
+	// created at the first bucket of either regime (each side's lists at
+	// their first walk) and kept across a hybrid handoff. scan is the full
+	// scan's proposal buffers, built at the first full-scan bucket and
+	// dropped at a hybrid handoff. Neither is exported.
 	walk   *walkState
 	scan   *scanState
 	phases []PhaseStat
@@ -192,7 +193,7 @@ func (s *Session) RunContext(ctx context.Context, sweeps int) (int, error) {
 			bsp = s.tracer.Begin(trace.KindBucket, "")
 		}
 		if s.walk == nil {
-			s.walk = newWalkState(s.g1, s.g2, s.m)
+			s.walk = &walkState{}
 		}
 		var matched int
 		if s.fr != nil {
