@@ -93,7 +93,13 @@
 //	GET  /healthz                  liveness
 //
 // Graphs are submitted as {"nodes": n, "edges": [[u, v], ...]} with dense
-// 0-based IDs; seeds and returned pairs are [left, right] arrays. Options
+// 0-based IDs; seeds and returned pairs are [left, right] arrays. A
+// submitted pair is exactly two integers, each below its graph's node
+// count: [2], [1, 2, 7] or an end past the node count is refused with 400,
+// on job submissions and seed ingests alike. A job body in the canonical
+// encoding (the keys above, plain and once each, pairs of integers) is
+// parsed in one pass; any other body is decoded by encoding/json, with the
+// same result. Options
 // mirror the functional options of the Go API: threshold, iterations,
 // engine ("hybrid"/"frontier"/"parallel"/"sequential" — identical output, see
 // DESIGN.md for the scheduling difference), scoring ("count"/"adamic-adar"),

@@ -35,8 +35,8 @@ const (
 
 // graphSpec is a graph in the wire format: a node count and an edge list.
 type graphSpec struct {
-	Nodes int      `json:"nodes"`
-	Edges [][2]int `json:"edges"`
+	Nodes int        `json:"nodes"`
+	Edges []pairSpec `json:"edges"`
 }
 
 // optionsSpec mirrors the functional options over JSON. Absent fields keep
@@ -54,13 +54,13 @@ type optionsSpec struct {
 	MaxDegree    *int   `json:"maxDegree,omitempty"`
 }
 
-// jobRequest is the POST /v1/jobs body. With untilStable the job sweeps
-// until nothing new is found, bounded by maxSweeps (default 50); otherwise
-// it performs options.iterations sweeps and maxSweeps is ignored.
+// jobRequest is the POST /v1/jobs body (decodeJob). With untilStable the
+// job sweeps until nothing new is found, bounded by maxSweeps (default 50);
+// otherwise it performs options.iterations sweeps and maxSweeps is ignored.
 type jobRequest struct {
 	G1          graphSpec   `json:"g1"`
 	G2          graphSpec   `json:"g2"`
-	Seeds       [][2]int    `json:"seeds"`
+	Seeds       []pairSpec  `json:"seeds"`
 	Options     optionsSpec `json:"options"`
 	UntilStable bool        `json:"untilStable,omitempty"`
 	MaxSweeps   int         `json:"maxSweeps,omitempty"`
@@ -655,7 +655,13 @@ func (s *server) writeQuotaError(w http.ResponseWriter, err error) {
 // http.MaxBytesReader overrun into 413 and anything else into 400. Returns
 // false when a response has been written.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	err := json.NewDecoder(r.Body).Decode(v)
+	return bodyOK(w, json.NewDecoder(r.Body).Decode(v))
+}
+
+// bodyOK answers a failed body read or decode: 413 for an
+// http.MaxBytesReader overrun, 400 for anything else. It returns whether
+// err was nil, false meaning a response has been written.
+func bodyOK(w http.ResponseWriter, err error) bool {
 	if err == nil {
 		return true
 	}
@@ -740,7 +746,18 @@ func buildGraph(spec graphSpec) (*reconcile.Graph, error) {
 	return reconcile.FromEdges(spec.Nodes, edges), nil
 }
 
-func toPairs(raw [][2]int) []reconcile.Pair {
+// checkSeeds checks every seed link against its side's node count on the
+// wire value, before toPairs narrows it to a NodeID.
+func checkSeeds(raw []pairSpec, n1, n2 int) error {
+	for _, p := range raw {
+		if p[0] < 0 || p[0] >= n1 || p[1] < 0 || p[1] >= n2 {
+			return fmt.Errorf("seed (%d, %d): node out of range (%d x %d nodes)", p[0], p[1], n1, n2)
+		}
+	}
+	return nil
+}
+
+func toPairs(raw []pairSpec) []reconcile.Pair {
 	out := make([]reconcile.Pair, 0, len(raw))
 	for _, p := range raw {
 		out = append(out, reconcile.Pair{Left: reconcile.NodeID(p[0]), Right: reconcile.NodeID(p[1])})
@@ -813,8 +830,8 @@ func (j *job) closeMappings() {
 // the graphs and a Reconciler, start the run in a goroutine, answer 202
 // with the job id immediately.
 func (s *server) createJob(w http.ResponseWriter, r *http.Request, tj *tenantJobs, t *tenant.Tenant) {
-	var req jobRequest
-	if !decodeBody(w, r, &req) {
+	req, err := readJob(r.Body)
+	if !bodyOK(w, err) {
 		return
 	}
 	g1, err := buildGraph(req.G1)
@@ -825,6 +842,10 @@ func (s *server) createJob(w http.ResponseWriter, r *http.Request, tj *tenantJob
 	g2, err := buildGraph(req.G2)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "g2: %v", err)
+		return
+	}
+	if err := checkSeeds(req.Seeds, req.G1.Nodes, req.G2.Nodes); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	opts, err := buildOptions(req.Options)
@@ -1020,7 +1041,7 @@ func (s *server) addSeeds(w http.ResponseWriter, r *http.Request, tj *tenantJobs
 		return
 	}
 	var req struct {
-		Seeds [][2]int `json:"seeds"`
+		Seeds []pairSpec `json:"seeds"`
 	}
 	if !decodeBody(w, r, &req) {
 		return
@@ -1037,6 +1058,11 @@ func (s *server) addSeeds(w http.ResponseWriter, r *http.Request, tj *tenantJobs
 		writeError(w, http.StatusNotFound, "no job %q", j.id)
 		return
 	}
+	if err := checkSeeds(req.Seeds, j.n1, j.n2); err != nil {
+		j.mu.Unlock()
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	// All-or-nothing: Reconciler.AddSeeds commits seeds up to the first
 	// conflict, which would leave the job's counters and matching out of
 	// step on a 409. Pre-check the whole batch against the current links
@@ -1049,11 +1075,6 @@ func (s *server) addSeeds(w http.ResponseWriter, r *http.Request, tj *tenantJobs
 		usedR[p.Right] = p.Left
 	}
 	for _, p := range newSeeds {
-		if int(p.Left) >= j.n1 || int(p.Right) >= j.n2 {
-			j.mu.Unlock()
-			writeError(w, http.StatusBadRequest, "seed (%d, %d): node out of range (%d x %d nodes)", p.Left, p.Right, j.n1, j.n2)
-			return
-		}
 		if cur, ok := usedL[p.Left]; ok {
 			if cur == p.Right {
 				continue // exact duplicate, ignored by AddSeeds

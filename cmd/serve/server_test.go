@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -250,6 +251,30 @@ func TestServeValidation(t *testing.T) {
 		t.Errorf("out-of-range edge: status %d", resp.StatusCode)
 	}
 
+	// A pair is exactly two integers, each checked against its node count
+	// on the wire value: edge [2] must not read as (2, 0), edge [1, 2, 7]
+	// as (1, 2), seed [4294967297, 1] as (1, 1) or seed [2] as (2, 0).
+	valid, err := json.Marshal(testInstance(t, 50, 0.2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ name, at, pair string }{
+		{"one-end edge", `"edges":[`, `[2]`},
+		{"three-end edge", `"edges":[`, `[1,2,7]`},
+		{"wrapping seed", `"seeds":[`, `[4294967297,1]`},
+		{"one-end seed", `"seeds":[`, `[2]`},
+	} {
+		body := strings.Replace(string(valid), c.at, c.at+c.pair+",", 1)
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s %s: status %d, want 400", c.name, c.pair, resp.StatusCode)
+		}
+	}
+
 	// Unknown job.
 	resp, err = http.Get(ts.URL + "/v1/jobs/nope")
 	if err != nil {
@@ -320,6 +345,26 @@ func TestServeValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("out-of-range seed: status %d, want 400", resp.StatusCode)
+	}
+
+	// The pair rule holds on the seeds endpoint too.
+	for _, pair := range []string{`[2]`, `[1,2,7]`, `[4294967297,1]`} {
+		resp, err := http.Post(fmt.Sprintf("%s/v1/jobs/%s/seeds", ts.URL, created["id"]), "application/json",
+			strings.NewReader(`{"seeds":[`+pair+`]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("seed %s: status %d, want 400", pair, resp.StatusCode)
+		}
+	}
+	resp, err = http.Get(fmt.Sprintf("%s/v1/jobs/%s?pairs=1", ts.URL, created["id"]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final := decode[jobView](t, resp); final.Status != statusDone || final.Links != before.Links {
+		t.Fatalf("refused seeds changed the job: links %d -> %d, status %q", before.Links, final.Links, final.Status)
 	}
 }
 

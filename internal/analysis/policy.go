@@ -86,9 +86,10 @@ func DefaultPolicy() Policy {
 		{
 			// Decode and replay paths never panic, never assert without the
 			// comma-ok form, and never size an allocation from a
-			// wire-controlled integer that nothing has bounded.
+			// wire-controlled integer that nothing has bounded. cmd/serve
+			// decodes every job body it is sent and replays its store.
 			Analyzer: "no-panic-decode",
-			Packages: []string{"internal/snapshot", "internal/graph", "internal/core", "."},
+			Packages: []string{"internal/snapshot", "internal/graph", "internal/core", ".", "cmd/serve"},
 		},
 		{
 			// The mmap store makes every byte of a mapped file wire input, so

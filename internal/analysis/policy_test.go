@@ -47,6 +47,14 @@ func TestPolicyCoversTracePackage(t *testing.T) {
 	}
 }
 
+// TestPolicyCoversServeDecode pins the serve layer's decode paths (the
+// job-body parser, the store's replay) under the no-panic-decode rule.
+func TestPolicyCoversServeDecode(t *testing.T) {
+	if _, ok := DefaultPolicy().analyzersFor("cmd/serve")["no-panic-decode"]; !ok {
+		t.Error("cmd/serve not covered by the \"no-panic-decode\" rule")
+	}
+}
+
 func TestFindingString(t *testing.T) {
 	f := Finding{File: "internal/core/engine.go", Line: 37, Analyzer: "ctx-propagation", Message: "context.Background in library code"}
 	want := "internal/core/engine.go:37: [ctx-propagation] context.Background in library code"

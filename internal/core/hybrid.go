@@ -99,9 +99,16 @@ func (s *Session) endSweep() {
 		// nothing, and a kill/restore at this exact boundary rebuilds the
 		// identical state from the matching (the cross-engine restore path).
 		// The frontier takes over the candidate lists; the full scan's
-		// proposal buffers have no further use.
+		// proposal buffers, and the pair buffers its count-scored left
+		// passes filled, have no further use (the frontier selects through
+		// selectLevels and records no pairs).
 		s.hybridSwitched = true
 		s.scan = nil
+		if s.walk != nil {
+			for _, sc := range s.walk.leftScorers {
+				sc.pairs = nil
+			}
+		}
 	}
 	s.evictPhases()
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -249,6 +250,11 @@ func TestScanStateLifetime(t *testing.T) {
 				handedOff = true
 				if s.scan != nil {
 					t.Fatal("hybrid session kept full-scan buffers after its handoff decision")
+				}
+				for _, sc := range slices.Concat(s.walk.leftScorers, s.walk.rightScorers) {
+					if sc.pairs != nil {
+						t.Fatal("hybrid session kept a scorer's pair buffer after its handoff decision")
+					}
 				}
 			case s.scan != nil:
 				built = true

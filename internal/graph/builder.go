@@ -1,6 +1,6 @@
 package graph
 
-import "sort"
+import "slices"
 
 // Builder accumulates undirected edges and produces an immutable Graph.
 // Duplicate edges and self-loops may be added freely; Build removes them.
@@ -91,7 +91,7 @@ func (b *Builder) Build() *Graph {
 	for v := 0; v < n; v++ {
 		lo, hi := offsets[v], offsets[v+1]
 		ns := adj[lo:hi]
-		sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
+		slices.Sort(ns)
 		newOffsets[v] = write
 		var prev NodeID
 		first := true
