@@ -199,15 +199,16 @@ func makeInstance(n, m int) benchInstance {
 // engine.
 func BenchmarkReconcilePA(b *testing.B) {
 	inst := makeInstance(20000, 20)
-	opts := reconcile.DefaultOptions()
-	edges := float64(inst.g1.NumEdges() + inst.g2.NumEdges())
+	benchBatch(b, inst, reconcile.DefaultOptions())
+	b.ReportMetric(float64(inst.g1.NumEdges()+inst.g2.NumEdges()), "edges")
+}
+
+// benchBatch times the one-shot batch run over inst: a cold New, then Run.
+func benchBatch(b *testing.B, inst benchInstance, opts reconcile.Options) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := reconcile.Reconcile(inst.g1, inst.g2, inst.seeds, opts); err != nil {
-			b.Fatal(err)
-		}
+		runBatch(b, inst.g1, inst.g2, reconcile.WithOptions(opts), reconcile.WithSeeds(inst.seeds))
 	}
-	b.ReportMetric(edges, "edges")
 }
 
 // BenchmarkReconcileSequential is the single-threaded reference cost.
@@ -215,12 +216,7 @@ func BenchmarkReconcileSequential(b *testing.B) {
 	inst := makeInstance(10000, 10)
 	opts := reconcile.DefaultOptions()
 	opts.Engine = reconcile.EngineSequential
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := reconcile.Reconcile(inst.g1, inst.g2, inst.seeds, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchBatch(b, inst, opts)
 }
 
 // BenchmarkReconcileParallel is the same instance on the parallel engine —
@@ -229,12 +225,7 @@ func BenchmarkReconcileParallel(b *testing.B) {
 	inst := makeInstance(10000, 10)
 	opts := reconcile.DefaultOptions()
 	opts.Engine = reconcile.EngineParallel
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := reconcile.Reconcile(inst.g1, inst.g2, inst.seeds, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchBatch(b, inst, opts)
 }
 
 // BenchmarkReconcileFrontier is the same instance on the frontier engine —
@@ -246,12 +237,7 @@ func BenchmarkReconcileFrontier(b *testing.B) {
 	inst := makeInstance(10000, 10)
 	opts := reconcile.DefaultOptions()
 	opts.Engine = reconcile.EngineFrontier
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := reconcile.Reconcile(inst.g1, inst.g2, inst.seeds, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchBatch(b, inst, opts)
 }
 
 // BenchmarkReconcileHybrid is the same instance on the hybrid engine — the
@@ -263,12 +249,7 @@ func BenchmarkReconcileHybrid(b *testing.B) {
 	inst := makeInstance(10000, 10)
 	opts := reconcile.DefaultOptions()
 	opts.Engine = reconcile.EngineHybrid
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := reconcile.Reconcile(inst.g1, inst.g2, inst.seeds, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchBatch(b, inst, opts)
 }
 
 // BenchmarkReconcileFrontierIncremental measures the production steady
@@ -478,12 +459,7 @@ func BenchmarkReconcileAdamicAdar(b *testing.B) {
 	inst := makeInstance(10000, 10)
 	opts := reconcile.DefaultOptions()
 	opts.Scoring = reconcile.ScoreAdamicAdar
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := reconcile.Reconcile(inst.g1, inst.g2, inst.seeds, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchBatch(b, inst, opts)
 }
 
 // BenchmarkGeneratePA measures graph generation throughput (edges/sec drive

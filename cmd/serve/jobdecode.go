@@ -11,7 +11,7 @@ import (
 // pairSpec is a pair in the wire format, an edge [u, v] or a link
 // [left, right]: exactly two integers. A bare [2]int would take [2] as
 // (2, 0) and [1, 2, 7] as (1, 2); both decode paths refuse them. The ends
-// stay ints until buildGraph or checkSeeds has compared them with their
+// stay ints until checkGraph or checkSeeds has compared them with their
 // node counts, so 4294967297 cannot wrap to node 1 on the way to a NodeID.
 type pairSpec [2]int
 

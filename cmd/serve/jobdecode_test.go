@@ -190,8 +190,8 @@ func TestPairRule(t *testing.T) {
 			t.Fatalf("%s: checkSeeds took a seed past the node count", body)
 		}
 	}
-	if _, err := buildGraph(graphSpec{Nodes: 4, Edges: []pairSpec{{4294967297, 1}}}); err == nil {
-		t.Fatal("buildGraph took an edge past the node count")
+	if err := checkGraph(graphSpec{Nodes: 4, Edges: []pairSpec{{4294967297, 1}}}); err == nil {
+		t.Fatal("checkGraph took an edge past the node count")
 	}
 }
 

@@ -49,7 +49,10 @@
 // namespace (401 without a token, 403 with a wrong one); a tenant without
 // one is open, which is also the default tenant's initial state. Quotas
 // are admission limits (429 when exceeded): concurrent runs, total graph
-// nodes, and durable checkpoint bytes under the tenant's store root.
+// nodes, and durable checkpoint bytes under the tenant's store root. A
+// submission is validated before it is admitted (400 for a malformed body,
+// whatever the tenant's quota state) and admitted before its graphs are
+// built.
 // -run-slots caps run goroutines across all tenants; a weighted-fair
 // scheduler shares the slots so no tenant can starve another (see
 // DESIGN.md "Multi-tenancy").

@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 
 	"github.com/sociograph/reconcile"
+	"github.com/sociograph/reconcile/internal/graph"
 	"github.com/sociograph/reconcile/internal/tenant"
 	"github.com/sociograph/reconcile/internal/trace"
 )
@@ -138,7 +139,6 @@ func (j *job) metaLocked() jobMeta {
 		Seeds:       j.seeds,
 		UntilStable: j.untilStable,
 		MaxSweeps:   j.maxSweeps,
-		Phases:      append([]phaseJSON(nil), j.phases...),
 		Trace:       j.tr.Export(),
 	}
 }
@@ -674,76 +674,90 @@ func bodyOK(w http.ResponseWriter, err error) bool {
 	return false
 }
 
-// buildOptions translates an optionsSpec into functional options.
-func buildOptions(spec optionsSpec) ([]reconcile.Option, error) {
-	var opts []reconcile.Option
+// buildOptions translates an optionsSpec into a validated configuration.
+// Absent fields keep DefaultOptions' values.
+func buildOptions(spec optionsSpec) (reconcile.Options, error) {
+	o := reconcile.DefaultOptions()
 	if spec.Threshold != nil {
-		opts = append(opts, reconcile.WithThreshold(*spec.Threshold))
+		o.Threshold = *spec.Threshold
 	}
 	if spec.Iterations != nil {
-		opts = append(opts, reconcile.WithIterations(*spec.Iterations))
+		o.Iterations = *spec.Iterations
 	}
 	switch spec.Engine {
 	case "":
 	case "hybrid":
-		opts = append(opts, reconcile.WithEngine(reconcile.EngineHybrid))
+		o.Engine = reconcile.EngineHybrid
 	case "frontier":
-		opts = append(opts, reconcile.WithEngine(reconcile.EngineFrontier))
+		o.Engine = reconcile.EngineFrontier
 	case "parallel":
-		opts = append(opts, reconcile.WithEngine(reconcile.EngineParallel))
+		o.Engine = reconcile.EngineParallel
 	case "sequential":
-		opts = append(opts, reconcile.WithEngine(reconcile.EngineSequential))
+		o.Engine = reconcile.EngineSequential
 	default:
-		return nil, fmt.Errorf("unknown engine %q", spec.Engine)
+		return o, fmt.Errorf("unknown engine %q", spec.Engine)
 	}
 	switch spec.Scoring {
 	case "":
 	case "count":
-		opts = append(opts, reconcile.WithScoring(reconcile.ScoreWitnessCount))
+		o.Scoring = reconcile.ScoreWitnessCount
 	case "adamic-adar":
-		opts = append(opts, reconcile.WithScoring(reconcile.ScoreAdamicAdar))
+		o.Scoring = reconcile.ScoreAdamicAdar
 	default:
-		return nil, fmt.Errorf("unknown scoring %q", spec.Scoring)
+		return o, fmt.Errorf("unknown scoring %q", spec.Scoring)
 	}
 	switch spec.Ties {
 	case "":
 	case "reject":
-		opts = append(opts, reconcile.WithTieBreak(reconcile.TieReject))
+		o.Ties = reconcile.TieReject
 	case "lowest-id":
-		opts = append(opts, reconcile.WithTieBreak(reconcile.TieLowestID))
+		o.Ties = reconcile.TieLowestID
 	default:
-		return nil, fmt.Errorf("unknown tie policy %q", spec.Ties)
+		return o, fmt.Errorf("unknown tie policy %q", spec.Ties)
 	}
 	if spec.Workers != nil {
-		opts = append(opts, reconcile.WithWorkers(*spec.Workers))
+		o.Workers = *spec.Workers
 	}
 	if spec.Margin != nil {
-		opts = append(opts, reconcile.WithMargin(*spec.Margin))
+		o.MinMargin = *spec.Margin
 	}
 	if spec.Bucketing != nil {
-		opts = append(opts, reconcile.WithBucketing(*spec.Bucketing))
+		o.DisableBucketing = !*spec.Bucketing
 	}
 	if spec.MinBucketExp != nil {
-		opts = append(opts, reconcile.WithMinBucketExp(*spec.MinBucketExp))
+		o.MinBucketExp = *spec.MinBucketExp
 	}
 	if spec.MaxDegree != nil {
-		opts = append(opts, reconcile.WithMaxDegree(*spec.MaxDegree))
+		o.MaxDegree = *spec.MaxDegree
 	}
-	return opts, nil
+	return o, o.Validate()
 }
 
-func buildGraph(spec graphSpec) (*reconcile.Graph, error) {
+// checkGraph validates a wire graph without building it: a positive node
+// count no larger than the graph codecs can read back (graph.MaxNodes),
+// and every edge end in range on its wire value.
+func checkGraph(spec graphSpec) error {
 	if spec.Nodes <= 0 {
-		return nil, fmt.Errorf("graph needs a positive node count")
+		return fmt.Errorf("graph needs a positive node count")
 	}
-	edges := make([]reconcile.Edge, 0, len(spec.Edges))
+	if spec.Nodes > graph.MaxNodes {
+		return fmt.Errorf("node count %d exceeds the limit of %d", spec.Nodes, graph.MaxNodes)
+	}
 	for _, e := range spec.Edges {
 		if e[0] < 0 || e[0] >= spec.Nodes || e[1] < 0 || e[1] >= spec.Nodes {
-			return nil, fmt.Errorf("edge (%d, %d) out of range for %d nodes", e[0], e[1], spec.Nodes)
+			return fmt.Errorf("edge (%d, %d) out of range for %d nodes", e[0], e[1], spec.Nodes)
 		}
+	}
+	return nil
+}
+
+// buildGraph builds a wire graph checkGraph has accepted.
+func buildGraph(spec graphSpec) *reconcile.Graph {
+	edges := make([]reconcile.Edge, 0, len(spec.Edges))
+	for _, e := range spec.Edges {
 		edges = append(edges, reconcile.Edge{U: reconcile.NodeID(e[0]), V: reconcile.NodeID(e[1])})
 	}
-	return reconcile.FromEdges(spec.Nodes, edges), nil
+	return reconcile.FromEdges(spec.Nodes, edges)
 }
 
 // checkSeeds checks every seed link against its side's node count on the
@@ -753,6 +767,32 @@ func checkSeeds(raw []pairSpec, n1, n2 int) error {
 		if p[0] < 0 || p[0] >= n1 || p[1] < 0 || p[1] >= n2 {
 			return fmt.Errorf("seed (%d, %d): node out of range (%d x %d nodes)", p[0], p[1], n1, n2)
 		}
+	}
+	return nil
+}
+
+// seedConflict returns an error for the first seed that links a node
+// already linked, by links or by an earlier seed, to a different partner.
+// An exact duplicate is no conflict: New and AddSeeds ignore it.
+func seedConflict(links, seeds []reconcile.Pair) error {
+	usedL := make(map[reconcile.NodeID]reconcile.NodeID, len(links)+len(seeds))
+	usedR := make(map[reconcile.NodeID]reconcile.NodeID, len(links)+len(seeds))
+	for _, p := range links {
+		usedL[p.Left] = p.Right
+		usedR[p.Right] = p.Left
+	}
+	for _, p := range seeds {
+		if cur, ok := usedL[p.Left]; ok {
+			if cur == p.Right {
+				continue
+			}
+			return fmt.Errorf("seed (%d, %d): left node already linked to %d", p.Left, p.Right, cur)
+		}
+		if cur, ok := usedR[p.Right]; ok {
+			return fmt.Errorf("seed (%d, %d): right node already linked to %d", p.Left, p.Right, cur)
+		}
+		usedL[p.Left] = p.Right
+		usedR[p.Right] = p.Left
 	}
 	return nil
 }
@@ -826,25 +866,30 @@ func (j *job) closeMappings() {
 	}
 }
 
-// createJob handles POST .../jobs: admit against the tenant's quotas, build
-// the graphs and a Reconciler, start the run in a goroutine, answer 202
-// with the job id immediately.
+// createJob handles POST .../jobs: validate the body, admit against the
+// tenant's quotas, build the graphs and a Reconciler, start the run in a
+// goroutine, answer 202 with the job id immediately. Validation reads only
+// the wire values and admission only counters, so a body that is malformed
+// or over quota is refused before anything O(nodes) is allocated.
 func (s *server) createJob(w http.ResponseWriter, r *http.Request, tj *tenantJobs, t *tenant.Tenant) {
 	req, err := readJob(r.Body)
 	if !bodyOK(w, err) {
 		return
 	}
-	g1, err := buildGraph(req.G1)
-	if err != nil {
+	if err := checkGraph(req.G1); err != nil {
 		writeError(w, http.StatusBadRequest, "g1: %v", err)
 		return
 	}
-	g2, err := buildGraph(req.G2)
-	if err != nil {
+	if err := checkGraph(req.G2); err != nil {
 		writeError(w, http.StatusBadRequest, "g2: %v", err)
 		return
 	}
 	if err := checkSeeds(req.Seeds, req.G1.Nodes, req.G2.Nodes); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	seeds := toPairs(req.Seeds)
+	if err := seedConflict(nil, seeds); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -878,6 +923,8 @@ func (s *server) createJob(w http.ResponseWriter, r *http.Request, tj *tenantJob
 			return
 		}
 	}
+
+	g1, g2 := buildGraph(req.G1), buildGraph(req.G2)
 
 	maxSweeps := req.MaxSweeps
 	if maxSweeps <= 0 {
@@ -919,12 +966,11 @@ func (s *server) createJob(w http.ResponseWriter, r *http.Request, tj *tenantJob
 		writeError(w, code, format, args...)
 	}
 
-	opts = append(opts,
-		reconcile.WithSeeds(toPairs(req.Seeds)),
+	rec, err := reconcile.New(g1, g2,
+		reconcile.WithOptions(opts),
+		reconcile.WithSeeds(seeds),
 		reconcile.WithProgress(s.progressHook(j)),
 		reconcile.WithTracer(j.tr))
-
-	rec, err := reconcile.New(g1, g2, opts...)
 	if err != nil {
 		abort(http.StatusBadRequest, "constructing reconciler: %v", err)
 		return
@@ -1068,28 +1114,10 @@ func (s *server) addSeeds(w http.ResponseWriter, r *http.Request, tj *tenantJobs
 	// step on a 409. Pre-check the whole batch against the current links
 	// (and itself) so a rejected request changes nothing.
 	newSeeds := toPairs(req.Seeds)
-	usedL := make(map[reconcile.NodeID]reconcile.NodeID)
-	usedR := make(map[reconcile.NodeID]reconcile.NodeID)
-	for _, p := range j.rec.Result().Pairs {
-		usedL[p.Left] = p.Right
-		usedR[p.Right] = p.Left
-	}
-	for _, p := range newSeeds {
-		if cur, ok := usedL[p.Left]; ok {
-			if cur == p.Right {
-				continue // exact duplicate, ignored by AddSeeds
-			}
-			j.mu.Unlock()
-			writeError(w, http.StatusConflict, "seed (%d, %d): left node already linked to %d", p.Left, p.Right, cur)
-			return
-		}
-		if cur, ok := usedR[p.Right]; ok {
-			j.mu.Unlock()
-			writeError(w, http.StatusConflict, "seed (%d, %d): right node already linked to %d", p.Left, p.Right, cur)
-			return
-		}
-		usedL[p.Left] = p.Right
-		usedR[p.Right] = p.Left
+	if err := seedConflict(j.rec.Result().Pairs, newSeeds); err != nil {
+		j.mu.Unlock()
+		writeError(w, http.StatusConflict, "%v", err)
+		return
 	}
 	// The ingest restarts sweeping: that run needs a concurrent-run slot.
 	if err := t.AcquireJob(); err != nil {

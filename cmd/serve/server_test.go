@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/sociograph/reconcile"
+	"github.com/sociograph/reconcile/internal/graph"
 )
 
 // testInstance builds a reconciliation instance in wire form: a PA graph,
@@ -127,14 +128,7 @@ func TestServeJobLifecycle(t *testing.T) {
 	}
 
 	// The HTTP result matches the in-process API on the same instance.
-	g1, err := buildGraph(req.G1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2, err := buildGraph(req.G2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g1, g2 := buildGraph(req.G1), buildGraph(req.G2)
 	rec, err := reconcile.New(g1, g2, reconcile.WithSeeds(toPairs(req.Seeds)))
 	if err != nil {
 		t.Fatal(err)
@@ -249,6 +243,16 @@ func TestServeValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("out-of-range edge: status %d", resp.StatusCode)
+	}
+
+	// A node count the graph codecs could not read back, refused before
+	// anything is built.
+	req = testInstance(t, 50, 0.2)
+	req.G2.Nodes = graph.MaxNodes + 1
+	resp = postJSON(t, ts.URL+"/v1/jobs", req)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("node count above graph.MaxNodes: status %d", resp.StatusCode)
 	}
 
 	// A pair is exactly two integers, each checked against its node count

@@ -265,14 +265,13 @@ func (st *store) jobStore(id string) *jobStore {
 // jobMeta is the JSON sidecar of a persisted job: everything the server
 // tracks about a job beyond the session state itself.
 type jobMeta struct {
-	ID          string      `json:"id"`
-	Num         int         `json:"num"`
-	Status      jobStatus   `json:"status"`
-	Error       string      `json:"error,omitempty"`
-	Seeds       int         `json:"seeds"`
-	UntilStable bool        `json:"untilStable"`
-	MaxSweeps   int         `json:"maxSweeps"`
-	Phases      []phaseJSON `json:"phases"`
+	ID          string    `json:"id"`
+	Num         int       `json:"num"`
+	Status      jobStatus `json:"status"`
+	Error       string    `json:"error,omitempty"`
+	Seeds       int       `json:"seeds"`
+	UntilStable bool      `json:"untilStable"`
+	MaxSweeps   int       `json:"maxSweeps"`
 	// Ranges is the job's chain geometry: every checkpoint is that many
 	// range records (0 or absent reads as 1). Fixed when the job is
 	// submitted; recovery replays with the same geometry.

@@ -32,14 +32,7 @@ func chainVictim(t *testing.T, st *store, id string, iterations, sweeps int) (wa
 func chainVictimFailing(t *testing.T, st *store, id string, iterations, sweeps, failAt int) (want *reconcile.Result) {
 	t.Helper()
 	req := testInstance(t, 400, 0.15)
-	g1, err := buildGraph(req.G1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2, err := buildGraph(req.G2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g1, g2 := buildGraph(req.G1), buildGraph(req.G2)
 	seeds := toPairs(req.Seeds)
 
 	// Pin a fixed engine: the default hybrid's regime handoff forces one
@@ -74,7 +67,7 @@ func chainVictimFailing(t *testing.T, st *store, id string, iterations, sweeps, 
 			if e.Bucket == e.Buckets {
 				meta := jobMeta{
 					ID: id, Num: 1, Status: statusRunning,
-					Seeds: victim.Result().Seeds, Phases: phases,
+					Seeds: victim.Result().Seeds,
 				}
 				if err := js.checkpoint(victim, meta); (err != nil) != (e.Iteration == failAt) {
 					t.Errorf("checkpoint at sweep %d: err = %v, want failure only at sweep %d", e.Iteration, err, failAt)

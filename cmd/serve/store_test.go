@@ -111,14 +111,7 @@ func TestServeDurableRestart(t *testing.T) {
 func TestServeInterruptedResume(t *testing.T) {
 	st := newTestStore(t)
 	req := testInstance(t, 500, 0.15)
-	g1, err := buildGraph(req.G1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2, err := buildGraph(req.G2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g1, g2 := buildGraph(req.G1), buildGraph(req.G2)
 	seeds := toPairs(req.Seeds)
 
 	// The uninterrupted reference.
@@ -159,7 +152,7 @@ func TestServeInterruptedResume(t *testing.T) {
 	}
 	meta := jobMeta{
 		ID: "job-1", Num: 1, Status: statusRunning,
-		Seeds: victim.Result().Seeds, MaxSweeps: 50, Phases: phases,
+		Seeds: victim.Result().Seeds, MaxSweeps: 50,
 	}
 	if err := js.checkpoint(victim, meta); err != nil {
 		t.Fatal(err)
@@ -251,8 +244,7 @@ func TestServeCheckpointEndpoint(t *testing.T) {
 	if dropped != 0 {
 		t.Fatalf("recovery dropped %d records from an intact chain", dropped)
 	}
-	g1, _ := buildGraph(req.G1)
-	g2, _ := buildGraph(req.G2)
+	g1, g2 := buildGraph(req.G1), buildGraph(req.G2)
 	rec, err := reconcile.RestoreSessionState(g1, g2, state)
 	if err != nil {
 		t.Fatal(err)

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -277,6 +278,43 @@ func TestTenantQuotaJobsAndNodes(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("nodes job after delete: status %d", resp.StatusCode)
+	}
+}
+
+// TestTenantQuotaBeforeAllocation: a submission is validated, then
+// admitted, and only then are its graphs built. A body of a few dozen
+// bytes claiming 2,000,000 nodes per side is refused with 429 without
+// allocating them, and a body that earns a 400 earns it from an over-quota
+// tenant too.
+func TestTenantQuotaBeforeAllocation(t *testing.T) {
+	reg := regWith(t, tenant.Config{Name: "tiny", Quotas: tenant.Quotas{MaxNodes: 100}})
+	h := newMTServer(t, nil, serverConfig{registry: reg}).handler()
+	post := func(body string) *httptest.ResponseRecorder {
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest("POST", "/v1/tenants/tiny/jobs", strings.NewReader(body)))
+		return rr
+	}
+	const graphs = `"g1":{"nodes":2000000,"edges":[]},"g2":{"nodes":2000000,"edges":[]}`
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rr := post(`{` + graphs + `}`)
+	runtime.ReadMemStats(&after)
+	if rr.Code != http.StatusTooManyRequests {
+		t.Fatalf("over-quota body: status %d, want 429 (%s)", rr.Code, rr.Body)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4<<20 {
+		t.Fatalf("refusing the over-quota body allocated %d bytes, want under 4 MB", alloc)
+	}
+
+	for _, body := range []string{
+		`{"g1":{"nodes":2000000,"edges":[[0,2000000]]},"g2":{"nodes":2000000,"edges":[]}}`,
+		`{` + graphs + `,"seeds":[[0,0],[0,1]]}`,
+		`{` + graphs + `,"options":{"threshold":0}}`,
+	} {
+		if rr := post(body); rr.Code != http.StatusBadRequest {
+			t.Errorf("%s to an over-quota tenant: status %d, want 400 (%s)", body, rr.Code, rr.Body)
+		}
 	}
 }
 
@@ -644,14 +682,7 @@ func TestTenantRecoveryAfterKill(t *testing.T) {
 func tenantChainVictim(t *testing.T, st *store, tenantName, id string, iterations, sweeps int) *reconcile.Result {
 	t.Helper()
 	req := testInstance(t, 400, 0.15)
-	g1, err := buildGraph(req.G1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2, err := buildGraph(req.G2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g1, g2 := buildGraph(req.G1), buildGraph(req.G2)
 	seeds := toPairs(req.Seeds)
 
 	ref, err := reconcile.New(g1, g2, reconcile.WithSeeds(seeds), reconcile.WithIterations(iterations))
@@ -682,7 +713,7 @@ func tenantChainVictim(t *testing.T, st *store, tenantName, id string, iteration
 			if e.Bucket == e.Buckets {
 				meta := jobMeta{
 					ID: id, Num: 1, Status: statusRunning,
-					Seeds: victim.Result().Seeds, Phases: phases,
+					Seeds: victim.Result().Seeds,
 				}
 				if err := js.checkpoint(victim, meta); err != nil {
 					t.Errorf("checkpoint at sweep %d: %v", e.Iteration, err)
@@ -820,14 +851,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 	id := decode[map[string]string](t, resp)["id"]
 
 	// The uninterrupted reference for the bit-identity check.
-	g1, err := buildGraph(req.G1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2, err := buildGraph(req.G2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g1, g2 := buildGraph(req.G1), buildGraph(req.G2)
 	ref, err := reconcile.New(g1, g2, reconcile.WithSeeds(toPairs(req.Seeds)))
 	if err != nil {
 		t.Fatal(err)

@@ -132,14 +132,7 @@ func TestTraceContinuousAcrossRestart(t *testing.T) {
 			st := newTestStore(t)
 			req := testInstance(t, 300, 0.2)
 			req.Options.Engine = engine
-			g1, err := buildGraph(req.G1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			g2, err := buildGraph(req.G2)
-			if err != nil {
-				t.Fatal(err)
-			}
+			g1, g2 := buildGraph(req.G1), buildGraph(req.G2)
 			opts, err := buildOptions(req.Options)
 			if err != nil {
 				t.Fatal(err)
@@ -152,7 +145,8 @@ func TestTraceContinuousAcrossRestart(t *testing.T) {
 			var phases []phaseJSON
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			victim, err := reconcile.New(g1, g2, append(opts,
+			victim, err := reconcile.New(g1, g2,
+				reconcile.WithOptions(opts),
 				reconcile.WithSeeds(toPairs(req.Seeds)),
 				reconcile.WithTracer(tr),
 				reconcile.WithProgress(func(e reconcile.PhaseEvent) {
@@ -163,7 +157,7 @@ func TestTraceContinuousAcrossRestart(t *testing.T) {
 					if len(phases) == 3 {
 						cancel()
 					}
-				}))...)
+				}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -177,7 +171,7 @@ func TestTraceContinuousAcrossRestart(t *testing.T) {
 			meta := jobMeta{
 				ID: "job-1", Num: 1, Status: statusRunning,
 				Seeds: victim.Result().Seeds, UntilStable: true, MaxSweeps: 12,
-				Phases: phases, Trace: tr.Export(),
+				Trace: tr.Export(),
 			}
 			if err := js.checkpoint(victim, meta); err != nil {
 				t.Fatal(err)

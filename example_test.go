@@ -1,6 +1,7 @@
 package reconcile_test
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/sociograph/reconcile"
@@ -8,13 +9,17 @@ import (
 
 // The basic model end to end: a hidden network, two partial copies, a few
 // seed links, reconciliation, evaluation.
-func ExampleReconcile() {
+func ExampleNew() {
 	r := reconcile.NewRand(7)
 	world := reconcile.GeneratePA(r, 2000, 10)
 	g1, g2 := reconcile.IndependentCopies(r, world, 0.7, 0.7)
 	seeds := reconcile.Seeds(r, reconcile.IdentityPairs(2000), 0.10)
 
-	res, err := reconcile.Reconcile(g1, g2, seeds, reconcile.DefaultOptions())
+	rec, err := reconcile.New(g1, g2, reconcile.WithSeeds(seeds))
+	if err != nil {
+		panic(err)
+	}
+	res, err := rec.Run(context.Background())
 	if err != nil {
 		panic(err)
 	}
@@ -24,25 +29,30 @@ func ExampleReconcile() {
 }
 
 // Incremental reconciliation: run, learn more trusted links, resume.
-func ExampleNewSession() {
+func ExampleReconciler_AddSeeds() {
 	r := reconcile.NewRand(7)
 	world := reconcile.GeneratePA(r, 2000, 10)
 	g1, g2 := reconcile.IndependentCopies(r, world, 0.7, 0.7)
 	seeds := reconcile.Seeds(r, reconcile.IdentityPairs(2000), 0.10)
+	ctx := context.Background()
 
-	sess, err := reconcile.NewSession(g1, g2, seeds[:len(seeds)/2], reconcile.DefaultOptions())
+	rec, err := reconcile.New(g1, g2, reconcile.WithSeeds(seeds[:len(seeds)/2]))
 	if err != nil {
 		panic(err)
 	}
-	sess.RunUntilStable(10)
-	phase1 := sess.Len()
+	if _, err := rec.RunUntilStable(ctx, 10); err != nil {
+		panic(err)
+	}
+	phase1 := rec.Len()
 
 	for _, s := range seeds[len(seeds)/2:] {
 		// A late seed can conflict with an existing link; skip those.
-		_ = sess.AddSeeds([]reconcile.Pair{s})
+		_ = rec.AddSeeds([]reconcile.Pair{s})
 	}
-	sess.RunUntilStable(10)
-	fmt.Printf("grew=%v\n", sess.Len() >= phase1)
+	if _, err := rec.RunUntilStable(ctx, 10); err != nil {
+		panic(err)
+	}
+	fmt.Printf("grew=%v\n", rec.Len() >= phase1)
 	// Output: grew=true
 }
 

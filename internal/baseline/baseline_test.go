@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"testing"
 
 	"github.com/sociograph/reconcile/internal/core"
@@ -93,7 +94,7 @@ func TestBaselineWeakerThanCoreUnderAttack(t *testing.T) {
 
 	opts := core.DefaultOptions()
 	opts.Threshold = 2
-	coreRes, err := core.Reconcile(g1, g2, seeds, opts)
+	coreRes, err := core.Reconcile(context.Background(), g1, g2, seeds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -19,7 +20,7 @@ func benchRun(b *testing.B, opts Options) {
 	g1, g2, seeds := benchInstance(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Reconcile(g1, g2, seeds, opts); err != nil {
+		if _, err := Reconcile(context.Background(), g1, g2, seeds, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -71,7 +72,7 @@ func BenchmarkHybridCrossover(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					sess.Run(s - 1)
+					sess.Run(context.Background(), s-1)
 					return sess
 				}
 				if row == "rebuild" {
@@ -91,7 +92,7 @@ func BenchmarkHybridCrossover(b *testing.B) {
 					sess := start()
 					before := sess.Len()
 					b.StartTimer()
-					sess.Run(1)
+					sess.Run(context.Background(), 1)
 					b.StopTimer()
 					matched = sess.Len() - before
 					b.StartTimer()

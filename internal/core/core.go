@@ -251,10 +251,7 @@ func (o Options) workers() int {
 // BucketSchedule returns the descending list of minimum degrees (2^j) for
 // one sweep of the algorithm. Exported for alternative engines (the
 // MapReduce formulation) that must follow the same schedule.
-func (o Options) BucketSchedule(g1, g2 *graph.Graph) []int { return o.buckets(g1, g2) }
-
-// buckets returns the descending list of minimum degrees (2^j) for one sweep.
-func (o Options) buckets(g1, g2 *graph.Graph) []int {
+func (o Options) BucketSchedule(g1, g2 *graph.Graph) []int {
 	if o.DisableBucketing {
 		return []int{1}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"github.com/sociograph/reconcile/internal/graph"
@@ -40,7 +41,7 @@ func TestBuckets(t *testing.T) {
 		{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}, {U: 0, V: 4}, {U: 0, V: 5}, {U: 0, V: 6}, {U: 0, V: 7}, {U: 0, V: 8}, {U: 0, V: 9},
 	}) // max degree 9
 	o := DefaultOptions()
-	got := o.buckets(g, g)
+	got := o.BucketSchedule(g, g)
 	want := []int{8, 4, 2} // j = 3, 2, 1
 	if len(got) != len(want) {
 		t.Fatalf("buckets = %v, want %v", got, want)
@@ -52,27 +53,27 @@ func TestBuckets(t *testing.T) {
 	}
 
 	o.MinBucketExp = 0
-	got = o.buckets(g, g)
+	got = o.BucketSchedule(g, g)
 	if got[len(got)-1] != 1 {
 		t.Fatalf("MinBucketExp=0 buckets = %v, want final 1", got)
 	}
 
 	o.DisableBucketing = true
-	got = o.buckets(g, g)
+	got = o.BucketSchedule(g, g)
 	if len(got) != 1 || got[0] != 1 {
 		t.Fatalf("unbucketed = %v, want [1]", got)
 	}
 
 	o = DefaultOptions()
 	o.MaxDegree = 100
-	got = o.buckets(g, g)
+	got = o.BucketSchedule(g, g)
 	if got[0] != 64 {
 		t.Fatalf("MaxDegree=100 first bucket = %d, want 64", got[0])
 	}
 
 	// Degenerate: empty graphs.
 	e := graph.FromEdges(0, nil)
-	got = DefaultOptions().buckets(e, e)
+	got = DefaultOptions().BucketSchedule(e, e)
 	if len(got) != 1 || got[0] != 2 {
 		t.Fatalf("empty-graph buckets = %v, want [2]", got)
 	}
@@ -108,23 +109,23 @@ func TestNewMatchingValidation(t *testing.T) {
 
 func TestReconcileInputErrors(t *testing.T) {
 	g := graph.FromEdges(3, []graph.Edge{{U: 0, V: 1}})
-	if _, err := Reconcile(nil, g, nil, DefaultOptions()); err == nil {
+	if _, err := Reconcile(context.Background(), nil, g, nil, DefaultOptions()); err == nil {
 		t.Error("nil g1 accepted")
 	}
-	if _, err := Reconcile(g, nil, nil, DefaultOptions()); err == nil {
+	if _, err := Reconcile(context.Background(), g, nil, nil, DefaultOptions()); err == nil {
 		t.Error("nil g2 accepted")
 	}
-	if _, err := Reconcile(g, g, nil, Options{}); err == nil {
+	if _, err := Reconcile(context.Background(), g, g, nil, Options{}); err == nil {
 		t.Error("zero options accepted")
 	}
-	if _, err := Reconcile(g, g, []graph.Pair{{Left: 9, Right: 0}}, DefaultOptions()); err == nil {
+	if _, err := Reconcile(context.Background(), g, g, []graph.Pair{{Left: 9, Right: 0}}, DefaultOptions()); err == nil {
 		t.Error("bad seed accepted")
 	}
 }
 
 func TestReconcileEmptyInputs(t *testing.T) {
 	e := graph.FromEdges(0, nil)
-	res, err := Reconcile(e, e, nil, DefaultOptions())
+	res, err := Reconcile(context.Background(), e, e, nil, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestReconcileEmptyInputs(t *testing.T) {
 
 	// No seeds: no witnesses can ever exist, so no matches.
 	g := graph.FromEdges(5, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 4}})
-	res, err = Reconcile(g, g, nil, DefaultOptions())
+	res, err = Reconcile(context.Background(), g, g, nil, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestReconcileHandCrafted(t *testing.T) {
 	opts.MinBucketExp = 0
 	opts.Engine = EngineSequential
 	seeds := []graph.Pair{{Left: 0, Right: 0}, {Left: 1, Right: 1}}
-	res, err := Reconcile(g, g, seeds, opts)
+	res, err := Reconcile(context.Background(), g, g, seeds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func TestReconcileTieRejection(t *testing.T) {
 	opts.Threshold = 1
 	opts.MinBucketExp = 0
 	opts.Engine = EngineSequential
-	res, err := Reconcile(g, g, []graph.Pair{{Left: 0, Right: 0}}, opts)
+	res, err := Reconcile(context.Background(), g, g, []graph.Pair{{Left: 0, Right: 0}}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +212,7 @@ func TestReconcileThreshold(t *testing.T) {
 	opts.MinBucketExp = 0
 	opts.Engine = EngineSequential
 	opts.Threshold = 2
-	res, err := Reconcile(g, g, []graph.Pair{{Left: 0, Right: 0}}, opts)
+	res, err := Reconcile(context.Background(), g, g, []graph.Pair{{Left: 0, Right: 0}}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +220,7 @@ func TestReconcileThreshold(t *testing.T) {
 		t.Fatalf("T=2 matched pairs with single witnesses: %v", res.NewPairs)
 	}
 	opts.Threshold = 1
-	res, err = Reconcile(g, g, []graph.Pair{{Left: 0, Right: 0}}, opts)
+	res, err = Reconcile(context.Background(), g, g, []graph.Pair{{Left: 0, Right: 0}}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,7 +68,7 @@ func TestDiffApplyIdentity(t *testing.T) {
 			injected := false
 			notDiffable := 0
 			for sweep := 0; sweep < 4; sweep++ {
-				s.Run(1)
+				s.Run(context.Background(), 1)
 				if sweep == 1 && !injected {
 					// An incremental seed between checkpoints must flow
 					// through the delta like any other append.
@@ -113,8 +113,8 @@ func TestDiffApplyIdentity(t *testing.T) {
 				if err != nil {
 					t.Fatalf("sweep %d: restore direct: %v", sweep, err)
 				}
-				a.Run(2)
-				b.Run(2)
+				a.Run(context.Background(), 2)
+				b.Run(context.Background(), 2)
 				ra, rb := a.Result(), b.Result()
 				if len(ra.Pairs) != len(rb.Pairs) {
 					t.Fatalf("sweep %d: replayed restore diverged (%d vs %d pairs)", sweep, len(ra.Pairs), len(rb.Pairs))
@@ -153,7 +153,7 @@ func TestDiffApplyMidSweep(t *testing.T) {
 			}
 		}
 	})
-	s.RunContext(ctx, opts.Iterations)
+	s.Run(ctx, opts.Iterations)
 	s.SetProgress(nil)
 	if len(states) != len(stops) {
 		t.Fatalf("captured %d states, want %d", len(states), len(stops))
@@ -182,7 +182,7 @@ func TestDiffApplyMidSweep(t *testing.T) {
 func TestDiffNotDiffable(t *testing.T) {
 	opts := DefaultOptions()
 	_, _, s := deltaInstance(t, 31, 200, opts)
-	s.Run(1)
+	s.Run(context.Background(), 1)
 	base := s.ExportState()
 
 	alt := s.ExportState()
@@ -213,7 +213,7 @@ func TestDiffNotDiffable(t *testing.T) {
 	}
 
 	// A target behind the base (replay order reversed) is refused.
-	s.Run(1)
+	s.Run(context.Background(), 1)
 	if _, err := DiffStates(s.ExportState(), base); !errors.Is(err, ErrNotDiffable) {
 		t.Fatalf("reversed diff: err = %v, want ErrNotDiffable", err)
 	}
@@ -225,7 +225,7 @@ func TestApplyDeltaValidation(t *testing.T) {
 	opts := DefaultOptions()
 	_, _, s := deltaInstance(t, 37, 200, opts)
 	base := s.ExportState()
-	s.Run(1)
+	s.Run(context.Background(), 1)
 	cur := s.ExportState()
 	d, err := DiffStates(base, cur)
 	if err != nil {

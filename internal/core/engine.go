@@ -42,29 +42,19 @@ type Result struct {
 // Reconcile runs User-Matching over the two observed networks and the seed
 // links, returning the expanded set of identification links. It never
 // modifies its inputs. The matching is injective: no node appears in two
-// output pairs. Both engines are deterministic; for fixed inputs and options
-// the result is identical regardless of Workers.
-func Reconcile(g1, g2 *graph.Graph, seeds []graph.Pair, opts Options) (*Result, error) {
-	//lint:allow ctx-propagation pre-context entry point kept for API compatibility and pinned by equivalence tests; cancellable callers use ReconcileContext
-	return ReconcileContext(context.Background(), g1, g2, seeds, opts, nil)
-}
-
-// ReconcileContext is Reconcile with cancellation and observability: the
-// context is checked at every bucket-phase boundary, and the optional
-// progress hook receives a PhaseEvent after each pass. When the context ends
-// mid-run the partial Result accumulated so far is returned together with
-// ctx.Err(); the result is valid (the algorithm is monotone, links are never
-// retracted), just incomplete.
-func ReconcileContext(ctx context.Context, g1, g2 *graph.Graph, seeds []graph.Pair, opts Options, progress func(PhaseEvent)) (*Result, error) {
+// output pairs. Every engine is deterministic; for fixed inputs and options
+// the result is identical regardless of Workers. The context is checked at
+// every bucket-phase boundary; when it ends mid-run the partial Result
+// accumulated so far is returned together with ctx.Err(). The result is
+// valid (the algorithm is monotone, links are never retracted), just
+// incomplete. Progress hooks are a Session's: see SetProgress.
+func Reconcile(ctx context.Context, g1, g2 *graph.Graph, seeds []graph.Pair, opts Options) (*Result, error) {
 	s, err := NewSession(g1, g2, seeds, opts)
 	if err != nil {
 		return nil, err
 	}
-	s.progress = progress
-	if _, err := s.RunContext(ctx, opts.Iterations); err != nil {
-		return s.Result(), err
-	}
-	return s.Result(), nil
+	_, err = s.Run(ctx, opts.Iterations)
+	return s.Result(), err
 }
 
 // linkedCounts tracks, per node, how many of its neighbors are currently

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -21,7 +22,7 @@ func naiveReconcile(t *testing.T, g1, g2 *graph.Graph, seeds []graph.Pair, opts 
 		t.Fatal(err)
 	}
 	for iter := 0; iter < opts.Iterations; iter++ {
-		for _, minDeg := range opts.buckets(g1, g2) {
+		for _, minDeg := range opts.BucketSchedule(g1, g2) {
 			type prop struct {
 				node  graph.NodeID
 				score int
@@ -100,7 +101,7 @@ func TestSequentialMatchesNaive(t *testing.T) {
 		opts := DefaultOptions()
 		opts.Engine = EngineSequential
 		opts.Threshold = 2
-		res, err := Reconcile(g1, g2, seeds, opts)
+		res, err := Reconcile(context.Background(), g1, g2, seeds, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +117,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 		g1, g2, seeds := testInstance(seed, 300)
 		seqOpts := DefaultOptions()
 		seqOpts.Engine = EngineSequential
-		seq, err := Reconcile(g1, g2, seeds, seqOpts)
+		seq, err := Reconcile(context.Background(), g1, g2, seeds, seqOpts)
 		if err != nil {
 			return false
 		}
@@ -124,7 +125,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 			parOpts := DefaultOptions()
 			parOpts.Engine = EngineParallel
 			parOpts.Workers = workers
-			par, err := Reconcile(g1, g2, seeds, parOpts)
+			par, err := Reconcile(context.Background(), g1, g2, seeds, parOpts)
 			if err != nil {
 				return false
 			}
@@ -142,11 +143,11 @@ func TestParallelMatchesSequential(t *testing.T) {
 func TestReconcileDeterministic(t *testing.T) {
 	g1, g2, seeds := testInstance(42, 500)
 	opts := DefaultOptions()
-	a, err := Reconcile(g1, g2, seeds, opts)
+	a, err := Reconcile(context.Background(), g1, g2, seeds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Reconcile(g1, g2, seeds, opts)
+	b, err := Reconcile(context.Background(), g1, g2, seeds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestReconcileDeterministic(t *testing.T) {
 func TestReconcileInjective(t *testing.T) {
 	err := quick.Check(func(seed uint64) bool {
 		g1, g2, seeds := testInstance(seed, 250)
-		res, err := Reconcile(g1, g2, seeds, DefaultOptions())
+		res, err := Reconcile(context.Background(), g1, g2, seeds, DefaultOptions())
 		if err != nil {
 			return false
 		}
@@ -185,7 +186,7 @@ func TestReconcileInjective(t *testing.T) {
 
 func TestSeedsPreserved(t *testing.T) {
 	g1, g2, seeds := testInstance(7, 200)
-	res, err := Reconcile(g1, g2, seeds, DefaultOptions())
+	res, err := Reconcile(context.Background(), g1, g2, seeds, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,12 +204,12 @@ func TestMoreIterationsNeverShrink(t *testing.T) {
 	g1, g2, seeds := testInstance(11, 400)
 	opts := DefaultOptions()
 	opts.Iterations = 1
-	one, err := Reconcile(g1, g2, seeds, opts)
+	one, err := Reconcile(context.Background(), g1, g2, seeds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Iterations = 3
-	three, err := Reconcile(g1, g2, seeds, opts)
+	three, err := Reconcile(context.Background(), g1, g2, seeds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"github.com/sociograph/reconcile/internal/graph"
@@ -30,11 +31,11 @@ func TestReconcileEquivariantUnderRelabeling(t *testing.T) {
 	}
 
 	opts := DefaultOptions()
-	base, err := Reconcile(g1, g2, seeds, opts)
+	base, err := Reconcile(context.Background(), g1, g2, seeds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	permuted, err := Reconcile(g1, g2p, seedsP, opts)
+	permuted, err := Reconcile(context.Background(), g1, g2p, seedsP, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +82,11 @@ func TestFrontierEquivariantUnderRelabeling(t *testing.T) {
 
 		opts := DefaultOptions()
 		opts.Engine = EngineFrontier
-		base, err := Reconcile(g1, g2, seeds, opts)
+		base, err := Reconcile(context.Background(), g1, g2, seeds, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		permuted, err := Reconcile(g1p, g2p, seedsP, opts)
+		permuted, err := Reconcile(context.Background(), g1p, g2p, seedsP, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +105,7 @@ func TestFrontierEquivariantUnderRelabeling(t *testing.T) {
 		// And the relabeled run itself must still be bit-identical to the
 		// sequential engine on the relabeled instance.
 		opts.Engine = EngineSequential
-		seqP, err := Reconcile(g1p, g2p, seedsP, opts)
+		seqP, err := Reconcile(context.Background(), g1p, g2p, seedsP, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -102,7 +102,7 @@ type frontierSide struct {
 func topExpOf(levels []int) int { return bits.Len(uint(levels[0])) - 1 }
 
 func newFrontierState(g1, g2 *graph.Graph, m *Matching, lc *linkedCounts, opts Options) *frontierState {
-	levels := opts.buckets(g1, g2)
+	levels := opts.BucketSchedule(g1, g2)
 	f := &frontierState{
 		levels:    levels,
 		topExp:    topExpOf(levels),

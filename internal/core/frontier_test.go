@@ -16,7 +16,7 @@ func TestFrontierMatchesNaive(t *testing.T) {
 		opts := DefaultOptions()
 		opts.Engine = EngineFrontier
 		opts.Threshold = 2
-		res, err := Reconcile(g1, g2, seeds, opts)
+		res, err := Reconcile(context.Background(), g1, g2, seeds, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,14 +44,14 @@ func TestFrontierMatchesSequential(t *testing.T) {
 					opts.Scoring = scoring
 					opts.DisableBucketing = nobuck
 					opts.Engine = EngineSequential
-					seq, err := Reconcile(g1, g2, seeds, opts)
+					seq, err := Reconcile(context.Background(), g1, g2, seeds, opts)
 					if err != nil {
 						return false
 					}
 					for _, workers := range []int{0, 1, 3} {
 						opts.Engine = EngineFrontier
 						opts.Workers = workers
-						fr, err := Reconcile(g1, g2, seeds, opts)
+						fr, err := Reconcile(context.Background(), g1, g2, seeds, opts)
 						if err != nil {
 							return false
 						}
@@ -107,15 +107,15 @@ func TestFrontierIncrementalMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s.Run(1)
+			s.Run(context.Background(), 1)
 			// A link discovered in the first run may conflict with a late
 			// seed; the error and the partial seed application must be
 			// identical across engines, so it is data, not a failure.
 			if err := s.AddSeeds(seeds[half:]); err != nil {
 				t.Logf("engine %v: AddSeeds: %v", engine, err)
 			}
-			s.Run(1)
-			s.RunUntilStable(4)
+			s.Run(context.Background(), 1)
+			s.RunUntilStable(context.Background(), 4)
 			return s.Result()
 		}
 		seq := run(EngineSequential)
@@ -139,7 +139,7 @@ func TestFrontierCancelPartialResult(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Engine = EngineFrontier
 
-	full, err := Reconcile(g1, g2, seeds, opts)
+	full, err := Reconcile(context.Background(), g1, g2, seeds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,12 +151,18 @@ func TestFrontierCancelPartialResult(t *testing.T) {
 	for stop := 1; stop < totalBuckets; stop++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		buckets := 0
-		res, err := ReconcileContext(ctx, g1, g2, seeds, opts, func(e PhaseEvent) {
+		s, err := NewSession(g1, g2, seeds, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.SetProgress(func(e PhaseEvent) {
 			buckets++
 			if buckets == stop {
 				cancel()
 			}
 		})
+		_, err = s.Run(ctx, opts.Iterations)
+		res := s.Result()
 		cancel()
 		if err != context.Canceled {
 			t.Fatalf("stop=%d: err = %v, want context.Canceled", stop, err)
@@ -203,7 +209,7 @@ func TestFrontierSkipsCleanNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.RunUntilStable(10)
+	s.RunUntilStable(context.Background(), 10)
 	afterStable := s.fr.rescored
 	live := 0
 	for _, w := range s.fr.live {
@@ -212,7 +218,7 @@ func TestFrontierSkipsCleanNodes(t *testing.T) {
 	scanned := s.fr.scanned
 
 	// The stable sweep found nothing, so no node was invalidated.
-	s.Run(1)
+	s.Run(context.Background(), 1)
 	if got := s.fr.rescored; got != afterStable {
 		t.Fatalf("converged sweep re-scored %d nodes, want 0", got-afterStable)
 	}
@@ -303,7 +309,7 @@ func TestFrontierLiveRowInvariant(t *testing.T) {
 					t.Fatalf("%s: no frontier state after convergence", phase)
 				}
 				checkLiveRows(t, s, phase+" AddSeeds")
-				if _, err := s.RunUntilStableContext(ctx, 10); err != nil {
+				if _, err := s.RunUntilStable(ctx, 10); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -313,7 +319,7 @@ func TestFrontierLiveRowInvariant(t *testing.T) {
 				t.Fatal(err)
 			}
 			s.SetProgress(hook(s, "new"))
-			if _, err := s.RunUntilStableContext(ctx, 10); err != nil {
+			if _, err := s.RunUntilStable(ctx, 10); err != nil {
 				t.Fatal(err)
 			}
 			converged := s.Sweeps()
@@ -331,7 +337,7 @@ func TestFrontierLiveRowInvariant(t *testing.T) {
 			// A restore inside the sweep after convergence, where the hybrid
 			// is past its handoff (the unbucketed schedule has no mid-sweep
 			// point; it restores at the next boundary).
-			nb := len(opts.buckets(g1, g2))
+			nb := len(opts.BucketSchedule(g1, g2))
 			mid := runToBoundary(t, g1, g2, seeds, opts, converged+2, converged*nb+(nb+1)/2)
 			r, err = RestoreSession(g1, g2, mid.ExportState())
 			if err != nil {
@@ -368,9 +374,9 @@ func TestFrontierAddSeedsReactivates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.RunUntilStable(10)
+	s.RunUntilStable(context.Background(), 10)
 	idle := s.fr.rescored
-	s.Run(1)
+	s.Run(context.Background(), 1)
 	if s.fr.rescored != idle {
 		t.Fatal("converged session not idle")
 	}
@@ -390,7 +396,7 @@ func TestFrontierAddSeedsReactivates(t *testing.T) {
 	if err := s.AddSeeds(late); err != nil {
 		t.Fatal(err)
 	}
-	s.RunUntilStable(10)
+	s.RunUntilStable(context.Background(), 10)
 	if s.fr.rescored == idle {
 		t.Fatal("AddSeeds did not re-open the frontier")
 	}
@@ -403,12 +409,12 @@ func TestFrontierAddSeedsReactivates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sq.RunUntilStable(10)
-	sq.Run(1)
+	sq.RunUntilStable(context.Background(), 10)
+	sq.Run(context.Background(), 1)
 	if err := sq.AddSeeds(late); err != nil {
 		t.Fatal(err)
 	}
-	sq.RunUntilStable(10)
+	sq.RunUntilStable(context.Background(), 10)
 	if !pairsEqual(s.Result().Pairs, sq.Result().Pairs) {
 		t.Fatalf("post-AddSeeds states diverge: frontier %d pairs, sequential %d",
 			s.Len(), sq.Len())
@@ -457,7 +463,7 @@ func TestFrontierEmptyAndTinyGraphs(t *testing.T) {
 		{"right empty", one, empty},
 		{"singletons", one, one},
 	} {
-		res, err := Reconcile(tc.g1, tc.g2, nil, o)
+		res, err := Reconcile(context.Background(), tc.g1, tc.g2, nil, o)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

@@ -62,7 +62,7 @@ func FuzzEngineEquivalence(f *testing.F) {
 			o := opts
 			o.Engine = engine
 			o.Workers = workers
-			res, err := Reconcile(g1, g2, seeds, o)
+			res, err := Reconcile(context.Background(), g1, g2, seeds, o)
 			if err != nil {
 				t.Fatalf("%v engine: %v", engine, err)
 			}
@@ -107,7 +107,7 @@ func FuzzEngineEquivalence(f *testing.F) {
 					cancel()
 				}
 			})
-			if _, err := s.RunContext(ctx, o.Iterations); err != context.Canceled {
+			if _, err := s.Run(ctx, o.Iterations); err != context.Canceled {
 				t.Fatalf("victim err = %v, want context.Canceled", err)
 			}
 			cancel()
@@ -118,7 +118,7 @@ func FuzzEngineEquivalence(f *testing.F) {
 				t.Fatalf("%v->%v stop=%d: restore: %v", runAs, resumeAs, stop, err)
 			}
 			remaining := o.Iterations - restored.Sweeps()
-			if _, err := restored.RunContext(context.Background(), remaining); err != nil {
+			if _, err := restored.Run(context.Background(), remaining); err != nil {
 				t.Fatal(err)
 			}
 			if got := restored.Result(); !resultsIdentical(seq, got) {
@@ -139,7 +139,7 @@ func FuzzEngineEquivalence(f *testing.F) {
 			if err != nil {
 				t.Fatalf("%v engine: %v", engine, err)
 			}
-			s.Run(1)
+			s.Run(context.Background(), 1)
 			// Late seeds may conflict with discovered links; the error (and
 			// the partial application preceding it) must match across
 			// engines, so it is part of the compared output.
@@ -147,7 +147,7 @@ func FuzzEngineEquivalence(f *testing.F) {
 			if err := s.AddSeeds(seeds[half:]); err != nil {
 				errStr = err.Error()
 			}
-			s.RunUntilStable(3)
+			s.RunUntilStable(context.Background(), 3)
 			return s.Result(), errStr
 		}
 		seqInc, seqErr := incremental(EngineSequential)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"github.com/sociograph/reconcile/internal/trace"
@@ -13,12 +14,12 @@ func TestHybridMatchesSequential(t *testing.T) {
 		g1, g2, seeds := testInstance(seed, 300)
 		opts := DefaultOptions()
 		opts.Engine = EngineSequential
-		seq, err := Reconcile(g1, g2, seeds, opts)
+		seq, err := Reconcile(context.Background(), g1, g2, seeds, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		opts.Engine = EngineHybrid
-		hy, err := Reconcile(g1, g2, seeds, opts)
+		hy, err := Reconcile(context.Background(), g1, g2, seeds, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,12 +43,12 @@ func TestHybridIncrementalMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s.Run(1)
+			s.Run(context.Background(), 1)
 			if err := s.AddSeeds(seeds[half:]); err != nil {
 				t.Logf("engine %v: AddSeeds: %v", engine, err)
 			}
-			s.Run(1)
-			s.RunUntilStable(4)
+			s.Run(context.Background(), 1)
+			s.RunUntilStable(context.Background(), 4)
 			return s.Result()
 		}
 		seq := run(EngineSequential)
@@ -72,25 +73,25 @@ func TestHybridAutoSwitch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Run(1)
+	s.Run(context.Background(), 1)
 	if s.hybridSwitched {
 		t.Fatal("switched during the commit-dense first sweep")
 	}
 	if s.fr != nil {
 		t.Fatal("frontier caches exist before the switch")
 	}
-	s.RunUntilStable(10)
+	s.RunUntilStable(context.Background(), 10)
 	if !s.hybridSwitched {
 		t.Fatal("no switch by convergence: a stable sweep commits nothing, which is below any crossover")
 	}
 	// The decision may have landed on the final sweep; one more sweep forces
 	// the lazy build.
-	s.Run(1)
+	s.Run(context.Background(), 1)
 	if s.fr == nil {
 		t.Fatal("frontier state not built after the switch")
 	}
 	idle := s.fr.rescored
-	s.Run(1)
+	s.Run(context.Background(), 1)
 	if s.fr.rescored != idle {
 		t.Fatalf("converged hybrid sweep re-scored %d nodes, want 0", s.fr.rescored-idle)
 	}
@@ -109,7 +110,7 @@ func TestHybridRestoreAfterSwitch(t *testing.T) {
 	// commit decay crosses the rate crossover after sweep 4.
 	opts.Iterations = 6
 
-	full, err := Reconcile(g1, g2, seeds, opts)
+	full, err := Reconcile(context.Background(), g1, g2, seeds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestRestoreRebuildsFrontierState(t *testing.T) {
 		opts := DefaultOptions()
 		opts.Engine = engine
 		opts.Iterations = 6
-		full, err := Reconcile(g1, g2, seeds, opts)
+		full, err := Reconcile(context.Background(), g1, g2, seeds, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,11 +208,11 @@ func TestInferHybridRegime(t *testing.T) {
 	if s.ExportState().inferHybridRegime() {
 		t.Fatal("empty history inferred as frontier regime")
 	}
-	s.Run(1)
+	s.Run(context.Background(), 1)
 	if s.ExportState().inferHybridRegime() {
 		t.Fatal("commit-dense first sweep inferred as frontier regime")
 	}
-	s.RunUntilStable(10)
+	s.RunUntilStable(context.Background(), 10)
 	if !s.ExportState().inferHybridRegime() {
 		t.Fatal("converged history inferred as parallel regime")
 	}
@@ -228,7 +229,7 @@ func TestSwitchEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.RunUntilStable(10)
+	s.RunUntilStable(context.Background(), 10)
 	converged := s.ExportState() // infers as the frontier regime
 	for _, tc := range []struct {
 		from   Engine
@@ -275,7 +276,7 @@ func TestPhaseRetention(t *testing.T) {
 				matchedSum += e.Matched
 			})
 			const sweeps = phaseRetainSweeps + 5
-			s.Run(sweeps)
+			s.Run(context.Background(), sweeps)
 			s.SetProgress(nil)
 
 			buckets := len(opts.BucketSchedule(g1, g2))
@@ -319,7 +320,7 @@ func TestPhaseRetentionResumeEquivalence(t *testing.T) {
 	opts.Engine = EngineHybrid
 	opts.Iterations = phaseRetainSweeps + 4
 
-	full, err := Reconcile(g1, g2, seeds, opts)
+	full, err := Reconcile(context.Background(), g1, g2, seeds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,18 +365,18 @@ func TestPhaseRetentionHistoryIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct.Run(sweeps)
+	direct.Run(context.Background(), sweeps)
 
 	hopped, err := NewSession(g1, g2, seeds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hopped.Run(sweeps / 2)
+	hopped.Run(context.Background(), sweeps/2)
 	mid, err := RestoreSession(g1, g2, hopped.ExportState())
 	if err != nil {
 		t.Fatal(err)
 	}
-	mid.Run(sweeps - sweeps/2)
+	mid.Run(context.Background(), sweeps-sweeps/2)
 
 	if !resultsIdentical(direct.Result(), mid.Result()) {
 		t.Fatal("export/restore mid-run changed the retained window or totals")

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"github.com/sociograph/reconcile/internal/gen"
@@ -36,7 +37,7 @@ func TestIdentifyErdosRenyi(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Threshold = 3
 	opts.Iterations = 3
-	res, err := Reconcile(g1, g2, seeds, opts)
+	res, err := Reconcile(context.Background(), g1, g2, seeds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestIdentifyPreferentialAttachment(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Threshold = 3
 	opts.Iterations = 2
-	res, err := Reconcile(g1, g2, seeds, opts)
+	res, err := Reconcile(context.Background(), g1, g2, seeds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestHighDegreeNodesIdentifiedFirst(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Threshold = 2
 	opts.Iterations = 1
-	res, err := Reconcile(g1, g2, seeds, opts)
+	res, err := Reconcile(context.Background(), g1, g2, seeds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestDisableBucketingStillRuns(t *testing.T) {
 	g1, g2, seeds := testInstance(5, 300)
 	opts := DefaultOptions()
 	opts.DisableBucketing = true
-	res, err := Reconcile(g1, g2, seeds, opts)
+	res, err := Reconcile(context.Background(), g1, g2, seeds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestDisableBucketingStillRuns(t *testing.T) {
 
 func TestPhaseStatsConsistent(t *testing.T) {
 	g1, g2, seeds := testInstance(6, 300)
-	res, err := Reconcile(g1, g2, seeds, DefaultOptions())
+	res, err := Reconcile(context.Background(), g1, g2, seeds, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +167,7 @@ func TestAsymmetricNodeCounts(t *testing.T) {
 	g1, g2 := sampling.IndependentCopies(r, g, 0.75, 0.75)
 	g2 = sampling.SybilAttack(r, g2, 0.5)
 	seeds := sampling.Seeds(r, graph.IdentityPairs(n), 0.15)
-	res, err := Reconcile(g1, g2, seeds, DefaultOptions())
+	res, err := Reconcile(context.Background(), g1, g2, seeds, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

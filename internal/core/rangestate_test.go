@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"github.com/sociograph/reconcile/internal/graph"
@@ -176,9 +177,9 @@ func TestSplitFrozenChunksDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Run(2)
+	s.Run(context.Background(), 2)
 	base := s.ExportState()
-	s.Run(2)
+	s.Run(context.Background(), 2)
 	cur := s.ExportState()
 
 	const ranges = 4
@@ -227,14 +228,14 @@ func TestRangedResumeEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			full.Run(4)
+			full.Run(context.Background(), 4)
 			want := full.ExportState()
 
 			s, err := NewSession(g1, g2, seeds, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			s.Run(2)
+			s.Run(context.Background(), 2)
 			parts, err := SplitStateRanges(s.ExportState(), ranges, nil)
 			if err != nil {
 				t.Fatalf("engine %d/R=%d: split: %v", engine, ranges, err)
@@ -247,7 +248,7 @@ func TestRangedResumeEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("engine %d/R=%d: restore: %v", engine, ranges, err)
 			}
-			restored.Run(2)
+			restored.Run(context.Background(), 2)
 			got := restored.ExportState()
 			if !statesEqual(want, got) {
 				t.Fatalf("engine %d/R=%d: ranged resume diverged from uninterrupted run", engine, ranges)

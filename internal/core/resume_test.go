@@ -24,7 +24,7 @@ func runToBoundary(t *testing.T, g1, g2 *graph.Graph, seeds []graph.Pair, opts O
 			cancel()
 		}
 	})
-	if _, err := s.RunContext(ctx, sweeps); err != context.Canceled {
+	if _, err := s.Run(ctx, sweeps); err != context.Canceled {
 		t.Fatalf("stop=%d: err = %v, want context.Canceled", stop, err)
 	}
 	if buckets != stop {
@@ -39,7 +39,7 @@ func runToBoundary(t *testing.T, g1, g2 *graph.Graph, seeds []graph.Pair, opts O
 func finishSchedule(t *testing.T, s *Session, sweeps int) {
 	t.Helper()
 	remaining := sweeps - s.Sweeps()
-	if _, err := s.RunContext(context.Background(), remaining); err != nil {
+	if _, err := s.Run(context.Background(), remaining); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -58,7 +58,7 @@ func TestResumeEquivalence(t *testing.T) {
 			opts := DefaultOptions()
 			opts.Engine = engine
 
-			full, err := Reconcile(g1, g2, seeds, opts)
+			full, err := Reconcile(context.Background(), g1, g2, seeds, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -99,7 +99,7 @@ func TestResumeEquivalenceCrossEngine(t *testing.T) {
 	g1, g2, seeds := testInstance(11, 350)
 	opts := DefaultOptions()
 
-	full, err := Reconcile(g1, g2, seeds, opts)
+	full, err := Reconcile(context.Background(), g1, g2, seeds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestResumeMidSweepContinuation(t *testing.T) {
 	g1, g2, seeds := testInstance(7, 300)
 	opts := DefaultOptions()
 
-	full, err := Reconcile(g1, g2, seeds, opts)
+	full, err := Reconcile(context.Background(), g1, g2, seeds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestResumeMidSweepContinuation(t *testing.T) {
 		t.Fatalf("started sweeps = %d, want 1", s.Sweeps())
 	}
 	// Run(0) finishes the interrupted sweep and nothing more.
-	if _, err := s.RunContext(context.Background(), 0); err != nil {
+	if _, err := s.Run(context.Background(), 0); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(s.Result().Phases); got != perSweep {
@@ -192,7 +192,7 @@ func TestRestoreSessionRejectsInvalidState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Run(1)
+	s.Run(context.Background(), 1)
 	good := s.ExportState()
 
 	check := func(name string, corrupt func(st *SessionState)) {
@@ -220,7 +220,7 @@ func TestRestoreSessionRejectsInvalidState(t *testing.T) {
 	})
 	check("conflicting pairs", func(st *SessionState) { st.Pairs[1] = st.Pairs[0] })
 	check("negative sweeps", func(st *SessionState) { st.Sweeps = -1 })
-	check("bucket position past schedule", func(st *SessionState) { st.NextBucket = len(st.Opts.buckets(g1, g2)) })
+	check("bucket position past schedule", func(st *SessionState) { st.NextBucket = len(st.Opts.BucketSchedule(g1, g2)) })
 	check("phase log too short", func(st *SessionState) { st.Phases = st.Phases[:len(st.Phases)-1] })
 	check("phase log off schedule", func(st *SessionState) { st.Phases[0].MinDegree++ })
 	check("phase log non-monotone", func(st *SessionState) {
@@ -235,7 +235,7 @@ func TestRestoreSessionRejectsInvalidState(t *testing.T) {
 		st.Phases = st.Phases[1:]
 	})
 	check("evicted prefix overstates position", func(st *SessionState) {
-		st.PhasesDropped += len(st.Opts.buckets(g1, g2))
+		st.PhasesDropped += len(st.Opts.BucketSchedule(g1, g2))
 	})
 	check("hybrid flag under fixed engine", func(st *SessionState) { st.HybridFrontier = true })
 }
@@ -248,12 +248,12 @@ func TestExportStateIsDeepCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Run(1)
+	s.Run(context.Background(), 1)
 	st := s.ExportState()
 	pairsBefore := len(st.Pairs)
 	phasesBefore := len(st.Phases)
-	s.Run(1)
-	s.RunUntilStable(5)
+	s.Run(context.Background(), 1)
+	s.RunUntilStable(context.Background(), 5)
 	if len(st.Pairs) != pairsBefore || len(st.Phases) != phasesBefore {
 		t.Fatal("exported state aliases the live session")
 	}
@@ -262,7 +262,7 @@ func TestExportStateIsDeepCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	finishSchedule(t, restored, DefaultOptions().Iterations)
-	restored.RunUntilStable(5)
+	restored.RunUntilStable(context.Background(), 5)
 	if !pairsEqual(restored.Result().Pairs, s.Result().Pairs) {
 		t.Fatal("restored continuation diverged from the live session")
 	}

@@ -150,19 +150,19 @@ func TestCandidateListInvariant(t *testing.T) {
 				t.Fatal(err)
 			}
 			s.SetProgress(hook(s))
-			if _, err := s.RunContext(ctx, 1); err != nil {
+			if _, err := s.Run(ctx, 1); err != nil {
 				t.Fatal(err)
 			}
 			ingest(s)
-			if _, err := s.RunContext(ctx, 2); err != nil {
+			if _, err := s.Run(ctx, 2); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s.RunUntilStableContext(ctx, 10); err != nil {
+			if _, err := s.RunUntilStable(ctx, 10); err != nil {
 				t.Fatal(err)
 			}
 			converged := s.Sweeps()
 			ingest(s)
-			if _, err := s.RunUntilStableContext(ctx, 10); err != nil {
+			if _, err := s.RunUntilStable(ctx, 10); err != nil {
 				t.Fatal(err)
 			}
 
@@ -170,7 +170,7 @@ func TestCandidateListInvariant(t *testing.T) {
 			// unbucketed schedule has no mid-sweep point; it restores at the
 			// first sweep boundary). The second one lands after convergence,
 			// in the hybrid's frontier regime.
-			nb := len(opts.buckets(g1, g2))
+			nb := len(opts.BucketSchedule(g1, g2))
 			for _, at := range []struct{ sweeps, stop int }{
 				{2, 1 + nb/2},
 				{converged + 2, converged*nb + (nb+1)/2},
@@ -266,7 +266,7 @@ func TestScanStateLifetime(t *testing.T) {
 				}
 			}
 		})
-		if _, err := s.RunUntilStableContext(ctx, 10); err != nil {
+		if _, err := s.RunUntilStable(ctx, 10); err != nil {
 			t.Fatal(err)
 		}
 		if tc.engine != EngineFrontier && !built {
@@ -481,12 +481,12 @@ func TestScanPassAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if _, err := s.RunContext(ctx, 1); err != nil {
+	if _, err := s.Run(ctx, 1); err != nil {
 		t.Fatal(err)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	found, err := s.RunContext(ctx, 1)
+	found, err := s.Run(ctx, 1)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -652,7 +652,7 @@ func TestDerivedRightProposals(t *testing.T) {
 						}
 					}
 				})
-				if _, err := s.RunUntilStableContext(ctx, 10); err != nil {
+				if _, err := s.RunUntilStable(ctx, 10); err != nil {
 					t.Fatal(err)
 				}
 			}

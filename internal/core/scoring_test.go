@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"github.com/sociograph/reconcile/internal/graph"
@@ -94,7 +95,7 @@ func TestAdamicAdarBreaksHubTies(t *testing.T) {
 		opts.MinBucketExp = 0
 		opts.Scoring = scoring
 		opts.Engine = EngineSequential
-		res, err := Reconcile(g1, g2, seeds, opts)
+		res, err := Reconcile(context.Background(), g1, g2, seeds, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +119,7 @@ func TestAdamicAdarQualityOnPA(t *testing.T) {
 	for _, scoring := range []Scoring{ScoreWitnessCount, ScoreAdamicAdar} {
 		opts := DefaultOptions()
 		opts.Scoring = scoring
-		res, err := Reconcile(g1, g2, seeds, opts)
+		res, err := Reconcile(context.Background(), g1, g2, seeds, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +159,7 @@ func TestMinMarginRejectsCloseCalls(t *testing.T) {
 		opts.MinMargin = margin
 		opts.Engine = EngineSequential
 		opts.Iterations = 1
-		res, err := Reconcile(g, g, seeds, opts)
+		res, err := Reconcile(context.Background(), g, g, seeds, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +189,7 @@ func TestMinMarginMonotone(t *testing.T) {
 	for _, margin := range []int{0, 1, 2, 4} {
 		opts := DefaultOptions()
 		opts.MinMargin = margin
-		res, err := Reconcile(g1, g2, seeds, opts)
+		res, err := Reconcile(context.Background(), g1, g2, seeds, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,13 +205,13 @@ func TestWeightedEnginesAgree(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Scoring = ScoreAdamicAdar
 	opts.Engine = EngineSequential
-	seq, err := Reconcile(g1, g2, seeds, opts)
+	seq, err := Reconcile(context.Background(), g1, g2, seeds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Engine = EngineParallel
 	opts.Workers = 5
-	par, err := Reconcile(g1, g2, seeds, opts)
+	par, err := Reconcile(context.Background(), g1, g2, seeds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

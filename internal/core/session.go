@@ -101,10 +101,11 @@ func NewSession(g1, g2 *graph.Graph, seeds []graph.Pair, opts Options) (*Session
 	return s, nil
 }
 
-// AddSeeds injects newly learned trusted links. A seed whose endpoints are
-// already linked to each other is ignored; a seed conflicting with an
-// existing link (either endpoint linked elsewhere) is rejected with an
-// error and no partial state change for that seed.
+// AddSeeds injects newly learned trusted links, in order. A seed whose
+// endpoints are already linked to each other is ignored. A seed conflicting
+// with an existing link (either endpoint linked elsewhere) stops the
+// ingestion with an error: the seeds before it stay ingested, and it and
+// every seed after it are dropped.
 func (s *Session) AddSeeds(seeds []graph.Pair) error {
 	if s.tracer != nil {
 		sp := s.tracer.Begin(trace.KindSeedIngest, fmt.Sprintf("%d seeds", len(seeds)))
@@ -135,14 +136,6 @@ func (s *Session) SetProgress(fn func(PhaseEvent)) { s.progress = fn }
 // state — restore paths re-install it.
 func (s *Session) SetTracer(tr *trace.Recorder) { s.tracer = tr }
 
-// Run performs the given number of full bucket sweeps and returns how many
-// new links were found.
-func (s *Session) Run(sweeps int) int {
-	//lint:allow ctx-propagation deprecated pre-context wrapper kept for API compatibility and pinned by equivalence tests; new callers use RunContext
-	found, _ := s.RunContext(context.Background(), sweeps)
-	return found
-}
-
 // Sweeps returns the number of sweeps started so far (a sweep interrupted by
 // cancellation counts: its remaining buckets run, at no extra sweep cost, at
 // the start of the next Run). Iterations - Sweeps is therefore the number of
@@ -153,18 +146,19 @@ func (s *Session) Sweeps() int { return s.sweeps }
 // immutable and shared, not copied.
 func (s *Session) Graphs() (g1, g2 *graph.Graph) { return s.g1, s.g2 }
 
-// RunContext performs the given number of full bucket sweeps, honoring
-// cancellation and deadlines: the context is checked at every bucket-phase
-// boundary, and on expiry the run stops there with ctx.Err(). Links found
-// before the stop are kept — the session remains valid, Result reflects the
-// partial progress, and a later Run picks up exactly where this one stopped:
-// a sweep interrupted mid-schedule is completed first (its remaining buckets
-// do not count toward the new call's sweep budget), so an interrupted
-// schedule replays bucket for bucket as if it had never stopped. RunContext
-// with sweeps <= 0 runs nothing beyond that completion.
-func (s *Session) RunContext(ctx context.Context, sweeps int) (int, error) {
+// Run performs the given number of full bucket sweeps and returns how many
+// new links were found. It honors cancellation and deadlines: the context
+// is checked at every bucket-phase boundary, and on expiry the run stops
+// there with ctx.Err(). Links found before the stop are kept — the session
+// remains valid, Result reflects the partial progress, and a later Run
+// picks up exactly where this one stopped: a sweep interrupted
+// mid-schedule is completed first (its remaining buckets do not count
+// toward the new call's sweep budget), so an interrupted schedule replays
+// bucket for bucket as if it had never stopped. Run with sweeps <= 0 runs
+// nothing beyond that completion.
+func (s *Session) Run(ctx context.Context, sweeps int) (int, error) {
 	found := 0
-	buckets := s.opts.buckets(s.g1, s.g2)
+	buckets := s.opts.BucketSchedule(s.g1, s.g2)
 	remaining := sweeps
 	for remaining > 0 || s.pos > 0 {
 		// Check before every bucket — in particular before claiming a sweep
@@ -239,27 +233,19 @@ func (s *Session) RunContext(ctx context.Context, sweeps int) (int, error) {
 	return found, nil
 }
 
-// RunUntilStable sweeps until a full sweep finds nothing new (or maxSweeps
-// is reached), returning the total number of links found.
-func (s *Session) RunUntilStable(maxSweeps int) int {
-	//lint:allow ctx-propagation deprecated pre-context wrapper kept for API compatibility and pinned by equivalence tests; new callers use RunUntilStableContext
-	total, _ := s.RunUntilStableContext(context.Background(), maxSweeps)
-	return total
-}
-
-// RunUntilStableContext is RunUntilStable with cancellation: it sweeps until
-// a full sweep finds nothing new, maxSweeps is reached, or the context ends
-// (checked at bucket boundaries, like RunContext). A sweep a previous run
-// left interrupted is completed first, outside the maxSweeps budget and the
+// RunUntilStable sweeps until a full sweep finds nothing new, maxSweeps is
+// reached, or the context ends (checked at bucket boundaries, like Run),
+// returning the total number of links found. A sweep a previous run left
+// interrupted is completed first, outside the maxSweeps budget and the
 // stability check — its links belong to a sweep that already counted, so
 // only whole fresh sweeps decide convergence.
-func (s *Session) RunUntilStableContext(ctx context.Context, maxSweeps int) (int, error) {
-	total, err := s.RunContext(ctx, 0) // finish any interrupted sweep
+func (s *Session) RunUntilStable(ctx context.Context, maxSweeps int) (int, error) {
+	total, err := s.Run(ctx, 0) // finish any interrupted sweep
 	if err != nil {
 		return total, err
 	}
 	for i := 0; i < maxSweeps; i++ {
-		found, err := s.RunContext(ctx, 1)
+		found, err := s.Run(ctx, 1)
 		total += found
 		if err != nil {
 			return total, err

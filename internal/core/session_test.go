@@ -14,7 +14,7 @@ func TestSessionMatchesBatchReconcile(t *testing.T) {
 	g1, g2, seeds := testInstance(51, 400)
 	opts := DefaultOptions()
 
-	batch, err := Reconcile(g1, g2, seeds, opts)
+	batch, err := Reconcile(context.Background(), g1, g2, seeds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +22,7 @@ func TestSessionMatchesBatchReconcile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess.Run(opts.Iterations)
+	sess.Run(context.Background(), opts.Iterations)
 	got := sess.Result()
 	if len(got.Pairs) != len(batch.Pairs) {
 		t.Fatalf("session %d pairs, batch %d", len(got.Pairs), len(batch.Pairs))
@@ -49,7 +49,7 @@ func TestSessionIncrementalSeedsCatchUp(t *testing.T) {
 	half := len(all) / 2
 
 	opts := DefaultOptions()
-	batch, err := Reconcile(g1, g2, all, opts)
+	batch, err := Reconcile(context.Background(), g1, g2, all, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestSessionIncrementalSeedsCatchUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess.RunUntilStable(10)
+	sess.RunUntilStable(context.Background(), 10)
 	before := sess.Len()
 	// Later seeds may conflict with links the first phase already made (a
 	// seed exposes an earlier wrong or alternative match). Production
@@ -70,7 +70,7 @@ func TestSessionIncrementalSeedsCatchUp(t *testing.T) {
 		}
 	}
 	t.Logf("%d/%d late seeds conflicted with phase-1 links", conflicts, len(all)-half)
-	sess.RunUntilStable(10)
+	sess.RunUntilStable(context.Background(), 10)
 	if sess.Len() < before {
 		t.Fatal("session lost links")
 	}
@@ -95,6 +95,20 @@ func TestSessionAddSeedsDuplicate(t *testing.T) {
 	// Conflicting seed is an error.
 	if err := sess.AddSeeds([]graph.Pair{{Left: 0, Right: 1}}); err == nil {
 		t.Fatal("conflicting seed accepted")
+	}
+	// A conflict stops the batch: the seed before it stays ingested, the
+	// seed after it is dropped.
+	before := sess.Len()
+	if err := sess.AddSeeds([]graph.Pair{{Left: 1, Right: 1}, {Left: 0, Right: 2}, {Left: 2, Right: 2}}); err == nil {
+		t.Fatal("batch with a conflicting seed accepted")
+	}
+	if sess.Len() != before+1 {
+		t.Fatalf("len %d -> %d after the stopped batch, want one more", before, sess.Len())
+	}
+	for _, p := range sess.Result().Pairs {
+		if p.Left == 2 || p.Right == 2 {
+			t.Fatalf("seed after the conflict was ingested: %v", p)
+		}
 	}
 }
 
@@ -128,7 +142,7 @@ func TestSessionRunContextCancellation(t *testing.T) {
 			cancel()
 		}
 	})
-	_, err = sess.RunContext(ctx, 5)
+	_, err = sess.Run(ctx, 5)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -138,7 +152,7 @@ func TestSessionRunContextCancellation(t *testing.T) {
 
 	sess.SetProgress(nil)
 	before := sess.Len()
-	if _, err := sess.RunUntilStableContext(context.Background(), 20); err != nil {
+	if _, err := sess.RunUntilStable(context.Background(), 20); err != nil {
 		t.Fatal(err)
 	}
 	if sess.Len() < before {
@@ -146,13 +160,13 @@ func TestSessionRunContextCancellation(t *testing.T) {
 	}
 }
 
-// ReconcileContext returns the partial Result together with the context
-// error when cancelled before any bucket runs.
+// Reconcile returns the partial Result together with the context error
+// when cancelled before any bucket runs.
 func TestReconcileContextPreCancelled(t *testing.T) {
 	g1, g2, seeds := testInstance(63, 300)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := ReconcileContext(ctx, g1, g2, seeds, DefaultOptions(), nil)
+	res, err := Reconcile(ctx, g1, g2, seeds, DefaultOptions())
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -167,10 +181,10 @@ func TestSessionRunUntilStableStops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess.RunUntilStable(50)
+	sess.RunUntilStable(context.Background(), 50)
 	n := sess.Len()
 	// Once stable, further sweeps find nothing.
-	if extra := sess.Run(2); extra != 0 {
+	if extra, _ := sess.Run(context.Background(), 2); extra != 0 {
 		t.Fatalf("stable session found %d more links", extra)
 	}
 	if sess.Len() != n {

@@ -106,7 +106,7 @@ func RestoreSession(g1, g2 *graph.Graph, st *SessionState) (*Session, error) {
 	}
 	m.seeds = st.Seeds
 
-	buckets := st.Opts.buckets(g1, g2)
+	buckets := st.Opts.BucketSchedule(g1, g2)
 	if st.Sweeps < 0 {
 		return nil, fmt.Errorf("core: restore: negative sweep count %d", st.Sweeps)
 	}

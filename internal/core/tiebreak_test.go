@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"github.com/sociograph/reconcile/internal/graph"
@@ -33,7 +34,7 @@ func TestTieLowestIDResolvesSymmetry(t *testing.T) {
 	opts.MinBucketExp = 0
 	opts.Ties = TieLowestID
 	opts.Iterations = 3
-	res, err := Reconcile(g, g, []graph.Pair{{Left: 0, Right: 0}}, opts)
+	res, err := Reconcile(context.Background(), g, g, []graph.Pair{{Left: 0, Right: 0}}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,14 +55,14 @@ func TestTieLowestIDDeterministic(t *testing.T) {
 	opts.Threshold = 1
 	opts.Ties = TieLowestID
 	opts.Engine = EngineSequential
-	seq, err := Reconcile(g1, g2, seeds, opts)
+	seq, err := Reconcile(context.Background(), g1, g2, seeds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{1, 3, 8} {
 		opts.Engine = EngineParallel
 		opts.Workers = w
-		par, err := Reconcile(g1, g2, seeds, opts)
+		par, err := Reconcile(context.Background(), g1, g2, seeds, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,13 +82,13 @@ func TestTieLowestIDSupersetOfReject(t *testing.T) {
 	g1, g2, seeds := testInstance(17, 400)
 	reject := DefaultOptions()
 	reject.Threshold = 1
-	a, err := Reconcile(g1, g2, seeds, reject)
+	a, err := Reconcile(context.Background(), g1, g2, seeds, reject)
 	if err != nil {
 		t.Fatal(err)
 	}
 	accept := reject
 	accept.Ties = TieLowestID
-	b, err := Reconcile(g1, g2, seeds, accept)
+	b, err := Reconcile(context.Background(), g1, g2, seeds, accept)
 	if err != nil {
 		t.Fatal(err)
 	}

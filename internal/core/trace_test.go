@@ -45,14 +45,14 @@ func TestSessionEmitsSweepAndBucketSpans(t *testing.T) {
 	s.SetTracer(tr)
 
 	const sweeps = 3
-	if _, err := s.RunContext(context.Background(), sweeps); err != nil {
+	if _, err := s.Run(context.Background(), sweeps); err != nil {
 		t.Fatal(err)
 	}
 	by := spansByKind(tr.Export())
 	if len(by[trace.KindSweep]) != sweeps {
 		t.Fatalf("sweep spans = %d, want %d", len(by[trace.KindSweep]), sweeps)
 	}
-	buckets := opts.buckets(g1, g2)
+	buckets := opts.BucketSchedule(g1, g2)
 	if want := sweeps * len(buckets); len(by[trace.KindBucket]) != want {
 		t.Fatalf("bucket spans = %d, want %d", len(by[trace.KindBucket]), want)
 	}
@@ -107,7 +107,7 @@ func TestHybridHandoffSpan(t *testing.T) {
 	}
 	tr := trace.New(trace.Config{Clock: (&traceClock{}).read})
 	s.SetTracer(tr)
-	if _, err := s.RunUntilStableContext(context.Background(), 30); err != nil {
+	if _, err := s.RunUntilStable(context.Background(), 30); err != nil {
 		t.Fatal(err)
 	}
 	if !s.FrontierActive() {
@@ -143,7 +143,7 @@ func TestTraceContinuousAcrossRestore(t *testing.T) {
 					cancel()
 				}
 			})
-			if _, err := s.RunContext(ctx, 4); err == nil {
+			if _, err := s.Run(ctx, 4); err == nil {
 				t.Fatal("expected cancellation")
 			}
 			st := s.ExportState()
@@ -157,7 +157,7 @@ func TestTraceContinuousAcrossRestore(t *testing.T) {
 			tr2 := trace.Restore(trace.Config{Clock: (&traceClock{}).read}, p)
 			tr2.Mark(trace.KindResume, "test restart")
 			s2.SetTracer(tr2)
-			if _, err := s2.RunContext(context.Background(), 2); err != nil {
+			if _, err := s2.Run(context.Background(), 2); err != nil {
 				t.Fatal(err)
 			}
 

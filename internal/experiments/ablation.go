@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"github.com/sociograph/reconcile/internal/baseline"
 	"github.com/sociograph/reconcile/internal/core"
 	"github.com/sociograph/reconcile/internal/datasets"
@@ -51,7 +52,7 @@ func AblationRun(cfg Config) (*AblationData, error) {
 		opts.Threshold = 1
 		opts.Workers = cfg.Workers
 		opts.Ties = core.TieLowestID
-		res, err := core.Reconcile(g1, g2, seeds, opts)
+		res, err := core.Reconcile(context.Background(), g1, g2, seeds, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -62,7 +63,7 @@ func AblationRun(cfg Config) (*AblationData, error) {
 		// budget isolates the effect of the degree schedule itself.
 		opts.Iterations *= len(opts.BucketSchedule(g1, g2))
 		opts.DisableBucketing = true
-		res, err = core.Reconcile(g1, g2, seeds, opts)
+		res, err = core.Reconcile(context.Background(), g1, g2, seeds, opts)
 		if err != nil {
 			return nil, err
 		}

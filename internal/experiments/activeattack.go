@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"github.com/sociograph/reconcile/internal/core"
 	"github.com/sociograph/reconcile/internal/datasets"
 	"github.com/sociograph/reconcile/internal/eval"
@@ -52,7 +53,7 @@ func ActiveAttackData(cfg Config) ([]ActiveAttackRow, error) {
 		opts.Threshold = 2
 		opts.Iterations = 4 // plants are few; give the cascade room
 		opts.Workers = cfg.Workers
-		res, err := core.Reconcile(a1.Attacked, a2.Attacked, seeds, opts)
+		res, err := core.Reconcile(context.Background(), a1.Attacked, a2.Attacked, seeds, opts)
 		if err != nil {
 			return nil, err
 		}

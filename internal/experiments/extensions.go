@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"github.com/sociograph/reconcile/internal/core"
 	"github.com/sociograph/reconcile/internal/eval"
 	"github.com/sociograph/reconcile/internal/gen"
@@ -172,7 +173,7 @@ func ScoringAblationData(cfg Config) ([]ScoringRow, error) {
 		opts.Workers = cfg.Workers
 		opts.Scoring = setting.scoring
 		opts.MinMargin = setting.margin
-		res, err := core.Reconcile(g1, g2, seeds, opts)
+		res, err := core.Reconcile(context.Background(), g1, g2, seeds, opts)
 		if err != nil {
 			return nil, err
 		}

@@ -11,6 +11,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -120,7 +121,7 @@ func reconcile(g1, g2 *graph.Graph, seeds []graph.Pair, threshold int, cfg Confi
 	opts := core.DefaultOptions()
 	opts.Threshold = threshold
 	opts.Workers = cfg.Workers
-	return core.Reconcile(g1, g2, seeds, opts)
+	return core.Reconcile(context.Background(), g1, g2, seeds, opts)
 }
 
 // percent renders a fraction like "10%".

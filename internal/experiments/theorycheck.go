@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 
 	"github.com/sociograph/reconcile/internal/core"
@@ -54,7 +55,7 @@ func TheoryCheckData(cfg Config) ([]TheoryRow, error) {
 	opts := core.DefaultOptions()
 	opts.Threshold = 3 // Lemma 3's threshold
 	opts.Workers = cfg.Workers
-	res, err := core.Reconcile(g1, g2, seeds, opts)
+	res, err := core.Reconcile(context.Background(), g1, g2, seeds, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -22,8 +22,9 @@ type BinaryReader interface {
 	io.ByteReader
 }
 
-// maxNodes bounds decoded node counts to what NodeID can address.
-const maxNodes = 1 << 31
+// MaxNodes bounds the node counts the graph codecs decode, and so the
+// graphs a store can read back, to what NodeID can address.
+const MaxNodes = 1 << 31
 
 // chunkIDs is how many NodeIDs the binary codec moves per bulk Read/Write.
 const chunkIDs = 16 * 1024
@@ -115,7 +116,7 @@ func DecodeBinary(r BinaryReader) (*Graph, error) {
 	if err != nil {
 		return nil, fmt.Errorf("graph: decode: node count: %w", err)
 	}
-	if nRaw > maxNodes {
+	if nRaw > MaxNodes {
 		return nil, fmt.Errorf("graph: decode: node count %d exceeds limit", nRaw)
 	}
 	n := int(nRaw)

@@ -133,7 +133,7 @@ func parseMappableHeader(data []byte) (n int, adjLen int64, maxd int, err error)
 		return 0, 0, 0, fmt.Errorf("graph: mapped: checksum mismatch")
 	}
 	nRaw := binary.LittleEndian.Uint64(data[16:24])
-	if nRaw > maxNodes {
+	if nRaw > MaxNodes {
 		return 0, 0, 0, fmt.Errorf("graph: mapped: node count %d exceeds limit", nRaw)
 	}
 	adjRaw := binary.LittleEndian.Uint64(data[24:32])

@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -32,7 +33,7 @@ func TestMapReduceMatchesCoreEngines(t *testing.T) {
 		g1, g2, seeds := instance(seed, 250)
 		opts := core.DefaultOptions()
 		opts.Engine = core.EngineSequential
-		want, err := core.Reconcile(g1, g2, seeds, opts)
+		want, err := core.Reconcile(context.Background(), g1, g2, seeds, opts)
 		if err != nil {
 			return false
 		}

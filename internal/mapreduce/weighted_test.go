@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"context"
 	"testing"
 
 	"github.com/sociograph/reconcile/internal/core"
@@ -38,7 +39,7 @@ func TestMapReduceMatchesCoreUnderVariants(t *testing.T) {
 	}
 	for i, opts := range variants {
 		opts.Engine = core.EngineSequential
-		want, err := core.Reconcile(g1, g2, seeds, opts)
+		want, err := core.Reconcile(context.Background(), g1, g2, seeds, opts)
 		if err != nil {
 			t.Fatalf("variant %d: %v", i, err)
 		}

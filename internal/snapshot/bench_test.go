@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"testing"
 
@@ -15,7 +16,7 @@ import (
 func BenchmarkSnapshotEncode(b *testing.B) {
 	opts := core.DefaultOptions()
 	g1, g2, s := testSession(b, 99, 20000, opts, 0)
-	s.RunUntilStable(10)
+	s.RunUntilStable(context.Background(), 10)
 	st := s.ExportState()
 	var buf bytes.Buffer
 	if err := Write(&buf, g1, g2, st); err != nil {
@@ -35,7 +36,7 @@ func BenchmarkSnapshotEncode(b *testing.B) {
 func BenchmarkSnapshotDecode(b *testing.B) {
 	opts := core.DefaultOptions()
 	g1, g2, s := testSession(b, 99, 20000, opts, 0)
-	s.RunUntilStable(10)
+	s.RunUntilStable(context.Background(), 10)
 	var buf bytes.Buffer
 	if err := Write(&buf, g1, g2, s.ExportState()); err != nil {
 		b.Fatal(err)
@@ -55,7 +56,7 @@ func BenchmarkSnapshotDecode(b *testing.B) {
 func BenchmarkSnapshotEncodeState(b *testing.B) {
 	opts := core.DefaultOptions()
 	_, _, s := testSession(b, 99, 20000, opts, 0)
-	s.RunUntilStable(10)
+	s.RunUntilStable(context.Background(), 10)
 	st := s.ExportState()
 	var buf bytes.Buffer
 	if err := WriteState(&buf, st); err != nil {
@@ -75,7 +76,7 @@ func BenchmarkSnapshotEncodeState(b *testing.B) {
 func BenchmarkSnapshotExportState(b *testing.B) {
 	opts := core.DefaultOptions()
 	_, _, s := testSession(b, 99, 20000, opts, 0)
-	s.RunUntilStable(10)
+	s.RunUntilStable(context.Background(), 10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = s.ExportState()
@@ -91,7 +92,7 @@ func deltaWorkload(b *testing.B) (base, cur *core.SessionState) {
 	b.Helper()
 	opts := core.DefaultOptions()
 	g1, g2, s := testSession(b, 99, 20000, opts, 0)
-	s.RunUntilStable(10)
+	s.RunUntilStable(context.Background(), 10)
 	base = s.ExportState()
 	usedL := map[graph.NodeID]bool{}
 	usedR := map[graph.NodeID]bool{}
@@ -113,7 +114,7 @@ func deltaWorkload(b *testing.B) (base, cur *core.SessionState) {
 	if injected == 0 {
 		b.Fatal("no free identity pairs on the converged instance")
 	}
-	s.RunUntilStable(10)
+	s.RunUntilStable(context.Background(), 10)
 	return base, s.ExportState()
 }
 

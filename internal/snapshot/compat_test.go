@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"hash/crc32"
 	"os"
@@ -41,7 +42,7 @@ func newLegacyRun(t *testing.T, seed uint64, n int, engine core.Engine, iteratio
 	g1, g2, s := testSession(t, seed, n, opts, 0)
 	r := &legacyRun{g1: g1, g2: g2, opts: opts}
 	s.SetProgress(func(core.PhaseEvent) { r.states = append(r.states, s.ExportState()) })
-	s.Run(iterations)
+	s.Run(context.Background(), iterations)
 	r.final = s.Result()
 	return r
 }
@@ -57,7 +58,7 @@ func (r *legacyRun) check(t *testing.T, what string, st *core.SessionState, k in
 	if err != nil {
 		t.Fatalf("%s: restore: %v", what, err)
 	}
-	restored.Run(r.opts.Iterations - restored.Sweeps())
+	restored.Run(context.Background(), r.opts.Iterations-restored.Sweeps())
 	if got := restored.Result(); !reflect.DeepEqual(r.final, got) {
 		t.Fatalf("%s: restored run diverged: %d pairs, want %d", what, len(got.Pairs), len(r.final.Pairs))
 	}
@@ -183,7 +184,7 @@ func frontierFlagAt(t *testing.T, legacy, reencoded []byte) int {
 func TestLegacyFrontierSectionErrors(t *testing.T) {
 	_, _, s := testSession(t, 13, 120, core.DefaultOptions(), 2)
 	base := s.ExportState()
-	s.Run(1)
+	s.Run(context.Background(), 1)
 	d, err := core.DiffStates(base, s.ExportState())
 	if err != nil {
 		t.Fatal(err)

@@ -88,7 +88,7 @@ func FuzzDeltaRoundTrip(f *testing.F) {
 		if stop == 0 {
 			base = s.ExportState()
 		}
-		s.RunContext(ctx, opts.Iterations+1)
+		s.Run(ctx, opts.Iterations+1)
 		s.SetProgress(nil)
 		if base == nil {
 			base = s.ExportState() // run ended before the stop position

@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"testing"
 
@@ -33,7 +34,7 @@ func TestDeltaRoundTrip(t *testing.T) {
 			_, _, s := testSession(t, 42, 300, opts, 0)
 			base := s.ExportState()
 			for sweep := 0; sweep < 3; sweep++ {
-				s.Run(1)
+				s.Run(context.Background(), 1)
 				cur := s.ExportState()
 				d, err := core.DiffStates(base, cur)
 				if err != nil {
@@ -77,7 +78,7 @@ func TestDeltaKindMismatch(t *testing.T) {
 	opts := core.DefaultOptions()
 	_, _, s := testSession(t, 7, 150, opts, 0)
 	base := s.ExportState()
-	s.Run(1)
+	s.Run(context.Background(), 1)
 	d, err := core.DiffStates(base, s.ExportState())
 	if err != nil {
 		t.Fatal(err)

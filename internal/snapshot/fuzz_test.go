@@ -78,7 +78,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 					cancel()
 				}
 			})
-			s.RunContext(ctx, opts.Iterations)
+			s.Run(ctx, opts.Iterations)
 			s.SetProgress(nil)
 			cancel()
 		}
@@ -117,7 +117,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 			t.Fatalf("restore: %v", err)
 		}
 		finish := func(s *core.Session) *core.Result {
-			s.RunContext(context.Background(), opts.Iterations-s.Sweeps())
+			s.Run(context.Background(), opts.Iterations-s.Sweeps())
 			return s.Result()
 		}
 		want, got := finish(s), finish(restored)

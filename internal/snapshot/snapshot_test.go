@@ -34,7 +34,7 @@ func testSession(t testing.TB, seed uint64, n int, opts core.Options, stopAfter 
 				cancel()
 			}
 		})
-		s.RunContext(ctx, opts.Iterations)
+		s.Run(ctx, opts.Iterations)
 		s.SetProgress(nil)
 	}
 	return g1, g2, s
@@ -97,7 +97,7 @@ func TestFullRoundTrip(t *testing.T) {
 			}
 			finish := func(s *core.Session) *core.Result {
 				remaining := opts.Iterations - s.Sweeps()
-				if _, err := s.RunContext(context.Background(), remaining); err != nil {
+				if _, err := s.Run(context.Background(), remaining); err != nil {
 					t.Fatal(err)
 				}
 				return s.Result()

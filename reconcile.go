@@ -20,8 +20,8 @@
 //
 // It supports context cancellation (checked at bucket-phase boundaries),
 // incremental seed ingestion (AddSeeds between runs) and live progress
-// events. The free functions Reconcile, ReconcileMapReduce and NewSession
-// predate it and remain as thin deprecated wrappers.
+// events, and it is the only way to run the matcher from Go.
+// ReconcileMapReduce runs the same algorithm in its MapReduce formulation.
 //
 // The package is a facade over the implementation in internal/...; it is the
 // entire supported API surface:
@@ -50,7 +50,6 @@
 package reconcile
 
 import (
-	"context"
 	"io"
 
 	"github.com/sociograph/reconcile/internal/core"
@@ -275,50 +274,14 @@ func CorruptSeeds(r *Rand, seeds []Pair, n2 int, flip float64) []Pair {
 // engine.
 func DefaultOptions() Options { return core.DefaultOptions() }
 
-// Reconcile runs User-Matching over the two observed networks and the seed
-// links, returning the expanded identification. Deterministic for fixed
-// inputs and options. The default hybrid engine adapts to the workload —
-// parallel scans while commits are dense, frontier scheduling once they
-// thin out — so one-shot batch and incremental runs alike need no engine
-// tuning (see "Choosing an engine" in README.md to pin a fixed engine).
-//
-// Deprecated: use New with WithSeeds and WithOptions (or the individual
-// With functions), then Run — which adds context cancellation, incremental
-// seeds and progress events. This wrapper produces identical results.
-func Reconcile(g1, g2 *Graph, seeds []Pair, opts Options) (*Result, error) {
-	r, err := New(g1, g2, WithOptions(opts), WithSeeds(seeds))
-	if err != nil {
-		return nil, err
-	}
-	//lint:allow ctx-propagation deprecated pre-context wrapper; documented to produce identical results, cancellable callers use New+Run
-	return r.Run(context.Background())
-}
-
 // ReconcileMapReduce runs the identical algorithm formulated as the paper's
 // 4-rounds-per-bucket MapReduce job (O(k·log D) rounds total). Results match
-// Reconcile exactly; use it to inspect or port the distributed formulation.
+// New + Run exactly; use it to inspect or port the distributed formulation.
 //
 // Deprecated: prefer New and Run for production use; this entry point
 // remains for studying the distributed formulation.
 func ReconcileMapReduce(g1, g2 *Graph, seeds []Pair, opts Options) (*Result, error) {
 	return mapreduce.Reconcile(g1, g2, seeds, opts)
-}
-
-// Session is the incremental matcher: reconcile once, then keep feeding
-// newly learned trusted links and resuming — the production shape of the
-// problem, where users keep connecting their accounts.
-//
-// Deprecated: Reconciler absorbs the Session (incremental AddSeeds, context
-// runs, progress) behind one construction path; use New.
-type Session = core.Session
-
-// NewSession prepares an incremental matcher; drive it with
-// Session.AddSeeds, Session.Run / Session.RunUntilStable, Session.Result.
-//
-// Deprecated: use New; Reconciler offers the same incremental workflow plus
-// context support and progress events.
-func NewSession(g1, g2 *Graph, seeds []Pair, opts Options) (*Session, error) {
-	return core.NewSession(g1, g2, seeds, opts)
 }
 
 // IdentityTruth returns the identity correspondence over n nodes.

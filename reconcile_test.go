@@ -2,11 +2,26 @@ package reconcile_test
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
 	"github.com/sociograph/reconcile"
 )
+
+// runBatch is the one-shot run: New over the options, then Run.
+func runBatch(tb testing.TB, g1, g2 *reconcile.Graph, opts ...reconcile.Option) *reconcile.Result {
+	tb.Helper()
+	rec, err := reconcile.New(g1, g2, opts...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	res, err := rec.Run(context.Background())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
 
 // TestQuickstart is the end-to-end flow of the README through the public
 // API only: generate a network, derive two partial copies, seed, reconcile,
@@ -18,10 +33,7 @@ func TestQuickstart(t *testing.T) {
 	truth := reconcile.IdentityPairs(g.NumNodes())
 	seeds := reconcile.Seeds(r, truth, 0.10)
 
-	res, err := reconcile.Reconcile(g1, g2, seeds, reconcile.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runBatch(t, g1, g2, reconcile.WithSeeds(seeds))
 	c := reconcile.Evaluate(res.Pairs, res.Seeds, reconcile.IdentityTruth(g.NumNodes()))
 	if c.Precision() < 0.98 {
 		t.Errorf("precision %.4f", c.Precision())
@@ -39,10 +51,7 @@ func TestFacadeEnginesAgree(t *testing.T) {
 	seeds := reconcile.Seeds(r, reconcile.IdentityPairs(g.NumNodes()), 0.15)
 	opts := reconcile.DefaultOptions()
 
-	direct, err := reconcile.Reconcile(g1, g2, seeds, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	direct := runBatch(t, g1, g2, reconcile.WithOptions(opts), reconcile.WithSeeds(seeds))
 	mr, err := reconcile.ReconcileMapReduce(g1, g2, seeds, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -143,10 +152,7 @@ func TestFacadeDegreeCurveAndTruth(t *testing.T) {
 	g := reconcile.GeneratePA(r, 400, 5)
 	g1, g2 := reconcile.IndependentCopies(r, g, 0.8, 0.8)
 	seeds := reconcile.Seeds(r, reconcile.IdentityPairs(400), 0.2)
-	res, err := reconcile.Reconcile(g1, g2, seeds, reconcile.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runBatch(t, g1, g2, reconcile.WithSeeds(seeds))
 	curve := reconcile.DegreeCurve(g1, g2, res.Pairs, res.Seeds, reconcile.IdentityTruth(400))
 	if len(curve) == 0 {
 		t.Fatal("empty curve")
@@ -159,7 +165,7 @@ func TestFacadeDegreeCurveAndTruth(t *testing.T) {
 
 func TestFacadeErrors(t *testing.T) {
 	g := reconcile.FromEdges(2, nil)
-	if _, err := reconcile.Reconcile(g, g, nil, reconcile.Options{}); err == nil {
+	if _, err := reconcile.New(g, g, reconcile.WithOptions(reconcile.Options{})); err == nil {
 		t.Error("zero options accepted")
 	}
 	if _, err := reconcile.ReconcileMapReduce(g, g, []reconcile.Pair{{Left: 5, Right: 0}}, reconcile.DefaultOptions()); err == nil {

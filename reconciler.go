@@ -18,8 +18,7 @@ type PhaseStat = core.PhaseStat
 // the two observed networks with New, then drive it — run full sweeps under
 // a context, feed newly learned trusted links as they arrive (users keep
 // connecting their accounts), observe progress, and snapshot results at any
-// point. It supersedes the free functions Reconcile, ReconcileMapReduce and
-// NewSession.
+// point. It is the only way to run the matcher from Go.
 //
 // A Reconciler is not safe for concurrent use; serialize access externally
 // (cmd/serve shows the pattern).
@@ -101,7 +100,7 @@ func WithSeeds(seeds []Pair) Option {
 func WithProgress(fn func(PhaseEvent)) Option { return func(s *settings) { s.progress = fn } }
 
 // WithOptions replaces the whole configuration with a legacy Options struct
-// — the bridge for code migrating from the deprecated free functions.
+// — the bridge for code that holds its configuration as one value.
 // Options given before it are overwritten; options after it refine it.
 func WithOptions(o Options) Option { return func(s *settings) { s.opts = o } }
 
@@ -130,25 +129,26 @@ func New(g1, g2 *Graph, opts ...Option) (*Reconciler, error) {
 // retracted), and the Reconciler remains usable — a later Run resumes from
 // the current state.
 func (r *Reconciler) Run(ctx context.Context) (*Result, error) {
-	_, err := r.sess.RunContext(ctx, r.opts.Iterations)
+	_, err := r.sess.Run(ctx, r.opts.Iterations)
 	return r.sess.Result(), err
 }
 
 // RunUntilStable sweeps until a full sweep discovers nothing new, maxSweeps
 // is reached, or ctx ends (checked at bucket boundaries, like Run).
 func (r *Reconciler) RunUntilStable(ctx context.Context, maxSweeps int) (*Result, error) {
-	_, err := r.sess.RunUntilStableContext(ctx, maxSweeps)
+	_, err := r.sess.RunUntilStable(ctx, maxSweeps)
 	return r.sess.Result(), err
 }
 
-// AddSeeds ingests newly learned trusted links between runs. A seed whose
-// endpoints are already linked to each other is ignored; a seed conflicting
-// with an existing link (either endpoint linked elsewhere) is rejected with
-// an error and no state change for that seed. Call Run afterwards to expand
-// the new links.
+// AddSeeds ingests newly learned trusted links between runs, in order. A
+// seed whose endpoints are already linked to each other is ignored. A seed
+// conflicting with an existing link (either endpoint linked elsewhere)
+// stops the ingestion with an error: the seeds before it stay ingested, and
+// it and every seed after it are dropped. Call Run afterwards to expand the
+// new links.
 func (r *Reconciler) AddSeeds(seeds []Pair) error { return r.sess.AddSeeds(seeds) }
 
-// Result snapshots the current state in Reconcile's output layout: all
+// Result snapshots the current state in Run's output layout: all
 // links (seeds first), discoveries, and per-bucket phase statistics.
 func (r *Reconciler) Result() *Result { return r.sess.Result() }
 

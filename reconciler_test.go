@@ -95,8 +95,9 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-// The deprecated free function must produce results byte-identical to the
-// new API, for the default and for a customized configuration.
+// A deprecated Options struct given through WithOptions must produce
+// results byte-identical to the same configuration given as individual
+// With options, for the default and for a customized configuration.
 func TestDeprecatedWrapperEquivalence(t *testing.T) {
 	g1, g2, seeds := reconcilerInstance(4, 600)
 	cases := []struct {
@@ -131,21 +132,11 @@ func TestDeprecatedWrapperEquivalence(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			old, err := reconcile.Reconcile(g1, g2, seeds, tc.opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rec, err := reconcile.New(g1, g2, append([]reconcile.Option{reconcile.WithSeeds(seeds)}, tc.newOpts...)...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fresh, err := rec.Run(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(old, fresh) {
-				t.Fatalf("results differ:\nold   %d pairs, %d phases\nnew   %d pairs, %d phases",
-					len(old.Pairs), len(old.Phases), len(fresh.Pairs), len(fresh.Phases))
+			legacy := runBatch(t, g1, g2, reconcile.WithOptions(tc.opts), reconcile.WithSeeds(seeds))
+			fresh := runBatch(t, g1, g2, append([]reconcile.Option{reconcile.WithSeeds(seeds)}, tc.newOpts...)...)
+			if !reflect.DeepEqual(legacy, fresh) {
+				t.Fatalf("results differ:\nstruct  %d pairs, %d phases\nWith    %d pairs, %d phases",
+					len(legacy.Pairs), len(legacy.Phases), len(fresh.Pairs), len(fresh.Phases))
 			}
 			if len(fresh.NewPairs) == 0 {
 				t.Fatal("instance found nothing; equivalence is vacuous")
@@ -198,10 +189,7 @@ func TestRunCancellation(t *testing.T) {
 
 	// The instance is still valid: finishing the run reaches the same link
 	// set as an uninterrupted batch (the algorithm is monotone).
-	full, err := reconcile.Reconcile(g1, g2, seeds, reconcile.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := runBatch(t, g1, g2, reconcile.WithSeeds(seeds))
 	resumed, err := rec2.RunUntilStable(context.Background(), 20)
 	if err != nil {
 		t.Fatal(err)
@@ -247,10 +235,7 @@ func TestReconcilerAddSeeds(t *testing.T) {
 	if _, err := rec.RunUntilStable(context.Background(), 10); err != nil {
 		t.Fatal(err)
 	}
-	batch, err := reconcile.Reconcile(g1, g2, seeds, reconcile.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	batch := runBatch(t, g1, g2, reconcile.WithSeeds(seeds))
 	if rec.Len() < len(batch.Pairs)*90/100 {
 		t.Fatalf("incremental reconciler found %d links, batch %d", rec.Len(), len(batch.Pairs))
 	}

@@ -63,7 +63,7 @@ func (r *Reconciler) Resume(ctx context.Context) (*Result, error) {
 	if remaining < 0 {
 		remaining = 0
 	}
-	_, err := r.sess.RunContext(ctx, remaining)
+	_, err := r.sess.Run(ctx, remaining)
 	return r.sess.Result(), err
 }
 
@@ -96,8 +96,11 @@ func Restore(rd io.Reader, opts ...Option) (*Reconciler, error) {
 // RestoreState reads a state-only snapshot (written by SnapshotState) and
 // attaches it to the graphs it was exported over, with the same option rules
 // as Restore. The graphs must be the very ones the snapshot was taken over
-// (shape is verified; content fidelity is the caller's store to guarantee —
-// cmd/serve persists them next to the state with WriteGraphBinary).
+// (shape is verified; content fidelity is the caller's store to guarantee).
+// cmd/serve's store is the chain form of this: it persists the graphs next
+// to its checkpoint chain with WriteGraphMapped (WriteGraphBinary under
+// -mmap=false), and on boot replays the chain and attaches the result with
+// RestoreSessionState.
 func RestoreState(g1, g2 *Graph, rd io.Reader, opts ...Option) (*Reconciler, error) {
 	st, err := snapshot.ReadState(rd)
 	if err != nil {
