@@ -1,13 +1,19 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/sociograph/reconcile"
+	"github.com/sociograph/reconcile/internal/tenant"
 )
 
 // BenchmarkStoreCheckpoint measures the store's per-checkpoint cost under
@@ -176,6 +182,105 @@ func BenchmarkStoreRecoveryMapped(b *testing.B) {
 		for _, p := range ps {
 			p.closeMapped()
 		}
+		b.StartTimer()
+	}
+}
+
+// bootStoreConfig is the store cmd/serve runs with under the benchmark's
+// recovery workload: the default 4 shards, chain period and retention, -mmap,
+// and -range-nodes 8192, which cuts a large job's checkpoints into 2 ranges.
+var bootStoreConfig = storeConfig{shards: 4, fullEvery: 8, keep: 3, mmap: true, rangeNodes: 8192}
+
+// bootFixture fills a data dir shaped like the recovery workload's: 28
+// small (n = 3,000) and 2 large (n = 6,000) jobs over preferential-
+// attachment graphs (m = 10, copies s = 0.5, 10% seeds), each run through
+// the HTTP handler until stable (at most 8 sweeps) and finished. It
+// returns the dir.
+func bootFixture(b *testing.B) string {
+	b.Helper()
+	dir := b.TempDir()
+	st, err := newStore(dir, bootStoreConfig)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, _ := newServer(st)
+	h := s.handler()
+	serve := func(method, path string, body []byte, v any) int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
+		if err := json.Unmarshal(rec.Body.Bytes(), v); err != nil {
+			b.Fatalf("%s %s: %v", method, path, err)
+		}
+		return rec.Code
+	}
+	spec := func(g *reconcile.Graph) graphSpec {
+		gs := graphSpec{Nodes: g.NumNodes()}
+		g.Edges(func(e reconcile.Edge) bool {
+			gs.Edges = append(gs.Edges, pairSpec{int(e.U), int(e.V)})
+			return true
+		})
+		return gs
+	}
+	var ids []string
+	for i := 0; i < 30; i++ {
+		n := 3000
+		if i >= 28 {
+			n = 6000
+		}
+		r := reconcile.NewRand(uint64(i + 1))
+		g1, g2 := reconcile.IndependentCopies(r, reconcile.GeneratePA(r, n, 10), 0.5, 0.5)
+		req := jobRequest{G1: spec(g1), G2: spec(g2), UntilStable: true, MaxSweeps: 8}
+		for _, p := range reconcile.Seeds(r, reconcile.IdentityPairs(n), 0.10) {
+			req.Seeds = append(req.Seeds, pairSpec{int(p.Left), int(p.Right)})
+		}
+		body, err := json.Marshal(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var created struct {
+			ID string `json:"id"`
+		}
+		if code := serve(http.MethodPost, "/v1/jobs", body, &created); code != http.StatusAccepted {
+			b.Fatalf("submitting job %d: status %d", i, code)
+		}
+		ids = append(ids, created.ID)
+	}
+	for _, id := range ids {
+		for {
+			var v jobView
+			serve(http.MethodGet, "/v1/jobs/"+id, nil, &v)
+			if v.Status == statusDone {
+				break
+			}
+			if v.Status != statusRunning {
+				b.Fatalf("job %s ended %q: %s", id, v.Status, v.Error)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	s.closeMappings()
+	return dir
+}
+
+// BenchmarkServerBoot times a restart of cmd/serve over bootFixture's data
+// dir: newServerWith on a fresh store, which lists every shard, opens each
+// job's graphs, replays its chain and restores its session — the boot the
+// recovery workload repeats, without the process start and HTTP listing.
+func BenchmarkServerBoot(b *testing.B) {
+	dir := bootFixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := newStore(dir, bootStoreConfig)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s, skipped := newServerWith(st, serverConfig{registry: tenant.NewRegistry()})
+		b.StopTimer()
+		if len(skipped) != 0 || len(s.jobs) != 30 {
+			b.Fatalf("boot restored %d jobs, skipped %v", len(s.jobs), skipped)
+		}
+		s.closeMappings()
 		b.StartTimer()
 	}
 }

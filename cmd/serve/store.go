@@ -1,6 +1,7 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -477,7 +479,7 @@ func (js *jobStore) checkpoint(rec *reconcile.Reconciler, meta jobMeta) error {
 	js.ckpt.Commit(ck)
 	if ck.Full() {
 		js.sinceFull = 0
-		js.retireOld()
+		js.retireOld(js.listChain())
 	} else {
 		js.sinceFull++
 	}
@@ -558,47 +560,89 @@ type chainRecord struct {
 	path     string
 }
 
+// parseChainName splits a chain record's file name into its job ID and
+// record (path unset). What follows the ID never contains ".ckpt-", so the
+// last one ends the ID, whatever the ID holds; a name that is no chain
+// record reports false.
+func parseChainName(name string) (id string, rec chainRecord, ok bool) {
+	at := strings.LastIndex(name, ".ckpt-")
+	if at < 0 {
+		return "", rec, false
+	}
+	seqStr, kind, ok := strings.Cut(name[at+len(".ckpt-"):], ".")
+	if !ok {
+		return "", rec, false
+	}
+	seq, err := strconv.Atoi(seqStr)
+	if err != nil || seq <= 0 {
+		return "", rec, false
+	}
+	rng := 0
+	if rngStr, tailKind, ok := strings.Cut(kind, "."); ok {
+		n, err := strconv.Atoi(strings.TrimPrefix(rngStr, "r"))
+		if !strings.HasPrefix(rngStr, "r") || err != nil || n < 1 {
+			return "", rec, false
+		}
+		rng, kind = n, tailKind
+	}
+	if kind != "full" && kind != "delta" {
+		return "", rec, false
+	}
+	return name[:at], chainRecord{seq: seq, rng: rng, full: kind == "full"}, true
+}
+
+// sortChain orders chain records by sequence number, then range.
+func sortChain(records []chainRecord) {
+	slices.SortStableFunc(records, func(a, b chainRecord) int {
+		return cmp.Or(cmp.Compare(a.seq, b.seq), cmp.Compare(a.rng, b.rng))
+	})
+}
+
 // listChain returns the job's chain records sorted by sequence number, then
 // range.
 func (js *jobStore) listChain() []chainRecord {
-	matches, err := filepath.Glob(js.path(".ckpt-*.*"))
+	entries, err := os.ReadDir(js.dir)
 	if err != nil {
 		return nil
 	}
 	var out []chainRecord
-	for _, path := range matches {
-		rest, ok := strings.CutPrefix(filepath.Base(path), js.id+".ckpt-")
-		if !ok {
-			continue
+	for _, e := range entries {
+		if id, rec, ok := parseChainName(e.Name()); ok && id == js.id {
+			rec.path = filepath.Join(js.dir, e.Name())
+			out = append(out, rec)
 		}
-		seqStr, kind, ok := strings.Cut(rest, ".")
-		if !ok {
-			continue
-		}
-		seq, err := strconv.Atoi(seqStr)
-		if err != nil || seq <= 0 {
-			continue
-		}
-		rng := 0
-		if rngStr, tailKind, ok := strings.Cut(kind, "."); ok {
-			n, err := strconv.Atoi(strings.TrimPrefix(rngStr, "r"))
-			if !strings.HasPrefix(rngStr, "r") || err != nil || n < 1 {
-				continue
-			}
-			rng, kind = n, tailKind
-		}
-		if kind != "full" && kind != "delta" {
-			continue
-		}
-		out = append(out, chainRecord{seq: seq, rng: rng, full: kind == "full", path: path})
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].seq != out[b].seq {
-			return out[a].seq < out[b].seq
-		}
-		return out[a].rng < out[b].rng
-	})
+	sortChain(out)
 	return out
+}
+
+// shardListing is one read of a shard directory: the IDs of the jobs with a
+// meta, in file-name order, and each job's chain records, sorted.
+type shardListing struct {
+	metas  []string
+	chains map[string][]chainRecord
+}
+
+// listShard reads a shard directory once and sorts its files by job.
+func listShard(dir string) (shardListing, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return shardListing{}, err
+	}
+	l := shardListing{chains: make(map[string][]chainRecord)}
+	for _, e := range entries {
+		name := e.Name()
+		if id, ok := strings.CutSuffix(name, ".meta.json"); ok {
+			l.metas = append(l.metas, id)
+		} else if id, rec, ok := parseChainName(name); ok {
+			rec.path = filepath.Join(dir, name)
+			l.chains[id] = append(l.chains[id], rec)
+		}
+	}
+	for _, records := range l.chains {
+		sortChain(records)
+	}
+	return l, nil
 }
 
 // seqGroup is one checkpoint: the range records sharing a sequence number.
@@ -624,11 +668,10 @@ func groupChain(records []chainRecord) []seqGroup {
 	return groups
 }
 
-// retireOld enforces keep-last-K retention: chain records older than the
-// K-th newest full checkpoint are deleted. Called after each new full and
-// once per job on boot.
-func (js *jobStore) retireOld() {
-	records := js.listChain()
+// retireOld enforces keep-last-K retention over the job's chain records:
+// those older than the K-th newest full checkpoint are deleted. Called
+// after each new full and once per job on boot.
+func (js *jobStore) retireOld(records []chainRecord) {
 	var fullSeqs []int
 	for _, rec := range records {
 		// A full head anchors a chain; completeness is recovery's concern,
@@ -649,15 +692,16 @@ func (js *jobStore) retireOld() {
 	}
 }
 
-// recoverState replays the job's chain: the newest full checkpoint whose R
-// records all read, then each contiguous delta checkpoint after it whose R
-// records all apply and agree with its head, merging the ranges once at the
-// end. A torn, gapped or corrupt checkpoint ends the replay at the last
-// consistent prefix, and a full that does not read sends recovery back to
-// the one before it. dropped counts the checkpoints past the replayed
-// prefix — zero means the restored state is the newest durable checkpoint.
-func (js *jobStore) recoverState() (st *reconcile.SessionState, dropped int, err error) {
-	groups := groupChain(js.listChain())
+// recoverChain replays the job's chain from its records (listChain's
+// order): the newest full checkpoint whose R records all read, then each
+// contiguous delta checkpoint after it whose R records all apply and agree
+// with its head, merging the ranges once at the end. A torn, gapped or
+// corrupt checkpoint ends the replay at the last consistent prefix, and a
+// full that does not read sends recovery back to the one before it.
+// dropped counts the checkpoints past the replayed prefix — zero means the
+// restored state is the newest durable checkpoint.
+func (js *jobStore) recoverChain(records []chainRecord) (st *reconcile.SessionState, dropped int, err error) {
+	groups := groupChain(records)
 	for i := len(groups) - 1; i >= 0; i-- {
 		if !groups[i].full {
 			continue
@@ -773,14 +817,19 @@ func (p *persisted) closeMapped() {
 }
 
 // loadAll reads every fully-persisted job, in creation order per tenant,
-// walking every shard directory of each tenant root. Jobs whose files are incomplete or unreadable
-// (e.g. a crash between submission and the first checkpoint, or a snapshot
-// from a newer format version) are skipped and reported in the last return
-// value. maxNum maps each tenant to the highest job number present anywhere
-// under its root — including skipped jobs, whose number is recovered from
-// the "job-N" filename — so new submissions never reuse a skipped job's ID
-// and overwrite files a newer binary could still recover. As a side effect
-// each tenant's durable-byte accounting is rebuilt from a walk.
+// from every shard directory of each tenant root. Each shard directory is
+// read once (listShard): the listing names the jobs — one per meta file —
+// and hands each its chain records, which its replay, sequence scan and
+// boot compaction all use, so a boot reads O(files) directory entries
+// however many jobs share a shard. Jobs whose files are incomplete or
+// unreadable (e.g. a crash between submission and the first checkpoint, or
+// a snapshot from a newer format version) are skipped and reported in the
+// last return value, as is a shard directory that does not read. maxNum
+// maps each tenant to the highest job number present anywhere under its
+// root — including skipped jobs, whose number is recovered from the "job-N"
+// filename — so new submissions never reuse a skipped job's ID and
+// overwrite files a newer binary could still recover. As a side effect each
+// tenant's durable-byte accounting is rebuilt from a walk.
 func (st *store) loadAll() (out []persisted, maxNum map[string]int, skipped []error) {
 	maxNum = make(map[string]int)
 	names, skipped := st.tenantNames()
@@ -789,14 +838,12 @@ func (st *store) loadAll() (out []persisted, maxNum map[string]int, skipped []er
 		ts.recountBytes()
 		seen := map[string]string{}
 		for _, dir := range ts.allShardDirs() {
-			metas, err := filepath.Glob(filepath.Join(dir, "*.meta.json"))
+			listing, err := listShard(dir)
 			if err != nil {
-				skipped = append(skipped, err)
+				skipped = append(skipped, fmt.Errorf("store: tenant %s: %w", name, err))
 				continue
 			}
-			sort.Strings(metas)
-			for _, path := range metas {
-				id := strings.TrimSuffix(filepath.Base(path), ".meta.json")
+			for _, id := range listing.metas {
 				if n, err := strconv.Atoi(strings.TrimPrefix(id, "job-")); err == nil && n > maxNum[name] {
 					maxNum[name] = n
 				}
@@ -805,7 +852,7 @@ func (st *store) loadAll() (out []persisted, maxNum map[string]int, skipped []er
 					continue
 				}
 				seen[id] = dir
-				p, err := ts.load(dir, id)
+				p, err := ts.load(dir, id, listing.chains[id])
 				if err != nil {
 					skipped = append(skipped, fmt.Errorf("store: tenant %s job %s: %w", name, id, err))
 					continue
@@ -826,7 +873,8 @@ func (st *store) loadAll() (out []persisted, maxNum map[string]int, skipped []er
 	return out, maxNum, skipped
 }
 
-func (ts *tenantStore) load(dir, id string) (persisted, error) {
+// load restores one job from its meta, its graphs and its chain records.
+func (ts *tenantStore) load(dir, id string, chain []chainRecord) (persisted, error) {
 	js := &jobStore{ts: ts, dir: dir, id: id}
 	p := persisted{tenant: ts.name, js: js}
 	raw, err := os.ReadFile(js.path(".meta.json"))
@@ -878,18 +926,17 @@ func (ts *tenantStore) load(dir, id string) (persisted, error) {
 		*f.dst = g
 		js.bootObserve(trace.KindGraphOpen, f.suffix[1:]+" heap", time.Since(start))
 	}
-	if p.state, p.dropped, err = js.recoverState(); err != nil {
+	if p.state, p.dropped, err = js.recoverChain(chain); err != nil {
 		p.closeMapped()
 		return p, err
 	}
 	// Continue the chain past everything on disk, and re-anchor it with a
 	// full on the first post-boot checkpoint: the replayed state is only
 	// known to match the newest durable record when nothing was dropped,
-	// and a fresh full is cheap insurance either way.
-	for _, rec := range js.listChain() {
-		if rec.seq > js.seq {
-			js.seq = rec.seq
-		}
+	// and a fresh full is cheap insurance either way. The records are in
+	// sequence order, so the last holds the newest sequence number.
+	if len(chain) > 0 {
+		js.seq = chain[len(chain)-1].seq
 	}
 	// Boot-time compaction only when recovery replayed the chain to its
 	// very end: retention counts every full on disk, readable or not, so
@@ -897,7 +944,7 @@ func (ts *tenantStore) load(dir, id string) (persisted, error) {
 	// state actually came from — the next full (which every post-boot
 	// checkpoint starts with) compacts instead.
 	if p.dropped == 0 {
-		js.retireOld()
+		js.retireOld(chain)
 	}
 	return p, nil
 }

@@ -51,7 +51,6 @@ func chainVictimFailing(t *testing.T, st *store, id string, iterations, sweeps, 
 	if err := js.saveGraphs(g1, g2); err != nil {
 		t.Fatal(err)
 	}
-	var phases []phaseJSON
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var victim *reconcile.Reconciler
@@ -60,10 +59,6 @@ func chainVictimFailing(t *testing.T, st *store, id string, iterations, sweeps, 
 		reconcile.WithIterations(iterations),
 		reconcile.WithEngine(reconcile.EngineFrontier),
 		reconcile.WithProgress(func(e reconcile.PhaseEvent) {
-			phases = append(phases, phaseJSON{
-				Iteration: e.Iteration, Bucket: e.Bucket, Buckets: e.Buckets,
-				MinDegree: e.MinDegree, Matched: e.Matched, Total: e.TotalLinks,
-			})
 			if e.Bucket == e.Buckets {
 				meta := jobMeta{
 					ID: id, Num: 1, Status: statusRunning,
@@ -84,6 +79,11 @@ func chainVictimFailing(t *testing.T, st *store, id string, iterations, sweeps, 
 		t.Fatalf("victim err = %v, want cancellation", err)
 	}
 	return want
+}
+
+// recoverState replays the job's chain as it stands on disk.
+func (js *jobStore) recoverState() (*reconcile.SessionState, int, error) {
+	return js.recoverChain(js.listChain())
 }
 
 // chainFiles lists a job's chain record basenames in sequence order.

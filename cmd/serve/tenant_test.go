@@ -698,7 +698,6 @@ func tenantChainVictim(t *testing.T, st *store, tenantName, id string, iteration
 	if err := js.saveGraphs(g1, g2); err != nil {
 		t.Fatal(err)
 	}
-	var phases []phaseJSON
 	ctx, cancel := context.WithCancel(t.Context())
 	defer cancel()
 	var victim *reconcile.Reconciler
@@ -706,10 +705,6 @@ func tenantChainVictim(t *testing.T, st *store, tenantName, id string, iteration
 		reconcile.WithSeeds(seeds),
 		reconcile.WithIterations(iterations),
 		reconcile.WithProgress(func(e reconcile.PhaseEvent) {
-			phases = append(phases, phaseJSON{
-				Iteration: e.Iteration, Bucket: e.Bucket, Buckets: e.Buckets,
-				MinDegree: e.MinDegree, Matched: e.Matched, Total: e.TotalLinks,
-			})
 			if e.Bucket == e.Buckets {
 				meta := jobMeta{
 					ID: id, Num: 1, Status: statusRunning,

@@ -1,7 +1,5 @@
 package core
 
-import "github.com/sociograph/reconcile/internal/trace"
-
 // EngineHybrid regime control. The hybrid engine is a scheduling policy, not
 // a new algorithm: before the switch the session runs the parallel engine's
 // full scans, after it the frontier engine's incremental re-scoring. Both
@@ -94,10 +92,10 @@ func (s *Session) FrontierActive() bool {
 func (s *Session) endSweep() {
 	if s.opts.Engine == EngineHybrid && !s.hybridSwitched &&
 		float64(s.sweepMatched) < hybridCrossoverRate*float64(s.g1.NumNodes()+s.g2.NumNodes()) {
-		// Record the decision only; the frontier state is built lazily when
-		// the next bucket actually runs, so a run that ends here pays
-		// nothing, and a kill/restore at this exact boundary rebuilds the
-		// identical state from the matching (the cross-engine restore path).
+		// Record the decision only; buildRunState builds the frontier state
+		// when the next bucket actually runs, so a run that ends here pays
+		// nothing, and a kill/restore at this exact boundary builds the
+		// identical state from the matching at the restored first bucket.
 		// The frontier takes over the candidate lists; the full scan's
 		// proposal buffers, and the pair buffers its count-scored left
 		// passes filled, have no further use (the frontier selects through
@@ -111,19 +109,6 @@ func (s *Session) endSweep() {
 		}
 	}
 	s.evictPhases()
-}
-
-// ensureHybridFrontier builds the frontier state for a hybrid session that
-// has decided to switch but not yet run a bucket in the new regime. Building
-// from the live matching queues every node once, exactly like a cross-engine
-// restore, so the first frontier sweep re-scores each node once and the
-// output is bit-identical to having run any fixed engine throughout.
-func (s *Session) ensureHybridFrontier() {
-	if s.hybridSwitched && s.fr == nil {
-		sp := s.tracer.Begin(trace.KindHandoff, "parallel->frontier state build")
-		s.fr = newFrontierState(s.g1, s.g2, s.m, s.lc, s.opts)
-		sp.End()
-	}
 }
 
 // evictPhases drops phase-log entries older than the retention window,

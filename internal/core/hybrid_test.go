@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/sociograph/reconcile/internal/trace"
@@ -145,53 +147,158 @@ func TestHybridRestoreAfterSwitch(t *testing.T) {
 	}
 }
 
-// TestRestoreRebuildsFrontierState pins the one frontier restore path: a
-// state restored in the frontier regime — fixed EngineFrontier, or a hybrid
-// past its handoff — gets its frontier state from the matching at restore,
-// with the work counter starting over, and the resumed run records no
-// handoff span.
-func TestRestoreRebuildsFrontierState(t *testing.T) {
-	g1, g2, seeds := testInstance(11, 350)
-	for _, engine := range []Engine{EngineFrontier, EngineHybrid} {
-		opts := DefaultOptions()
-		opts.Engine = engine
-		opts.Iterations = 6
-		full, err := Reconcile(context.Background(), g1, g2, seeds, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checked := 0
-		for stop := 1; stop < full.Totals.Buckets; stop++ {
-			st := runToBoundary(t, g1, g2, seeds, opts, opts.Iterations, stop).ExportState()
-			restored, err := RestoreSession(g1, g2, st)
-			if err != nil {
-				t.Fatalf("%v stop=%d: restore: %v", engine, stop, err)
-			}
-			frontierRegime := engine == EngineFrontier || st.HybridFrontier
-			if (restored.fr != nil) != frontierRegime {
-				t.Fatalf("%v stop=%d: frontier state built %v, regime is frontier %v", engine, stop, restored.fr != nil, frontierRegime)
-			}
-			if !frontierRegime {
-				continue
-			}
-			checked++
-			if restored.fr.rescored != 0 {
-				t.Fatalf("%v stop=%d: restored work counter %d, want 0", engine, stop, restored.fr.rescored)
-			}
-			tr := trace.New(trace.Config{Clock: (&traceClock{}).read})
-			restored.SetTracer(tr)
-			finishSchedule(t, restored, opts.Iterations)
-			if n := len(spansByKind(tr.Export())[trace.KindHandoff]); n != 0 {
-				t.Fatalf("%v stop=%d: resumed run recorded %d handoff spans, want 0", engine, stop, n)
-			}
-			if got := restored.Result(); !resultsIdentical(full, got) {
-				t.Fatalf("%v stop=%d: restored run diverged", engine, stop)
-			}
-		}
-		if checked == 0 {
-			t.Fatalf("%v: no boundary in the frontier regime", engine)
-		}
+// requireNoRunState fails unless s holds neither linked counts nor a
+// frontier state: the shape of a session that has not run a bucket yet.
+func requireNoRunState(t *testing.T, s *Session, where string) {
+	t.Helper()
+	if s.lc != nil || s.fr != nil {
+		t.Fatalf("%s: run state before the first bucket (counts %v, frontier %v)", where, s.lc != nil, s.fr != nil)
 	}
+}
+
+// runFirstBucket runs s's next bucket alone and checks the run state it
+// built: linked counts equal to a recount from the matching, and a frontier
+// state exactly when the session ran the bucket in the frontier regime,
+// whose live rows agree with its cache.
+func runFirstBucket(t *testing.T, s *Session, where string) {
+	t.Helper()
+	frontier := s.opts.Engine == EngineFrontier || s.hybridSwitched
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s.SetProgress(func(PhaseEvent) { cancel() })
+	if _, err := s.Run(ctx, 1); err != nil && err != context.Canceled {
+		t.Fatalf("%s: %v", where, err)
+	}
+	s.SetProgress(nil)
+	if s.lc == nil {
+		t.Fatalf("%s: no linked counts after the first bucket", where)
+	}
+	want := newLinkedCounts(s.g1, s.g2, s.m)
+	if !slices.Equal(s.lc.left, want.left) || !slices.Equal(s.lc.right, want.right) {
+		t.Fatalf("%s: linked counts differ from a recount of the matching", where)
+	}
+	if (s.fr != nil) != frontier {
+		t.Fatalf("%s: frontier state built %v, bucket ran in the frontier regime %v", where, s.fr != nil, frontier)
+	}
+	if s.fr != nil {
+		checkLiveRows(t, s, where)
+	}
+}
+
+// TestRunStateLifetime pins when a session builds its run state, the linked
+// counts and the frontier state: NewSession, RestoreSession and AddSeeds
+// before the first bucket build neither, for every engine, on both sides of
+// the hybrid handoff and mid-sweep; the first bucket builds both from the
+// matching (runFirstBucket). Only a live hybrid handoff records an
+// engine-handoff span, exactly one; a resumed frontier-regime hybrid records
+// none. Every run still finishes bit-identically to the uninterrupted one,
+// or to a sequential session driven through the same seeds.
+func TestRunStateLifetime(t *testing.T) {
+	g1, g2, seeds := testInstance(11, 350)
+	half := len(seeds) / 2
+	for _, engine := range []Engine{EngineSequential, EngineParallel, EngineFrontier, EngineHybrid} {
+		t.Run(engine.String(), func(t *testing.T) {
+			opts := DefaultOptions()
+			opts.Engine = engine
+			opts.Iterations = 6
+			full, err := Reconcile(context.Background(), g1, g2, seeds, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			handoffs := func(tr *trace.Recorder) int { return len(spansByKind(tr.Export())[trace.KindHandoff]) }
+
+			s, err := NewSession(g1, g2, seeds[:half], opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireNoRunState(t, s, "New")
+			if err := s.AddSeeds(seeds[half:]); err != nil {
+				t.Fatal(err)
+			}
+			requireNoRunState(t, s, "New+AddSeeds")
+			tr := trace.New(trace.Config{Clock: (&traceClock{}).read})
+			s.SetTracer(tr)
+			runFirstBucket(t, s, "New")
+			finishSchedule(t, s, opts.Iterations)
+			if !pairsEqual(s.Result().Pairs, full.Pairs) {
+				t.Fatal("New+AddSeeds run diverged from New with every seed")
+			}
+			if engine == EngineHybrid && s.fr == nil {
+				t.Fatal("the hybrid never handed off live")
+			}
+			if want := b2i(engine == EngineHybrid); handoffs(tr) != want {
+				t.Fatalf("New run recorded %d handoff spans, want %d", handoffs(tr), want)
+			}
+
+			sides := map[bool]bool{}
+			midSweep := false
+			for stop := 1; stop < full.Totals.Buckets; stop++ {
+				st := runToBoundary(t, g1, g2, seeds, opts, opts.Iterations, stop).ExportState()
+				sides[st.HybridFrontier] = true
+				midSweep = midSweep || st.NextBucket > 0
+				where := fmt.Sprintf("stop=%d", stop)
+
+				r, err := RestoreSession(g1, g2, st)
+				if err != nil {
+					t.Fatalf("%s: restore: %v", where, err)
+				}
+				requireNoRunState(t, r, where+" restore")
+				tr := trace.New(trace.Config{Clock: (&traceClock{}).read})
+				r.SetTracer(tr)
+				runFirstBucket(t, r, where+" restore")
+				finishSchedule(t, r, opts.Iterations)
+				if !resultsIdentical(full, r.Result()) {
+					t.Fatalf("%s: restored run diverged", where)
+				}
+				live := engine == EngineHybrid && !st.HybridFrontier && r.fr != nil
+				if handoffs(tr) != b2i(live) {
+					t.Fatalf("%s: resumed run recorded %d handoff spans, want %d (restored in the frontier regime %v)",
+						where, handoffs(tr), b2i(live), st.HybridFrontier)
+				}
+
+				// Seeds ingested before the first bucket only extend the
+				// matching.
+				r, err = RestoreSession(g1, g2, st)
+				if err != nil {
+					t.Fatal(err)
+				}
+				extra := unmatchedIdentity(r, 5)
+				if err := r.AddSeeds(extra); err != nil {
+					t.Fatal(err)
+				}
+				requireNoRunState(t, r, where+" restore+AddSeeds")
+				runFirstBucket(t, r, where+" restore+AddSeeds")
+				finishSchedule(t, r, opts.Iterations)
+				ref := *st
+				ref.SwitchEngine(EngineSequential)
+				seq, err := RestoreSession(g1, g2, &ref)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := seq.AddSeeds(extra); err != nil {
+					t.Fatal(err)
+				}
+				finishSchedule(t, seq, opts.Iterations)
+				if !resultsIdentical(seq.Result(), r.Result()) {
+					t.Fatalf("%s: restore+AddSeeds diverged from the sequential engine", where)
+				}
+			}
+			if !midSweep {
+				t.Fatal("no mid-sweep restore")
+			}
+			if engine == EngineHybrid && !(sides[false] && sides[true]) {
+				t.Fatalf("hybrid restored on one side of its handoff only: %v", sides)
+			}
+		})
+	}
+}
+
+// b2i is 1 for true and 0 for false.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // TestInferHybridRegime pins SwitchEngine's inference: a converged snapshot

@@ -25,6 +25,7 @@ func NewMatching(n1, n2 int, seeds []graph.Pair) (*Matching, error) {
 	m := &Matching{
 		left:  make([]graph.NodeID, n1),
 		right: make([]graph.NodeID, n2),
+		pairs: make([]graph.Pair, 0, len(seeds)),
 	}
 	for i := range m.left {
 		m.left[i] = NoMatch

@@ -33,12 +33,13 @@ type Session struct {
 	g1, g2 *graph.Graph
 	opts   Options
 	m      *Matching
-	lc     *linkedCounts
-	// fr is the frontier engine's persistent scheduling state: non-nil for
-	// EngineFrontier always, and for EngineHybrid once the session has
-	// switched regimes and run a bucket on the frontier engine, or was
-	// restored in the frontier regime. It is never exported: restore
-	// rebuilds it from the matching.
+	// lc and fr are the run state a bucket reads beyond the matching: the
+	// linked-neighbor counts, and the frontier engine's persistent
+	// scheduling state, non-nil in the frontier regime only (EngineFrontier,
+	// or EngineHybrid past its handoff). Both are functions of the graphs and
+	// the matching, built by buildRunState at the first bucket a session
+	// runs — never by NewSession or RestoreSession — and never exported.
+	lc *linkedCounts
 	fr *frontierState
 	// walk is the candidate lists and scorers both regimes score with,
 	// created at the first bucket of either regime (each side's lists at
@@ -88,24 +89,15 @@ func NewSession(g1, g2 *graph.Graph, seeds []graph.Pair, opts Options) (*Session
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{
-		g1:   g1,
-		g2:   g2,
-		opts: opts,
-		m:    m,
-		lc:   newLinkedCounts(g1, g2, m),
-	}
-	if opts.Engine == EngineFrontier {
-		s.fr = newFrontierState(g1, g2, m, s.lc, opts)
-	}
-	return s, nil
+	return &Session{g1: g1, g2: g2, opts: opts, m: m}, nil
 }
 
 // AddSeeds injects newly learned trusted links, in order. A seed whose
 // endpoints are already linked to each other is ignored. A seed conflicting
 // with an existing link (either endpoint linked elsewhere) stops the
 // ingestion with an error: the seeds before it stay ingested, and it and
-// every seed after it are dropped.
+// every seed after it are dropped. Before the session's first bucket it
+// only extends the matching, which the run state is then built from.
 func (s *Session) AddSeeds(seeds []graph.Pair) error {
 	if s.tracer != nil {
 		sp := s.tracer.Begin(trace.KindSeedIngest, fmt.Sprintf("%d seeds", len(seeds)))
@@ -118,7 +110,9 @@ func (s *Session) AddSeeds(seeds []graph.Pair) error {
 		if err := s.m.Add(p); err != nil {
 			return err
 		}
-		s.lc.addPair(s.g1, s.g2, p)
+		if s.lc != nil {
+			s.lc.addPair(s.g1, s.g2, p)
+		}
 		if s.fr != nil {
 			s.fr.invalidatePair(s.g1, s.g2, s.m, s.lc, p)
 		}
@@ -179,7 +173,7 @@ func (s *Session) Run(ctx context.Context, sweeps int) (int, error) {
 			s.tracer.SetSweep(s.sweeps)
 			s.sweepSpan = s.tracer.Begin(trace.KindSweep, fmt.Sprintf("sweep %d", s.sweeps))
 		}
-		s.ensureHybridFrontier()
+		s.buildRunState()
 		bi := s.pos
 		minDeg := buckets[bi]
 		var bsp *trace.Active
@@ -231,6 +225,33 @@ func (s *Session) Run(ctx context.Context, sweeps int) (int, error) {
 		}
 	}
 	return found, nil
+}
+
+// buildRunState builds, from the current matching, the run state the next
+// bucket reads and the session does not hold yet: the linked-neighbor
+// counts at its first bucket, and the frontier state at its first bucket in
+// the frontier regime. The frontier build queues every unmatched node with
+// at least T linked neighbors, so the first refresh re-scores every node
+// that could propose against the current matching, which by the clean-row
+// invariant reproduces the rows incremental maintenance would hold,
+// whatever AddSeeds added before it. Only a hybrid whose counts already
+// exist ran full-scan buckets in this session and is handing off live, so
+// only that build records an engine-handoff span; a hybrid restored in the
+// frontier regime handed off before it was exported.
+func (s *Session) buildRunState() {
+	handoff := s.lc != nil
+	if s.lc == nil {
+		s.lc = newLinkedCounts(s.g1, s.g2, s.m)
+	}
+	if s.fr != nil || s.opts.Engine != EngineFrontier && !s.hybridSwitched {
+		return
+	}
+	var sp *trace.Active
+	if handoff {
+		sp = s.tracer.Begin(trace.KindHandoff, "parallel->frontier state build")
+	}
+	s.fr = newFrontierState(s.g1, s.g2, s.m, s.lc, s.opts)
+	sp.End()
 }
 
 // RunUntilStable sweeps until a full sweep finds nothing new, maxSweeps is

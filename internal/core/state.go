@@ -10,13 +10,13 @@ import (
 // SessionState is the complete serializable state of a Session beyond the two
 // immutable graphs: the configuration, the matching with its seed boundary,
 // the bucket-schedule position, the phase log and the hybrid regime bit.
-// Everything else a session holds — linked-neighbor counts, the full-scan
-// candidate lists, the frontier engine's proposal cache and worklists — is
-// a function of the graphs and the matching, so restore rebuilds it instead
-// of reading it. Exporting at any bucket boundary and restoring over the
-// same graphs yields a session whose future output is bit-identical to the
-// uninterrupted original — the guarantee the resume-equivalence and
-// snapshot fuzz suites pin.
+// Everything else a session holds — linked-neighbor counts, the candidate
+// lists, the frontier engine's proposal cache and worklists — is a function
+// of the graphs and the matching, so the restored session's first bucket
+// builds it instead of reading it. Exporting at any bucket boundary and
+// restoring over the same graphs yields a session whose future output is
+// bit-identical to the uninterrupted original — the guarantee the
+// resume-equivalence and snapshot fuzz suites pin.
 //
 // All slices are deep copies; a SessionState shares no memory with the
 // session it was exported from.
@@ -73,12 +73,15 @@ func (s *Session) ExportState() *SessionState {
 }
 
 // RestoreSession rebuilds a Session over the two graphs from an exported
-// state, re-deriving everything the state omits (linked-neighbor counts, the
-// bucket schedule, the frontier engine's state). Every invariant the state
-// must satisfy is checked before any of it is installed: an invalid or
-// corrupt state returns an error and never a session in a half-restored
-// shape. The restored session's future output is bit-identical to the
-// exporting session's.
+// state. It builds no run state: the linked-neighbor counts, the candidate
+// lists and, in the frontier regime, the frontier state are built from the
+// matching at the restored session's first bucket (buildRunState), so a
+// restore that is never run — a recovery boot restores every job and runs
+// none of them — pays only for the matching. Every invariant the state must
+// satisfy is checked before any of it is installed: an invalid or corrupt
+// state returns an error and never a session in a half-restored shape. The
+// restored session's future output is bit-identical to the exporting
+// session's.
 func RestoreSession(g1, g2 *graph.Graph, st *SessionState) (*Session, error) {
 	if g1 == nil || g2 == nil {
 		return nil, errors.New("core: restore: nil graph")
@@ -155,7 +158,6 @@ func RestoreSession(g1, g2 *graph.Graph, st *SessionState) (*Session, error) {
 		g2:             g2,
 		opts:           st.Opts,
 		m:              m,
-		lc:             newLinkedCounts(g1, g2, m),
 		phases:         append([]PhaseStat(nil), st.Phases...),
 		dropped:        PhaseTotals{Buckets: st.PhasesDropped, Matched: st.DroppedMatched},
 		sweeps:         st.Sweeps,
@@ -170,15 +172,6 @@ func RestoreSession(g1, g2 *graph.Graph, st *SessionState) (*Session, error) {
 		for _, ph := range s.phases[len(s.phases)-st.NextBucket:] {
 			s.sweepMatched += ph.Matched
 		}
-	}
-	if st.Opts.Engine == EngineFrontier || st.HybridFrontier {
-		// The frontier regime's state is rebuilt from the matching: every
-		// node that could propose is queued, and re-scoring it in the first
-		// bucket reproduces the row the exporting engine held, because a
-		// clean row equals a fresh scoring. The restore itself scores
-		// nothing, and emits no handoff span: a hybrid state in this regime
-		// handed off before it was exported.
-		s.fr = newFrontierState(g1, g2, m, s.lc, st.Opts)
 	}
 	return s, nil
 }

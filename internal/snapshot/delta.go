@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"github.com/sociograph/reconcile/internal/core"
-	"github.com/sociograph/reconcile/internal/graph"
 )
 
 // Delta records share the stream framing of every other snapshot kind —
@@ -156,15 +155,8 @@ func decodeDelta(r *reader, version uint64) (*core.StateDelta, error) {
 	if err != nil {
 		return nil, err
 	}
-	flat, err := appendU32s[graph.NodeID](r, 2*uint64(nPairs), "new pairs")
-	if err != nil {
+	if d.NewPairs, err = readPairs(r, uint64(nPairs), "new pairs"); err != nil {
 		return nil, err
-	}
-	if nPairs > 0 {
-		d.NewPairs = make([]graph.Pair, nPairs)
-		for i := range d.NewPairs {
-			d.NewPairs[i] = graph.Pair{Left: flat[2*i], Right: flat[2*i+1]}
-		}
 	}
 	nPhases, err := r.uint("new phase count")
 	if err != nil {

@@ -36,6 +36,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"github.com/sociograph/reconcile/internal/core"
 	"github.com/sociograph/reconcile/internal/graph"
@@ -328,41 +329,30 @@ func writeU32s(w *writer, n int, at func(int) uint32) error {
 	return err
 }
 
-// readU32s reads count little-endian uint32s into set, in bounded chunks so
-// a forged count fails at the truncated read instead of allocating it.
-func readU32s(r *reader, count uint64, set func(i int, v uint32)) error {
-	buf := make([]byte, 4*chunkU32)
-	idx := 0
-	for count > 0 {
-		c := count
-		if c > chunkU32 {
-			c = chunkU32
-		}
-		b := buf[:4*c]
-		if err := r.full(b); err != nil {
-			return err
-		}
-		for i := uint64(0); i < c; i++ {
-			set(idx, binary.LittleEndian.Uint32(b[4*i:]))
-			idx++
-		}
-		count -= c
-	}
-	return nil
-}
-
-// appendU32s reads count uint32s growing the destination chunk by chunk.
-func appendU32s[T ~uint32](r *reader, count uint64, what string) ([]T, error) {
-	if count == 0 {
-		return nil, nil
-	}
+// readPairs reads count pairs, two little-endian uint32s each, straight
+// into the slice it returns. The slice grows one chunk at a time as the
+// chunk's bytes arrive, so a forged count fails at the truncated read
+// instead of allocating it.
+func readPairs(r *reader, count uint64, what string) ([]graph.Pair, error) {
 	if count > math.MaxInt64/8 {
 		return nil, fmt.Errorf("snapshot: decode %s: length %d out of range", what, count)
 	}
-	out := []T(nil)
-	err := readU32s(r, count, func(_ int, v uint32) { out = append(out, T(v)) })
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: decode %s: %w", what, err)
+	var out []graph.Pair
+	buf := make([]byte, 8*min(int(count), chunkU32/2))
+	for left := int(count); left > 0; {
+		c := min(left, chunkU32/2)
+		b := buf[:8*c]
+		if err := r.full(b); err != nil {
+			return nil, fmt.Errorf("snapshot: decode %s: %w", what, err)
+		}
+		out = slices.Grow(out, c)
+		for i := 0; i < len(b); i += 8 {
+			out = append(out, graph.Pair{
+				Left:  graph.NodeID(binary.LittleEndian.Uint32(b[i:])),
+				Right: graph.NodeID(binary.LittleEndian.Uint32(b[i+4:])),
+			})
+		}
+		left -= c
 	}
 	return out, nil
 }
@@ -514,15 +504,8 @@ func decodeState(r *reader, version uint64) (*core.SessionState, error) {
 	if err != nil {
 		return nil, err
 	}
-	flat, err := appendU32s[graph.NodeID](r, 2*uint64(nPairs), "pairs")
-	if err != nil {
+	if st.Pairs, err = readPairs(r, uint64(nPairs), "pairs"); err != nil {
 		return nil, err
-	}
-	if nPairs > 0 {
-		st.Pairs = make([]graph.Pair, nPairs)
-		for i := range st.Pairs {
-			st.Pairs[i] = graph.Pair{Left: flat[2*i], Right: flat[2*i+1]}
-		}
 	}
 	if st.Seeds, err = r.uint("seed count"); err != nil {
 		return nil, err
