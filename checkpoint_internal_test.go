@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"github.com/sociograph/reconcile/internal/core"
 	"github.com/sociograph/reconcile/internal/snapshot"
@@ -19,13 +21,12 @@ func chainInstance() (g1, g2 *Graph, seeds []Pair) {
 	return g1, g2, Seeds(r, IdentityPairs(600), 0.15)
 }
 
-// TestOneRangeChainByteIdentity pins the contract that keeps every
-// one-record chain already on disk readable: a one-range chain's full
-// records are the SnapshotState bytes of the same moment, and its delta
-// records are the delta codec over DiffStates of the exports at
-// consecutive checkpoints — on every engine, including the hybrid's
-// mid-chain re-anchoring full.
-func TestOneRangeChainByteIdentity(t *testing.T) {
+// TestChainByteIdentity pins the contract that keeps every chain already on
+// disk readable: a chain's full records are the SnapshotState bytes of the
+// same moment, and its delta records are the delta codec over DiffStates
+// of the exports at consecutive checkpoints — on every engine, including
+// the hybrid's mid-chain re-anchoring full.
+func TestChainByteIdentity(t *testing.T) {
 	g1, g2, seeds := chainInstance()
 	for _, engine := range []Engine{EngineFrontier, EngineParallel, EngineSequential, EngineHybrid} {
 		t.Run(engine.String(), func(t *testing.T) {
@@ -44,12 +45,8 @@ func TestOneRangeChainByteIdentity(t *testing.T) {
 						t.Errorf("prepare: %v", err)
 						return
 					}
-					if ck.Ranges() != 1 {
-						t.Errorf("zero Checkpointer prepared %d ranges", ck.Ranges())
-						return
-					}
 					var got, want bytes.Buffer
-					if err := ck.Encode(0, &got); err != nil {
+					if err := ck.Encode(&got); err != nil {
 						t.Errorf("encode: %v", err)
 						return
 					}
@@ -68,7 +65,7 @@ func TestOneRangeChainByteIdentity(t *testing.T) {
 						return
 					}
 					if !bytes.Equal(got.Bytes(), want.Bytes()) {
-						t.Errorf("checkpoint %d (full=%v): one-range record differs from the plain codec bytes", fulls+deltas, ck.Full())
+						t.Errorf("checkpoint %d (full=%v): record differs from the plain codec bytes", fulls+deltas, ck.Full())
 					}
 					ckpt.Commit(ck)
 					prev = cur
@@ -86,78 +83,164 @@ func TestOneRangeChainByteIdentity(t *testing.T) {
 	}
 }
 
-// TestApplyRangesAllOrNothing pins the replay side's acceptance rule: a
-// delta checkpoint is taken only when every range's delta applies and the
-// advanced tails still agree with the advanced head; otherwise the ranges
-// stay where they were.
-func TestApplyRangesAllOrNothing(t *testing.T) {
+// TestApplyDeltaRefusesMisfit pins the replay step's acceptance rule: a
+// delta that does not fit the state's position — one that skips a
+// checkpoint, or one already applied — is refused and leaves the state as
+// it was, and the genuine next delta still advances it to the exported
+// state.
+func TestApplyDeltaRefusesMisfit(t *testing.T) {
 	g1, g2, seeds := chainInstance()
-	rec, err := New(g1, g2, WithSeeds(seeds), WithEngine(EngineFrontier), WithIterations(2))
+	rec, err := New(g1, g2, WithSeeds(seeds), WithEngine(EngineFrontier), WithIterations(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ckpt := NewCheckpointer(4)
-	full, err := ckpt.Prepare(rec, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ckpt.Commit(full)
-	if _, err := rec.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	next, err := ckpt.Prepare(rec, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parts := make([]*SessionState, len(full.parts))
-	for i, st := range full.parts {
-		parts[i] = &SessionState{st: st}
-	}
-	deltas := func() []*StateDelta {
-		out := make([]*StateDelta, len(next.deltas))
-		for i, d := range next.deltas {
-			c := *d
-			out[i] = &StateDelta{d: &c}
+	var ckpt Checkpointer
+	var records [][]byte
+	for i := 0; i < 3; i++ {
+		if i > 0 {
+			if _, err := rec.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
 		}
-		return out
+		ck, err := ckpt.Prepare(rec, i == 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := ck.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		ckpt.Commit(ck)
+		records = append(records, buf.Bytes())
+	}
+	delta := func(i int) *StateDelta {
+		d, err := ReadStateDelta(bytes.NewReader(records[i]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	encode := func(st *SessionState) []byte {
+		var buf bytes.Buffer
+		if err := snapshot.WriteState(&buf, st.st); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	refuse := func(what string, st *SessionState, d *StateDelta) {
+		t.Helper()
+		before := encode(st)
+		if _, err := ApplyDelta(st, d); err == nil {
+			t.Fatalf("applied %s", what)
+		}
+		if !bytes.Equal(encode(st), before) {
+			t.Fatalf("refusing %s moved the state", what)
+		}
 	}
 
-	// A tail whose delta applies but lands elsewhere than the head's.
-	bad := deltas()
-	bad[2].d.Sweeps++
-	if _, err := ApplyRanges(parts, bad); err == nil {
-		t.Fatal("accepted a checkpoint whose tail disagrees with its head")
-	}
-	// A tail whose delta does not apply at all.
-	bad = deltas()
-	bad[3].d.BaseSweeps++
-	if _, err := ApplyRanges(parts, bad); err == nil {
-		t.Fatal("accepted a checkpoint with an inapplicable tail delta")
-	}
-	if _, err := ApplyRanges(parts, deltas()[:3]); err == nil {
-		t.Fatal("accepted a checkpoint missing a range")
-	}
-	for i, p := range parts {
-		if p.st != full.parts[i] {
-			t.Fatalf("a refused checkpoint moved range %d", i)
-		}
-	}
-	got, err := ApplyRanges(parts, deltas())
-	if err != nil {
-		t.Fatalf("the genuine checkpoint: %v", err)
-	}
-	merged, err := MergeRanges(got)
+	st, err := ReadSessionState(bytes.NewReader(records[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want, again bytes.Buffer
+	refuse("a delta that skips a checkpoint", st, delta(2))
+	next, err := ApplyDelta(st, delta(1))
+	if err != nil {
+		t.Fatalf("the genuine first delta: %v", err)
+	}
+	refuse("a delta twice", next, delta(1))
+	if _, err := ApplyDelta(next, nil); err == nil {
+		t.Fatal("applied a nil delta")
+	}
+	final, err := ApplyDelta(next, delta(2))
+	if err != nil {
+		t.Fatalf("the genuine second delta: %v", err)
+	}
+	var want bytes.Buffer
 	if err := rec.SnapshotState(&want); err != nil {
 		t.Fatal(err)
 	}
-	if err := snapshot.WriteState(&again, merged.st); err != nil {
+	if !bytes.Equal(encode(final), want.Bytes()) {
+		t.Fatal("replayed chain differs from the exported state")
+	}
+}
+
+// TestReplayAllocation pins what a chain replay allocates beyond decoding
+// its records: each delta appends to the pair log of the state the step
+// before returned, so replaying a full and k deltas allocates a small
+// multiple of the final pair log, not a copy of it per delta.
+func TestReplayAllocation(t *testing.T) {
+	r := NewRand(17)
+	const n = 20_000
+	g1, g2 := IndependentCopies(r, GeneratePA(r, n, 6), 0.7, 0.7)
+	var records [][]byte
+	var ckpt Checkpointer
+	var rec *Reconciler
+	rec, err := New(g1, g2, WithSeeds(Seeds(r, IdentityPairs(n), 0.3)),
+		WithEngine(EngineParallel), WithIterations(2),
+		WithProgress(func(PhaseEvent) {
+			ck, err := ckpt.Prepare(rec, len(records) == 0)
+			if err != nil {
+				t.Errorf("prepare: %v", err)
+				return
+			}
+			var buf bytes.Buffer
+			if err := ck.Encode(&buf); err != nil {
+				t.Errorf("encode: %v", err)
+				return
+			}
+			ckpt.Commit(ck)
+			records = append(records, buf.Bytes())
+		}))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(want.Bytes(), again.Bytes()) {
-		t.Fatal("applied and merged ranges differ from the exported state")
+	if _, err := rec.Run(context.Background()); err != nil {
+		t.Fatal(err)
 	}
+	if len(records) < 9 {
+		t.Fatalf("chain of %d records, want a full and at least 8 deltas", len(records))
+	}
+
+	var least uint64
+	var final *SessionState
+	for try := 0; try < 3; try++ {
+		st, err := ReadSessionState(bytes.NewReader(records[0]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		deltas := make([]*StateDelta, len(records)-1)
+		for i, raw := range records[1:] {
+			if deltas[i], err = ReadStateDelta(bytes.NewReader(raw)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, d := range deltas {
+			if st, err = ApplyDelta(st, d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; try == 0 || grew < least {
+			least = grew
+		}
+		final = st
+	}
+	var want bytes.Buffer
+	if err := rec.SnapshotState(&want); err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := snapshot.WriteState(&got, final.st); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("replayed chain differs from the exported state")
+	}
+	pairLog := uint64(len(final.st.Pairs)) * uint64(unsafe.Sizeof(Pair{}))
+	if least > 6*pairLog {
+		t.Fatalf("replaying %d deltas allocated %d bytes, more than 6x the final %d-byte pair log", len(records)-1, least, pairLog)
+	}
+	t.Logf("%d deltas: %d bytes allocated, final pair log %d bytes", len(records)-1, least, pairLog)
 }

@@ -187,9 +187,9 @@ func BenchmarkStoreRecoveryMapped(b *testing.B) {
 }
 
 // bootStoreConfig is the store cmd/serve runs with under the benchmark's
-// recovery workload: the default 4 shards, chain period and retention, -mmap,
-// and -range-nodes 8192, which cuts a large job's checkpoints into 2 ranges.
-var bootStoreConfig = storeConfig{shards: 4, fullEvery: 8, keep: 3, mmap: true, rangeNodes: 8192}
+// recovery workload: the default 4 shards, chain period and retention, and
+// -mmap.
+var bootStoreConfig = storeConfig{shards: 4, fullEvery: 8, keep: 3, mmap: true}
 
 // bootFixture fills a data dir shaped like the recovery workload's: 28
 // small (n = 3,000) and 2 large (n = 6,000) jobs over preferential-

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	serve -addr :8080 [-data-dir /var/lib/reconcile] [-shards 4]
-//	      [-full-every 8] [-keep 3] [-mmap] [-range-nodes 1048576]
+//	      [-full-every 8] [-keep 3] [-mmap]
 //	      [-tenants tenants.json] [-admin-token $TOKEN] [-run-slots N]
 //	      [-max-body-bytes N] [-shutdown-grace 15s]
 //
@@ -29,13 +29,10 @@
 // heap, and concurrent processes share one page-cache copy. Either setting
 // reads graph files written under the other, so -mmap can be flipped over
 // an existing data directory without migration (legacy files are decoded
-// onto the heap behind the same lifetime API). -range-nodes cuts the
-// checkpoint state of large jobs: a job whose graphs total more than
-// -range-nodes nodes checkpoints as one record per node range — the tail
-// records written concurrently, then the head record (range 0), whose
-// durable rename is the checkpoint's commit point; boot reads them one
-// after another. 0 keeps one record per checkpoint; existing jobs keep the
-// chain geometry they were created with.
+// onto the heap behind the same lifetime API). Every checkpoint is one
+// record, whose durable rename is its commit point; -range-nodes, which
+// once cut large jobs' checkpoints into node ranges, is accepted and
+// ignored, and boot skips a job whose chain was written in ranges.
 //
 // Multi-tenancy: every job belongs to a tenant. The un-namespaced routes
 // below operate on the built-in "default" tenant, so single-tenant
@@ -166,7 +163,7 @@ func main() {
 	fullEvery := flag.Int("full-every", 8, "checkpoint chain period: one full state snapshot, then full-every-1 cheap delta records (1 = every checkpoint full)")
 	keep := flag.Int("keep", 3, "full checkpoint chains retained per job; older records are removed after each new full and on boot")
 	mmapGraphs := flag.Bool("mmap", reconcile.MmapSupported, "serve job graphs from read-only file mappings: new graphs are written in the mappable container format and restored jobs page them in on demand (either setting reads files written under the other)")
-	rangeNodes := flag.Int("range-nodes", 1<<20, "node-range target: jobs whose graphs total more than this many nodes checkpoint as one record per node range, the tails written concurrently and the head last (0: always one record per checkpoint)")
+	flag.Int("range-nodes", 0, "ignored: every checkpoint is one record (kept so existing command lines still start)")
 	tenantsFile := flag.String("tenants", "", "tenant registry JSON ({\"tenants\": [{name, token|tokenEnv, weight, maxJobs, maxNodes, maxCheckpointBytes}, ...]}); empty: only the open default tenant")
 	adminToken := flag.String("admin-token", os.Getenv("RECONCILE_ADMIN_TOKEN"), "bearer token for /v1/admin (default $RECONCILE_ADMIN_TOKEN; empty leaves the admin API open)")
 	runSlots := flag.Int("run-slots", runtime.GOMAXPROCS(0), "concurrent run goroutines across all tenants, shared by weighted fair scheduling (0: unlimited)")
@@ -192,11 +189,10 @@ func main() {
 	if *dataDir != "" {
 		var err error
 		if st, err = newStore(*dataDir, storeConfig{
-			shards:     *shards,
-			fullEvery:  *fullEvery,
-			keep:       *keep,
-			mmap:       *mmapGraphs,
-			rangeNodes: *rangeNodes,
+			shards:    *shards,
+			fullEvery: *fullEvery,
+			keep:      *keep,
+			mmap:      *mmapGraphs,
 		}); err != nil {
 			fatal("opening job store", err)
 		}

@@ -238,7 +238,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // wire), but restoring it on reboot pages both graph files in, moving the
 // gauge by two per job wherever the platform supports mapping.
 func TestMetricsOpenMappingsGauge(t *testing.T) {
-	st, err := newStore(t.TempDir(), storeConfig{shards: 3, fullEvery: 3, keep: 2, mmap: true, rangeNodes: 200})
+	st, err := newStore(t.TempDir(), storeConfig{shards: 3, fullEvery: 3, keep: 2, mmap: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -379,8 +379,9 @@ func (s *server) tenantTable(name string) *tenantJobs {
 func wirePhases(rec *reconcile.Reconciler) []phaseJSON {
 	g1, g2 := rec.Graphs()
 	buckets := len(rec.Options().BucketSchedule(g1, g2))
-	var out []phaseJSON
-	for i, ph := range rec.Result().Phases {
+	phases := rec.Phases()
+	out := make([]phaseJSON, 0, len(phases))
+	for i, ph := range phases {
 		out = append(out, phaseJSON{
 			Iteration: ph.Iteration,
 			Bucket:    i%buckets + 1,

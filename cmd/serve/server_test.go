@@ -2,13 +2,16 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/sociograph/reconcile"
 	"github.com/sociograph/reconcile/internal/graph"
@@ -399,5 +402,54 @@ func TestServeEngineSelection(t *testing.T) {
 	}
 	if counts["frontier"] != counts["sequential"] || counts["parallel"] != counts["sequential"] {
 		t.Fatalf("engines disagree over HTTP: %v", counts)
+	}
+}
+
+// TestWirePhasesCopiesNoPairs pins that rebuilding a restored job's wire
+// phase log, which boot does for every job, allocates in proportion to
+// the phase window and not to the job's matching.
+func TestWirePhasesCopiesNoPairs(t *testing.T) {
+	r := reconcile.NewRand(29)
+	const n = 20_000
+	g1, g2 := reconcile.IndependentCopies(r, reconcile.GeneratePA(r, n, 6), 0.7, 0.7)
+	rec, err := reconcile.New(g1, g2, reconcile.WithSeeds(reconcile.Seeds(r, reconcile.IdentityPairs(n), 0.3)),
+		reconcile.WithIterations(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rec.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var state bytes.Buffer
+	if err := rec.SnapshotState(&state); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := reconcile.RestoreState(g1, g2, &state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	phases := len(restored.Phases())
+	if want := len(rec.Result().Phases); phases != want || phases == 0 {
+		t.Fatalf("restored job holds %d phase entries, want %d", phases, want)
+	}
+	bound := uint64(2*phases)*uint64(unsafe.Sizeof(phaseJSON{})+unsafe.Sizeof(reconcile.PhaseStat{})) + 1024
+	if pairLog := uint64(restored.Len()) * uint64(unsafe.Sizeof(reconcile.Pair{})); pairLog < 4*bound {
+		t.Fatalf("the %d-byte pair log is too small to tell a pair copy from the phase log (bound %d)", pairLog, bound)
+	}
+	var least uint64
+	for try := 0; try < 3; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		out := wirePhases(restored)
+		runtime.ReadMemStats(&after)
+		if len(out) != phases {
+			t.Fatalf("wire log has %d entries, want %d", len(out), phases)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; try == 0 || grew < least {
+			least = grew
+		}
+	}
+	if least > bound {
+		t.Fatalf("building %d wire phases allocated %d bytes, want at most %d whatever the %d links", phases, least, bound, restored.Len())
 	}
 }

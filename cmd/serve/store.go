@@ -50,12 +50,10 @@ import (
 // Checkpoints form chains (reconcile.Checkpointer): a full state record,
 // then cheap delta records holding only the pairs and phase entries since
 // the previous checkpoint — O(churn) instead of O(matching), which is what
-// lets per-sweep checkpointing stay on by default at paper scale. A large job's chain is cut into R node ranges
-// (-range-nodes, fixed at submission): each checkpoint is then the head
-// record above plus R−1 tail records <id>.ckpt-SEQ.rNNNN.full|delta, the
-// tails written concurrently and the head last, so the head's rename is the
-// commit point. Recovery replays the newest readable full plus its
-// contiguous, complete deltas; a missing or corrupt trailing record makes
+// lets per-sweep checkpointing stay on by default at paper scale. Each
+// checkpoint is one record, so its atomic rename is the commit point.
+// Recovery replays the newest readable full plus its contiguous deltas; a
+// missing or corrupt trailing record makes
 // recovery fall back to the last consistent prefix and surface the job as
 // "interrupted" (its next resume finishes bit-identically from there — the
 // chain resume-equivalence suite pins this). Retention keeps the last -keep
@@ -103,13 +101,6 @@ type storeConfig struct {
 	// (falling back to heap copies where mmap is unavailable). Either
 	// setting reads files written under the other.
 	mmap bool
-	// rangeNodes is the node-range target: a new job whose graphs total
-	// more than rangeNodes nodes checkpoints as one record per node range,
-	// the tails written concurrently, instead of one record per checkpoint.
-	// 0 means one record per checkpoint. The range count is fixed per job at
-	// submission; existing jobs keep the geometry their chain was created
-	// with.
-	rangeNodes int
 }
 
 func newStore(dir string, cfg storeConfig) (*store, error) {
@@ -274,9 +265,10 @@ type jobMeta struct {
 	Seeds       int       `json:"seeds"`
 	UntilStable bool      `json:"untilStable"`
 	MaxSweeps   int       `json:"maxSweeps"`
-	// Ranges is the job's chain geometry: every checkpoint is that many
-	// range records (0 or absent reads as 1). Fixed when the job is
-	// submitted; recovery replays with the same geometry.
+	// Ranges is read, never written: earlier servers cut a large job's
+	// checkpoints into this many node-range records (0 or absent: one
+	// record). Boot skips a job whose chain has more than one range and
+	// leaves its files where they are.
 	Ranges int `json:"ranges,omitempty"`
 	// Trace is the job's span recorder snapshot as of this meta write. A
 	// restart restores it (trace.Restore), so a resumed job's trace timeline
@@ -296,17 +288,13 @@ type jobStore struct {
 
 	seq       int // newest sequence number on disk or attempted
 	sinceFull int // checkpoints written since the last full
-	// ranges is the job's chain geometry (jobMeta.Ranges); ckpt is its
-	// checkpointer, holding the delta base — built lazily, dropped when the
-	// job goes idle.
-	ranges int
-	ckpt   *reconcile.Checkpointer
+	// ckpt is the job's checkpointer, holding the delta base — built lazily,
+	// dropped when the job goes idle.
+	ckpt *reconcile.Checkpointer
 
 	// tracer, when set by the serve layer, receives a checkpoint-write span
-	// per durable range record. Set before any run goroutine starts and
-	// never replaced; the recorder itself is concurrency-safe, so the
-	// concurrent tail writers may all emit spans at once. All emission is
-	// nil-safe.
+	// per durable record. Set before any run goroutine starts and never
+	// replaced. All emission is nil-safe.
 	tracer *trace.Recorder
 	// boot accumulates spans for work done before the job's recorder exists —
 	// graph opens and chain replay at load. The serve layer observes them
@@ -330,21 +318,18 @@ func (js *jobStore) path(suffix string) string {
 	return filepath.Join(js.dir, js.id+suffix)
 }
 
-// chainPath names range rng's record of checkpoint seq: the head (range 0)
-// keeps the one-record name, tails carry their range number.
-func (js *jobStore) chainPath(seq, rng int, kind string) string {
-	if rng == 0 {
-		return js.path(fmt.Sprintf(".ckpt-%08d.%s", seq, kind))
-	}
-	return js.path(fmt.Sprintf(".ckpt-%08d.r%04d.%s", seq, rng, kind))
+// chainPath names the record of checkpoint seq.
+func (js *jobStore) chainPath(seq int, kind string) string {
+	return js.path(fmt.Sprintf(".ckpt-%08d.%s", seq, kind))
 }
 
-// recordDetail labels range rng's record of checkpoint seq in trace spans.
-func recordDetail(kind string, seq, rng, ranges int) string {
-	if ranges == 1 {
-		return fmt.Sprintf("%s #%d", kind, seq)
+// recordKind is a chain record's kind, as its file name and trace spans
+// spell it.
+func recordKind(full bool) string {
+	if full {
+		return "full"
 	}
-	return fmt.Sprintf("%s #%d r%d/%d", kind, seq, rng+1, ranges)
+	return "delta"
 }
 
 // fileSize returns a file's size, or 0 when it does not exist.
@@ -425,13 +410,10 @@ func syncDir(dir string) error {
 }
 
 // saveGraphs persists the job's two graphs — in the mappable container
-// format under -mmap, so a restart serves them from file mappings — and
-// fixes the job's chain geometry from their size. Called once at submission.
+// format under -mmap, so a restart serves them from file mappings. Called
+// once at submission.
 func (js *jobStore) saveGraphs(g1, g2 *reconcile.Graph) error {
 	cfg := js.ts.store.cfg
-	if cfg.rangeNodes > 0 {
-		js.ranges = reconcile.StateRangeCount(g1.NumNodes(), g2.NumNodes(), cfg.rangeNodes)
-	}
 	for _, f := range []struct {
 		suffix string
 		g      *reconcile.Graph
@@ -451,8 +433,8 @@ func (js *jobStore) saveGraphs(g1, g2 *reconcile.Graph) error {
 
 // checkpoint appends one checkpoint to the job's chain — a delta when a
 // durable base exists and the chain period allows it, a full otherwise —
-// then persists the meta. The chain records land first: if the crash window
-// falls between them and the meta, recovery sees a fresh state with
+// then persists the meta. The chain record lands first: if the crash window
+// falls between it and the meta, recovery sees a fresh state with
 // slightly stale bookkeeping, which restore reconciles (counters are
 // re-derived from the state). Every attempt takes a fresh sequence number,
 // even one that fails, so no sequence ever holds records of two attempts;
@@ -460,10 +442,9 @@ func (js *jobStore) saveGraphs(g1, g2 *reconcile.Graph) error {
 // the chain with a full instead of building on records that may never have
 // become durable.
 func (js *jobStore) checkpoint(rec *reconcile.Reconciler, meta jobMeta) error {
-	meta.Ranges = js.ranges
 	js.seq++
 	if js.ckpt == nil {
-		js.ckpt = reconcile.NewCheckpointer(js.ranges)
+		js.ckpt = &reconcile.Checkpointer{}
 	}
 	ck, err := js.ckpt.Prepare(rec, js.sinceFull+1 >= js.ts.store.cfg.fullEvery)
 	if errors.Is(err, reconcile.ErrFullRequired) {
@@ -486,39 +467,13 @@ func (js *jobStore) checkpoint(rec *reconcile.Reconciler, meta jobMeta) error {
 	return js.writeMeta(meta)
 }
 
-// writeCheckpoint writes ck's records under sequence js.seq: the tails
-// concurrently (each atomically, so every core the host has can fsync a
-// slice of the state at once), then the head, whose durable rename is the
-// checkpoint's commit point. A crash or failure before it leaves tail
-// records recovery ignores.
+// writeCheckpoint writes ck's record under sequence js.seq; its durable
+// rename is the checkpoint's commit point.
 func (js *jobStore) writeCheckpoint(ck *reconcile.Checkpoint) error {
-	errs := make([]error, ck.Ranges())
-	var wg sync.WaitGroup
-	for rng := 1; rng < ck.Ranges(); rng++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[rng] = js.writeRecord(ck, rng)
-		}()
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		return err
-	}
-	return js.writeRecord(ck, 0)
-}
-
-// writeRecord writes range rng's record of checkpoint ck.
-func (js *jobStore) writeRecord(ck *reconcile.Checkpoint, rng int) error {
-	kind := "delta"
-	if ck.Full() {
-		kind = "full"
-	}
-	sp := js.tracer.Begin(trace.KindCheckpointWrite, recordDetail(kind, js.seq, rng, ck.Ranges()))
+	kind := recordKind(ck.Full())
+	sp := js.tracer.Begin(trace.KindCheckpointWrite, fmt.Sprintf("%s #%d", kind, js.seq))
 	defer sp.End()
-	return js.writeTracked(js.chainPath(js.seq, rng, kind), func(w *os.File) error {
-		return ck.Encode(rng, w)
-	})
+	return js.writeTracked(js.chainPath(js.seq, kind), func(w *os.File) error { return ck.Encode(w) })
 }
 
 func (js *jobStore) writeMeta(meta jobMeta) error {
@@ -552,12 +507,11 @@ func (js *jobStore) purge() {
 	}
 }
 
-// chainRecord locates one range record of a job's chain: the head (range
-// 0) is <id>.ckpt-SEQ.full|delta, tail r ≥ 1 is <id>.ckpt-SEQ.rNNNN.full|delta.
+// chainRecord locates one record of a job's chain, <id>.ckpt-SEQ.full|delta.
 type chainRecord struct {
-	seq, rng int
-	full     bool
-	path     string
+	seq  int
+	full bool
+	path string
 }
 
 // parseChainName splits a chain record's file name into its job ID and
@@ -570,36 +524,22 @@ func parseChainName(name string) (id string, rec chainRecord, ok bool) {
 		return "", rec, false
 	}
 	seqStr, kind, ok := strings.Cut(name[at+len(".ckpt-"):], ".")
-	if !ok {
+	if !ok || (kind != "full" && kind != "delta") {
 		return "", rec, false
 	}
 	seq, err := strconv.Atoi(seqStr)
 	if err != nil || seq <= 0 {
 		return "", rec, false
 	}
-	rng := 0
-	if rngStr, tailKind, ok := strings.Cut(kind, "."); ok {
-		n, err := strconv.Atoi(strings.TrimPrefix(rngStr, "r"))
-		if !strings.HasPrefix(rngStr, "r") || err != nil || n < 1 {
-			return "", rec, false
-		}
-		rng, kind = n, tailKind
-	}
-	if kind != "full" && kind != "delta" {
-		return "", rec, false
-	}
-	return name[:at], chainRecord{seq: seq, rng: rng, full: kind == "full"}, true
+	return name[:at], chainRecord{seq: seq, full: kind == "full"}, true
 }
 
-// sortChain orders chain records by sequence number, then range.
+// sortChain orders chain records by sequence number.
 func sortChain(records []chainRecord) {
-	slices.SortStableFunc(records, func(a, b chainRecord) int {
-		return cmp.Or(cmp.Compare(a.seq, b.seq), cmp.Compare(a.rng, b.rng))
-	})
+	slices.SortStableFunc(records, func(a, b chainRecord) int { return cmp.Compare(a.seq, b.seq) })
 }
 
-// listChain returns the job's chain records sorted by sequence number, then
-// range.
+// listChain returns the job's chain records sorted by sequence number.
 func (js *jobStore) listChain() []chainRecord {
 	entries, err := os.ReadDir(js.dir)
 	if err != nil {
@@ -645,38 +585,15 @@ func listShard(dir string) (shardListing, error) {
 	return l, nil
 }
 
-// seqGroup is one checkpoint: the range records sharing a sequence number.
-type seqGroup struct {
-	seq   int
-	full  bool           // the head is a full record
-	paths map[int]string // record paths by range; the head is range 0
-}
-
-// groupChain folds listChain's records into checkpoints, ascending.
-func groupChain(records []chainRecord) []seqGroup {
-	var groups []seqGroup
-	for _, rec := range records {
-		if len(groups) == 0 || groups[len(groups)-1].seq != rec.seq {
-			groups = append(groups, seqGroup{seq: rec.seq, paths: map[int]string{}})
-		}
-		g := &groups[len(groups)-1]
-		g.paths[rec.rng] = rec.path
-		if rec.rng == 0 {
-			g.full = rec.full
-		}
-	}
-	return groups
-}
-
 // retireOld enforces keep-last-K retention over the job's chain records:
 // those older than the K-th newest full checkpoint are deleted. Called
 // after each new full and once per job on boot.
 func (js *jobStore) retireOld(records []chainRecord) {
 	var fullSeqs []int
 	for _, rec := range records {
-		// A full head anchors a chain; completeness is recovery's concern,
+		// A full anchors a chain; readability is recovery's concern,
 		// retention only needs to know where chains can start.
-		if rec.rng == 0 && rec.full {
+		if rec.full {
 			fullSeqs = append(fullSeqs, rec.seq)
 		}
 	}
@@ -693,35 +610,40 @@ func (js *jobStore) retireOld(records []chainRecord) {
 }
 
 // recoverChain replays the job's chain from its records (listChain's
-// order): the newest full checkpoint whose R records all read, then each
-// contiguous delta checkpoint after it whose R records all apply and agree
-// with its head, merging the ranges once at the end. A torn, gapped or
-// corrupt checkpoint ends the replay at the last consistent prefix, and a
-// full that does not read sends recovery back to the one before it.
-// dropped counts the checkpoints past the replayed prefix — zero means the
-// restored state is the newest durable checkpoint.
-func (js *jobStore) recoverChain(records []chainRecord) (st *reconcile.SessionState, dropped int, err error) {
-	groups := groupChain(records)
-	for i := len(groups) - 1; i >= 0; i-- {
-		if !groups[i].full {
+// order): the newest full that reads, then each contiguous delta after it
+// that reads and applies. A gapped or corrupt delta ends the replay at the
+// last consistent prefix, and a full that does not read sends recovery back
+// to the one before it. dropped counts the records past the replayed
+// prefix — zero means the restored state is the newest durable checkpoint.
+func (js *jobStore) recoverChain(records []chainRecord) (*reconcile.SessionState, int, error) {
+	var err error
+	for i := len(records) - 1; i >= 0; i-- {
+		if !records[i].full {
 			continue
 		}
-		parts, last, rerr := js.replayFrom(groups, i)
-		if rerr == nil {
-			st, rerr = reconcile.MergeRanges(parts)
-		}
+		st, rerr := readRecord(js, records[i], reconcile.ReadSessionState)
 		if rerr != nil {
 			if err == nil {
-				err = rerr
+				err = fmt.Errorf("chain full #%d: %w", records[i].seq, rerr)
 			}
 			continue
 		}
-		for _, g := range groups {
-			if g.seq > last {
-				dropped++
+		last := i
+		for _, rec := range records[i+1:] {
+			if rec.full || rec.seq != records[last].seq+1 {
+				break // a later full starts its own chain; a gap ends this one
 			}
+			d, rerr := readRecord(js, rec, reconcile.ReadStateDelta)
+			if rerr != nil {
+				break
+			}
+			next, rerr := reconcile.ApplyDelta(st, d)
+			if rerr != nil {
+				break
+			}
+			st, last = next, last+1
 		}
-		return st, dropped, nil
+		return st, len(records) - 1 - last, nil
 	}
 	if err == nil {
 		err = errors.New("no readable checkpoint")
@@ -729,67 +651,21 @@ func (js *jobStore) recoverChain(records []chainRecord) (st *reconcile.SessionSt
 	return nil, 0, err
 }
 
-// replayFrom reads the full checkpoint groups[i] and applies the delta
-// checkpoints that follow it, stopping at the first gap or checkpoint whose
-// records do not all read and apply. It returns the range states and the
-// sequence number of the last checkpoint they hold.
-func (js *jobStore) replayFrom(groups []seqGroup, i int) ([]*reconcile.SessionState, int, error) {
-	anchor := groups[i]
-	parts := make([]*reconcile.SessionState, max(js.ranges, 1))
-	for rng := range parts {
-		var err error
-		if parts[rng], err = readRecord(js, anchor, rng, len(parts), reconcile.ReadSessionState); err != nil {
-			return nil, 0, fmt.Errorf("chain full #%d: %w", anchor.seq, err)
-		}
-	}
-	last := anchor.seq
-	for _, g := range groups[i+1:] {
-		if g.full || g.seq != last+1 {
-			break // a later full starts its own chain; a gap ends this one
-		}
-		deltas := make([]*reconcile.StateDelta, len(parts))
-		var err error
-		for rng := range deltas {
-			if deltas[rng], err = readRecord(js, g, rng, len(parts), reconcile.ReadStateDelta); err != nil {
-				break
-			}
-		}
-		var next []*reconcile.SessionState
-		if err == nil {
-			next, err = reconcile.ApplyRanges(parts, deltas)
-		}
-		if err != nil {
-			break
-		}
-		parts, last = next, g.seq
-	}
-	return parts, last, nil
-}
-
-// readRecord decodes range rng's record of checkpoint g with read, queueing
-// a checkpoint-replay span for the job's future recorder.
-func readRecord[T any](js *jobStore, g seqGroup, rng, ranges int, read func(io.Reader) (T, error)) (T, error) {
-	var zero T
-	path, ok := g.paths[rng]
-	if !ok {
-		return zero, fmt.Errorf("range %d of %d missing", rng, ranges)
-	}
+// readRecord decodes a chain record with read, queueing a checkpoint-replay
+// span for the job's future recorder.
+func readRecord[T any](js *jobStore, rec chainRecord, read func(io.Reader) (T, error)) (T, error) {
 	start := time.Now()
-	f, err := os.Open(path)
+	f, err := os.Open(rec.path)
 	if err != nil {
+		var zero T
 		return zero, err
 	}
 	defer f.Close()
 	v, err := read(f)
-	if err != nil {
-		return zero, fmt.Errorf("range %d of %d: %w", rng, ranges, err)
+	if err == nil {
+		js.bootObserve(trace.KindCheckpointReplay, fmt.Sprintf("%s #%d", recordKind(rec.full), rec.seq), time.Since(start))
 	}
-	kind := "delta"
-	if g.full {
-		kind = "full"
-	}
-	js.bootObserve(trace.KindCheckpointReplay, recordDetail(kind, g.seq, rng, ranges), time.Since(start))
-	return v, nil
+	return v, err
 }
 
 // persisted is one job loaded back from disk.
@@ -887,12 +763,12 @@ func (ts *tenantStore) load(dir, id string, chain []chainRecord) (persisted, err
 	if p.meta.ID != id {
 		return p, fmt.Errorf("meta names job %q", p.meta.ID)
 	}
-	// The chain keeps the geometry it was written with. The writer never
-	// records more than MaxStateRanges, so a larger count is a corrupt meta.
-	if p.meta.Ranges < 0 || p.meta.Ranges > reconcile.MaxStateRanges {
-		return p, fmt.Errorf("meta: chain of %d ranges, want 0 to %d", p.meta.Ranges, reconcile.MaxStateRanges)
+	// Only one-record chains are read. A chain cut into node ranges by an
+	// earlier server is skipped before any graph opens; its files stay on
+	// disk and in the tenant's byte count.
+	if p.meta.Ranges < 0 || p.meta.Ranges > 1 {
+		return p, fmt.Errorf("meta: chain of %d ranges; only one record per checkpoint is read", p.meta.Ranges)
 	}
-	js.ranges = p.meta.Ranges
 	for _, f := range []struct {
 		suffix string
 		dst    **reconcile.Graph

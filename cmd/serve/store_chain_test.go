@@ -131,39 +131,31 @@ func resumeAndVerify(t *testing.T, st *store, id string, want *reconcile.Result)
 }
 
 // chainConfigs are the store configurations every store chain suite runs
-// over: two chain geometries, each with graphs on the heap and mapped
-// (-mmap). testInstance(400) builds two ~400-node graphs, so without
-// -range-nodes a job checkpoints one record per checkpoint, and
-// -range-nodes 200 cuts its checkpoints into four range records.
+// over: graphs on the heap and mapped (-mmap). The "r1/" in the row names
+// is the one-record chain; the shape and retention suites name their rows
+// by backing alone.
 var chainConfigs = []struct {
-	name   string
-	ranges int
-	cfg    storeConfig
+	name string
+	cfg  storeConfig
 }{
-	{"r1/heap", 1, testStoreConfig},
-	{"r1/mmap", 1, storeConfig{shards: 3, fullEvery: 3, keep: 2, mmap: true}},
-	{"r4/heap", 4, storeConfig{shards: 3, fullEvery: 3, keep: 2, rangeNodes: 200}},
-	{"r4/mmap", 4, storeConfig{shards: 3, fullEvery: 3, keep: 2, mmap: true, rangeNodes: 200}},
+	{"r1/heap", testStoreConfig},
+	{"r1/mmap", storeConfig{shards: 3, fullEvery: 3, keep: 2, mmap: true}},
 }
 
 // forEachChain runs test once per chain configuration, each on a fresh
 // store.
-func forEachChain(t *testing.T, test func(t *testing.T, st *store, ranges int)) {
+func forEachChain(t *testing.T, test func(t *testing.T, st *store)) {
 	for _, c := range chainConfigs {
 		t.Run(c.name, func(t *testing.T) {
-			test(t, newChainStore(t, c.cfg), c.ranges)
+			test(t, newChainStore(t, c.cfg))
 		})
 	}
 }
 
-// forEachBacking runs test on a fresh store per chain configuration of the
-// given range count: once with heap graphs, once with mapped ones.
-func forEachBacking(t *testing.T, ranges int, test func(t *testing.T, st *store)) {
+// forEachBacking is forEachChain with the rows named by backing alone.
+func forEachBacking(t *testing.T, test func(t *testing.T, st *store)) {
 	for _, c := range chainConfigs {
-		if c.ranges != ranges {
-			continue
-		}
-		t.Run(strings.TrimPrefix(c.name, fmt.Sprintf("r%d/", ranges)), func(t *testing.T) {
+		t.Run(strings.TrimPrefix(c.name, "r1/"), func(t *testing.T) {
 			test(t, newChainStore(t, c.cfg))
 		})
 	}
@@ -178,34 +170,20 @@ func newChainStore(t *testing.T, cfg storeConfig) *store {
 	return st
 }
 
-// chainHandle returns a store handle for a job whose chain has the given
-// geometry, as boot would build it from the job's meta.
-func chainHandle(st *store, id string, ranges int) *jobStore {
-	js := st.jobStore(id)
-	js.ranges = ranges
-	return js
-}
-
 // requireChain asserts the job's chain is exactly the given checkpoints,
-// each complete: ranges records of the head's kind, named as chainPath
-// names them.
-func requireChain(t *testing.T, js *jobStore, ranges int, kinds ...string) []seqGroup {
+// one record each, of the given kinds and named as chainPath names them.
+func requireChain(t *testing.T, js *jobStore, kinds ...string) []chainRecord {
 	t.Helper()
-	groups := groupChain(js.listChain())
-	if len(groups) != len(kinds) {
-		t.Fatalf("chain has %d checkpoints, want %d: %v", len(groups), len(kinds), chainFiles(t, js))
+	records := js.listChain()
+	if len(records) != len(kinds) {
+		t.Fatalf("chain has %d records, want %d: %v", len(records), len(kinds), chainFiles(t, js))
 	}
-	for i, g := range groups {
-		if len(g.paths) != ranges {
-			t.Fatalf("checkpoint #%d has %d records, want %d: %v", g.seq, len(g.paths), ranges, chainFiles(t, js))
-		}
-		for rng := 0; rng < ranges; rng++ {
-			if want := js.chainPath(g.seq, rng, kinds[i]); g.paths[rng] != want {
-				t.Fatalf("checkpoint #%d range %d is %q, want %q", g.seq, rng, g.paths[rng], want)
-			}
+	for i, rec := range records {
+		if want := js.chainPath(rec.seq, kinds[i]); rec.path != want {
+			t.Fatalf("checkpoint #%d is %q, want %q", rec.seq, rec.path, want)
 		}
 	}
-	return groups
+	return records
 }
 
 // rewrite replaces a file's bytes with edit's result.
@@ -221,49 +199,43 @@ func rewrite(t *testing.T, path string, edit func([]byte) []byte) {
 }
 
 // requireChainShape checkpoints a job killed after five of six sweeps and
-// pins the on-disk form of its chain: every checkpoint is the head record
-// plus one tail per further range (fulls on the fullEvery grid, deltas
-// between), and the meta records the geometry.
-func requireChainShape(t *testing.T, st *store, ranges int) (want *reconcile.Result) {
+// pins the on-disk form of its chain: every checkpoint is exactly one file
+// (fulls on the fullEvery grid, deltas between), and the meta records no
+// chain geometry.
+func requireChainShape(t *testing.T, st *store) (want *reconcile.Result) {
 	t.Helper()
 	want = chainVictim(t, st, "job-1", 6, 5)
-	js := chainHandle(st, "job-1", ranges)
-	requireChain(t, js, ranges, "full", "delta", "delta", "full", "delta")
+	js := st.jobStore("job-1")
+	requireChain(t, js, "full", "delta", "delta", "full", "delta")
+	entries, err := os.ReadDir(js.dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files []string
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), "job-1.ckpt-") {
+			files = append(files, e.Name())
+		}
+	}
+	if fmt.Sprint(files) != fmt.Sprint(chainFiles(t, js)) {
+		t.Fatalf("checkpoint files %v, want exactly the chain records %v", files, chainFiles(t, js))
+	}
 	meta, err := os.ReadFile(js.path(".meta.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := bytes.Contains(meta, []byte(`"ranges":4`)); got != (ranges == 4) {
-		t.Fatalf("meta does not record the chain geometry: %s", meta)
+	if bytes.Contains(meta, []byte(`"ranges"`)) {
+		t.Fatalf("meta records a chain geometry: %s", meta)
 	}
 	return want
 }
 
-// TestStoreChainShape pins the on-disk form of a one-range chain — each
-// checkpoint is exactly one head record — and its clean-kill path: the job
-// boots as interrupted and resumes bit-identically to the uninterrupted
-// run.
+// TestStoreChainShape pins the on-disk form of a chain — each checkpoint is
+// exactly one record — and its clean-kill path: the job boots as
+// interrupted and resumes bit-identically to the uninterrupted run.
 func TestStoreChainShape(t *testing.T) {
-	forEachBacking(t, 1, func(t *testing.T, st *store) {
-		resumeAndVerify(t, st, "job-1", requireChainShape(t, st, 1))
-	})
-}
-
-// TestStoreRangedChainShape pins the on-disk form of a four-range chain:
-// every checkpoint is the head plus three tails, all of the head's kind.
-func TestStoreRangedChainShape(t *testing.T) {
-	forEachBacking(t, 4, func(t *testing.T, st *store) {
-		requireChainShape(t, st, 4)
-	})
-}
-
-// TestStoreRangedRecovery is the clean-kill path of a four-range chain: a
-// job killed mid-run boots as interrupted and resumes bit-identically to
-// the uninterrupted run.
-func TestStoreRangedRecovery(t *testing.T) {
-	forEachBacking(t, 4, func(t *testing.T, st *store) {
-		want := chainVictim(t, st, "job-1", 6, 5)
-		resumeAndVerify(t, st, "job-1", want)
+	forEachBacking(t, func(t *testing.T, st *store) {
+		resumeAndVerify(t, st, "job-1", requireChainShape(t, st))
 	})
 }
 
@@ -272,11 +244,9 @@ func TestStoreRangedRecovery(t *testing.T) {
 // chain prefix and surface the job as interrupted — never panic, never
 // skip the job — and resume must still finish bit-identically.
 func TestStoreRecoveryCorruptTrailingDelta(t *testing.T) {
-	forEachChain(t, func(t *testing.T, st *store, ranges int) {
+	forEachChain(t, func(t *testing.T, st *store) {
 		want := chainVictim(t, st, "job-1", 6, 5)
-		js := chainHandle(st, "job-1", ranges)
-		requireChain(t, js, ranges, "full", "delta", "delta", "full", "delta")
-		records := js.listChain()
+		records := requireChain(t, st.jobStore("job-1"), "full", "delta", "delta", "full", "delta")
 		rewrite(t, records[len(records)-1].path, func(raw []byte) []byte {
 			raw[len(raw)/2] ^= 0x40
 			return raw
@@ -288,40 +258,38 @@ func TestStoreRecoveryCorruptTrailingDelta(t *testing.T) {
 // TestStoreRecoveryTruncatedTrailingDelta is the torn-write variant: the
 // trailing record lost its tail.
 func TestStoreRecoveryTruncatedTrailingDelta(t *testing.T) {
-	forEachChain(t, func(t *testing.T, st *store, ranges int) {
+	forEachChain(t, func(t *testing.T, st *store) {
 		want := chainVictim(t, st, "job-1", 6, 5)
-		records := chainHandle(st, "job-1", ranges).listChain()
+		records := st.jobStore("job-1").listChain()
 		rewrite(t, records[len(records)-1].path, func(raw []byte) []byte { return raw[:len(raw)/3] })
 		resumeAndVerify(t, st, "job-1", want)
 	})
 }
 
-// TestStoreRecoveryMissingDelta removes a mid-chain delta's head: the
-// checkpoints after the gap must be abandoned and the job surfaced as
-// interrupted.
+// TestStoreRecoveryMissingDelta removes a mid-chain delta: the checkpoints
+// after the gap must be abandoned and the job surfaced as interrupted.
 func TestStoreRecoveryMissingDelta(t *testing.T) {
-	forEachChain(t, func(t *testing.T, st *store, ranges int) {
+	forEachChain(t, func(t *testing.T, st *store) {
 		want := chainVictim(t, st, "job-1", 6, 3)
-		js := chainHandle(st, "job-1", ranges)
 		// Chain is full(1), delta(2), delta(3); removing delta(2) leaves
 		// delta(3) unreachable — recovery must stop at the full.
-		groups := requireChain(t, js, ranges, "full", "delta", "delta")
-		if err := os.Remove(groups[1].paths[0]); err != nil {
+		records := requireChain(t, st.jobStore("job-1"), "full", "delta", "delta")
+		if err := os.Remove(records[1].path); err != nil {
 			t.Fatal(err)
 		}
 		resumeAndVerify(t, st, "job-1", want)
 	})
 }
 
-// TestStoreRecoveryCorruptFull corrupts the newest full checkpoint (its
-// last range record): recovery must fall back to the previous full's chain
-// (replaying its deltas), not panic and not lose the job.
+// TestStoreRecoveryCorruptFull corrupts the newest full checkpoint:
+// recovery must fall back to the previous full's chain (replaying its
+// deltas), not panic and not lose the job.
 func TestStoreRecoveryCorruptFull(t *testing.T) {
-	forEachChain(t, func(t *testing.T, st *store, ranges int) {
+	forEachChain(t, func(t *testing.T, st *store) {
 		want := chainVictim(t, st, "job-1", 6, 5)
-		js := chainHandle(st, "job-1", ranges)
-		groups := requireChain(t, js, ranges, "full", "delta", "delta", "full", "delta")
-		rewrite(t, groups[3].paths[ranges-1], func(raw []byte) []byte {
+		js := st.jobStore("job-1")
+		records := requireChain(t, js, "full", "delta", "delta", "full", "delta")
+		rewrite(t, records[3].path, func(raw []byte) []byte {
 			raw[len(raw)/2] ^= 0x01
 			return raw
 		})
@@ -338,11 +306,11 @@ func TestStoreRecoveryCorruptFull(t *testing.T) {
 // be restarted any number of times without resuming and the job must keep
 // loading — retention waits for the next durable full.
 func TestStoreRecoveryFallbackSurvivesRestarts(t *testing.T) {
-	forEachChain(t, func(t *testing.T, st *store, ranges int) {
+	forEachChain(t, func(t *testing.T, st *store) {
 		want := chainVictim(t, st, "job-1", 6, 5)
-		for _, g := range groupChain(chainHandle(st, "job-1", ranges).listChain()) {
-			if g.full && g.seq > 1 {
-				rewrite(t, g.paths[0], func(raw []byte) []byte {
+		for _, rec := range st.jobStore("job-1").listChain() {
+			if rec.full && rec.seq > 1 {
+				rewrite(t, rec.path, func(raw []byte) []byte {
 					raw[len(raw)/2] ^= 0x01
 					return raw
 				})
@@ -368,10 +336,10 @@ func TestStoreRecoveryFallbackSurvivesRestarts(t *testing.T) {
 // state and must come back interrupted (resumable), not silently "done"
 // with links missing.
 func TestStoreRecoveryCorruptionMarksDoneJobInterrupted(t *testing.T) {
-	forEachChain(t, func(t *testing.T, st *store, ranges int) {
+	forEachChain(t, func(t *testing.T, st *store) {
 		want := chainVictim(t, st, "job-1", 6, 5)
-		js := chainHandle(st, "job-1", ranges)
-		meta := jobMeta{ID: "job-1", Num: 1, Status: statusDone, Seeds: want.Seeds, Ranges: ranges}
+		js := st.jobStore("job-1")
+		meta := jobMeta{ID: "job-1", Num: 1, Status: statusDone, Seeds: want.Seeds}
 		if err := atomicWriteJSON(js.path(".meta.json"), meta); err != nil {
 			t.Fatal(err)
 		}
@@ -384,13 +352,13 @@ func TestStoreRecoveryCorruptionMarksDoneJobInterrupted(t *testing.T) {
 	})
 }
 
-// TestStoreRejectsCorruptGeometry pins that boot takes a meta's chain
-// geometry only from the range the writer can produce: a job whose meta
-// records a negative range count, or more than MaxStateRanges, is reported
-// as skipped — not replayed into a panic or a huge allocation — and the
-// store's other jobs still load.
+// TestStoreRejectsCorruptGeometry pins that boot reads only one-record
+// chains: a job whose meta records a range count other than zero or one —
+// a chain an earlier server cut into node ranges, or a corrupt count — is
+// reported as skipped, naming the count, its files stay on disk and in the
+// tenant's byte count, and the store's other jobs still load.
 func TestStoreRejectsCorruptGeometry(t *testing.T) {
-	for _, ranges := range []int{-1, reconcile.MaxStateRanges + 1, 1 << 40} {
+	for _, ranges := range []int{-1, 2, 4, 65, 1 << 40} {
 		t.Run(fmt.Sprint(ranges), func(t *testing.T) {
 			st := newChainStore(t, testStoreConfig)
 			chainVictim(t, st, "job-1", 4, 2)
@@ -400,88 +368,71 @@ func TestStoreRejectsCorruptGeometry(t *testing.T) {
 			if err := atomicWriteJSON(js.path(".meta.json"), meta); err != nil {
 				t.Fatal(err)
 			}
+			files := chainFiles(t, js)
 			s, skipped := newServer(st)
-			if len(skipped) != 1 || !strings.Contains(skipped[0].Error(), "job-1") || !strings.Contains(skipped[0].Error(), "ranges") {
+			if len(skipped) != 1 || !strings.Contains(skipped[0].Error(), "job-1") ||
+				!strings.Contains(skipped[0].Error(), fmt.Sprintf("%d ranges", ranges)) {
 				t.Fatalf("boot skipped %v, want job-1 reported for its range count", skipped)
 			}
 			if s.jobs["job-1"] != nil {
-				t.Fatal("boot loaded the job whose meta is corrupt")
+				t.Fatal("boot loaded the job whose chain it does not read")
 			}
 			if j := s.jobs["job-2"]; j == nil || j.status != statusInterrupted {
-				t.Fatal("the corrupt meta kept another job from loading")
+				t.Fatal("the skipped job kept another job from loading")
+			}
+			if got := chainFiles(t, js); fmt.Sprint(got) != fmt.Sprint(files) {
+				t.Fatalf("boot changed the skipped job's chain: %v, was %v", got, files)
+			}
+			for _, suffix := range []string{".g1", ".g2", ".meta.json"} {
+				if _, err := os.Stat(js.path(suffix)); err != nil {
+					t.Fatalf("boot removed the skipped job's %s: %v", suffix, err)
+				}
+			}
+			if tracked, walked := js.ts.verifyBytes(); tracked != walked {
+				t.Fatalf("byte accounting after boot: tracked %d, walked %d", tracked, walked)
 			}
 		})
 	}
 }
 
-// TestStoreTornTailFallback pins the head's commit-point contract: with the
-// newest checkpoint torn — its head missing (a crash before the commit
-// rename), or one tail corrupt or missing — boot falls back to the previous
-// consistent checkpoint, surfaces the job as interrupted, and resume still
-// finishes bit-identically. A one-range checkpoint has only its head to
-// tear.
+// TestStoreTornTailFallback pins the record's commit-point contract: with
+// the newest checkpoint's record missing (a crash before its rename), boot
+// falls back to the previous checkpoint, surfaces the job as interrupted,
+// and resume still finishes bit-identically.
 func TestStoreTornTailFallback(t *testing.T) {
 	for _, c := range chainConfigs {
-		ranges := c.ranges
-		for _, tear := range []string{"head-missing", "tail-corrupt", "tail-missing"} {
-			if ranges == 1 && tear != "head-missing" {
-				continue
+		t.Run(c.name+"/head-missing", func(t *testing.T) {
+			st := newChainStore(t, c.cfg)
+			want := chainVictim(t, st, "job-1", 6, 5)
+			js := st.jobStore("job-1")
+			records := requireChain(t, js, "full", "delta", "delta", "full", "delta")
+			if err := os.Remove(records[len(records)-1].path); err != nil {
+				t.Fatal(err)
 			}
-			t.Run(c.name+"/"+tear, func(t *testing.T) {
-				st := newChainStore(t, c.cfg)
-				want := chainVictim(t, st, "job-1", 6, 5)
-				js := chainHandle(st, "job-1", ranges)
-				groups := requireChain(t, js, ranges, "full", "delta", "delta", "full", "delta")
-				last := groups[len(groups)-1]
-				var err error
-				switch tear {
-				case "head-missing":
-					err = os.Remove(last.paths[0])
-				case "tail-corrupt":
-					rewrite(t, last.paths[2], func(raw []byte) []byte {
-						raw[len(raw)/2] ^= 0x41
-						return raw
-					})
-				case "tail-missing":
-					err = os.Remove(last.paths[1])
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				state, dropped, err := js.recoverState()
-				if err != nil || state == nil {
-					t.Fatalf("recovery with a torn tail: %v", err)
-				}
-				// Without its head a one-range checkpoint leaves no file:
-				// nothing is left to drop.
-				wantDropped := 1
-				if ranges == 1 {
-					wantDropped = 0
-				}
-				if dropped != wantDropped {
-					t.Fatalf("recovery dropped %d checkpoints, want %d", dropped, wantDropped)
-				}
-				resumeAndVerify(t, st, "job-1", want)
-			})
-		}
+			// Without its record the checkpoint leaves no file: nothing is
+			// left to drop.
+			if state, dropped, err := js.recoverState(); err != nil || state == nil || dropped != 0 {
+				t.Fatalf("recovery without the newest record: dropped %d, err %v; want 0 and a state", dropped, err)
+			}
+			resumeAndVerify(t, st, "job-1", want)
+		})
 	}
 }
 
 // TestStoreFailedCheckpointAttempt pins what a failed attempt leaves: with
-// one record's rename made to fail (a directory squats on its path), the
+// the record's rename made to fail (a directory squats on its path), the
 // attempt fails, its sequence number is spent, and the next checkpoint is a
 // full at the next one — so no sequence holds records of two attempts, the
 // byte accounting still matches a walk, and a kill either right after the
 // failure or after the re-anchoring full resumes bit-identically.
 func TestStoreFailedCheckpointAttempt(t *testing.T) {
 	for _, c := range chainConfigs {
-		ranges := c.ranges
 		for _, sweeps := range []int{3, 5} {
 			t.Run(fmt.Sprintf("%s/kill-after-%d", c.name, sweeps), func(t *testing.T) {
 				st := newChainStore(t, c.cfg)
-				// Checkpoint #3 is a delta; block its last range record.
-				js := chainHandle(st, "job-1", ranges)
-				blocker := js.chainPath(3, ranges-1, "delta")
+				// Checkpoint #3 is a delta; block its record.
+				js := st.jobStore("job-1")
+				blocker := js.chainPath(3, "delta")
 				if err := os.Mkdir(blocker, 0o755); err != nil {
 					t.Fatal(err)
 				}
@@ -492,37 +443,14 @@ func TestStoreFailedCheckpointAttempt(t *testing.T) {
 				if err := os.Remove(blocker); err != nil {
 					t.Fatal(err)
 				}
-				kinds := map[int]map[bool]bool{}
-				for _, rec := range js.listChain() {
-					if kinds[rec.seq] == nil {
-						kinds[rec.seq] = map[bool]bool{}
-					}
-					kinds[rec.seq][rec.full] = true
-				}
-				for seq, k := range kinds {
-					if len(k) != 1 {
-						t.Fatalf("checkpoint #%d holds full and delta records of two attempts: %v", seq, chainFiles(t, js))
-					}
-				}
-				groups := groupChain(js.listChain())
-				if ranges > 1 {
-					failed := groups[2]
-					if _, ok := failed.paths[0]; failed.seq != 3 || ok || len(failed.paths) != ranges-2 {
-						t.Fatalf("failed attempt #3 left %v, want its %d landed tails and no head", chainFiles(t, js), ranges-2)
-					}
-					groups = append(groups[:2], groups[3:]...)
-				}
 				wantSeqs, wantKinds := []int{1, 2}, []string{"full", "delta"}
 				if sweeps == 5 {
 					wantSeqs, wantKinds = []int{1, 2, 4, 5}, []string{"full", "delta", "full", "delta"}
 				}
-				if len(groups) != len(wantSeqs) {
-					t.Fatalf("chain %v, want complete checkpoints %v", chainFiles(t, js), wantSeqs)
-				}
-				for i, g := range groups {
-					if g.seq != wantSeqs[i] || len(g.paths) != ranges || g.full != (wantKinds[i] == "full") {
-						t.Fatalf("checkpoint %d is #%d (full=%v, %d records), want #%d %s: %v",
-							i, g.seq, g.full, len(g.paths), wantSeqs[i], wantKinds[i], chainFiles(t, js))
+				records := requireChain(t, js, wantKinds...)
+				for i, rec := range records {
+					if rec.seq != wantSeqs[i] {
+						t.Fatalf("chain %v, want checkpoints %v", chainFiles(t, js), wantSeqs)
 					}
 				}
 				if tracked, walked := js.ts.verifyBytes(); tracked != walked {
@@ -541,32 +469,18 @@ func atomicWriteJSON(path string, v jobMeta) error {
 	})
 }
 
-// TestStoreRetention pins keep-last-K compaction on a one-range chain:
-// after enough sweeps the chain holds at most keep full checkpoints, each
-// still complete, and no records older than the oldest kept full, and the
-// retained suffix still restores.
+// TestStoreRetention pins keep-last-K compaction: after enough sweeps the
+// chain holds at most keep full checkpoints and no records older than the
+// oldest kept full, and the retained suffix still restores.
 func TestStoreRetention(t *testing.T) {
-	forEachBacking(t, 1, func(t *testing.T, st *store) {
-		requireRetention(t, st, 1)
+	forEachBacking(t, func(t *testing.T, st *store) {
+		want := chainVictim(t, st, "job-1", 14, 13) // 13 checkpoints: fulls at 1,4,7,10,13
+		js := st.jobStore("job-1")
+		if records := requireChain(t, js, "full", "delta", "delta", "full"); records[0].seq != 10 {
+			t.Fatalf("oldest surviving checkpoint is #%d, want 10 (chain %v)", records[0].seq, chainFiles(t, js))
+		}
+		resumeAndVerify(t, st, "job-1", want)
 	})
-}
-
-// TestStoreRangedRetention pins the same compaction on a four-range chain:
-// every retained checkpoint keeps its head and all its tails.
-func TestStoreRangedRetention(t *testing.T) {
-	forEachBacking(t, 4, func(t *testing.T, st *store) {
-		requireRetention(t, st, 4)
-	})
-}
-
-func requireRetention(t *testing.T, st *store, ranges int) {
-	want := chainVictim(t, st, "job-1", 14, 13) // 13 checkpoints: fulls at 1,4,7,10,13
-	js := chainHandle(st, "job-1", ranges)
-	requireChain(t, js, ranges, "full", "delta", "delta", "full")
-	if groups := groupChain(js.listChain()); groups[0].seq != 10 {
-		t.Fatalf("oldest surviving checkpoint is #%d, want 10 (chain %v)", groups[0].seq, chainFiles(t, js))
-	}
-	resumeAndVerify(t, st, "job-1", want)
 }
 
 // TestStoreShardPlacement pins the sharded layout: jobs land in their hash
@@ -736,47 +650,43 @@ func TestStoreByteAccountingInvariant(t *testing.T) {
 	}
 }
 
-// TestRangedChainFilesAreChainRecords pins listChain's parse of the head
-// and tail names so purge and retention see every file (an unlisted file
-// would leak bytes forever).
-func TestRangedChainFilesAreChainRecords(t *testing.T) {
-	forEachChain(t, func(t *testing.T, st *store, ranges int) {
-		chainFilesAreChainRecords(t, st, ranges)
+// TestChainFilesAreChainRecords pins listChain's parse of the record names
+// so purge and retention see every file (an unlisted file would leak bytes
+// forever).
+func TestChainFilesAreChainRecords(t *testing.T) {
+	forEachChain(t, func(t *testing.T, st *store) {
+		chainVictim(t, st, "job-1", 4, 3)
+		js := st.jobStore("job-1")
+		listed := map[string]bool{}
+		for _, rec := range js.listChain() {
+			listed[rec.path] = true
+		}
+		entries, err := os.ReadDir(js.dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			name := e.Name()
+			if !strings.HasPrefix(name, "job-1.ckpt-") {
+				continue
+			}
+			if !listed[js.path(strings.TrimPrefix(name, "job-1"))] {
+				t.Fatalf("chain file %s not listed (purge would leak it)", name)
+			}
+		}
+
+		js.purge()
+		entries, err = os.ReadDir(js.dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if strings.HasPrefix(e.Name(), "job-1.") {
+				t.Fatalf("purge left %s behind", e.Name())
+			}
+		}
+		if tracked, walked := js.ts.verifyBytes(); tracked != walked {
+			t.Fatalf("byte accounting drifted after purge: tracked %d, walked %d", tracked, walked)
+		}
 	})
-}
-
-func chainFilesAreChainRecords(t *testing.T, st *store, ranges int) {
-	chainVictim(t, st, "job-1", 4, 3)
-	js := chainHandle(st, "job-1", ranges)
-	listed := map[string]bool{}
-	for _, rec := range js.listChain() {
-		listed[rec.path] = true
-	}
-	entries, err := os.ReadDir(js.dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, "job-1.ckpt-") {
-			continue
-		}
-		if !listed[js.path(strings.TrimPrefix(name, "job-1"))] {
-			t.Fatalf("chain file %s not listed (purge would leak it)", name)
-		}
-	}
-
-	js.purge()
-	entries, err = os.ReadDir(js.dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), "job-1.") {
-			t.Fatalf("purge left %s behind", e.Name())
-		}
-	}
-	if tracked, walked := js.ts.verifyBytes(); tracked != walked {
-		t.Fatalf("byte accounting drifted after purge: tracked %d, walked %d", tracked, walked)
-	}
 }

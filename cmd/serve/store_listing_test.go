@@ -14,12 +14,9 @@ import (
 	"github.com/sociograph/reconcile/internal/tenant"
 )
 
-// recordName is the file name of range rng's record of checkpoint seq.
-func recordName(id string, seq, rng int, kind string) string {
-	if rng == 0 {
-		return fmt.Sprintf("%s.ckpt-%08d.%s", id, seq, kind)
-	}
-	return fmt.Sprintf("%s.ckpt-%08d.r%04d.%s", id, seq, rng, kind)
+// recordName is the file name of checkpoint seq's record.
+func recordName(id string, seq int, kind string) string {
+	return fmt.Sprintf("%s.ckpt-%08d.%s", id, seq, kind)
 }
 
 // listingVictim persists job id (number num) on st: a frontier run of six
@@ -70,39 +67,45 @@ func listingVictim(t *testing.T, st *store, id string, num int, seedFrac float64
 
 // TestStoreBootListing pins what a boot reads from one shard directory
 // holding jobs whose IDs prefix one another (job-1, job-12, job-123), a
-// stale temp file, files that belong to no job, ranged chains and a torn
-// tail: which jobs load, the state each replays, the checkpoints each
-// drops, the sequence number each continues from, and the files boot
-// compaction leaves. The chains are written keeping three fulls and booted
-// keeping one, so the compaction has records to retire. Every expectation
-// is what per-job globs of the directory read.
+// stale temp file, files that belong to no job, range-tail files of the
+// kind earlier servers wrote beside a record, and a torn newest full: which
+// jobs load, the state each replays, the checkpoints each drops, the
+// sequence number each continues from, and the files boot compaction
+// leaves. The chains are written keeping three fulls and booted keeping
+// one, so the compaction has records to retire. Every expectation is what
+// per-job globs of the directory read.
 func TestStoreBootListing(t *testing.T) {
 	dir := t.TempDir()
-	write := func(rangeNodes int) *store {
-		st, err := newStore(dir, storeConfig{shards: 1, fullEvery: 2, keep: 3, rangeNodes: rangeNodes})
+	write := func() *store {
+		st, err := newStore(dir, storeConfig{shards: 1, fullEvery: 2, keep: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return st
 	}
 	// Checkpoints 1-5 alternate full and delta: 1 F, 2 D, 3 F, 4 D, 5 F.
-	// testInstance(400) has 800 nodes, so -range-nodes 200 writes R = 4.
 	states := map[string][][]byte{
-		"job-1":   listingVictim(t, write(0), "job-1", 1, 0.15, 5),
-		"job-12":  listingVictim(t, write(200), "job-12", 12, 0.2, 4),
-		"job-123": listingVictim(t, write(200), "job-123", 123, 0.25, 5),
+		"job-1":   listingVictim(t, write(), "job-1", 1, 0.15, 5),
+		"job-12":  listingVictim(t, write(), "job-12", 12, 0.2, 4),
+		"job-123": listingVictim(t, write(), "job-123", 123, 0.25, 5),
 	}
 	shard := filepath.Join(dir, tenant.Default, "shard-00")
-	// job-123's newest full loses a tail: recovery falls back to 3 F + 4 D
-	// and drops checkpoint 5.
-	if err := os.Remove(filepath.Join(shard, recordName("job-123", 5, 2, "full"))); err != nil {
-		t.Fatal(err)
+	// job-123's newest full is torn: recovery falls back to 3 F + 4 D and
+	// drops checkpoint 5.
+	rewrite(t, filepath.Join(shard, recordName("job-123", 5, "full")), func(raw []byte) []byte { return raw[:len(raw)/2] })
+	// Range tails are not chain records: neither replay nor compaction
+	// touches them, though job-1's and job-12's sit below the sequence
+	// numbers their compaction retires.
+	tails := []string{
+		recordName("job-1", 1, "r0001.full"),
+		recordName("job-12", 2, "r0001.delta"),
+		recordName("job-123", 5, "r0001.full"),
 	}
-	for _, name := range []string{
-		recordName("job-1", 6, 0, "full") + ".tmp-42", // a crash mid-write
-		recordName("job-9", 1, 0, "full"),             // a record of a job with no meta
+	for _, name := range append([]string{
+		recordName("job-1", 6, "full") + ".tmp-42", // a crash mid-write
+		recordName("job-9", 1, "full"),             // a record of a job with no meta
 		"notes.txt",
-	} {
+	}, tails...) {
 		if err := os.WriteFile(filepath.Join(shard, name), []byte("stray"), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -139,6 +142,11 @@ func TestStoreBootListing(t *testing.T) {
 		if p.dropped != w.dropped || p.js.seq != w.next {
 			t.Errorf("%s: dropped %d, continues from #%d; want %d and #%d", w.id, p.dropped, p.js.seq, w.dropped, w.next)
 		}
+		for _, rec := range p.js.listChain() {
+			if slices.Contains(tails, filepath.Base(rec.path)) {
+				t.Errorf("%s: range tail %s listed as a chain record", w.id, rec.path)
+			}
+		}
 		rec, err := reconcile.RestoreSessionState(p.g1, p.g2, p.state)
 		if err != nil {
 			t.Fatalf("%s: %v", w.id, err)
@@ -159,16 +167,12 @@ func TestStoreBootListing(t *testing.T) {
 	for _, id := range []string{"job-1", "job-12", "job-123"} {
 		retained = append(retained, id+".g1", id+".g2", id+".meta.json")
 	}
-	retained = append(retained, recordName("job-1", 5, 0, "full"), recordName("job-9", 1, 0, "full"), "notes.txt")
-	for rng := 0; rng < 4; rng++ {
-		retained = append(retained, recordName("job-12", 3, rng, "full"), recordName("job-12", 4, rng, "delta"))
-		for seq := 1; seq <= 5; seq++ {
-			kind := []string{"full", "delta"}[1-seq%2]
-			if seq != 5 || rng != 2 {
-				retained = append(retained, recordName("job-123", seq, rng, kind))
-			}
-		}
+	retained = append(retained, recordName("job-1", 5, "full"), recordName("job-9", 1, "full"), "notes.txt")
+	retained = append(retained, recordName("job-12", 3, "full"), recordName("job-12", 4, "delta"))
+	for seq := 1; seq <= 5; seq++ {
+		retained = append(retained, recordName("job-123", seq, []string{"full", "delta"}[1-seq%2]))
 	}
+	retained = append(retained, tails...)
 	slices.Sort(retained)
 	entries, err := os.ReadDir(shard)
 	if err != nil {

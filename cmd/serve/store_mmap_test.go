@@ -10,9 +10,8 @@ import (
 	"github.com/sociograph/reconcile"
 )
 
-// TestStoreMappedRestartLifecycle pins the -mmap lifetime across a restart,
-// for one-range and ranged chains alike: graphs written in the mappable
-// format come back as live mappings, seed ingestion runs over the mapped
+// TestStoreMappedRestartLifecycle pins the -mmap lifetime across a restart:
+// graphs written in the mappable format come back as live mappings, seed ingestion runs over the mapped
 // arrays (pinned for the run's duration), and DELETE waits out the run,
 // purges the files and closes the mapping — after which access fails
 // cleanly.

@@ -124,11 +124,18 @@ func DiffStates(base, cur *SessionState) (*StateDelta, error) {
 }
 
 // ApplyDelta replays a delta onto the base state it was diffed from and
-// returns the resulting state; base is not modified. The base's position is
-// checked against the delta's fingerprint, so a delta applied out of order,
-// onto the wrong base, or after corruption the codec's CRC somehow missed
-// returns an error — never a wrong state.
+// returns the resulting state. The base's position is checked against the
+// delta's fingerprint, so a delta applied out of order, onto the wrong base,
+// or after corruption the codec's CRC somehow missed returns an error —
+// never a wrong state — and leaves base as it was.
 // ApplyDelta(base, d) for d = DiffStates(base, cur) reproduces cur exactly.
+//
+// The result takes over base's pair log: the new pairs are appended in
+// place, growing the array geometrically when it is full, so replaying a
+// full and k deltas copies the matching a few times in all rather than once
+// per delta. base itself still reads as before, but a base must not be
+// applied to twice: the second result would overwrite the first's appended
+// entries.
 func ApplyDelta(base *SessionState, d *StateDelta) (*SessionState, error) {
 	if base == nil || d == nil {
 		return nil, errors.New("core: apply delta: nil argument")
@@ -162,7 +169,7 @@ func ApplyDelta(base *SessionState, d *StateDelta) (*SessionState, error) {
 		PhasesDropped:  d.PhasesDropped,
 		DroppedMatched: d.DroppedMatched,
 		HybridFrontier: d.HybridFrontier,
-		Pairs:          appendCopy(base.Pairs, d.NewPairs),
+		Pairs:          append(base.Pairs, d.NewPairs...),
 		Phases:         phases,
 	}, nil
 }

@@ -53,7 +53,7 @@ func checkCandLists(t *testing.T, s *Session, ev PhaseEvent) {
 				}
 				return want[i] < want[j]
 			})
-			if got := c.list(id); !nodesEq(got, want) {
+			if got := c.list(id); !slices.Equal(got, want) {
 				t.Fatalf("sweep %d bucket %d: %s list(%d) = %v, want %v", ev.Iteration, ev.Bucket, side, x, got, want)
 			}
 		}

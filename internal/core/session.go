@@ -292,7 +292,11 @@ func (s *Session) Result() *Result {
 		Pairs:    s.m.Pairs(),
 		NewPairs: s.m.NewPairs(),
 		Seeds:    s.m.SeedCount(),
-		Phases:   append([]PhaseStat(nil), s.phases...),
+		Phases:   s.Phases(),
 		Totals:   t,
 	}
 }
+
+// Phases returns a copy of the retained phase log — Result's Phases —
+// without copying the matching.
+func (s *Session) Phases() []PhaseStat { return append([]PhaseStat(nil), s.phases...) }

@@ -18,11 +18,12 @@ import (
 // Records written while the frontier engine's proposal cache was part of
 // the durable state must keep decoding. testdata/legacy holds such records,
 // written by that encoder (see its README): version-1 and version-2 state
-// and delta records whose payloads end in a frontier section, and a
-// two-range checkpoint cut the way the Checkpointer cuts one. Each decodes,
+// and delta records whose payloads end in a frontier section. Each decodes,
 // with the frontier section dropped, to exactly the state this code exports
 // at the same schedule position of the same run, and restores to a run that
-// finishes bit-identically to the uninterrupted one.
+// finishes bit-identically to the uninterrupted one. The ranged-* records,
+// node-range slices of one checkpoint, are kept as more legacy sections for
+// the defensive-decode test.
 
 // legacyRun regenerates the run a legacy record was exported from:
 // testSession's instance for seed and n, run uninterrupted, with the state
@@ -130,33 +131,6 @@ func TestReadStateV2Frontier(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.check(t, "v2 hybrid delta", st, 28)
-}
-
-// TestReadRangedCheckpointV2 pins a two-range full checkpoint and the delta
-// checkpoint after it, each range carrying its slice of the cache rows and
-// the head the worklists.
-func TestReadRangedCheckpointV2(t *testing.T) {
-	r := newLegacyRun(t, 204, 300, core.EngineHybrid, 6)
-	parts := []*core.SessionState{
-		readLegacyState(t, "ranged-full.rsnp"),
-		readLegacyState(t, "ranged-full.r0001.rsnp"),
-	}
-	full, err := core.MergeStateRanges(parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.check(t, "ranged full", full, 19)
-
-	for i, name := range []string{"ranged-delta.rsnp", "ranged-delta.r0001.rsnp"} {
-		if parts[i], err = core.ApplyDelta(parts[i], readLegacyDelta(t, name)); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-	}
-	merged, err := core.MergeStateRanges(parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.check(t, "ranged delta", merged, 23)
 }
 
 // reframe rewrites a stream's CRC trailer after its body was edited.

@@ -12,9 +12,8 @@
 // state-only snapshot (for stores that write the immutable graphs once and
 // checkpoint only the mutable state), and a delta record (the changes since
 // a prior state checkpoint — see delta.go — for stores that checkpoint every
-// sweep and amortize full snapshots). A large job's per-node-range
-// checkpoint is R ordinary state or delta records, one per range. The
-// encoding is canonical — one byte stream per value — so decode∘encode is
+// sweep and amortize full snapshots). A checkpoint chain is one such state
+// or delta record per checkpoint. The encoding is canonical — one byte stream per value — so decode∘encode is
 // the identity on bytes as well as on values for every stream this encoder
 // writes, which the round-trip fuzz suite pins (a legacy frontier section,
 // see Version, is dropped on decode).

@@ -35,8 +35,8 @@ const (
 	KindSweep            Kind = "sweep"             // one full sweep of the bucket schedule
 	KindBucket           Kind = "bucket"            // one bucket phase within a sweep
 	KindHandoff          Kind = "engine-handoff"    // hybrid parallel→frontier state build
-	KindCheckpointWrite  Kind = "checkpoint-write"  // one checkpoint record (or range shard) written+fsynced
-	KindCheckpointReplay Kind = "checkpoint-replay" // one checkpoint record (or range shard) replayed at boot
+	KindCheckpointWrite  Kind = "checkpoint-write"  // one checkpoint record written+fsynced
+	KindCheckpointReplay Kind = "checkpoint-replay" // one checkpoint record replayed at boot
 	KindSlotWait         Kind = "slot-wait"         // scheduler Acquire: queued for a run slot
 	KindSeedIngest       Kind = "seed-ingest"       // AddSeeds batch applied to the session
 	KindGraphOpen        Kind = "graph-open"        // graph container opened (mapped or heap)

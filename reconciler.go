@@ -152,6 +152,10 @@ func (r *Reconciler) AddSeeds(seeds []Pair) error { return r.sess.AddSeeds(seeds
 // links (seeds first), discoveries, and per-bucket phase statistics.
 func (r *Reconciler) Result() *Result { return r.sess.Result() }
 
+// Phases returns the per-bucket phase statistics Result reports, without
+// copying the links.
+func (r *Reconciler) Phases() []PhaseStat { return r.sess.Phases() }
+
 // Len returns the current number of links, seeds included.
 func (r *Reconciler) Len() int { return r.sess.Len() }
 

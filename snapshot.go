@@ -138,15 +138,15 @@ func restoreReconciler(g1, g2 *Graph, st *core.SessionState, opts []Option) (*Re
 }
 
 // SessionState is a decoded state-only checkpoint held as a value:
-// ApplyRanges advances a checkpoint's range states by its delta records,
-// and RestoreSessionState attaches the final state to its graphs. It is the
+// ApplyDelta advances it by a chain's delta records, and
+// RestoreSessionState attaches the final state to its graphs. It is the
 // replay half of the Checkpointer's chain format.
 type SessionState struct {
 	st *core.SessionState
 }
 
 // ReadSessionState reads a state-only snapshot (written by SnapshotState, or
-// a full Checkpoint's range record) without yet attaching it to graphs.
+// a full Checkpoint's record) without yet attaching it to graphs.
 func ReadSessionState(r io.Reader) (*SessionState, error) {
 	st, err := snapshot.ReadState(r)
 	if err != nil {
@@ -160,7 +160,7 @@ type StateDelta struct {
 	d *core.StateDelta
 }
 
-// ReadStateDelta reads a delta Checkpoint's range record.
+// ReadStateDelta reads a delta Checkpoint's record.
 func ReadStateDelta(r io.Reader) (*StateDelta, error) {
 	d, err := snapshot.ReadDelta(r)
 	if err != nil {
