@@ -309,6 +309,7 @@ func benchIncrementalCheckpoint(b *testing.B, engine reconcile.Engine, checkpoin
 		b.Fatal("instance has too few seeds")
 	}
 	early, late := inst.seeds[:len(inst.seeds)-hold], inst.seeds[len(inst.seeds)-hold:]
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()

@@ -162,13 +162,14 @@ func (j *job) persistLocked() error {
 }
 
 // view snapshots the job for JSON rendering. The lock covers only the
-// bookkeeping copies and one bulk pair snapshot; the per-pair wire
+// bookkeeping copies and taking a view of the link log; the per-pair wire
 // conversion (and the caller's JSON marshal) runs outside j.mu, so a
-// million-link ?pairs=1 read no longer stalls the run goroutine's progress
-// hook and checkpoint path for its duration. The snapshot must still be
-// taken under the lock: an addSeeds can restart the run (and with it the
-// only goroutine allowed to drive the Reconciler) the moment it is
-// released.
+// million-link ?pairs=1 read does not stall the run goroutine's progress
+// hook and checkpoint path for its duration. The view must still be taken
+// under the lock: an addSeeds can restart the run (and with it the only
+// goroutine allowed to drive the Reconciler) the moment it is released.
+// Reading it after the release is safe because a restarted run only
+// appends to the log past the view's length.
 func (j *job) view(includePairs bool) jobView {
 	j.mu.Lock()
 	v := jobView{
@@ -182,7 +183,7 @@ func (j *job) view(includePairs bool) jobView {
 	}
 	var pairs []reconcile.Pair
 	if includePairs && j.status != statusRunning {
-		pairs = j.rec.Result().Pairs // Result materializes a fresh copy
+		pairs = j.rec.Result().Pairs
 	}
 	j.mu.Unlock()
 	if pairs != nil {

@@ -8,7 +8,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 	"unsafe"
@@ -25,7 +27,11 @@ func testInstance(t *testing.T, n int, seedFrac float64) jobRequest {
 	world := reconcile.GeneratePA(r, n, 8)
 	g1, g2 := reconcile.IndependentCopies(r, world, 0.8, 0.8)
 	seeds := reconcile.Seeds(r, reconcile.IdentityPairs(n), seedFrac)
+	return wireInstance(g1, g2, seeds)
+}
 
+// wireInstance renders an instance as a job submission.
+func wireInstance(g1, g2 *reconcile.Graph, seeds []reconcile.Pair) jobRequest {
 	spec := func(g *reconcile.Graph) graphSpec {
 		s := graphSpec{Nodes: g.NumNodes()}
 		g.Edges(func(e reconcile.Edge) bool {
@@ -451,5 +457,118 @@ func TestWirePhasesCopiesNoPairs(t *testing.T) {
 	}
 	if least > bound {
 		t.Fatalf("building %d wire phases allocated %d bytes, want at most %d whatever the %d links", phases, least, bound, restored.Len())
+	}
+}
+
+// TestServePairsDuringSeedRestarts polls GET .../jobs/{id}?pairs=1 while
+// seed POSTs restart the job. A served list is a view of the job's link log
+// converted after j.mu is released, so a restarted run may append to the
+// log during the conversion; it only ever appends past the view's length.
+// Under -race this pins that the two never touch the same memory, and every
+// served list must be a prefix of the final one.
+func TestServePairsDuringSeedRestarts(t *testing.T) {
+	ts := httptest.NewServer(newTestServer(t, nil).handler())
+	defer ts.Close()
+	// A sparse instance, so that every round finds true links to ingest.
+	r := reconcile.NewRand(73)
+	g1, g2 := reconcile.IndependentCopies(r, reconcile.GeneratePA(r, 2000, 3), 0.5, 0.5)
+	req := wireInstance(g1, g2, reconcile.Seeds(r, reconcile.IdentityPairs(2000), 0.05))
+	resp := postJSON(t, ts.URL+"/v1/jobs", req)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST /v1/jobs: status %d", resp.StatusCode)
+	}
+	id := decode[map[string]string](t, resp)["id"]
+	url := fmt.Sprintf("%s/v1/jobs/%s?pairs=1", ts.URL, id)
+
+	var (
+		mu     sync.Mutex
+		served [][][2]int
+		stop   = make(chan struct{})
+		wg     sync.WaitGroup
+	)
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				resp, err := http.Get(url)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var v jobView
+				err = json.NewDecoder(resp.Body).Decode(&v)
+				resp.Body.Close()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if v.Pairs != nil {
+					mu.Lock()
+					served = append(served, v.Pairs)
+					mu.Unlock()
+				}
+			}
+		}()
+	}
+
+	restarts := 0
+	for range 8 {
+		v := waitForJob(t, ts.URL, id)
+		if v.Status != statusDone {
+			t.Fatalf("status %q (%s), want done", v.Status, v.Error)
+		}
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		linked := decode[jobView](t, resp).Pairs
+		usedL := make(map[int]bool, len(linked))
+		usedR := make(map[int]bool, len(linked))
+		for _, p := range linked {
+			usedL[p[0]], usedR[p[1]] = true, true
+		}
+		var fresh [][2]int
+		for i := 0; i < req.G1.Nodes && len(fresh) < 10; i++ {
+			if !usedL[i] && !usedR[i] {
+				fresh = append(fresh, [2]int{i, i})
+			}
+		}
+		if len(fresh) == 0 {
+			break
+		}
+		resp = postJSON(t, fmt.Sprintf("%s/v1/jobs/%s/seeds", ts.URL, id), map[string]any{"seeds": fresh})
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("POST seeds: status %d", resp.StatusCode)
+		}
+		restarts++
+	}
+	final := waitForJob(t, ts.URL, id)
+	close(stop)
+	wg.Wait()
+	if restarts < 2 {
+		t.Fatalf("only %d seed restarts; the polls raced nothing", restarts)
+	}
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := decode[jobView](t, resp).Pairs
+	if len(want) != final.Links {
+		t.Fatalf("final list holds %d pairs, the job %d links", len(want), final.Links)
+	}
+	if len(served) == 0 {
+		t.Fatal("no poll saw a pair list")
+	}
+	for i, got := range served {
+		if len(got) > len(want) || !slices.Equal(got, want[:len(got)]) {
+			t.Fatalf("served list %d (%d pairs) is not a prefix of the final %d", i, len(got), len(want))
+		}
 	}
 }

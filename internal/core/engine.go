@@ -23,11 +23,17 @@ type PhaseTotals struct {
 }
 
 // Result is the output of Reconcile.
+//
+// Pairs and NewPairs are read-only views of the session's append-only link
+// log, shared with the session rather than copied: they never change after
+// the Result is returned, however the matching grows, and their capacity
+// equals their length, so an append reallocates. They must not be written;
+// slices.Clone gives a copy to own. Phases is a copy.
 type Result struct {
 	// Pairs holds every link in L: the seeds first, then discoveries in the
 	// order they were made.
 	Pairs []graph.Pair
-	// NewPairs holds only the discovered links.
+	// NewPairs holds only the discovered links: Pairs[Seeds:].
 	NewPairs []graph.Pair
 	// Seeds is the number of seed links the run started from.
 	Seeds int

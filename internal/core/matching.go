@@ -14,7 +14,7 @@ const NoMatch = ^graph.NodeID(0)
 type Matching struct {
 	left  []graph.NodeID // left[v1] = v2 or NoMatch
 	right []graph.NodeID // right[v2] = v1 or NoMatch
-	pairs []graph.Pair   // insertion order; seeds first
+	pairs []graph.Pair   // insertion order, seeds first; append-only (Pairs returns views)
 	seeds int            // how many of pairs are seeds
 }
 
@@ -90,20 +90,17 @@ func (m *Matching) Len() int { return len(m.pairs) }
 // SeedCount returns how many of the pairs are original seeds.
 func (m *Matching) SeedCount() int { return m.seeds }
 
-// Pairs returns all linked pairs in insertion order (seeds first). The
-// returned slice is a copy.
-func (m *Matching) Pairs() []graph.Pair {
-	out := make([]graph.Pair, len(m.pairs))
-	copy(out, m.pairs)
-	return out
-}
+// Pairs returns all linked pairs in insertion order (seeds first) as a
+// read-only view of the append-only log, not a copy. The log's first Len()
+// entries are never rewritten, and the view's capacity equals its length,
+// so a caller's append reallocates: the view stays valid and unchanged
+// while the matching grows. Callers must not write into it; slices.Clone
+// gives a slice to own.
+func (m *Matching) Pairs() []graph.Pair { return m.pairs[:len(m.pairs):len(m.pairs)] }
 
-// NewPairs returns the discovered pairs (everything after the seeds).
-func (m *Matching) NewPairs() []graph.Pair {
-	out := make([]graph.Pair, len(m.pairs)-m.seeds)
-	copy(out, m.pairs[m.seeds:])
-	return out
-}
+// NewPairs returns the discovered pairs (everything after the seeds), a
+// read-only view of the log like Pairs.
+func (m *Matching) NewPairs() []graph.Pair { return m.pairs[m.seeds:len(m.pairs):len(m.pairs)] }
 
 // validateInjective is a test hook: it checks that left and right arrays
 // describe the same injective mapping as pairs.

@@ -281,7 +281,9 @@ func (s *Session) RunUntilStable(ctx context.Context, maxSweeps int) (int, error
 // Len returns the current number of links, seeds included.
 func (s *Session) Len() int { return s.m.Len() }
 
-// Result snapshots the session as a Result (same layout as Reconcile's).
+// Result snapshots the session as a Result (same layout as Reconcile's). It
+// copies only the phase window: Pairs and NewPairs are read-only views of
+// the link log (see Result), so a call costs nothing per link.
 func (s *Session) Result() *Result {
 	t := s.dropped
 	t.Buckets += len(s.phases)
@@ -297,6 +299,5 @@ func (s *Session) Result() *Result {
 	}
 }
 
-// Phases returns a copy of the retained phase log — Result's Phases —
-// without copying the matching.
+// Phases returns a copy of the retained phase log — Result's Phases.
 func (s *Session) Phases() []PhaseStat { return append([]PhaseStat(nil), s.phases...) }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/sociograph/reconcile/internal/graph"
 )
@@ -61,7 +62,7 @@ func (s *Session) ExportState() *SessionState {
 		Opts:           s.opts,
 		N1:             s.g1.NumNodes(),
 		N2:             s.g2.NumNodes(),
-		Pairs:          s.m.Pairs(),
+		Pairs:          slices.Clone(s.m.Pairs()),
 		Seeds:          s.m.SeedCount(),
 		Sweeps:         s.sweeps,
 		NextBucket:     s.pos,

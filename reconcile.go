@@ -99,7 +99,9 @@ type AffiliationNetwork = gen.AffiliationNetwork
 type Options = core.Options
 
 // Result is the matcher's output: all links (seeds first), the discovered
-// links, and per-phase statistics.
+// links, and per-phase statistics. A Reconciler's Results share their link
+// slices with it: they never change after return and must not be written
+// (slices.Clone them to own a copy).
 type Result = core.Result
 
 // PhaseRetainSweeps is how many of the most recent sweeps keep per-bucket

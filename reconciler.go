@@ -127,14 +127,17 @@ func New(g1, g2 *Graph, opts ...Option) (*Reconciler, error) {
 // boundary. On expiry it returns the partial Result accumulated so far
 // together with ctx.Err(); the partial result is valid (links are never
 // retracted), and the Reconciler remains usable — a later Run resumes from
-// the current state.
+// the current state. The Result's Pairs and NewPairs are shared with the
+// Reconciler, not copied: they never change after Run returns, and they
+// must not be written (slices.Clone them to own a copy).
 func (r *Reconciler) Run(ctx context.Context) (*Result, error) {
 	_, err := r.sess.Run(ctx, r.opts.Iterations)
 	return r.sess.Result(), err
 }
 
 // RunUntilStable sweeps until a full sweep discovers nothing new, maxSweeps
-// is reached, or ctx ends (checked at bucket boundaries, like Run).
+// is reached, or ctx ends (checked at bucket boundaries, like Run). Its
+// Result shares the link slices with the Reconciler, as Run's does.
 func (r *Reconciler) RunUntilStable(ctx context.Context, maxSweeps int) (*Result, error) {
 	_, err := r.sess.RunUntilStable(ctx, maxSweeps)
 	return r.sess.Result(), err
@@ -149,11 +152,13 @@ func (r *Reconciler) RunUntilStable(ctx context.Context, maxSweeps int) (*Result
 func (r *Reconciler) AddSeeds(seeds []Pair) error { return r.sess.AddSeeds(seeds) }
 
 // Result snapshots the current state in Run's output layout: all
-// links (seeds first), discoveries, and per-bucket phase statistics.
+// links (seeds first), discoveries, and per-bucket phase statistics. It
+// copies only the phase statistics: the link slices are shared with the
+// Reconciler, never change after return and must not be written, as with
+// Run, so a call costs nothing per link.
 func (r *Reconciler) Result() *Result { return r.sess.Result() }
 
-// Phases returns the per-bucket phase statistics Result reports, without
-// copying the links.
+// Phases returns a copy of the per-bucket phase statistics Result reports.
 func (r *Reconciler) Phases() []PhaseStat { return r.sess.Phases() }
 
 // Len returns the current number of links, seeds included.

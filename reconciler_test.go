@@ -1,10 +1,14 @@
 package reconcile_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"github.com/sociograph/reconcile"
 )
@@ -267,5 +271,180 @@ func TestWithProgressMatchesPhases(t *testing.T) {
 		if e.Bucket < 1 || e.Bucket > e.Buckets {
 			t.Fatalf("event %d: bucket %d of %d", i, e.Bucket, e.Buckets)
 		}
+	}
+}
+
+// TestResultViewsStayFixed pins the contract of every Result a Reconciler
+// hands out: Pairs and NewPairs are read-only views of the append-only link
+// log. A Result taken from Run, RunUntilStable, Resume, Result or a progress
+// hook mid-run still reads as it did when taken after later ingests grow the
+// matching past it, and a caller's append to its slices reallocates instead
+// of reaching the Reconciler.
+func TestResultViewsStayFixed(t *testing.T) {
+	// A sparse instance, so that many true links stay to be ingested.
+	r := reconcile.NewRand(8)
+	g1, g2 := reconcile.IndependentCopies(r, reconcile.GeneratePA(r, 2000, 3), 0.5, 0.5)
+	seeds := reconcile.Seeds(r, reconcile.IdentityPairs(2000), 0.05)
+
+	type held struct {
+		from            string
+		res             *reconcile.Result
+		pairs, newPairs []reconcile.Pair // copies made when res was taken
+	}
+	var taken []held
+	hold := func(from string, res *reconcile.Result) {
+		taken = append(taken, held{from, res, slices.Clone(res.Pairs), slices.Clone(res.NewPairs)})
+	}
+	// ingest adds up to 20 true links (the copies share node IDs) whose
+	// endpoints are both still unlinked, so every ingest grows the matching.
+	next := 0
+	ingest := func(rec *reconcile.Reconciler) {
+		t.Helper()
+		usedL, usedR := map[reconcile.NodeID]bool{}, map[reconcile.NodeID]bool{}
+		for _, p := range rec.Result().Pairs {
+			usedL[p.Left], usedR[p.Right] = true, true
+		}
+		var fresh []reconcile.Pair
+		for ; next < g1.NumNodes() && len(fresh) < 20; next++ {
+			if v := reconcile.NodeID(next); !usedL[v] && !usedR[v] {
+				fresh = append(fresh, reconcile.Pair{Left: v, Right: v})
+			}
+		}
+		if len(fresh) == 0 {
+			t.Fatal("no unlinked node left to ingest")
+		}
+		if err := rec.AddSeeds(fresh); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var rec *reconcile.Reconciler
+	hooked := false
+	rec, err := reconcile.New(g1, g2, reconcile.WithSeeds(seeds),
+		reconcile.WithProgress(func(e reconcile.PhaseEvent) {
+			// The first bucket that links something, mid-sweep.
+			if !hooked && e.Matched > 0 && e.Bucket < e.Buckets {
+				hooked = true
+				hold("progress hook", rec.Result())
+				cancel()
+			}
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := rec.Run(ctx)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run: err = %v, want the hook's cancel", err)
+	}
+	hold("Run", res)
+	if res, err = rec.Resume(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	hold("Resume", res)
+	ingest(rec)
+	if res, err = rec.RunUntilStable(context.Background(), 10); err != nil {
+		t.Fatal(err)
+	}
+	hold("RunUntilStable", res)
+	ingest(rec)
+	if _, err := rec.RunUntilStable(context.Background(), 10); err != nil {
+		t.Fatal(err)
+	}
+	hold("Result", rec.Result())
+	last := rec.Len()
+	for i := 0; i < 3; i++ {
+		ingest(rec)
+		if _, err := rec.RunUntilStable(context.Background(), 10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rec.Len() <= last {
+		t.Fatalf("later ingests left the matching at %d links; the views are not tested past their length", last)
+	}
+
+	for _, h := range taken {
+		if !slices.Equal(h.res.Pairs, h.pairs) || !slices.Equal(h.res.NewPairs, h.newPairs) {
+			t.Fatalf("%s: Result changed after the matching grew from %d to %d links", h.from, len(h.pairs), rec.Len())
+		}
+		if !slices.Equal(h.res.NewPairs, h.res.Pairs[h.res.Seeds:]) {
+			t.Fatalf("%s: NewPairs is not Pairs[Seeds:]", h.from)
+		}
+		if cap(h.res.Pairs) != len(h.res.Pairs) || cap(h.res.NewPairs) != len(h.res.NewPairs) {
+			t.Fatalf("%s: views have spare capacity (Pairs %d/%d, NewPairs %d/%d), so an append would write into the log",
+				h.from, len(h.res.Pairs), cap(h.res.Pairs), len(h.res.NewPairs), cap(h.res.NewPairs))
+		}
+	}
+
+	// A caller's append to the current views must reach neither the next
+	// Result nor the state.
+	cur := rec.Result()
+	want := slices.Clone(cur.Pairs)
+	var before bytes.Buffer
+	if err := rec.SnapshotState(&before); err != nil {
+		t.Fatal(err)
+	}
+	stray := reconcile.Pair{Left: 1<<32 - 2, Right: 1<<32 - 2}
+	_ = append(cur.Pairs, stray)
+	_ = append(cur.NewPairs, stray)
+	for _, h := range taken {
+		_ = append(h.res.Pairs, stray)
+		_ = append(h.res.NewPairs, stray)
+	}
+	again := rec.Result()
+	if !slices.Equal(again.Pairs, want) || !slices.Equal(again.NewPairs, want[again.Seeds:]) {
+		t.Fatal("appending to a Result's slices changed the next Result")
+	}
+	var after bytes.Buffer
+	if err := rec.SnapshotState(&after); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before.Bytes(), after.Bytes()) {
+		t.Fatal("appending to a Result's slices changed the SnapshotState bytes")
+	}
+}
+
+// TestConvergedRunCopiesNoLinks pins that a sweep of a converged Reconciler
+// and the Results it hands out allocate in proportion to the phase window,
+// not to the link log: Run, RunUntilStable and Result return views of the
+// log instead of copies. It is an exact count, so it holds on any hardware.
+func TestConvergedRunCopiesNoLinks(t *testing.T) {
+	inst := makeInstance(10000, 10)
+	rec, err := reconcile.New(inst.g1, inst.g2, reconcile.WithSeeds(inst.seeds))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := rec.RunUntilStable(ctx, 10); err != nil {
+		t.Fatal(err)
+	}
+	// Each of the two Results copies the phase window, and the sweep may
+	// regrow the session's own window once; 1 KiB covers the Result headers
+	// and the sweep's bookkeeping.
+	phases := len(rec.Phases())
+	bound := uint64(4*phases)*uint64(unsafe.Sizeof(reconcile.PhaseStat{})) + 1024
+	if pairLog := uint64(rec.Len()) * uint64(unsafe.Sizeof(reconcile.Pair{})); pairLog < 4*bound {
+		t.Fatalf("the %d-byte pair log is too small to tell a pair copy from the phase log (bound %d)", pairLog, bound)
+	}
+	var least uint64
+	for try := 0; try < 3; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := rec.RunUntilStable(ctx, 1)
+		again := rec.Result()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Pairs) != rec.Len() || len(again.Pairs) != rec.Len() {
+			t.Fatalf("Results hold %d and %d links, the Reconciler %d", len(res.Pairs), len(again.Pairs), rec.Len())
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; try == 0 || grew < least {
+			least = grew
+		}
+	}
+	if least > bound {
+		t.Fatalf("a converged sweep and two Results allocated %d bytes, want at most %d whatever the %d links", least, bound, rec.Len())
 	}
 }

@@ -58,6 +58,7 @@ func (r *Reconciler) Sweeps() int { return r.sess.Sweeps() }
 // on the original Iterations budget. On a Reconciler whose schedule already
 // completed it is a no-op. Run, by contrast, always performs Iterations
 // fresh sweeps; after a restore, Resume is almost always what you want.
+// Its Result shares the link slices with the Reconciler, as Run's does.
 func (r *Reconciler) Resume(ctx context.Context) (*Result, error) {
 	remaining := r.opts.Iterations - r.sess.Sweeps()
 	if remaining < 0 {
