@@ -179,7 +179,8 @@ func BenchmarkAblationBucketing(b *testing.B) {
 	b.ReportMetric(float64(data.Unbucketed.Bad), "unbucketed-bad")
 }
 
-// --- matcher micro-benchmarks (per-edge cost, engine comparison) ---
+// --- matcher micro-benchmarks (per-edge cost; the gated engine rows live in
+// internal/core, where each execution path can be pinned) ---
 
 type benchInstance struct {
 	g1, g2 *reconcile.Graph
@@ -195,8 +196,7 @@ func makeInstance(n, m int) benchInstance {
 }
 
 // BenchmarkReconcilePA measures the end-to-end matcher on a PA instance
-// (n=20k, m=20 — Figure 2's shape at bench scale), default (hybrid)
-// engine.
+// (n=20k, m=20 — Figure 2's shape at bench scale).
 func BenchmarkReconcilePA(b *testing.B) {
 	inst := makeInstance(20000, 20)
 	benchBatch(b, inst, reconcile.DefaultOptions())
@@ -211,81 +211,16 @@ func benchBatch(b *testing.B, inst benchInstance, opts reconcile.Options) {
 	}
 }
 
-// BenchmarkReconcileSequential is the single-threaded reference cost.
-func BenchmarkReconcileSequential(b *testing.B) {
-	inst := makeInstance(10000, 10)
-	opts := reconcile.DefaultOptions()
-	opts.Engine = reconcile.EngineSequential
-	benchBatch(b, inst, opts)
-}
-
-// BenchmarkReconcileParallel is the same instance on the parallel engine —
-// the speedup over BenchmarkReconcileSequential is the scalability headline.
-func BenchmarkReconcileParallel(b *testing.B) {
-	inst := makeInstance(10000, 10)
-	opts := reconcile.DefaultOptions()
-	opts.Engine = reconcile.EngineParallel
-	benchBatch(b, inst, opts)
-}
-
-// BenchmarkReconcileFrontier is the same instance on the frontier engine —
-// identical output to BenchmarkReconcileSequential/Parallel with only the
-// dirty neighborhoods of committed links re-scored each pass. The ratio to
-// BenchmarkReconcileParallel is the incremental-scheduling headline tracked
-// in BENCH_engines.json.
-func BenchmarkReconcileFrontier(b *testing.B) {
-	inst := makeInstance(10000, 10)
-	opts := reconcile.DefaultOptions()
-	opts.Engine = reconcile.EngineFrontier
-	benchBatch(b, inst, opts)
-}
-
-// BenchmarkReconcileHybrid is the same instance on the hybrid engine — the
-// default. Cold batch runs stay in the parallel regime until the commit rate
-// decays, so this row must track BenchmarkReconcileParallel, not
-// BenchmarkReconcileFrontier's 0.4x; the recorded gap is the cost of the
-// late-sweep handoff minus the frontier's win on the converged tail.
-func BenchmarkReconcileHybrid(b *testing.B) {
-	inst := makeInstance(10000, 10)
-	opts := reconcile.DefaultOptions()
-	opts.Engine = reconcile.EngineHybrid
-	benchBatch(b, inst, opts)
-}
-
-// BenchmarkReconcileFrontierIncremental measures the production steady
-// state the frontier engine exists for: a converged Reconciler ingesting a
-// small batch of new trusted links and re-sweeping. The full engines pay a
-// complete re-scan per sweep here; the frontier touches only the new links'
-// neighborhoods.
-func BenchmarkReconcileFrontierIncremental(b *testing.B) {
-	benchIncremental(b, reconcile.EngineFrontier)
-}
-
-// BenchmarkReconcileParallelIncremental is the same incremental workload on
-// the full parallel engine, for the ratio.
-func BenchmarkReconcileParallelIncremental(b *testing.B) {
-	benchIncremental(b, reconcile.EngineParallel)
-}
-
-// BenchmarkReconcileHybridIncremental is the incremental workload on the
-// default engine: by ingest time the run converged long ago, so the hybrid
-// has handed off and this row must track the frontier's several-fold
-// win over BenchmarkReconcileParallelIncremental — the degenerate default
-// this PR's engine switch exists to fix, measured on the workload users get
-// without choosing an engine.
-func BenchmarkReconcileHybridIncremental(b *testing.B) {
-	benchIncremental(b, reconcile.EngineHybrid)
-}
-
 // BenchmarkReconcileFrontierIncrementalCheckpoint is the incremental
-// workload with a durable checkpoint taken at every sweep boundary (state
+// workload (internal/core's BenchmarkReconcileHybridIncremental: a
+// converged Reconciler, in the frontier regime by then, ingesting 20 new
+// seeds) with a durable checkpoint taken at every sweep boundary (state
 // encoded to a discarded stream — the serve job store's cadence minus the
-// disk). The delta against BenchmarkReconcileFrontierIncremental is the
-// per-checkpoint cost a -data-dir deployment pays; BENCH_snapshot.json
-// records both, and DESIGN.md's Durability section discusses choosing a
-// cadence.
+// disk). The delta against the incremental rows is the per-checkpoint cost
+// a -data-dir deployment pays; BENCH_snapshot.json records both, and
+// DESIGN.md's Durability section discusses choosing a cadence.
 func BenchmarkReconcileFrontierIncrementalCheckpoint(b *testing.B) {
-	benchIncrementalCheckpoint(b, reconcile.EngineFrontier, true)
+	benchIncrementalCheckpoint(b, true)
 }
 
 // BenchmarkReconcileFrontierIncrementalTraced is the incremental workload
@@ -295,14 +230,10 @@ func BenchmarkReconcileFrontierIncrementalCheckpoint(b *testing.B) {
 // opt-in price of recording spans.
 func BenchmarkReconcileFrontierIncrementalTraced(b *testing.B) {
 	tr := reconcile.NewTraceRecorder(reconcile.TraceConfig{})
-	benchIncrementalCheckpoint(b, reconcile.EngineFrontier, false, reconcile.WithTracer(tr))
+	benchIncrementalCheckpoint(b, false, reconcile.WithTracer(tr))
 }
 
-func benchIncremental(b *testing.B, engine reconcile.Engine) {
-	benchIncrementalCheckpoint(b, engine, false)
-}
-
-func benchIncrementalCheckpoint(b *testing.B, engine reconcile.Engine, checkpoint bool, extra ...reconcile.Option) {
+func benchIncrementalCheckpoint(b *testing.B, checkpoint bool, extra ...reconcile.Option) {
 	inst := makeInstance(10000, 10)
 	hold := 20
 	if len(inst.seeds) <= hold {
@@ -313,7 +244,7 @@ func benchIncrementalCheckpoint(b *testing.B, engine reconcile.Engine, checkpoin
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		opts := append([]reconcile.Option{reconcile.WithEngine(engine), reconcile.WithSeeds(early)}, extra...)
+		opts := append([]reconcile.Option{reconcile.WithSeeds(early)}, extra...)
 		var rec *reconcile.Reconciler
 		if checkpoint {
 			// Checkpoint at every sweep boundary, like cmd/serve's store; the
@@ -373,7 +304,7 @@ func BenchmarkReconcileMapReduce(b *testing.B) {
 }
 
 // BenchmarkBaselineCommonNeighbors measures the straightforward algorithm on
-// the same instance as BenchmarkReconcileSequential.
+// the same instance as internal/core's BenchmarkReconcileSequential.
 func BenchmarkBaselineCommonNeighbors(b *testing.B) {
 	inst := makeInstance(10000, 10)
 	opts := baseline.DefaultCommonNeighbors()
@@ -454,8 +385,9 @@ func BenchmarkExtTheory(b *testing.B) {
 	b.ReportMetric(wrong, "wrong-matches")
 }
 
-// BenchmarkReconcileAdamicAdar measures the weighted-scoring matcher on the
-// BenchmarkReconcileSequential instance (the weighting's runtime overhead).
+// BenchmarkReconcileAdamicAdar measures the weighted-scoring matcher on
+// internal/core's BenchmarkReconcileSequential instance (the weighting's
+// runtime overhead).
 func BenchmarkReconcileAdamicAdar(b *testing.B) {
 	inst := makeInstance(10000, 10)
 	opts := reconcile.DefaultOptions()

@@ -23,7 +23,7 @@ import (
 
 // ErrFullRequired reports that a delta checkpoint cannot be prepared — there
 // is no base yet, or the session changed in a way deltas do not express
-// (a hybrid session handing off to the frontier regime). Callers prepare a
+// (a session handing off to the frontier regime). Callers prepare a
 // full checkpoint and continue.
 var ErrFullRequired = errors.New("reconcile: delta checkpoint requires a full snapshot first")
 
@@ -68,7 +68,7 @@ func (ck *Checkpoint) Encode(w io.Writer) error {
 // Prepare exports the Reconciler's state as the next checkpoint of the
 // chain. With wantFull false it prepares a delta against the previous
 // committed checkpoint; if there is no base, or the state is not
-// delta-expressible from it (a hybrid regime handoff), nothing is prepared
+// delta-expressible from it (a regime handoff), nothing is prepared
 // and ErrFullRequired says to retry with wantFull true.
 func (c *Checkpointer) Prepare(r *Reconciler, wantFull bool) (*Checkpoint, error) {
 	if !wantFull && c.base == nil {

@@ -24,17 +24,17 @@ func chainInstance() (g1, g2 *Graph, seeds []Pair) {
 // TestChainByteIdentity pins the contract that keeps every chain already on
 // disk readable: a chain's full records are the SnapshotState bytes of the
 // same moment, and its delta records are the delta codec over DiffStates
-// of the exports at consecutive checkpoints — on every engine, including
-// the hybrid's mid-chain re-anchoring full.
+// of the exports at consecutive checkpoints — on every path, including the
+// default's mid-chain re-anchoring full at its handoff.
 func TestChainByteIdentity(t *testing.T) {
 	g1, g2, seeds := chainInstance()
-	for _, engine := range []Engine{EngineFrontier, EngineParallel, EngineSequential, EngineHybrid} {
-		t.Run(engine.String(), func(t *testing.T) {
+	for _, path := range PathNames {
+		t.Run(path, func(t *testing.T) {
 			var ckpt Checkpointer
 			var prev *core.SessionState
 			fulls, deltas := 0, 0
 			var victim *Reconciler
-			victim, err := New(g1, g2, WithSeeds(seeds), WithEngine(engine), WithIterations(8),
+			victim, err := NewOnPath(path, g1, g2, WithSeeds(seeds), WithIterations(8),
 				WithProgress(func(PhaseEvent) {
 					cur := victim.sess.ExportState()
 					ck, err := ckpt.Prepare(victim, prev == nil)
@@ -90,7 +90,7 @@ func TestChainByteIdentity(t *testing.T) {
 // state.
 func TestApplyDeltaRefusesMisfit(t *testing.T) {
 	g1, g2, seeds := chainInstance()
-	rec, err := New(g1, g2, WithSeeds(seeds), WithEngine(EngineFrontier), WithIterations(1))
+	rec, err := NewOnPath("frontier", g1, g2, WithSeeds(seeds), WithIterations(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,8 +175,10 @@ func TestReplayAllocation(t *testing.T) {
 	var records [][]byte
 	var ckpt Checkpointer
 	var rec *Reconciler
-	rec, err := New(g1, g2, WithSeeds(Seeds(r, IdentityPairs(n), 0.3)),
-		WithEngine(EngineParallel), WithIterations(2),
+	// In the frontier regime from the start, so no handoff re-anchors the
+	// chain: one full, then deltas.
+	rec, err := NewOnPath("frontier", g1, g2, WithSeeds(Seeds(r, IdentityPairs(n), 0.3)),
+		WithIterations(2),
 		WithProgress(func(PhaseEvent) {
 			ck, err := ckpt.Prepare(rec, len(records) == 0)
 			if err != nil {

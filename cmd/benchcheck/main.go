@@ -29,8 +29,8 @@
 // measured Default row is no slower than the best of the fixed rows times
 // (1+tolerance). Unlike the baseline gate, this compares rows measured in
 // the same run on the same machine, so it holds on any hardware: it is how
-// CI pins that the default (hybrid) engine never loses a workload to an
-// engine a user could have pinned by hand. Every benchmark a rule names
+// CI pins that the engine's default path never loses a workload to either
+// of its regimes held throughout. Every benchmark a rule names
 // must appear in the measured output — a missing row fails the gate rather
 // than silently weakening it.
 package main

@@ -35,8 +35,8 @@ func main() {
 		seedsPath  = flag.String("seeds", "", "seed links file: 'id1 id2' per line in original IDs (required)")
 		threshold  = flag.Int("threshold", 2, "minimum matching score T")
 		iterations = flag.Int("iterations", 2, "number of sweeps k")
-		engine     = flag.String("engine", "hybrid", "engine: hybrid, frontier, parallel, sequential, mapreduce (all produce identical links)")
-		workers    = flag.Int("workers", 0, "goroutines (0 = GOMAXPROCS)")
+		engine     = flag.String("engine", "hybrid", "engine: hybrid (the in-core engine) or mapreduce (the MapReduce formulation); both produce identical links")
+		workers    = flag.Int("workers", 0, "goroutines (0 = GOMAXPROCS, 1 = single-threaded)")
 		noBuckets  = flag.Bool("no-bucketing", false, "disable the degree bucketing schedule (ablation)")
 		ties       = flag.String("ties", "reject", "tie policy: reject (conservative) or lowest-id (greedy)")
 		scoring    = flag.String("scoring", "count", "candidate ranking: count (paper) or adamic-adar")
@@ -99,17 +99,7 @@ func main() {
 
 	var res *reconcile.Result
 	switch *engine {
-	case "hybrid", "frontier", "parallel", "sequential":
-		switch *engine {
-		case "hybrid":
-			opts.Engine = reconcile.EngineHybrid
-		case "frontier":
-			opts.Engine = reconcile.EngineFrontier
-		case "parallel":
-			opts.Engine = reconcile.EngineParallel
-		case "sequential":
-			opts.Engine = reconcile.EngineSequential
-		}
+	case "hybrid":
 		ropts := []reconcile.Option{reconcile.WithOptions(opts), reconcile.WithSeeds(seeds)}
 		if *progress {
 			start := time.Now()

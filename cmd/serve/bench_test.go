@@ -106,9 +106,10 @@ func BenchmarkStoreCheckpoint(b *testing.B) {
 
 // benchRecoveryChain builds the recovery-bench fixture: one job persisted
 // under cfg with a chain of one full plus 7 deltas (the -full-every 8 worst
-// case). The engine is pinned to frontier: the default hybrid's regime
-// handoff re-anchors the chain with a mid-run full, which (with retention)
-// would change the chain shape these benches exist to measure.
+// case). The job checkpoints at every sweep boundary from its regime
+// handoff on: the handoff's checkpoint re-anchors a chain with a full,
+// which (with retention) would change the chain shape these benches exist
+// to measure, so the chain starts there.
 func benchRecoveryChain(b *testing.B, cfg storeConfig) *store {
 	b.Helper()
 	st, err := newStore(b.TempDir(), cfg)
@@ -119,35 +120,36 @@ func benchRecoveryChain(b *testing.B, cfg storeConfig) *store {
 	world := reconcile.GeneratePA(r, 2000, 6)
 	g1, g2 := reconcile.IndependentCopies(r, world, 0.8, 0.8)
 	seeds := reconcile.Seeds(r, reconcile.IdentityPairs(2000), 0.2)
-	rec, err := reconcile.New(g1, g2, reconcile.WithSeeds(seeds), reconcile.WithIterations(8),
-		reconcile.WithEngine(reconcile.EngineFrontier))
-	if err != nil {
-		b.Fatal(err)
-	}
 	js := st.jobStore("job-1")
 	if err := js.saveGraphs(g1, g2); err != nil {
 		b.Fatal(err)
 	}
-	meta := jobMeta{ID: "job-1", Num: 1, Status: statusRunning, Seeds: rec.Result().Seeds}
-	ctx := context.Background()
+	var rec *reconcile.Reconciler
+	var meta jobMeta
 	hook := func(e reconcile.PhaseEvent) {
-		if e.Bucket == e.Buckets {
+		if e.Bucket == e.Buckets && rec.FrontierActive() {
 			if err := js.checkpoint(rec, meta); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
-	rec2, err := reconcile.New(g1, g2, reconcile.WithSeeds(seeds), reconcile.WithIterations(8),
-		reconcile.WithEngine(reconcile.EngineFrontier), reconcile.WithProgress(hook))
+	rec, err = reconcile.New(g1, g2, reconcile.WithSeeds(seeds), reconcile.WithIterations(1),
+		reconcile.WithProgress(hook))
 	if err != nil {
 		b.Fatal(err)
 	}
-	rec = rec2
-	if _, err := rec.Run(ctx); err != nil {
-		b.Fatal(err)
+	meta = jobMeta{ID: "job-1", Num: 1, Status: statusRunning, Seeds: rec.Result().Seeds}
+	ctx := context.Background()
+	for sweep := 1; len(js.listChain()) < 8; sweep++ {
+		if sweep > 40 {
+			b.Fatal("no 8 checkpoints after the handoff in 40 sweeps")
+		}
+		if _, err := rec.Run(ctx); err != nil {
+			b.Fatal(err)
+		}
 	}
-	if n := len(js.listChain()); n != 8 {
-		b.Fatalf("chain has %d records, want 8", n)
+	if chain := js.listChain(); len(chain) != 8 || !chain[0].full {
+		b.Fatalf("chain has %d records, want 8 starting with a full", len(chain))
 	}
 	return st
 }

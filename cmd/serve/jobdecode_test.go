@@ -52,7 +52,7 @@ func TestDecodeJobCanonicalBodies(t *testing.T) {
 
 	// The Go client shape: json.Marshal of the server's own request type,
 	// with and without options.
-	for _, opts := range []optionsSpec{{}, {Threshold: new(int), Engine: "frontier", Bucketing: new(bool)}} {
+	for _, opts := range []optionsSpec{{}, {Threshold: new(int), Bucketing: new(bool)}} {
 		r := req
 		r.Options = opts
 		r.UntilStable, r.MaxSweeps = true, 8

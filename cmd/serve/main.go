@@ -101,10 +101,10 @@
 // parsed in one pass; any other body is decoded by encoding/json, with the
 // same result. Options
 // mirror the functional options of the Go API: threshold, iterations,
-// engine ("hybrid"/"frontier"/"parallel"/"sequential" — identical output, see
-// DESIGN.md for the scheduling difference), scoring ("count"/"adamic-adar"),
-// ties ("reject"/"lowest-id"), workers, margin, bucketing, minBucketExp,
-// maxDegree. Request bodies beyond -max-body-bytes are refused with 413.
+// scoring ("count"/"adamic-adar"), ties ("reject"/"lowest-id"), workers,
+// margin, bucketing, minBucketExp, maxDegree; other keys, such as the
+// retired "engine", are ignored. Request bodies beyond -max-body-bytes are
+// refused with 413.
 //
 // On SIGINT/SIGTERM the server drains gracefully within -shutdown-grace:
 // in-flight HTTP requests complete, running jobs are cancelled at their

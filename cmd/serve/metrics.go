@@ -80,7 +80,7 @@ func newServeMetrics(s *server) *serveMetrics {
 		tenantBytes: r.GaugeVec("reconcile_store_tenant_bytes",
 			"Durable bytes currently held under each tenant's store root.", "tenant"),
 		regimeSwitch: r.Counter("reconcile_engine_regime_switches_total",
-			"Hybrid-engine handoffs from the parallel to the frontier regime."),
+			"Engine handoffs from the full-scan to the frontier regime."),
 		jobsByStatus: r.GaugeVec("reconcile_jobs",
 			"Jobs in the tables, by status.", "status"),
 		jobsCreated: r.Counter("reconcile_jobs_created_total",

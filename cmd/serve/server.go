@@ -41,11 +41,11 @@ type graphSpec struct {
 }
 
 // optionsSpec mirrors the functional options over JSON. Absent fields keep
-// the defaults.
+// the defaults; unknown keys, such as the "engine" key of the retired engine
+// choice, are ignored.
 type optionsSpec struct {
 	Threshold    *int   `json:"threshold,omitempty"`
 	Iterations   *int   `json:"iterations,omitempty"`
-	Engine       string `json:"engine,omitempty"`  // "hybrid" | "frontier" | "parallel" | "sequential"
 	Scoring      string `json:"scoring,omitempty"` // "count" | "adamic-adar"
 	Ties         string `json:"ties,omitempty"`    // "reject" | "lowest-id"
 	Workers      *int   `json:"workers,omitempty"`
@@ -200,6 +200,9 @@ type tenantJobs struct {
 	name   string
 	jobs   map[string]*job
 	nextID int
+	// skipped maps the ID of each job boot skipped although it has a meta
+	// to its shard directory: a DELETE of that ID removes its files.
+	skipped map[string]string
 }
 
 // serverConfig carries the serve layer's tenancy and hardening knobs.
@@ -289,6 +292,12 @@ func newServerWith(st *store, cfg serverConfig) (*server, []error) {
 		}
 		s.tenantTable(name).nextID = n
 	}
+	for _, err := range skipped {
+		var skip *jobSkip
+		if errors.As(err, &skip) {
+			s.tenantTable(skip.tenant).skipped[skip.id] = skip.dir
+		}
+	}
 	for _, p := range loaded {
 		if reg.Get(p.tenant) == nil {
 			if _, err := reg.Register(tenant.Config{Name: p.tenant}); err != nil {
@@ -368,7 +377,7 @@ func (s *server) tenantTable(name string) *tenantJobs {
 	defer s.mu.Unlock()
 	tj := s.tenants[name]
 	if tj == nil {
-		tj = &tenantJobs{name: name, jobs: make(map[string]*job)}
+		tj = &tenantJobs{name: name, jobs: make(map[string]*job), skipped: make(map[string]string)}
 		s.tenants[name] = tj
 	}
 	return tj
@@ -380,7 +389,7 @@ func (s *server) tenantTable(name string) *tenantJobs {
 func wirePhases(rec *reconcile.Reconciler) []phaseJSON {
 	g1, g2 := rec.Graphs()
 	buckets := len(rec.Options().BucketSchedule(g1, g2))
-	phases := rec.Phases()
+	phases := rec.Result().Phases
 	out := make([]phaseJSON, 0, len(phases))
 	for i, ph := range phases {
 		out = append(out, phaseJSON{
@@ -686,19 +695,6 @@ func buildOptions(spec optionsSpec) (reconcile.Options, error) {
 	if spec.Iterations != nil {
 		o.Iterations = *spec.Iterations
 	}
-	switch spec.Engine {
-	case "":
-	case "hybrid":
-		o.Engine = reconcile.EngineHybrid
-	case "frontier":
-		o.Engine = reconcile.EngineFrontier
-	case "parallel":
-		o.Engine = reconcile.EngineParallel
-	case "sequential":
-		o.Engine = reconcile.EngineSequential
-	default:
-		return o, fmt.Errorf("unknown engine %q", spec.Engine)
-	}
 	switch spec.Scoring {
 	case "":
 	case "count":
@@ -822,17 +818,16 @@ func (s *server) runJob(ctx context.Context, cancel context.CancelFunc, j *job, 
 			j.tr.Observe(trace.KindSlotWait, "run slot", waitNanos)
 		})
 		if err != nil {
-			j.finish(err) // cancelled (or shut down) while queued
+			j.finish(err, nil) // cancelled (or shut down) while queued: no slot held
 			return
 		}
-		defer release()
 		unpin, err := j.pinGraphs()
 		if err != nil {
-			j.finish(err) // mappings already closed: the job is being deleted
+			j.finish(err, release) // mappings already closed: the job is being deleted
 			return
 		}
 		defer unpin()
-		j.finish(run(ctx))
+		j.finish(run(ctx), release)
 	}()
 }
 
@@ -1017,8 +1012,11 @@ func (s *server) createJob(w http.ResponseWriter, r *http.Request, tj *tenantJob
 
 // finish records a run's outcome on the job, persists the terminal state
 // (for a cancelled job, that checkpoint is what a later resume finishes
-// from), and releases the tenant's concurrent-run slot.
-func (j *job) finish(err error) {
+// from), and releases the tenant's concurrent-run slot and, when the run
+// held one, the scheduler's run slot (release; nil for a run cancelled
+// while queued). Both are released under j.mu, so a reader that sees the
+// terminal status sees the slots free.
+func (j *job) finish(err error, release func()) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.links = j.rec.Len()
@@ -1041,6 +1039,9 @@ func (j *job) finish(err error) {
 	}
 	if j.tn != nil {
 		j.tn.ReleaseJob()
+	}
+	if release != nil {
+		release()
 	}
 }
 
@@ -1167,14 +1168,24 @@ func (s *server) cancelJob(w http.ResponseWriter, r *http.Request, tj *tenantJob
 // deleteJob handles DELETE .../jobs/{id}: cancel any in-flight run, purge
 // the job's durable records, release its node quota, and forget it. The
 // freed checkpoint bytes immediately count toward the tenant's budget
-// again.
+// again. A job boot skipped holds nothing but its files, so deleting one
+// removes those.
 func (s *server) deleteJob(w http.ResponseWriter, r *http.Request, tj *tenantJobs, t *tenant.Tenant) {
 	id := r.PathValue("id")
 	s.mu.Lock()
 	j := tj.jobs[id]
 	if j == nil {
+		dir, skipped := tj.skipped[id]
+		delete(tj.skipped, id)
 		s.mu.Unlock()
-		writeError(w, http.StatusNotFound, "no job %q", id)
+		if !skipped {
+			writeError(w, http.StatusNotFound, "no job %q", id)
+			return
+		}
+		// A job boot skipped is in no table; its files are all that is left.
+		(&jobStore{ts: s.store.tenant(tj.name), dir: dir, id: id}).purge()
+		s.metrics.jobsDeleted.Inc()
+		writeJSON(w, http.StatusOK, map[string]any{"id": id, "deleted": true})
 		return
 	}
 	// Unlink first: no later handler can reach the job while we tear it

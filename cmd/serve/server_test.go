@@ -236,17 +236,8 @@ func TestServeValidation(t *testing.T) {
 		t.Errorf("malformed body: status %d", resp.StatusCode)
 	}
 
-	// Unknown engine.
-	req := testInstance(t, 50, 0.2)
-	req.Options.Engine = "quantum"
-	resp = postJSON(t, ts.URL+"/v1/jobs", req)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown engine: status %d", resp.StatusCode)
-	}
-
 	// Out-of-range edge.
-	req = testInstance(t, 50, 0.2)
+	req := testInstance(t, 50, 0.2)
 	req.G1.Edges = append(req.G1.Edges, [2]int{0, 99})
 	resp = postJSON(t, ts.URL+"/v1/jobs", req)
 	resp.Body.Close()
@@ -381,18 +372,35 @@ func TestServeValidation(t *testing.T) {
 	}
 }
 
-// TestServeEngineSelection submits the same instance under every engine
-// string and requires identical link counts — the HTTP surface of the
-// engines' bit-identical guarantee.
+// TestServeEngineSelection pins that the options' "engine" key, which once
+// chose among four engines, is ignored like any other unknown options key:
+// a job under any value, or without the key, is accepted and finds the same
+// links.
 func TestServeEngineSelection(t *testing.T) {
 	ts := httptest.NewServer(newTestServer(t, nil).handler())
 	defer ts.Close()
 
-	req := testInstance(t, 400, 0.2)
+	base, err := json.Marshal(testInstance(t, 400, 0.2))
+	if err != nil {
+		t.Fatal(err)
+	}
 	counts := map[string]int{}
-	for _, engine := range []string{"hybrid", "frontier", "parallel", "sequential"} {
-		req.Options.Engine = engine
-		resp := postJSON(t, ts.URL+"/v1/jobs", req)
+	for _, engine := range []string{"", "hybrid", "frontier", "parallel", "sequential", "quantum"} {
+		body := base
+		if engine != "" {
+			var req map[string]any
+			if err := json.Unmarshal(base, &req); err != nil {
+				t.Fatal(err)
+			}
+			req["options"] = map[string]any{"engine": engine}
+			if body, err = json.Marshal(req); err != nil {
+				t.Fatal(err)
+			}
+		}
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("engine %q: status %d", engine, resp.StatusCode)
 		}
@@ -406,8 +414,10 @@ func TestServeEngineSelection(t *testing.T) {
 		}
 		counts[engine] = v.Links
 	}
-	if counts["frontier"] != counts["sequential"] || counts["parallel"] != counts["sequential"] {
-		t.Fatalf("engines disagree over HTTP: %v", counts)
+	for engine, n := range counts {
+		if n != counts[""] {
+			t.Fatalf("engine key %q changed the links: %v", engine, counts)
+		}
 	}
 }
 
@@ -434,7 +444,7 @@ func TestWirePhasesCopiesNoPairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	phases := len(restored.Phases())
+	phases := len(restored.Result().Phases)
 	if want := len(rec.Result().Phases); phases != want || phases == 0 {
 		t.Fatalf("restored job holds %d phase entries, want %d", phases, want)
 	}

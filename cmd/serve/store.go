@@ -495,15 +495,23 @@ func (js *jobStore) releaseBase() {
 	js.ckpt = nil
 }
 
-// purge deletes every durable record of the job — chain, graphs and meta —
-// crediting the bytes back to the tenant. Used by DELETE /v1/.../jobs/{id};
-// the caller guarantees no run goroutine is still driving the job.
+// purge deletes every durable file of the job — every file in its
+// directory named "<id>." followed by anything: graphs, meta, chain
+// records, stale temp files and the range tails of chains earlier servers
+// cut into node ranges — crediting the bytes back to the tenant. Used by
+// DELETE /v1/.../jobs/{id}, also for a job boot skipped, whose files are
+// all that is left of it; the caller guarantees no run goroutine is still
+// driving the job. Best effort, like every removal here: a file it cannot
+// remove stays on disk and in the byte count.
 func (js *jobStore) purge() {
-	for _, rec := range js.listChain() {
-		js.removeTracked(rec.path)
+	entries, err := os.ReadDir(js.dir)
+	if err != nil {
+		return
 	}
-	for _, suffix := range []string{".g1", ".g2", ".meta.json"} {
-		js.removeTracked(js.path(suffix))
+	for _, e := range entries {
+		if !e.IsDir() && strings.HasPrefix(e.Name(), js.id+".") {
+			js.removeTracked(filepath.Join(js.dir, e.Name()))
+		}
 	}
 }
 
@@ -730,7 +738,7 @@ func (st *store) loadAll() (out []persisted, maxNum map[string]int, skipped []er
 				seen[id] = dir
 				p, err := ts.load(dir, id, listing.chains[id])
 				if err != nil {
-					skipped = append(skipped, fmt.Errorf("store: tenant %s job %s: %w", name, id, err))
+					skipped = append(skipped, &jobSkip{tenant: name, id: id, dir: dir, err: err})
 					continue
 				}
 				if p.meta.Num > maxNum[name] {
@@ -748,6 +756,21 @@ func (st *store) loadAll() (out []persisted, maxNum map[string]int, skipped []er
 	})
 	return out, maxNum, skipped
 }
+
+// jobSkip is the error boot reports for a job it skipped although the job
+// has a meta (a chain it does not read, a corrupt or newer-format record).
+// It names where the job's files are, so a DELETE of its ID can remove them
+// (jobStore.purge).
+type jobSkip struct {
+	tenant, id, dir string
+	err             error
+}
+
+func (e *jobSkip) Error() string {
+	return fmt.Sprintf("store: tenant %s job %s: %v", e.tenant, e.id, e.err)
+}
+
+func (e *jobSkip) Unwrap() error { return e.err }
 
 // load restores one job from its meta, its graphs and its chain records.
 func (ts *tenantStore) load(dir, id string, chain []chainRecord) (persisted, error) {

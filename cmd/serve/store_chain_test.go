@@ -10,12 +10,46 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"github.com/sociograph/reconcile"
+	"github.com/sociograph/reconcile/internal/snapshot"
 	"github.com/sociograph/reconcile/internal/tenant"
 )
+
+// newFrontierStart is reconcile.New with the session in the frontier regime
+// before its first bucket, as a restore of a record whose regime bit is set
+// leaves it, so every bucket it runs takes the frontier path. The default
+// engine's handoff re-anchors a chain with a full mid-run
+// (ErrFullRequired); a run in one regime throughout never does, which keeps
+// the exact full/delta shapes the store suites assert on. opts may change
+// only what a restore may (iterations, workers, hooks).
+func newFrontierStart(t testing.TB, g1, g2 *reconcile.Graph, seeds []reconcile.Pair, opts ...reconcile.Option) *reconcile.Reconciler {
+	t.Helper()
+	rec, err := reconcile.New(g1, g2, reconcile.WithSeeds(seeds))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := rec.SnapshotState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	st, err := snapshot.ReadState(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.HybridFrontier = true
+	buf.Reset()
+	if err := snapshot.WriteState(&buf, st); err != nil {
+		t.Fatal(err)
+	}
+	if rec, err = reconcile.RestoreState(g1, g2, &buf, opts...); err != nil {
+		t.Fatal(err)
+	}
+	return rec
+}
 
 // chainVictim builds a deterministic checkpoint chain: a job of `iterations`
 // sweeps killed after `sweeps` of them, checkpointed at every sweep boundary
@@ -35,15 +69,12 @@ func chainVictimFailing(t *testing.T, st *store, id string, iterations, sweeps, 
 	g1, g2 := buildGraph(req.G1), buildGraph(req.G2)
 	seeds := toPairs(req.Seeds)
 
-	// Pin a fixed engine: the default hybrid's regime handoff forces one
-	// extra full record mid-chain (ErrFullRequired), which would perturb the
-	// exact full/delta shapes these tests assert on.
-	ref, err := reconcile.New(g1, g2, reconcile.WithSeeds(seeds), reconcile.WithIterations(iterations),
-		reconcile.WithEngine(reconcile.EngineFrontier))
+	// The frontier regime throughout: the default's handoff forces one
+	// extra full record mid-chain, which would perturb the exact full/delta
+	// shapes these tests assert on.
+	ref := newFrontierStart(t, g1, g2, seeds, reconcile.WithIterations(iterations))
+	want, err := ref.Run(context.Background())
 	if err != nil {
-		t.Fatal(err)
-	}
-	if want, err = ref.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -54,10 +85,8 @@ func chainVictimFailing(t *testing.T, st *store, id string, iterations, sweeps, 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var victim *reconcile.Reconciler
-	victim, err = reconcile.New(g1, g2,
-		reconcile.WithSeeds(seeds),
+	victim = newFrontierStart(t, g1, g2, seeds,
 		reconcile.WithIterations(iterations),
-		reconcile.WithEngine(reconcile.EngineFrontier),
 		reconcile.WithProgress(func(e reconcile.PhaseEvent) {
 			if e.Bucket == e.Buckets {
 				meta := jobMeta{
@@ -72,9 +101,6 @@ func chainVictimFailing(t *testing.T, st *store, id string, iterations, sweeps, 
 				}
 			}
 		}))
-	if err != nil {
-		t.Fatal(err)
-	}
 	if _, err := victim.Run(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("victim err = %v, want cancellation", err)
 	}
@@ -368,6 +394,10 @@ func TestStoreRejectsCorruptGeometry(t *testing.T) {
 			if err := atomicWriteJSON(js.path(".meta.json"), meta); err != nil {
 				t.Fatal(err)
 			}
+			// A range tail, as the ranged chains of earlier servers left.
+			if err := os.WriteFile(filepath.Join(js.dir, recordName("job-1", 1, "r0001.full")), []byte("tail"), 0o644); err != nil {
+				t.Fatal(err)
+			}
 			files := chainFiles(t, js)
 			s, skipped := newServer(st)
 			if len(skipped) != 1 || !strings.Contains(skipped[0].Error(), "job-1") ||
@@ -390,6 +420,56 @@ func TestStoreRejectsCorruptGeometry(t *testing.T) {
 			}
 			if tracked, walked := js.ts.verifyBytes(); tracked != walked {
 				t.Fatalf("byte accounting after boot: tracked %d, walked %d", tracked, walked)
+			}
+
+			// DELETE of the skipped job, and of no other unknown ID, removes
+			// its files and credits their bytes.
+			ts := httptest.NewServer(s.handler())
+			defer ts.Close()
+			del := func(id string) int {
+				req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+id, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+				return resp.StatusCode
+			}
+			if code := del("job-3"); code != http.StatusNotFound {
+				t.Fatalf("DELETE of an unknown job: status %d, want 404", code)
+			}
+			if code := del("job-1"); code != http.StatusOK {
+				t.Fatalf("DELETE of the skipped job: status %d, want 200", code)
+			}
+			if left, _ := filepath.Glob(filepath.Join(js.dir, "job-1.*")); len(left) != 0 {
+				t.Fatalf("DELETE left the skipped job's files: %v", left)
+			}
+			if _, err := os.Stat(st.jobStore("job-2").path(".meta.json")); err != nil {
+				t.Fatalf("DELETE of the skipped job removed another job's meta: %v", err)
+			}
+			if code := del("job-1"); code != http.StatusNotFound {
+				t.Fatalf("second DELETE of the skipped job: status %d, want 404", code)
+			}
+			resp, err := http.Get(ts.URL + "/v1/admin/tenants?verify=bytes")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var tenants struct {
+				Tenants []tenantView `json:"tenants"`
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&tenants); err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			i := slices.IndexFunc(tenants.Tenants, func(v tenantView) bool { return v.Name == tenant.Default })
+			if i < 0 {
+				t.Fatal("no default tenant in the admin listing")
+			}
+			if u := tenants.Tenants[i].Usage; u.WalkedBytes == nil || *u.WalkedBytes != u.CheckpointBytes {
+				t.Fatalf("byte accounting after DELETE: tracked %d, walked %v", u.CheckpointBytes, u.WalkedBytes)
 			}
 		})
 	}

@@ -35,10 +35,8 @@ func listingVictim(t *testing.T, st *store, id string, num int, seedFrac float64
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var victim *reconcile.Reconciler
-	victim, err := reconcile.New(g1, g2,
-		reconcile.WithSeeds(toPairs(req.Seeds)),
+	victim = newFrontierStart(t, g1, g2, toPairs(req.Seeds),
 		reconcile.WithIterations(6),
-		reconcile.WithEngine(reconcile.EngineFrontier),
 		reconcile.WithProgress(func(e reconcile.PhaseEvent) {
 			if e.Bucket != e.Buckets {
 				return
@@ -56,9 +54,6 @@ func listingVictim(t *testing.T, st *store, id string, num int, seedFrac float64
 				cancel()
 			}
 		}))
-	if err != nil {
-		t.Fatal(err)
-	}
 	if _, err := victim.Run(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("%s: victim err = %v, want cancellation", id, err)
 	}

@@ -121,17 +121,21 @@ func TestTraceEndpoint(t *testing.T) {
 }
 
 // TestTraceContinuousAcrossRestart is the serve face of the trace-continuity
-// promise, per engine: a job killed mid-run and rebooted from its checkpoint
-// resumes its trace instead of restarting it — one marked resume span, boot
-// replay and graph-open spans from the restore, no sweep recorded twice, and
-// a timeline that never rewinds. The hybrid case additionally pins at most
-// one engine-handoff span across the kill.
+// promise, per path (one worker, three, the frontier regime from the first
+// bucket, the default): a job killed mid-run and rebooted from its
+// checkpoint resumes its trace instead of restarting it — one marked resume
+// span, boot replay and graph-open spans from the restore, no sweep
+// recorded twice, and a timeline that never rewinds. The hybrid case
+// additionally pins at most one engine-handoff span across the kill, and
+// the frontier case none.
 func TestTraceContinuousAcrossRestart(t *testing.T) {
-	for _, engine := range []string{"sequential", "frontier", "parallel", "hybrid"} {
-		t.Run(engine, func(t *testing.T) {
+	for _, path := range []string{"sequential", "frontier", "parallel", "hybrid"} {
+		t.Run(path, func(t *testing.T) {
 			st := newTestStore(t)
 			req := testInstance(t, 300, 0.2)
-			req.Options.Engine = engine
+			if workers, ok := map[string]int{"sequential": 1, "parallel": 3}[path]; ok {
+				req.Options.Workers = &workers
+			}
 			g1, g2 := buildGraph(req.G1), buildGraph(req.G2)
 			opts, err := buildOptions(req.Options)
 			if err != nil {
@@ -145,9 +149,8 @@ func TestTraceContinuousAcrossRestart(t *testing.T) {
 			var phases []phaseJSON
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			victim, err := reconcile.New(g1, g2,
+			ropts := []reconcile.Option{
 				reconcile.WithOptions(opts),
-				reconcile.WithSeeds(toPairs(req.Seeds)),
 				reconcile.WithTracer(tr),
 				reconcile.WithProgress(func(e reconcile.PhaseEvent) {
 					phases = append(phases, phaseJSON{
@@ -157,8 +160,12 @@ func TestTraceContinuousAcrossRestart(t *testing.T) {
 					if len(phases) == 3 {
 						cancel()
 					}
-				}))
-			if err != nil {
+				}),
+			}
+			var victim *reconcile.Reconciler
+			if path == "frontier" {
+				victim = newFrontierStart(t, g1, g2, toPairs(req.Seeds), ropts...)
+			} else if victim, err = reconcile.New(g1, g2, append(ropts, reconcile.WithSeeds(toPairs(req.Seeds)))...); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := victim.Run(ctx); !errors.Is(err, context.Canceled) {
@@ -232,8 +239,11 @@ func TestTraceContinuousAcrossRestart(t *testing.T) {
 			if counts[trace.KindGraphOpen] != 2 {
 				t.Errorf("graph-open spans = %d, want 2", counts[trace.KindGraphOpen])
 			}
-			if engine == "hybrid" && counts[trace.KindHandoff] > 1 {
+			if path == "hybrid" && counts[trace.KindHandoff] > 1 {
 				t.Fatalf("hybrid recorded %d handoff spans across the restart, want <= 1", counts[trace.KindHandoff])
+			}
+			if path == "frontier" && counts[trace.KindHandoff] != 0 {
+				t.Fatalf("a run in the frontier regime throughout recorded %d handoff spans", counts[trace.KindHandoff])
 			}
 		})
 	}

@@ -19,18 +19,18 @@ type chainCheckpoint struct {
 	monolithic []byte
 }
 
-// writeChain checkpoints a victim run at every bucket boundary — one full,
-// then deltas — and returns the chain.
-func writeChain(t *testing.T, g1, g2 *reconcile.Graph, opts []reconcile.Option) []chainCheckpoint {
+// writeChain checkpoints a victim run on path at every bucket boundary —
+// one full, then deltas — and returns the chain.
+func writeChain(t *testing.T, path string, g1, g2 *reconcile.Graph, opts []reconcile.Option) []chainCheckpoint {
 	t.Helper()
 	var chain []chainCheckpoint
 	var ckpt reconcile.Checkpointer
 	var victim *reconcile.Reconciler
-	victim, err := reconcile.New(g1, g2, append(opts,
+	victim, err := reconcile.NewOnPath(path, g1, g2, append(opts,
 		reconcile.WithProgress(func(reconcile.PhaseEvent) {
 			ck, err := ckpt.Prepare(victim, len(chain) == 0)
 			if errors.Is(err, reconcile.ErrFullRequired) {
-				// The hybrid handoff just landed; re-anchor the chain.
+				// The regime handoff just landed; re-anchor the chain.
 				ck, err = ckpt.Prepare(victim, true)
 			}
 			if err != nil {
@@ -97,7 +97,7 @@ func replayChain(t *testing.T, chain []chainCheckpoint, cut int) *reconcile.Sess
 }
 
 // TestDeltaChainResumeEquivalence extends the resume-equivalence guarantee
-// to checkpoint chains, on all four engines: a run checkpointed as
+// to checkpoint chains, on all four paths: a run checkpointed as
 // (full + per-bucket deltas) one record per checkpoint, cut at any
 // checkpoint, replayed and resumed, finishes bit-identically to the run
 // that was never interrupted — and the replayed state is byte-identical to
@@ -108,18 +108,17 @@ func replayChain(t *testing.T, chain []chainCheckpoint, cut int) *reconcile.Sess
 // (ErrFullRequired) and keep replaying.
 func TestDeltaChainResumeEquivalence(t *testing.T) {
 	g1, g2, seeds := snapshotInstance(t)
-	for _, engine := range []reconcile.Engine{reconcile.EngineFrontier, reconcile.EngineParallel, reconcile.EngineSequential, reconcile.EngineHybrid} {
-		t.Run(engine.String(), func(t *testing.T) {
+	for _, path := range reconcile.PathNames {
+		t.Run(path, func(t *testing.T) {
 			iterations := 3
-			if engine == reconcile.EngineHybrid {
+			if path == "hybrid" {
 				iterations = 8 // commits decay to zero and the handoff fires mid-chain
 			}
 			opts := []reconcile.Option{
 				reconcile.WithSeeds(seeds),
-				reconcile.WithEngine(engine),
 				reconcile.WithIterations(iterations),
 			}
-			ref, err := reconcile.New(g1, g2, opts...)
+			ref, err := reconcile.NewOnPath(path, g1, g2, opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -130,13 +129,13 @@ func TestDeltaChainResumeEquivalence(t *testing.T) {
 			if len(want.NewPairs) == 0 {
 				t.Fatal("reference run found nothing; instance too weak")
 			}
-			chainResumeEquivalence(t, g1, g2, engine, opts, want)
+			chainResumeEquivalence(t, g1, g2, path, opts, want)
 		})
 	}
 }
 
-func chainResumeEquivalence(t *testing.T, g1, g2 *reconcile.Graph, engine reconcile.Engine, opts []reconcile.Option, want *reconcile.Result) {
-	chain := writeChain(t, g1, g2, opts)
+func chainResumeEquivalence(t *testing.T, g1, g2 *reconcile.Graph, path string, opts []reconcile.Option, want *reconcile.Result) {
+	chain := writeChain(t, path, g1, g2, opts)
 	if len(chain) != len(want.Phases) {
 		t.Fatalf("victim checkpointed %d times, want one per phase (%d)", len(chain), len(want.Phases))
 	}
@@ -147,7 +146,7 @@ func chainResumeEquivalence(t *testing.T, g1, g2 *reconcile.Graph, engine reconc
 	for _, c := range chain[1:] {
 		anchored = anchored || c.full
 	}
-	if engine == reconcile.EngineHybrid && !anchored {
+	if path == "hybrid" && !anchored {
 		t.Fatal("hybrid chain has no mid-chain full; the handoff never fired")
 	}
 

@@ -62,7 +62,7 @@ func ExampleOptions() {
 	opts := reconcile.DefaultOptions()
 	opts.Threshold = 3 // require 3 similarity witnesses
 	opts.MinMargin = 1 // and a strict gap over the runner-up
-	opts.Engine = reconcile.EngineSequential
+	opts.Workers = 1   // on one goroutine (the links do not depend on it)
 	fmt.Println(opts.Threshold, opts.MinMargin)
 	// Output: 3 1
 }

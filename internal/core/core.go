@@ -13,15 +13,15 @@
 // concentrate; the paper measures that this step alone removes over a third
 // of the errors.
 //
-// The package provides a parallel engine that partitions the candidate scan
-// across goroutines (EngineSequential is the same pass with one worker), a
-// frontier engine that re-scores only nodes whose scoring inputs changed
-// since their last scoring, and a hybrid engine (the default) that starts
-// parallel and hands off to the frontier engine once the per-sweep commit
-// rate falls below a measured crossover; all are deterministic and produce
-// identical matchings. A further formulation as explicit MapReduce rounds
-// lives in internal/mapreduce and is tested for equivalence against these
-// engines.
+// The package runs the algorithm on one engine with two execution regimes:
+// a full scan that partitions the candidate scan across Workers goroutines,
+// and a frontier that re-scores only nodes whose scoring inputs changed since
+// their last scoring. A session starts on the full scan and hands off to the
+// frontier, one way, once the per-sweep commit rate falls below a measured
+// crossover (hybridCrossoverRate); both regimes are deterministic and produce
+// identical matchings, so the handoff affects speed only. A further
+// formulation as explicit MapReduce rounds lives in internal/mapreduce and
+// is tested for equivalence against this engine.
 package core
 
 import (
@@ -32,54 +32,6 @@ import (
 
 	"github.com/sociograph/reconcile/internal/graph"
 )
-
-// Engine selects the execution strategy.
-type Engine int
-
-const (
-	// EngineParallel scans all candidates every pass with a goroutine pool.
-	EngineParallel Engine = iota
-	// EngineSequential is EngineParallel with a single worker, whatever
-	// Workers says: the single-threaded reference run.
-	EngineSequential
-	// EngineFrontier re-scores only nodes whose scoring inputs changed since
-	// their last scoring (the dirty frontier around freshly committed links),
-	// caching every node's per-bucket-level proposal across passes, and its
-	// commit scan reads only the cached rows that propose at the bucket's
-	// level. Output is bit-identical to the other engines at a fraction of
-	// the work on incremental workloads (7.2x the parallel engine on
-	// BenchmarkReconcileFrontierIncremental), and Workers parallelizes its
-	// re-scoring batches. On commit-dense cold batches its invalidation churn
-	// approaches a full rescan of both sides, where the parallel engine
-	// scores only the left, and it runs 0.16x the parallel engine
-	// (BenchmarkReconcileFrontier). See frontierState for the scheduling
-	// invariants.
-	EngineFrontier
-	// EngineHybrid is the default: it starts on the parallel engine and, at
-	// the first sweep boundary whose observed commit rate falls below the
-	// measured crossover (hybridCrossoverRate), hands the live matching to a
-	// freshly built frontier state and continues on the frontier engine —
-	// parallel's throughput where commits are dense, frontier's incremental
-	// scheduling once they are sparse. The handoff is the same state transfer
-	// a cross-engine restore performs, so output stays bit-identical to every
-	// fixed engine; the regime choice affects performance only.
-	EngineHybrid
-)
-
-func (e Engine) String() string {
-	switch e {
-	case EngineParallel:
-		return "parallel"
-	case EngineSequential:
-		return "sequential"
-	case EngineFrontier:
-		return "frontier"
-	case EngineHybrid:
-		return "hybrid"
-	default:
-		return fmt.Sprintf("Engine(%d)", int(e))
-	}
-}
 
 // TieBreak selects how a node with several equally-scored best candidates
 // behaves.
@@ -166,12 +118,9 @@ type Options struct {
 	// 0 means max(Δ(G1), Δ(G2)).
 	MaxDegree int
 
-	// Engine selects the execution strategy: hybrid (default), frontier,
-	// parallel, or sequential. All engines produce bit-identical output.
-	Engine Engine
-
-	// Workers bounds the goroutines of the parallel engine's candidate scan
-	// and of the frontier engine's re-scoring batches; 0 means GOMAXPROCS.
+	// Workers bounds the goroutines of the full scan's candidate pass and of
+	// the frontier's re-scoring batches; 0 means GOMAXPROCS. 1 is the
+	// single-threaded run. Output does not depend on it.
 	Workers int
 
 	// Ties selects the tie-breaking policy (default TieReject).
@@ -187,18 +136,29 @@ type Options struct {
 	// applies the tie policy). Raising it trades recall for precision,
 	// hardening the matcher against near-ambiguous pairs.
 	MinMargin int
+
+	// pin fixes the regime for this package's tests, which compare the two
+	// regimes against each other and against the handoff; nothing else sets
+	// it, and the zero value is the engine every caller runs.
+	pin regimePin
 }
 
+// regimePin is the test seam of Options.pin.
+type regimePin uint8
+
+const (
+	pinNone     regimePin = iota
+	pinFullScan           // full scan throughout: endSweep never hands off
+	pinFrontier           // frontier from the first bucket: NewSession sets the regime bit
+)
+
 // DefaultOptions returns the configuration used throughout the paper's
-// experiments: T = 2, k = 2 sweeps, bucketing down to degree 2, on the
-// hybrid engine (identical output to the fixed engines, least work on both
-// commit-dense and incremental workloads).
+// experiments: T = 2, k = 2 sweeps, bucketing down to degree 2.
 func DefaultOptions() Options {
 	return Options{
 		Threshold:    2,
 		Iterations:   2,
 		MinBucketExp: 1,
-		Engine:       EngineHybrid,
 	}
 }
 
@@ -219,11 +179,6 @@ func (o Options) Validate() error {
 	if o.Workers < 0 {
 		return errors.New("core: Workers must be >= 0")
 	}
-	switch o.Engine {
-	case EngineParallel, EngineSequential, EngineFrontier, EngineHybrid:
-	default:
-		return fmt.Errorf("core: unknown engine %d", int(o.Engine))
-	}
 	if o.Ties != TieReject && o.Ties != TieLowestID {
 		return fmt.Errorf("core: unknown tie-break policy %d", int(o.Ties))
 	}
@@ -236,12 +191,8 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// workers is the scoring pool size. EngineSequential is the parallel
-// engine with a single worker.
+// workers is the scoring pool size.
 func (o Options) workers() int {
-	if o.Engine == EngineSequential {
-		return 1
-	}
 	if o.Workers > 0 {
 		return o.Workers
 	}

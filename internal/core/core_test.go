@@ -18,21 +18,11 @@ func TestOptionsValidate(t *testing.T) {
 		{Threshold: 1, Iterations: 1, MinBucketExp: -1},
 		{Threshold: 1, Iterations: 1, MaxDegree: -2},
 		{Threshold: 1, Iterations: 1, Workers: -1},
-		{Threshold: 1, Iterations: 1, Engine: Engine(9)},
 	}
 	for i, o := range bad {
 		if err := o.Validate(); err == nil {
 			t.Errorf("case %d: expected validation error for %+v", i, o)
 		}
-	}
-}
-
-func TestEngineString(t *testing.T) {
-	if EngineParallel.String() != "parallel" || EngineSequential.String() != "sequential" {
-		t.Fatal("engine names wrong")
-	}
-	if Engine(7).String() == "" {
-		t.Fatal("unknown engine should still render")
 	}
 }
 
@@ -157,7 +147,7 @@ func TestReconcileHandCrafted(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Threshold = 2
 	opts.MinBucketExp = 0
-	opts.Engine = EngineSequential
+	opts = pathSequential.on(opts)
 	seeds := []graph.Pair{{Left: 0, Right: 0}, {Left: 1, Right: 1}}
 	res, err := Reconcile(context.Background(), g, g, seeds, opts)
 	if err != nil {
@@ -190,7 +180,7 @@ func TestReconcileTieRejection(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Threshold = 1
 	opts.MinBucketExp = 0
-	opts.Engine = EngineSequential
+	opts = pathSequential.on(opts)
 	res, err := Reconcile(context.Background(), g, g, []graph.Pair{{Left: 0, Right: 0}}, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -210,7 +200,7 @@ func TestReconcileThreshold(t *testing.T) {
 	g := graph.FromEdges(3, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}})
 	opts := DefaultOptions()
 	opts.MinBucketExp = 0
-	opts.Engine = EngineSequential
+	opts = pathSequential.on(opts)
 	opts.Threshold = 2
 	res, err := Reconcile(context.Background(), g, g, []graph.Pair{{Left: 0, Right: 0}}, opts)
 	if err != nil {

@@ -52,17 +52,15 @@ func statesEquivalent(a, b *SessionState) bool {
 	return true
 }
 
-// TestDiffApplyIdentity pins the delta contract on every engine: for states
+// TestDiffApplyIdentity pins the delta contract on every path: for states
 // exported at consecutive sweep boundaries (with incremental seeds arriving
 // in between), ApplyDelta(base, DiffStates(base, cur)) == cur, and a session
 // restored from the replayed state finishes bit-identically to one restored
 // from cur directly.
 func TestDiffApplyIdentity(t *testing.T) {
-	for _, engine := range []Engine{EngineFrontier, EngineParallel, EngineSequential, EngineHybrid} {
-		t.Run(engine.String(), func(t *testing.T) {
-			opts := DefaultOptions()
-			opts.Engine = engine
-			g1, g2, s := deltaInstance(t, 17, 400, opts)
+	for _, path := range testPaths {
+		t.Run(path.name, func(t *testing.T) {
+			g1, g2, s := deltaInstance(t, 17, 400, path.on(DefaultOptions()))
 
 			base := s.ExportState()
 			injected := false
@@ -85,8 +83,8 @@ func TestDiffApplyIdentity(t *testing.T) {
 				}
 				cur := s.ExportState()
 				d, err := DiffStates(base, cur)
-				if errors.Is(err, ErrNotDiffable) && engine == EngineHybrid {
-					// The hybrid regime handoff flips the regime bit between
+				if errors.Is(err, ErrNotDiffable) && path == pathHybrid {
+					// The regime handoff flips the regime bit between
 					// checkpoints; a Checkpointer falls back to one full
 					// snapshot there, so the chain just restarts.
 					notDiffable++
@@ -130,7 +128,7 @@ func TestDiffApplyIdentity(t *testing.T) {
 				t.Fatal("no free identity pair to inject; instance too saturated")
 			}
 			if notDiffable > 1 {
-				t.Fatalf("hybrid forced %d full checkpoints, the one-way handoff allows at most 1", notDiffable)
+				t.Fatalf("the handoff forced %d full checkpoints, a one-way handoff allows at most 1", notDiffable)
 			}
 		})
 	}

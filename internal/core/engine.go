@@ -24,11 +24,12 @@ type PhaseTotals struct {
 
 // Result is the output of Reconcile.
 //
-// Pairs and NewPairs are read-only views of the session's append-only link
-// log, shared with the session rather than copied: they never change after
-// the Result is returned, however the matching grows, and their capacity
-// equals their length, so an append reallocates. They must not be written;
-// slices.Clone gives a copy to own. Phases is a copy.
+// Pairs, NewPairs and Phases are read-only views of the session's
+// append-only link log and phase window, shared with the session rather than
+// copied: they never change after the Result is returned, however the
+// session grows or its phase window slides, and their capacity equals their
+// length, so an append reallocates. They must not be written; slices.Clone
+// gives a copy to own.
 type Result struct {
 	// Pairs holds every link in L: the seeds first, then discoveries in the
 	// order they were made.
@@ -48,7 +49,7 @@ type Result struct {
 // Reconcile runs User-Matching over the two observed networks and the seed
 // links, returning the expanded set of identification links. It never
 // modifies its inputs. The matching is injective: no node appears in two
-// output pairs. Every engine is deterministic; for fixed inputs and options
+// output pairs. The engine is deterministic; for fixed inputs and options
 // the result is identical regardless of Workers. The context is checked at
 // every bucket-phase boundary; when it ends mid-run the partial Result
 // accumulated so far is returned together with ctx.Err(). The result is

@@ -86,6 +86,54 @@ func pairsEqual(a, b []graph.Pair) bool {
 	return true
 }
 
+// testPath is one of the engine's execution paths, reached through the
+// Options.pin seam. Every path produces the same matching; the suites
+// compare them:
+//
+//   - sequential: the full scan throughout, at one worker;
+//   - parallel: the full scan throughout, on the options' worker pool;
+//   - frontier: the frontier from the first bucket;
+//   - hybrid: the default, the full scan handing off to the frontier.
+type testPath struct {
+	name    string
+	pin     regimePin
+	workers int // 0 keeps the options' Workers
+}
+
+var (
+	pathSequential = testPath{"sequential", pinFullScan, 1}
+	pathParallel   = testPath{"parallel", pinFullScan, 0}
+	pathFrontier   = testPath{"frontier", pinFrontier, 0}
+	pathHybrid     = testPath{"hybrid", pinNone, 0}
+
+	testPaths = []testPath{pathSequential, pathParallel, pathFrontier, pathHybrid}
+)
+
+// on returns o running on path p.
+func (p testPath) on(o Options) Options {
+	o.pin = p.pin
+	if p.workers > 0 {
+		o.Workers = p.workers
+	}
+	return o
+}
+
+// resumeOn re-targets an exported state at path p before a restore. A
+// pinned path takes its regime from its pin; the hybrid path keeps a hybrid
+// state's regime bit and resumes a pinned path's state in the full-scan
+// regime, the rule the snapshot codec applies to records a pinned engine
+// wrote.
+func resumeOn(st *SessionState, p testPath) {
+	from := st.Opts.pin
+	st.Opts = p.on(st.Opts)
+	switch {
+	case p.pin != pinNone:
+		st.HybridFrontier = p.pin == pinFrontier
+	case from != pinNone:
+		st.HybridFrontier = false
+	}
+}
+
 // testInstance builds a random reconciliation instance.
 func testInstance(seed uint64, n int) (*graph.Graph, *graph.Graph, []graph.Pair) {
 	r := xrand.New(seed)
@@ -98,8 +146,7 @@ func testInstance(seed uint64, n int) (*graph.Graph, *graph.Graph, []graph.Pair)
 func TestSequentialMatchesNaive(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3} {
 		g1, g2, seeds := testInstance(seed, 120)
-		opts := DefaultOptions()
-		opts.Engine = EngineSequential
+		opts := pathSequential.on(DefaultOptions())
 		opts.Threshold = 2
 		res, err := Reconcile(context.Background(), g1, g2, seeds, opts)
 		if err != nil {
@@ -115,15 +162,13 @@ func TestSequentialMatchesNaive(t *testing.T) {
 func TestParallelMatchesSequential(t *testing.T) {
 	err := quick.Check(func(seed uint64) bool {
 		g1, g2, seeds := testInstance(seed, 300)
-		seqOpts := DefaultOptions()
-		seqOpts.Engine = EngineSequential
+		seqOpts := pathSequential.on(DefaultOptions())
 		seq, err := Reconcile(context.Background(), g1, g2, seeds, seqOpts)
 		if err != nil {
 			return false
 		}
 		for _, workers := range []int{1, 2, 3, 7} {
-			parOpts := DefaultOptions()
-			parOpts.Engine = EngineParallel
+			parOpts := pathParallel.on(DefaultOptions())
 			parOpts.Workers = workers
 			par, err := Reconcile(context.Background(), g1, g2, seeds, parOpts)
 			if err != nil {

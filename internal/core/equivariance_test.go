@@ -80,8 +80,7 @@ func TestFrontierEquivariantUnderRelabeling(t *testing.T) {
 			seedsP[i] = graph.Pair{Left: perm1[s.Left], Right: perm2[s.Right]}
 		}
 
-		opts := DefaultOptions()
-		opts.Engine = EngineFrontier
+		opts := pathFrontier.on(DefaultOptions())
 		base, err := Reconcile(context.Background(), g1, g2, seeds, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -104,7 +103,7 @@ func TestFrontierEquivariantUnderRelabeling(t *testing.T) {
 		}
 		// And the relabeled run itself must still be bit-identical to the
 		// sequential engine on the relabeled instance.
-		opts.Engine = EngineSequential
+		opts = pathSequential.on(opts)
 		seqP, err := Reconcile(context.Background(), g1p, g2p, seedsP, opts)
 		if err != nil {
 			t.Fatal(err)

@@ -6,14 +6,14 @@ import (
 	"github.com/sociograph/reconcile/internal/graph"
 )
 
-// EngineFrontier is a scheduling optimization, never a semantic change: its
-// output is bit-identical to EngineSequential and EngineParallel for every
-// option combination (the equivalence, fuzz and equivariance suites pin
-// this). The full engines re-score every eligible left node in each of the
+// The frontier regime is a scheduling optimization, never a semantic change:
+// its output is bit-identical to the full scan's for every option
+// combination (the equivalence, fuzz and equivariance suites pin this). The
+// full scan re-scores every eligible left node in each of the
 // k·log D bucket passes (and every eligible right node too under Adamic-Adar
 // ranking or a margin; otherwise the right side's proposals are derived from
 // the left pass's scored pairs) even though a node's proposal can only change
-// when a link is committed near it. The frontier engine instead keeps, per
+// when a link is committed near it. The frontier instead keeps, per
 // side,
 //
 //   - a persistent proposal cache: for every node, its best-candidate
@@ -35,7 +35,7 @@ import (
 // matched — at its commit, or when the scan meets a node AddSeeds matched.
 //
 // A bucket pass refreshes the dirty nodes, runs the same ascending
-// mutual-best commit scan as the full engines over the live rows of its
+// mutual-best commit scan as the full scan over the live rows of its
 // level — the bitset walked word by word, so the scan costs O(n1/64 + live
 // rows), not O(n1), and commits in the same ascending order — and then
 // invalidates exactly the nodes whose scoring inputs a committed link (a, b)
@@ -50,10 +50,10 @@ import (
 // Matchings only grow and a node's proposal depends on nothing else, so a
 // clean cache entry equals what a fresh scoring would produce. Steady-state
 // sweeps (and incremental AddSeeds runs) touch only the neighborhoods of new
-// links instead of both full node sets; the engine degenerates to full
+// links instead of both full node sets; the frontier degenerates to full
 // rescans only while most of the graph is within two hops of a fresh link —
 // i.e. when almost every pass commits links everywhere, in which case it does
-// the same work as the full engines.
+// the same work as the full scan.
 type frontierState struct {
 	levels    []int // descending 2^j degree floors, one per bucket pass of a sweep
 	topExp    int   // log2(levels[0])
@@ -69,8 +69,8 @@ type frontierState struct {
 	words int
 
 	// rescored counts nodes drained from the worklists since the state was
-	// built — at session start, at the hybrid handoff, or at restore, which
-	// starts it over — the engine's scoring work. The full engines'
+	// built — at session start, at the handoff, or at restore, which starts
+	// it over — the frontier's scoring work. The full scan's
 	// equivalent is (n1+n2) × passes; tests assert the frontier stays far
 	// below that and goes fully idle once a sweep commits nothing.
 	rescored int64
@@ -143,7 +143,7 @@ func (s *frontierSide) mark(v graph.NodeID) {
 
 // runBucket performs one frontier bucket pass at schedule level `level`
 // (floor minDeg == levels[level]): refresh stale proposals, commit mutual
-// bests in the same ascending order as the full engines, then invalidate
+// bests in the same ascending order as the full scan, then invalidate
 // around the new links. Returns the number of links committed.
 func (f *frontierState) runBucket(g1, g2 *graph.Graph, m *Matching, lc *linkedCounts, ws *walkState, level, minDeg int, opts Options) int {
 	ws.sync(g1, g2, m)
@@ -161,7 +161,7 @@ func (f *frontierState) runBucket(g1, g2 *graph.Graph, m *Matching, lc *linkedCo
 			f.scanned++
 			// A node matched in an earlier pass (or by AddSeeds) has a stale
 			// row; gating on the Matching here is equivalent to the full
-			// engines' empty proposal (left nodes only become matched at
+			// scan's empty proposal (left nodes only become matched at
 			// their own scan index, so the check also matches the pass-start
 			// state during the scan). It never proposes again.
 			if m.left[id] != NoMatch {

@@ -13,8 +13,7 @@ import (
 func TestFrontierMatchesNaive(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3} {
 		g1, g2, seeds := testInstance(seed, 120)
-		opts := DefaultOptions()
-		opts.Engine = EngineFrontier
+		opts := pathFrontier.on(DefaultOptions())
 		opts.Threshold = 2
 		res, err := Reconcile(context.Background(), g1, g2, seeds, opts)
 		if err != nil {
@@ -27,10 +26,11 @@ func TestFrontierMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestFrontierMatchesSequential pins the engine across the whole option
+// TestFrontierMatchesSequential pins the frontier across the whole option
 // surface: for random instances and every combination of tie policy,
-// scoring, bucketing, margin and threshold, the frontier engine must produce
-// the exact pair sequence and phase statistics of the sequential reference.
+// scoring, bucketing, margin and threshold, the frontier path must produce
+// the exact pair sequence and phase statistics of the single-worker full
+// scan.
 func TestFrontierMatchesSequential(t *testing.T) {
 	err := quick.Check(func(seed uint64) bool {
 		g1, g2, seeds := testInstance(seed, 300)
@@ -43,13 +43,13 @@ func TestFrontierMatchesSequential(t *testing.T) {
 					opts.Ties = ties
 					opts.Scoring = scoring
 					opts.DisableBucketing = nobuck
-					opts.Engine = EngineSequential
+					opts = pathSequential.on(opts)
 					seq, err := Reconcile(context.Background(), g1, g2, seeds, opts)
 					if err != nil {
 						return false
 					}
 					for _, workers := range []int{0, 1, 3} {
-						opts.Engine = EngineFrontier
+						opts = pathFrontier.on(opts)
 						opts.Workers = workers
 						fr, err := Reconcile(context.Background(), g1, g2, seeds, opts)
 						if err != nil {
@@ -94,32 +94,30 @@ func resultsIdentical(a, b *Result) bool {
 
 // TestFrontierIncrementalMatchesSequential drives the same multi-run
 // schedule — run, ingest late seeds, run again, run to convergence — on both
-// engines and requires identical state at the end. This is the production
+// paths and requires identical state at the end. This is the production
 // Session workflow the frontier's persistent caches must survive.
 func TestFrontierIncrementalMatchesSequential(t *testing.T) {
 	for _, seed := range []uint64{3, 9, 27} {
 		g1, g2, seeds := testInstance(seed, 400)
 		half := len(seeds) / 2
-		run := func(engine Engine) *Result {
-			o := DefaultOptions()
-			o.Engine = engine
-			s, err := NewSession(g1, g2, seeds[:half], o)
+		run := func(p testPath) *Result {
+			s, err := NewSession(g1, g2, seeds[:half], p.on(DefaultOptions()))
 			if err != nil {
 				t.Fatal(err)
 			}
 			s.Run(context.Background(), 1)
 			// A link discovered in the first run may conflict with a late
 			// seed; the error and the partial seed application must be
-			// identical across engines, so it is data, not a failure.
+			// identical across paths, so it is data, not a failure.
 			if err := s.AddSeeds(seeds[half:]); err != nil {
-				t.Logf("engine %v: AddSeeds: %v", engine, err)
+				t.Logf("%s: AddSeeds: %v", p.name, err)
 			}
 			s.Run(context.Background(), 1)
 			s.RunUntilStable(context.Background(), 4)
 			return s.Result()
 		}
-		seq := run(EngineSequential)
-		fr := run(EngineFrontier)
+		seq := run(pathSequential)
+		fr := run(pathFrontier)
 		if !resultsIdentical(seq, fr) {
 			t.Fatalf("seed %d: incremental schedule diverged: seq %d pairs, frontier %d pairs",
 				seed, len(seq.Pairs), len(fr.Pairs))
@@ -136,8 +134,7 @@ func TestFrontierIncrementalMatchesSequential(t *testing.T) {
 // it under any later matching).
 func TestFrontierCancelPartialResult(t *testing.T) {
 	g1, g2, seeds := testInstance(5, 400)
-	opts := DefaultOptions()
-	opts.Engine = EngineFrontier
+	opts := pathFrontier.on(DefaultOptions())
 
 	full, err := Reconcile(context.Background(), g1, g2, seeds, opts)
 	if err != nil {
@@ -203,8 +200,7 @@ func TestFrontierCancelPartialResult(t *testing.T) {
 // where the full engines would rescan both node sets every pass.
 func TestFrontierSkipsCleanNodes(t *testing.T) {
 	g1, g2, seeds := testInstance(13, 600)
-	opts := DefaultOptions()
-	opts.Engine = EngineFrontier
+	opts := pathFrontier.on(DefaultOptions())
 	s, err := NewSession(g1, g2, seeds, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -282,12 +278,11 @@ func TestFrontierLiveRowInvariant(t *testing.T) {
 		{"workers4", func(o *Options) { o.Workers = 4 }},
 		{"unbucketed", func(o *Options) { o.DisableBucketing = true }},
 		{"maxdegree8", func(o *Options) { o.MaxDegree = 8; o.MinBucketExp = 0 }},
-		{"hybrid", func(o *Options) { o.Engine = EngineHybrid }},
+		{"hybrid", func(o *Options) { o.pin = pinNone }},
 	}
 	ctx := context.Background()
 	for _, cfg := range configs {
-		opts := DefaultOptions()
-		opts.Engine = EngineFrontier
+		opts := pathFrontier.on(DefaultOptions())
 		cfg.set(&opts)
 		t.Run(cfg.name, func(t *testing.T) {
 			checked := 0
@@ -349,7 +344,7 @@ func TestFrontierLiveRowInvariant(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if opts.Engine == EngineHybrid && !r.FrontierActive() {
+			if opts.pin == pinNone && !r.FrontierActive() {
 				t.Fatal("mid-sweep restore is not in the frontier regime")
 			}
 			requireNoRunState(t, r, "mid-sweep")
@@ -365,7 +360,7 @@ func TestFrontierLiveRowInvariant(t *testing.T) {
 
 // TestFrontierAddSeedsReactivates checks that seed ingestion after
 // convergence re-opens exactly the neighborhoods of the new links: the next
-// run re-scores something, discovers whatever the sequential engine would,
+// run re-scores something, discovers whatever the full scan would,
 // and goes idle again.
 func TestFrontierAddSeedsReactivates(t *testing.T) {
 	g1, g2, seeds := testInstance(21, 500)
@@ -375,8 +370,7 @@ func TestFrontierAddSeedsReactivates(t *testing.T) {
 	late := seeds[len(seeds)-4:]
 	early := seeds[:len(seeds)-4]
 
-	o := DefaultOptions()
-	o.Engine = EngineFrontier
+	o := pathFrontier.on(DefaultOptions())
 	s, err := NewSession(g1, g2, early, o)
 	if err != nil {
 		t.Fatal(err)
@@ -408,10 +402,10 @@ func TestFrontierAddSeedsReactivates(t *testing.T) {
 		t.Fatal("AddSeeds did not re-open the frontier")
 	}
 
-	// Same final state as the sequential engine driven through the same
+	// Same final state as the single-worker full scan driven through the same
 	// schedule.
 	oSeq := o
-	oSeq.Engine = EngineSequential
+	oSeq = pathSequential.on(oSeq)
 	sq, err := NewSession(g1, g2, early, oSeq)
 	if err != nil {
 		t.Fatal(err)
@@ -428,29 +422,12 @@ func TestFrontierAddSeedsReactivates(t *testing.T) {
 	}
 }
 
-// TestFrontierValidateAccepts covers the new engine constant in option
-// validation and its String form.
+// TestFrontierValidateAccepts pins that every path's options validate.
 func TestFrontierValidateAccepts(t *testing.T) {
-	o := DefaultOptions()
-	if o.Engine != EngineHybrid {
-		t.Fatalf("default engine = %v, want hybrid", o.Engine)
-	}
-	if err := o.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	o.Engine = EngineFrontier
-	if err := o.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if EngineFrontier.String() != "frontier" {
-		t.Fatalf("String() = %q", EngineFrontier.String())
-	}
-	if EngineHybrid.String() != "hybrid" {
-		t.Fatalf("String() = %q", EngineHybrid.String())
-	}
-	o.Engine = Engine(99)
-	if err := o.Validate(); err == nil {
-		t.Fatal("unknown engine accepted")
+	for _, p := range testPaths {
+		if err := p.on(DefaultOptions()).Validate(); err != nil {
+			t.Fatalf("%s: %v", p.name, err)
+		}
 	}
 }
 
@@ -459,8 +436,7 @@ func TestFrontierValidateAccepts(t *testing.T) {
 func TestFrontierEmptyAndTinyGraphs(t *testing.T) {
 	empty := graph.FromEdges(0, nil)
 	one := graph.FromEdges(1, nil)
-	o := DefaultOptions()
-	o.Engine = EngineFrontier
+	o := pathFrontier.on(DefaultOptions())
 	for _, tc := range []struct {
 		name   string
 		g1, g2 *graph.Graph

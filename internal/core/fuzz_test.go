@@ -11,16 +11,17 @@ import (
 )
 
 // FuzzEngineEquivalence generates random reconciliation instances and option
-// combinations and asserts that all four engines — sequential reference,
-// parallel, frontier, hybrid — produce bit-identical output: same pairs in
-// the same discovery order and the same phase statistics. It then drives the
-// frontier, hybrid and sequential engines through an incremental schedule
-// (run, ingest the held-back seeds, run to convergence) and requires the
-// final states to agree, pinning the frontier's persistent caches and
-// invalidation and the hybrid's automatic regime handoff under arbitrary
+// combinations and asserts that the engine's four paths (testPaths: the full
+// scan throughout at one worker and on a pool, the frontier from the first
+// bucket, and the default handoff) produce bit-identical output: same pairs
+// in the same discovery order and the same phase statistics. It then drives
+// the frontier, default and single-worker full-scan paths through an
+// incremental schedule (run, ingest the held-back seeds, run to convergence)
+// and requires the final states to agree, pinning the frontier's persistent
+// caches and invalidation and the automatic regime handoff under arbitrary
 // option mixes. Finally it kills a run at a cfg-derived bucket boundary and
-// restores the exported state under a different engine — crossing the hybrid
-// switch point in both directions — and requires the finished run to match.
+// restores the exported state on another path (resumeOn) — crossing the
+// handoff from both sides — and requires the finished run to match.
 //
 // Run the smoke corpus with the normal test suite, or explore with
 //
@@ -58,43 +59,40 @@ func FuzzEngineEquivalence(f *testing.F) {
 			opts.MaxDegree = 1 + int(cfg>>9) // exercise schedule overrides
 		}
 
-		run := func(engine Engine, workers int) *Result {
+		run := func(p testPath, workers int) *Result {
 			o := opts
-			o.Engine = engine
 			o.Workers = workers
-			res, err := Reconcile(context.Background(), g1, g2, seeds, o)
+			res, err := Reconcile(context.Background(), g1, g2, seeds, p.on(o))
 			if err != nil {
-				t.Fatalf("%v engine: %v", engine, err)
+				t.Fatalf("%s: %v", p.name, err)
 			}
 			return res
 		}
-		seq := run(EngineSequential, 0)
-		if par := run(EngineParallel, 3); !resultsIdentical(seq, par) {
+		seq := run(pathSequential, 0)
+		if par := run(pathParallel, 3); !resultsIdentical(seq, par) {
 			t.Fatalf("parallel diverges from sequential: %d vs %d pairs (cfg=%#x n=%d)",
 				len(par.Pairs), len(seq.Pairs), cfg, n)
 		}
 		for _, workers := range []int{1, 4} {
-			if fr := run(EngineFrontier, workers); !resultsIdentical(seq, fr) {
+			if fr := run(pathFrontier, workers); !resultsIdentical(seq, fr) {
 				t.Fatalf("frontier(workers=%d) diverges from sequential: %d vs %d pairs (cfg=%#x n=%d)",
 					workers, len(fr.Pairs), len(seq.Pairs), cfg, n)
 			}
 		}
-		if hy := run(EngineHybrid, 2); !resultsIdentical(seq, hy) {
+		if hy := run(pathHybrid, 2); !resultsIdentical(seq, hy) {
 			t.Fatalf("hybrid diverges from sequential: %d vs %d pairs (cfg=%#x n=%d)",
 				len(hy.Pairs), len(seq.Pairs), cfg, n)
 		}
 
-		// Forced mid-run engine switch: kill a run at a cfg-derived bucket
-		// boundary, export, restore under another engine (by the public
-		// restore's rule), finish — still bit-identical. When the victim
-		// is hybrid this crosses its automatic switch point from both sides.
+		// Forced mid-run path switch: kill a run at a cfg-derived bucket
+		// boundary, export, restore on another path (resumeOn), finish —
+		// still bit-identical. When the victim or the resumed run is on the
+		// default path this crosses the handoff from both sides.
 		if total := len(seq.Phases); total > 1 {
-			engines := []Engine{EngineSequential, EngineParallel, EngineFrontier, EngineHybrid}
-			runAs := engines[int(cfg>>3)%len(engines)]
-			resumeAs := engines[int(cfg>>5)%len(engines)]
+			runAs := testPaths[int(cfg>>3)%len(testPaths)]
+			resumeAs := testPaths[int(cfg>>5)%len(testPaths)]
 			stop := 1 + int(seed>>13)%(total-1)
-			o := opts
-			o.Engine = runAs
+			o := runAs.on(opts)
 			s, err := NewSession(g1, g2, seeds, o)
 			if err != nil {
 				t.Fatal(err)
@@ -112,37 +110,35 @@ func FuzzEngineEquivalence(f *testing.F) {
 			}
 			cancel()
 			st := s.ExportState()
-			st.SwitchEngine(resumeAs)
+			resumeOn(st, resumeAs)
 			restored, err := RestoreSession(g1, g2, st)
 			if err != nil {
-				t.Fatalf("%v->%v stop=%d: restore: %v", runAs, resumeAs, stop, err)
+				t.Fatalf("%s->%s stop=%d: restore: %v", runAs.name, resumeAs.name, stop, err)
 			}
 			remaining := o.Iterations - restored.Sweeps()
 			if _, err := restored.Run(context.Background(), remaining); err != nil {
 				t.Fatal(err)
 			}
 			if got := restored.Result(); !resultsIdentical(seq, got) {
-				t.Fatalf("%v->%v stop=%d: switched run diverged: %d vs %d pairs (cfg=%#x n=%d)",
-					runAs, resumeAs, stop, len(got.Pairs), len(seq.Pairs), cfg, n)
+				t.Fatalf("%s->%s stop=%d: switched run diverged: %d vs %d pairs (cfg=%#x n=%d)",
+					runAs.name, resumeAs.name, stop, len(got.Pairs), len(seq.Pairs), cfg, n)
 			}
 		}
 
-		// Incremental schedule: the same session workflow on both engines.
+		// Incremental schedule: the same session workflow on each path.
 		if len(seeds) < 2 {
 			return
 		}
 		half := len(seeds) / 2
-		incremental := func(engine Engine) (*Result, string) {
-			o := opts
-			o.Engine = engine
-			s, err := NewSession(g1, g2, seeds[:half], o)
+		incremental := func(p testPath) (*Result, string) {
+			s, err := NewSession(g1, g2, seeds[:half], p.on(opts))
 			if err != nil {
-				t.Fatalf("%v engine: %v", engine, err)
+				t.Fatalf("%s: %v", p.name, err)
 			}
 			s.Run(context.Background(), 1)
 			// Late seeds may conflict with discovered links; the error (and
 			// the partial application preceding it) must match across
-			// engines, so it is part of the compared output.
+			// paths, so it is part of the compared output.
 			errStr := ""
 			if err := s.AddSeeds(seeds[half:]); err != nil {
 				errStr = err.Error()
@@ -150,16 +146,16 @@ func FuzzEngineEquivalence(f *testing.F) {
 			s.RunUntilStable(context.Background(), 3)
 			return s.Result(), errStr
 		}
-		seqInc, seqErr := incremental(EngineSequential)
-		for _, engine := range []Engine{EngineFrontier, EngineHybrid} {
-			inc, incErr := incremental(engine)
+		seqInc, seqErr := incremental(pathSequential)
+		for _, p := range []testPath{pathFrontier, pathHybrid} {
+			inc, incErr := incremental(p)
 			if seqErr != incErr {
-				t.Fatalf("incremental %v AddSeeds errors diverge: %q vs %q (cfg=%#x n=%d)",
-					engine, incErr, seqErr, cfg, n)
+				t.Fatalf("incremental %s AddSeeds errors diverge: %q vs %q (cfg=%#x n=%d)",
+					p.name, incErr, seqErr, cfg, n)
 			}
 			if !resultsIdentical(seqInc, inc) {
-				t.Fatalf("incremental %v diverges: %d vs %d pairs (cfg=%#x n=%d)",
-					engine, len(inc.Pairs), len(seqInc.Pairs), cfg, n)
+				t.Fatalf("incremental %s diverges: %d vs %d pairs (cfg=%#x n=%d)",
+					p.name, len(inc.Pairs), len(seqInc.Pairs), cfg, n)
 			}
 		}
 	})

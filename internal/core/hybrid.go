@@ -1,27 +1,25 @@
 package core
 
-// EngineHybrid regime control. The hybrid engine is a scheduling policy, not
-// a new algorithm: before the switch the session runs the parallel engine's
-// full scans, after it the frontier engine's incremental re-scoring. Both
-// produce bit-identical matchings (the engine-equivalence suites pin this),
-// so the switch decision influences performance only — a wrong regime is
-// slow, never wrong.
+// Regime control. The handoff is a scheduling policy, not a new algorithm:
+// before it the session runs full scans, after it the frontier's
+// incremental re-scoring. Both produce bit-identical matchings (the
+// engine-equivalence suites pin this), so the decision influences
+// performance only — a wrong regime is slow, never wrong.
 //
 // The decision signal is the per-sweep commit rate, which the session already
-// tracks for the phase log: commits are what the frontier engine pays for
-// (every committed link invalidates its neighborhood on both sides), while
-// the parallel engine pays for graph size regardless. When the sweep commit
+// tracks for the phase log: commits are what the frontier pays for (every
+// committed link invalidates its neighborhood on both sides), while the
+// full scan pays for graph size regardless. When the sweep commit
 // rate is high, frontier invalidation churn approaches a full rescan and the
-// all-levels re-scoring makes it several times slower than parallel (0.17x
+// all-levels re-scoring makes it several times slower than the full scan (0.17x
 // on the calibration instance's first sweep); when it is low, frontier
 // skips almost all scoring work and wins many times over.
 
 // hybridCrossoverRate is the per-sweep commit rate — pairs committed during
-// the sweep divided by the total node count n1+n2 — below which EngineHybrid
-// hands off to the frontier engine at the sweep boundary. The handoff is
-// one-way: commit rates decay as the matching converges (the algorithm is
-// monotone), and the frontier engine handles later seed bursts through its
-// own invalidation.
+// the sweep divided by the total node count n1+n2 — below which a session
+// hands off to the frontier at the sweep boundary. The handoff is one-way:
+// commit rates decay as the matching converges (the algorithm is monotone),
+// and the frontier handles later seed bursts through its own invalidation.
 //
 // Measured with BenchmarkHybridCrossover (internal/core/bench_test.go) on
 // the recording machine of BENCH_engines.json (linux/amd64, GOMAXPROCS=1,
@@ -74,23 +72,19 @@ const phaseRetainSweeps = 16
 // that mirror the session's bounded log (cmd/serve's wire-phase feed).
 const PhaseRetainSweeps = phaseRetainSweeps
 
-// FrontierActive reports whether a hybrid session has handed off to the
-// frontier regime. Always false for fixed-engine sessions (they have no
-// regime to switch), always true once a hybrid session crosses over (the
-// handoff is one-way). Safe wherever session state is readable — the run
-// goroutine between buckets, or any goroutine while no run is in flight —
-// which is exactly where the serve layer's progress hook samples it for
-// the regime-switch counter.
-func (s *Session) FrontierActive() bool {
-	return s.opts.Engine == EngineHybrid && s.hybridSwitched
-}
+// FrontierActive reports whether the session has handed off to the
+// frontier regime; once true it stays true (the handoff is one-way). Safe
+// wherever session state is readable — the run goroutine between buckets,
+// or any goroutine while no run is in flight — which is exactly where the
+// serve layer's progress hook samples it for the regime-switch counter.
+func (s *Session) FrontierActive() bool { return s.hybridSwitched }
 
 // endSweep performs the bookkeeping owed at every completed sweep boundary:
-// the hybrid engine's regime decision and phase-log eviction. It must run at
-// sweep completions and nowhere else — both effects are position-driven and
+// the regime decision and phase-log eviction. It must run at sweep
+// completions and nowhere else — both effects are position-driven and
 // exported state must not depend on run history.
 func (s *Session) endSweep() {
-	if s.opts.Engine == EngineHybrid && !s.hybridSwitched &&
+	if s.opts.pin != pinFullScan && !s.hybridSwitched &&
 		float64(s.sweepMatched) < hybridCrossoverRate*float64(s.g1.NumNodes()+s.g2.NumNodes()) {
 		// Record the decision only; buildRunState builds the frontier state
 		// when the next bucket actually runs, so a run that ends here pays
@@ -129,32 +123,7 @@ func (s *Session) evictPhases() {
 	if cut == 0 {
 		return
 	}
-	s.phases = append(s.phases[:0], s.phases[cut:]...)
-}
-
-// inferHybridRegime returns the regime EngineHybrid would run at the state's
-// schedule position, judged from the recorded commit history: true (frontier)
-// when the last completed sweep's commit rate is below the crossover, false
-// (parallel) when it is above or when no completed sweep is in the log.
-// SwitchEngine uses it when a fixed-engine state, which records no regime,
-// is restored onto the hybrid engine.
-func (st *SessionState) inferHybridRegime() bool {
-	last := st.Sweeps
-	if st.NextBucket > 0 {
-		last--
-	}
-	if last < 1 {
-		return false
-	}
-	matched, seen := 0, false
-	for _, ph := range st.Phases {
-		if ph.Iteration == last {
-			matched += ph.Matched
-			seen = true
-		}
-	}
-	if !seen {
-		return false
-	}
-	return float64(matched) < hybridCrossoverRate*float64(st.N1+st.N2)
+	// Re-slice rather than shift: a Result holds a view of the window, which
+	// must keep reading the entries it was returned with.
+	s.phases = s.phases[cut:]
 }

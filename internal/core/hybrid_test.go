@@ -9,19 +9,16 @@ import (
 	"github.com/sociograph/reconcile/internal/trace"
 )
 
-// TestHybridMatchesSequential pins the hybrid engine's bit-identity against
-// the sequential reference over batch runs on the standard instances.
+// TestHybridMatchesSequential pins the default path's bit-identity against
+// the single-worker full scan over batch runs on the standard instances.
 func TestHybridMatchesSequential(t *testing.T) {
 	for _, seed := range []uint64{1, 5, 9} {
 		g1, g2, seeds := testInstance(seed, 300)
-		opts := DefaultOptions()
-		opts.Engine = EngineSequential
-		seq, err := Reconcile(context.Background(), g1, g2, seeds, opts)
+		seq, err := Reconcile(context.Background(), g1, g2, seeds, pathSequential.on(DefaultOptions()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts.Engine = EngineHybrid
-		hy, err := Reconcile(context.Background(), g1, g2, seeds, opts)
+		hy, err := Reconcile(context.Background(), g1, g2, seeds, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,23 +35,21 @@ func TestHybridIncrementalMatchesSequential(t *testing.T) {
 	for _, seed := range []uint64{3, 9, 27} {
 		g1, g2, seeds := testInstance(seed, 400)
 		half := len(seeds) / 2
-		run := func(engine Engine) *Result {
-			o := DefaultOptions()
-			o.Engine = engine
-			s, err := NewSession(g1, g2, seeds[:half], o)
+		run := func(p testPath) *Result {
+			s, err := NewSession(g1, g2, seeds[:half], p.on(DefaultOptions()))
 			if err != nil {
 				t.Fatal(err)
 			}
 			s.Run(context.Background(), 1)
 			if err := s.AddSeeds(seeds[half:]); err != nil {
-				t.Logf("engine %v: AddSeeds: %v", engine, err)
+				t.Logf("%s: AddSeeds: %v", p.name, err)
 			}
 			s.Run(context.Background(), 1)
 			s.RunUntilStable(context.Background(), 4)
 			return s.Result()
 		}
-		seq := run(EngineSequential)
-		hy := run(EngineHybrid)
+		seq := run(pathSequential)
+		hy := run(pathHybrid)
 		if !resultsIdentical(seq, hy) {
 			t.Fatalf("seed %d: incremental schedule diverged: seq %d pairs, hybrid %d",
 				seed, len(seq.Pairs), len(hy.Pairs))
@@ -63,15 +58,13 @@ func TestHybridIncrementalMatchesSequential(t *testing.T) {
 }
 
 // TestHybridAutoSwitch pins the handoff mechanics: the session starts in the
-// parallel regime (no frontier caches), the switch decision arrives once the
+// full-scan regime (no frontier caches), the switch decision arrives once the
 // per-sweep commit rate decays below the crossover, the frontier state is
 // built lazily at the next bucket — and from then on converged sweeps
 // re-score nothing, which is the scheduling win the handoff buys.
 func TestHybridAutoSwitch(t *testing.T) {
 	g1, g2, seeds := testInstance(5, 400)
-	o := DefaultOptions()
-	o.Engine = EngineHybrid
-	s, err := NewSession(g1, g2, seeds, o)
+	s, err := NewSession(g1, g2, seeds, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,19 +88,18 @@ func TestHybridAutoSwitch(t *testing.T) {
 	idle := s.fr.rescored
 	s.Run(context.Background(), 1)
 	if s.fr.rescored != idle {
-		t.Fatalf("converged hybrid sweep re-scored %d nodes, want 0", s.fr.rescored-idle)
+		t.Fatalf("converged sweep re-scored %d nodes, want 0", s.fr.rescored-idle)
 	}
 }
 
-// TestHybridRestoreAfterSwitch kills a hybrid run at every bucket boundary
+// TestHybridRestoreAfterSwitch kills a default run at every bucket boundary
 // of a multi-sweep schedule — both sides of the automatic switch — and pins
 // that the exported regime flag matches the session, that restore resumes in
-// that regime rather than restarting parallel, and that the restored run
-// finishes bit-identically.
+// that regime rather than restarting the full scan, and that the restored
+// run finishes bit-identically.
 func TestHybridRestoreAfterSwitch(t *testing.T) {
 	g1, g2, seeds := testInstance(11, 350)
 	opts := DefaultOptions()
-	opts.Engine = EngineHybrid
 	// Enough sweeps to converge and switch mid-schedule: this instance's
 	// commit decay crosses the rate crossover after sweep 4.
 	opts.Iterations = 6
@@ -162,7 +154,7 @@ func requireNoRunState(t *testing.T, s *Session, where string) {
 // whose live rows agree with its cache.
 func runFirstBucket(t *testing.T, s *Session, where string) {
 	t.Helper()
-	frontier := s.opts.Engine == EngineFrontier || s.hybridSwitched
+	frontier := s.hybridSwitched
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	s.SetProgress(func(PhaseEvent) { cancel() })
@@ -187,19 +179,18 @@ func runFirstBucket(t *testing.T, s *Session, where string) {
 
 // TestRunStateLifetime pins when a session builds its run state, the linked
 // counts and the frontier state: NewSession, RestoreSession and AddSeeds
-// before the first bucket build neither, for every engine, on both sides of
-// the hybrid handoff and mid-sweep; the first bucket builds both from the
-// matching (runFirstBucket). Only a live hybrid handoff records an
-// engine-handoff span, exactly one; a resumed frontier-regime hybrid records
-// none. Every run still finishes bit-identically to the uninterrupted one,
-// or to a sequential session driven through the same seeds.
+// before the first bucket build neither, on every path, on both sides of
+// the handoff and mid-sweep; the first bucket builds both from the
+// matching (runFirstBucket). Only a live handoff records an engine-handoff
+// span, exactly one; a session resumed in the frontier regime records none.
+// Every run still finishes bit-identically to the uninterrupted one, or to
+// a single-worker full scan driven through the same seeds.
 func TestRunStateLifetime(t *testing.T) {
 	g1, g2, seeds := testInstance(11, 350)
 	half := len(seeds) / 2
-	for _, engine := range []Engine{EngineSequential, EngineParallel, EngineFrontier, EngineHybrid} {
-		t.Run(engine.String(), func(t *testing.T) {
-			opts := DefaultOptions()
-			opts.Engine = engine
+	for _, p := range testPaths {
+		t.Run(p.name, func(t *testing.T) {
+			opts := p.on(DefaultOptions())
 			opts.Iterations = 6
 			full, err := Reconcile(context.Background(), g1, g2, seeds, opts)
 			if err != nil {
@@ -223,10 +214,10 @@ func TestRunStateLifetime(t *testing.T) {
 			if !pairsEqual(s.Result().Pairs, full.Pairs) {
 				t.Fatal("New+AddSeeds run diverged from New with every seed")
 			}
-			if engine == EngineHybrid && s.fr == nil {
-				t.Fatal("the hybrid never handed off live")
+			if p == pathHybrid && s.fr == nil {
+				t.Fatal("the default path never handed off live")
 			}
-			if want := b2i(engine == EngineHybrid); handoffs(tr) != want {
+			if want := b2i(p == pathHybrid); handoffs(tr) != want {
 				t.Fatalf("New run recorded %d handoff spans, want %d", handoffs(tr), want)
 			}
 
@@ -250,7 +241,7 @@ func TestRunStateLifetime(t *testing.T) {
 				if !resultsIdentical(full, r.Result()) {
 					t.Fatalf("%s: restored run diverged", where)
 				}
-				live := engine == EngineHybrid && !st.HybridFrontier && r.fr != nil
+				live := p == pathHybrid && !st.HybridFrontier && r.fr != nil
 				if handoffs(tr) != b2i(live) {
 					t.Fatalf("%s: resumed run recorded %d handoff spans, want %d (restored in the frontier regime %v)",
 						where, handoffs(tr), b2i(live), st.HybridFrontier)
@@ -270,7 +261,7 @@ func TestRunStateLifetime(t *testing.T) {
 				runFirstBucket(t, r, where+" restore+AddSeeds")
 				finishSchedule(t, r, opts.Iterations)
 				ref := *st
-				ref.SwitchEngine(EngineSequential)
+				ref.Opts, ref.HybridFrontier = pathSequential.on(ref.Opts), false
 				seq, err := RestoreSession(g1, g2, &ref)
 				if err != nil {
 					t.Fatal(err)
@@ -280,14 +271,14 @@ func TestRunStateLifetime(t *testing.T) {
 				}
 				finishSchedule(t, seq, opts.Iterations)
 				if !resultsIdentical(seq.Result(), r.Result()) {
-					t.Fatalf("%s: restore+AddSeeds diverged from the sequential engine", where)
+					t.Fatalf("%s: restore+AddSeeds diverged from the single-worker full scan", where)
 				}
 			}
 			if !midSweep {
 				t.Fatal("no mid-sweep restore")
 			}
-			if engine == EngineHybrid && !(sides[false] && sides[true]) {
-				t.Fatalf("hybrid restored on one side of its handoff only: %v", sides)
+			if p == pathHybrid && !(sides[false] && sides[true]) {
+				t.Fatalf("default path restored on one side of its handoff only: %v", sides)
 			}
 		})
 	}
@@ -301,67 +292,6 @@ func b2i(b bool) int {
 	return 0
 }
 
-// TestInferHybridRegime pins SwitchEngine's inference: a converged snapshot
-// reads as the frontier regime, a commit-dense early one as parallel, and an
-// empty history defaults to parallel.
-func TestInferHybridRegime(t *testing.T) {
-	g1, g2, seeds := testInstance(7, 400)
-	o := DefaultOptions()
-	o.Engine = EngineSequential
-	s, err := NewSession(g1, g2, seeds, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.ExportState().inferHybridRegime() {
-		t.Fatal("empty history inferred as frontier regime")
-	}
-	s.Run(context.Background(), 1)
-	if s.ExportState().inferHybridRegime() {
-		t.Fatal("commit-dense first sweep inferred as frontier regime")
-	}
-	s.RunUntilStable(context.Background(), 10)
-	if !s.ExportState().inferHybridRegime() {
-		t.Fatal("converged history inferred as parallel regime")
-	}
-}
-
-// TestSwitchEngine pins the restore rule for the regime bit: a fixed target
-// clears it, a hybrid target keeps a hybrid source's bit and infers one for
-// a fixed source.
-func TestSwitchEngine(t *testing.T) {
-	g1, g2, seeds := testInstance(7, 400)
-	o := DefaultOptions()
-	o.Engine = EngineSequential
-	s, err := NewSession(g1, g2, seeds, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.RunUntilStable(context.Background(), 10)
-	converged := s.ExportState() // infers as the frontier regime
-	for _, tc := range []struct {
-		from   Engine
-		bit    bool
-		to     Engine
-		wantOn bool
-	}{
-		{EngineHybrid, true, EngineFrontier, false},
-		{EngineHybrid, true, EngineParallel, false},
-		{EngineHybrid, true, EngineHybrid, true},
-		{EngineHybrid, false, EngineHybrid, false}, // kept, not inferred
-		{EngineSequential, false, EngineHybrid, true},
-		{EngineFrontier, false, EngineHybrid, true},
-		{EngineParallel, false, EngineSequential, false},
-	} {
-		st := *converged
-		st.Opts.Engine, st.HybridFrontier = tc.from, tc.bit
-		st.SwitchEngine(tc.to)
-		if st.Opts.Engine != tc.to || st.HybridFrontier != tc.wantOn {
-			t.Errorf("%v (bit %v) -> %v: engine %v, bit %v; want bit %v",
-				tc.from, tc.bit, tc.to, st.Opts.Engine, st.HybridFrontier, tc.wantOn)
-		}
-	}
-}
-
 // TestPhaseRetention pins the bounded phase log: a long-lived session keeps
 // per-bucket entries for the last PhaseRetainSweeps sweeps only, folds the
 // evicted prefix into Result.Totals without losing a single count, and
@@ -369,10 +299,9 @@ func TestSwitchEngine(t *testing.T) {
 // totals.
 func TestPhaseRetention(t *testing.T) {
 	g1, g2, seeds := testInstance(7, 200)
-	for _, engine := range []Engine{EngineSequential, EngineHybrid} {
-		t.Run(engine.String(), func(t *testing.T) {
-			opts := DefaultOptions()
-			opts.Engine = engine
+	for _, p := range []testPath{pathSequential, pathHybrid} {
+		t.Run(p.name, func(t *testing.T) {
+			opts := p.on(DefaultOptions())
 			s, err := NewSession(g1, g2, seeds, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -424,7 +353,6 @@ func TestPhaseRetention(t *testing.T) {
 func TestPhaseRetentionResumeEquivalence(t *testing.T) {
 	g1, g2, seeds := testInstance(13, 150)
 	opts := DefaultOptions()
-	opts.Engine = EngineHybrid
 	opts.Iterations = phaseRetainSweeps + 4
 
 	full, err := Reconcile(context.Background(), g1, g2, seeds, opts)
@@ -464,8 +392,7 @@ func TestPhaseRetentionResumeEquivalence(t *testing.T) {
 // in the middle must produce byte-equal windows and eviction counters.
 func TestPhaseRetentionHistoryIndependent(t *testing.T) {
 	g1, g2, seeds := testInstance(3, 150)
-	opts := DefaultOptions()
-	opts.Engine = EngineSequential
+	opts := pathSequential.on(DefaultOptions())
 	const sweeps = phaseRetainSweeps + 3
 
 	direct, err := NewSession(g1, g2, seeds, opts)

@@ -53,10 +53,9 @@ func finishSchedule(t *testing.T, s *Session, sweeps int) {
 // the uninterrupted whole".
 func TestResumeEquivalence(t *testing.T) {
 	g1, g2, seeds := testInstance(5, 400)
-	for _, engine := range []Engine{EngineSequential, EngineParallel, EngineFrontier, EngineHybrid} {
-		t.Run(engine.String(), func(t *testing.T) {
-			opts := DefaultOptions()
-			opts.Engine = engine
+	for _, p := range testPaths {
+		t.Run(p.name, func(t *testing.T) {
+			opts := p.on(DefaultOptions())
 
 			full, err := Reconcile(context.Background(), g1, g2, seeds, opts)
 			if err != nil {
@@ -92,9 +91,12 @@ func TestResumeEquivalence(t *testing.T) {
 	}
 }
 
-// TestResumeEquivalenceCrossEngine restores frontier-engine snapshots into
-// the sequential engine and sequential snapshots into the frontier engine at
-// every boundary; the finished runs must still be bit-identical.
+// TestResumeEquivalenceCrossEngine exports a run on one path at every
+// boundary and restores it on another (resumeOn): either regime takes over
+// any state at any bucket boundary, mid-sweep included, which the handoff
+// only does at sweep ends. The "to hybrid" rows resume a pinned path's
+// state on the default path in the full-scan regime, as the codec restores
+// a record a pinned engine wrote. The finished runs must be bit-identical.
 func TestResumeEquivalenceCrossEngine(t *testing.T) {
 	g1, g2, seeds := testInstance(11, 350)
 	opts := DefaultOptions()
@@ -110,32 +112,31 @@ func TestResumeEquivalenceCrossEngine(t *testing.T) {
 
 	for _, tc := range []struct {
 		name     string
-		runAs    Engine
-		resumeAs Engine
+		runAs    testPath
+		resumeAs testPath
 	}{
-		{"frontier to sequential", EngineFrontier, EngineSequential},
-		{"sequential to frontier", EngineSequential, EngineFrontier},
-		{"parallel to frontier", EngineParallel, EngineFrontier},
-		{"hybrid to frontier", EngineHybrid, EngineFrontier},
-		{"hybrid to sequential", EngineHybrid, EngineSequential},
-		{"frontier to hybrid", EngineFrontier, EngineHybrid},
-		{"parallel to hybrid", EngineParallel, EngineHybrid},
-		{"sequential to hybrid", EngineSequential, EngineHybrid},
+		{"frontier to sequential", pathFrontier, pathSequential},
+		{"sequential to frontier", pathSequential, pathFrontier},
+		{"parallel to frontier", pathParallel, pathFrontier},
+		{"hybrid to frontier", pathHybrid, pathFrontier},
+		{"hybrid to sequential", pathHybrid, pathSequential},
+		{"frontier to hybrid", pathFrontier, pathHybrid},
+		{"parallel to hybrid", pathParallel, pathHybrid},
+		{"sequential to hybrid", pathSequential, pathHybrid},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for stop := 1; stop < totalBuckets; stop++ {
-				o := opts
-				o.Engine = tc.runAs
+				o := tc.runAs.on(opts)
 				victim := runToBoundary(t, g1, g2, seeds, o, o.Iterations, stop)
 				st := victim.ExportState()
-				st.SwitchEngine(tc.resumeAs) // the public restore's rule
+				resumeOn(st, tc.resumeAs)
 				restored, err := RestoreSession(g1, g2, st)
 				if err != nil {
 					t.Fatalf("stop=%d: restore: %v", stop, err)
 				}
 				finishSchedule(t, restored, o.Iterations)
 				if got := restored.Result(); !resultsIdentical(full, got) {
-					t.Fatalf("stop=%d: cross-engine resume diverged: %d pairs, want %d",
+					t.Fatalf("stop=%d: cross-path resume diverged: %d pairs, want %d",
 						stop, len(got.Pairs), len(full.Pairs))
 				}
 			}
@@ -186,9 +187,7 @@ func TestResumeMidSweepContinuation(t *testing.T) {
 // import checks enforce: a corrupted state must be refused, never installed.
 func TestRestoreSessionRejectsInvalidState(t *testing.T) {
 	g1, g2, seeds := testInstance(19, 200)
-	opts := DefaultOptions()
-	opts.Engine = EngineFrontier // a fixed engine: a set hybrid flag is a corruption
-	s, err := NewSession(g1, g2, seeds, opts)
+	s, err := NewSession(g1, g2, seeds, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +236,6 @@ func TestRestoreSessionRejectsInvalidState(t *testing.T) {
 	check("evicted prefix overstates position", func(st *SessionState) {
 		st.PhasesDropped += len(st.Opts.BucketSchedule(g1, g2))
 	})
-	check("hybrid flag under fixed engine", func(st *SessionState) { st.HybridFrontier = true })
 }
 
 // TestExportStateIsDeepCopy ensures a snapshot is immune to the session

@@ -103,13 +103,12 @@ func TestCandidateListInvariant(t *testing.T) {
 		{"maxdegree8", func(o *Options) { o.MaxDegree = 8; o.MinBucketExp = 0 }},
 		{"adamic-adar", func(o *Options) { o.Scoring = ScoreAdamicAdar }},
 		{"margin1", func(o *Options) { o.MinMargin = 1 }},
-		{"frontier", func(o *Options) { o.Engine = EngineFrontier }},
-		{"hybrid", func(o *Options) { o.Engine = EngineHybrid }},
+		{"frontier", func(o *Options) { o.pin = pinFrontier }},
+		{"hybrid", func(o *Options) { o.pin = pinNone }},
 	}
 	ctx := context.Background()
 	for _, cfg := range configs {
-		opts := DefaultOptions()
-		opts.Engine = EngineParallel
+		opts := pathParallel.on(DefaultOptions())
 		cfg.set(&opts)
 		derived := opts.passParams(1).derive
 		t.Run(cfg.name, func(t *testing.T) {
@@ -186,10 +185,10 @@ func TestCandidateListInvariant(t *testing.T) {
 			if passes == 0 {
 				t.Fatal("no pass was checked")
 			}
-			if opts.Engine != EngineParallel && frontierPasses == 0 {
+			if opts.pin != pinFullScan && frontierPasses == 0 {
 				t.Fatal("no frontier pass was checked")
 			}
-			if (!derived || opts.Engine != EngineParallel) && g1Checked == 0 {
+			if (!derived || opts.pin != pinFullScan) && g1Checked == 0 {
 				t.Fatal("G1's candidate lists were never built, so never checked")
 			}
 		})
@@ -198,32 +197,31 @@ func TestCandidateListInvariant(t *testing.T) {
 
 // TestScanStateLifetime pins when each piece of per-session scoring state
 // exists. NewSession and RestoreSession build none of it. The walk state is
-// created at the first bucket of either regime, and a hybrid session's
-// frontier takes over the one its full scans built. Inside it, each side's
+// created at the first bucket of either regime, and at the handoff the
+// frontier takes over the one the full scans built. Inside it, each side's
 // candidate lists and scorers are built at that side's first walk: a
 // count-scored full scan walks only the left side, so it never builds G1's
 // lists or a right-side scorer; an Adamic-Adar full scan builds both at its
-// first pass; the frontier builds G1's at its first right refresh, which for
-// a hybrid session comes after the handoff. The full scan's proposal
-// buffers (scan) are never built for a frontier pass and are dropped at a
-// hybrid handoff.
+// first pass; the frontier builds G1's at its first right refresh, which on
+// the default path comes after the handoff. The full scan's proposal
+// buffers (scan) are never built for a frontier pass and are dropped at the
+// handoff.
 func TestScanStateLifetime(t *testing.T) {
 	g1, g2, seeds := testInstance(12, 400)
 	ctx := context.Background()
 	cases := []struct {
 		name    string
-		engine  Engine
+		path    testPath
 		scoring Scoring
 	}{
-		{"sequential", EngineSequential, ScoreWitnessCount},
-		{"parallel", EngineParallel, ScoreWitnessCount},
-		{"parallel/adamic-adar", EngineParallel, ScoreAdamicAdar},
-		{"frontier", EngineFrontier, ScoreWitnessCount},
-		{"hybrid", EngineHybrid, ScoreWitnessCount},
+		{"sequential", pathSequential, ScoreWitnessCount},
+		{"parallel", pathParallel, ScoreWitnessCount},
+		{"parallel/adamic-adar", pathParallel, ScoreAdamicAdar},
+		{"frontier", pathFrontier, ScoreWitnessCount},
+		{"hybrid", pathHybrid, ScoreWitnessCount},
 	}
 	for _, tc := range cases {
-		opts := DefaultOptions()
-		opts.Engine = tc.engine
+		opts := tc.path.on(DefaultOptions())
 		opts.Scoring = tc.scoring
 		s, err := NewSession(g1, g2, seeds, opts)
 		if err != nil {
@@ -244,16 +242,16 @@ func TestScanStateLifetime(t *testing.T) {
 			lists = s.walk
 			g1Lists := s.walk.left.built() || len(s.walk.rightScorers) > 0
 			switch {
-			case tc.engine == EngineFrontier && s.scan != nil:
+			case tc.path == pathFrontier && s.scan != nil:
 				t.Fatal("frontier session built full-scan buffers")
 			case s.FrontierActive():
 				handedOff = true
 				if s.scan != nil {
-					t.Fatal("hybrid session kept full-scan buffers after its handoff decision")
+					t.Fatal("session kept full-scan buffers in the frontier regime")
 				}
 				for _, sc := range slices.Concat(s.walk.leftScorers, s.walk.rightScorers) {
 					if sc.pairs != nil {
-						t.Fatal("hybrid session kept a scorer's pair buffer after its handoff decision")
+						t.Fatal("session kept a scorer's pair buffer in the frontier regime")
 					}
 				}
 			case s.scan != nil:
@@ -269,13 +267,13 @@ func TestScanStateLifetime(t *testing.T) {
 		if _, err := s.RunUntilStable(ctx, 10); err != nil {
 			t.Fatal(err)
 		}
-		if tc.engine != EngineFrontier && !built {
+		if tc.path != pathFrontier && !built {
 			t.Fatalf("%s: no full-scan pass built its buffers", tc.name)
 		}
-		if tc.engine == EngineHybrid && !handedOff {
-			t.Fatal("hybrid session never handed off; the instance does not exercise the takeover")
+		if tc.path == pathHybrid && !handedOff {
+			t.Fatal("default session never handed off; the instance does not exercise the takeover")
 		}
-		if tc.engine == EngineFrontier || tc.engine == EngineHybrid {
+		if tc.path == pathFrontier || tc.path == pathHybrid {
 			if !s.walk.left.built() || len(s.walk.rightScorers) == 0 {
 				t.Fatalf("%s: the frontier's right refreshes never built G1's lists and a right-side scorer", tc.name)
 			}
@@ -473,8 +471,7 @@ func TestScanPassAllocations(t *testing.T) {
 	g := gen.PreferentialAttachment(r, n, 10)
 	g1, g2 := sampling.IndependentCopies(r, g, 0.5, 0.5)
 	seeds := sampling.Seeds(r, graph.IdentityPairs(n), 0.10)
-	opts := DefaultOptions()
-	opts.Engine = EngineParallel
+	opts := pathParallel.on(DefaultOptions())
 	opts.Workers = 1
 	s, err := NewSession(g1, g2, seeds, opts)
 	if err != nil {
@@ -624,8 +621,7 @@ func TestDerivedRightProposals(t *testing.T) {
 			for _, seed := range []uint64{21, 22, 23} {
 				g1, g2, seeds := testInstance(seed, 600)
 				n1, n2 := g1.NumNodes(), g2.NumNodes()
-				opts := DefaultOptions()
-				opts.Engine = EngineParallel
+				opts := pathParallel.on(DefaultOptions())
 				cfg.set(&opts)
 				s, err := NewSession(g1, g2, seeds, opts)
 				if err != nil {

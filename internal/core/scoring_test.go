@@ -94,7 +94,7 @@ func TestAdamicAdarBreaksHubTies(t *testing.T) {
 		opts.Threshold = 2
 		opts.MinBucketExp = 0
 		opts.Scoring = scoring
-		opts.Engine = EngineSequential
+		opts = pathSequential.on(opts)
 		res, err := Reconcile(context.Background(), g1, g2, seeds, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -157,7 +157,7 @@ func TestMinMarginRejectsCloseCalls(t *testing.T) {
 		opts.Threshold = 2
 		opts.MinBucketExp = 0
 		opts.MinMargin = margin
-		opts.Engine = EngineSequential
+		opts = pathSequential.on(opts)
 		opts.Iterations = 1
 		res, err := Reconcile(context.Background(), g, g, seeds, opts)
 		if err != nil {
@@ -204,12 +204,12 @@ func TestWeightedEnginesAgree(t *testing.T) {
 	g1, g2, seeds := testInstance(29, 500)
 	opts := DefaultOptions()
 	opts.Scoring = ScoreAdamicAdar
-	opts.Engine = EngineSequential
+	opts = pathSequential.on(opts)
 	seq, err := Reconcile(context.Background(), g1, g2, seeds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Engine = EngineParallel
+	opts = pathParallel.on(opts)
 	opts.Workers = 5
 	par, err := Reconcile(context.Background(), g1, g2, seeds, opts)
 	if err != nil {

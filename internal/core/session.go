@@ -34,18 +34,18 @@ type Session struct {
 	opts   Options
 	m      *Matching
 	// lc and fr are the run state a bucket reads beyond the matching: the
-	// linked-neighbor counts, and the frontier engine's persistent
-	// scheduling state, non-nil in the frontier regime only (EngineFrontier,
-	// or EngineHybrid past its handoff). Both are functions of the graphs and
-	// the matching, built by buildRunState at the first bucket a session
-	// runs — never by NewSession or RestoreSession — and never exported.
+	// linked-neighbor counts, and the frontier's persistent scheduling
+	// state, non-nil in the frontier regime only. Both are functions of the
+	// graphs and the matching, built by buildRunState at the first bucket a
+	// session runs — never by NewSession or RestoreSession — and never
+	// exported.
 	lc *linkedCounts
 	fr *frontierState
 	// walk is the candidate lists and scorers both regimes score with,
 	// created at the first bucket of either regime (each side's lists at
-	// their first walk) and kept across a hybrid handoff. scan is the full
+	// their first walk) and kept across the handoff. scan is the full
 	// scan's proposal buffers, built at the first full-scan bucket and
-	// dropped at a hybrid handoff. Neither is exported.
+	// dropped at the handoff. Neither is exported.
 	walk   *walkState
 	scan   *scanState
 	phases []PhaseStat
@@ -55,10 +55,11 @@ type Session struct {
 	sweeps  int
 	pos     int // next bucket index within the current sweep; 0 = sweep boundary
 	// sweepMatched counts the pairs committed in the current sweep — the
-	// hybrid engine's regime signal, reset when a sweep is claimed.
+	// regime signal, reset when a sweep is claimed.
 	sweepMatched int
-	// hybridSwitched records EngineHybrid's one-way handoff decision; the
-	// frontier state itself is built lazily at the next bucket.
+	// hybridSwitched is the regime bit: the one-way handoff decision to the
+	// frontier regime. The frontier state itself is built lazily at the
+	// next bucket.
 	hybridSwitched bool
 	progress       func(PhaseEvent)
 	// tracer receives execution spans (sweeps, buckets, handoffs, seed
@@ -89,7 +90,7 @@ func NewSession(g1, g2 *graph.Graph, seeds []graph.Pair, opts Options) (*Session
 	if err != nil {
 		return nil, err
 	}
-	return &Session{g1: g1, g2: g2, opts: opts, m: m}, nil
+	return &Session{g1: g1, g2: g2, opts: opts, m: m, hybridSwitched: opts.pin == pinFrontier}, nil
 }
 
 // AddSeeds injects newly learned trusted links, in order. A seed whose
@@ -234,16 +235,16 @@ func (s *Session) Run(ctx context.Context, sweeps int) (int, error) {
 // at least T linked neighbors, so the first refresh re-scores every node
 // that could propose against the current matching, which by the clean-row
 // invariant reproduces the rows incremental maintenance would hold,
-// whatever AddSeeds added before it. Only a hybrid whose counts already
-// exist ran full-scan buckets in this session and is handing off live, so
-// only that build records an engine-handoff span; a hybrid restored in the
-// frontier regime handed off before it was exported.
+// whatever AddSeeds added before it. Only a session whose counts already
+// exist ran full-scan buckets and is handing off live, so only that build
+// records an engine-handoff span; a session restored in the frontier regime
+// handed off before it was exported.
 func (s *Session) buildRunState() {
 	handoff := s.lc != nil
 	if s.lc == nil {
 		s.lc = newLinkedCounts(s.g1, s.g2, s.m)
 	}
-	if s.fr != nil || s.opts.Engine != EngineFrontier && !s.hybridSwitched {
+	if s.fr != nil || !s.hybridSwitched {
 		return
 	}
 	var sp *trace.Active
@@ -282,22 +283,21 @@ func (s *Session) RunUntilStable(ctx context.Context, maxSweeps int) (int, error
 func (s *Session) Len() int { return s.m.Len() }
 
 // Result snapshots the session as a Result (same layout as Reconcile's). It
-// copies only the phase window: Pairs and NewPairs are read-only views of
-// the link log (see Result), so a call costs nothing per link.
+// copies nothing: Pairs, NewPairs and Phases are read-only views of the
+// append-only link log and phase window (see Result), so a call costs
+// nothing per link or phase.
 func (s *Session) Result() *Result {
 	t := s.dropped
 	t.Buckets += len(s.phases)
 	for _, ph := range s.phases {
 		t.Matched += ph.Matched
 	}
+	n := len(s.phases)
 	return &Result{
 		Pairs:    s.m.Pairs(),
 		NewPairs: s.m.NewPairs(),
 		Seeds:    s.m.SeedCount(),
-		Phases:   s.Phases(),
+		Phases:   s.phases[:n:n],
 		Totals:   t,
 	}
 }
-
-// Phases returns a copy of the retained phase log — Result's Phases.
-func (s *Session) Phases() []PhaseStat { return append([]PhaseStat(nil), s.phases...) }

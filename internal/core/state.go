@@ -12,7 +12,7 @@ import (
 // immutable graphs: the configuration, the matching with its seed boundary,
 // the bucket-schedule position, the phase log and the hybrid regime bit.
 // Everything else a session holds — linked-neighbor counts, the candidate
-// lists, the frontier engine's proposal cache and worklists — is a function
+// lists, the frontier's proposal cache and worklists — is a function
 // of the graphs and the matching, so the restored session's first bucket
 // builds it instead of reading it. Exporting at any bucket boundary and
 // restoring over the same graphs yields a session whose future output is
@@ -48,9 +48,9 @@ type SessionState struct {
 	PhasesDropped  int
 	DroppedMatched int
 
-	// HybridFrontier records EngineHybrid's regime at export: false while
-	// still in the parallel regime, true once the session has decided to
-	// hand off to the frontier engine. Always false for fixed engines.
+	// HybridFrontier records the regime at export: false while the session
+	// is still in the full-scan regime, true once it has decided to hand off
+	// to the frontier (the handoff is one-way).
 	HybridFrontier bool
 }
 
@@ -69,7 +69,7 @@ func (s *Session) ExportState() *SessionState {
 		Phases:         append([]PhaseStat(nil), s.phases...),
 		PhasesDropped:  s.dropped.Buckets,
 		DroppedMatched: s.dropped.Matched,
-		HybridFrontier: s.opts.Engine == EngineHybrid && s.hybridSwitched,
+		HybridFrontier: s.hybridSwitched,
 	}
 }
 
@@ -150,10 +150,6 @@ func RestoreSession(g1, g2 *graph.Graph, st *SessionState) (*Session, error) {
 	if prevTotal > m.Len() {
 		return nil, fmt.Errorf("core: restore: phase log reaches %d links, matching has %d", prevTotal, m.Len())
 	}
-	if st.HybridFrontier && st.Opts.Engine != EngineHybrid {
-		return nil, fmt.Errorf("core: restore: hybrid regime flag set under fixed engine %v", st.Opts.Engine)
-	}
-
 	s := &Session{
 		g1:             g1,
 		g2:             g2,
@@ -167,28 +163,12 @@ func RestoreSession(g1, g2 *graph.Graph, st *SessionState) (*Session, error) {
 	}
 	if st.NextBucket > 0 {
 		// Rebuild the current sweep's commit counter from the retained log
-		// (the window always covers the sweep in progress), so a hybrid
-		// session restored mid-sweep makes the same regime decision at the
+		// (the window always covers the sweep in progress), so a session
+		// restored mid-sweep makes the same regime decision at the
 		// sweep's end as the uninterrupted run.
 		for _, ph := range s.phases[len(s.phases)-st.NextBucket:] {
 			s.sweepMatched += ph.Matched
 		}
 	}
 	return s, nil
-}
-
-// SwitchEngine re-targets the state at another engine before a restore.
-// Engines share one state layout, so only the hybrid regime bit needs a
-// rule: a fixed engine clears it, and a hybrid target keeps a hybrid
-// source's bit and otherwise infers the regime from the recorded commit
-// history — resuming a converged run in the parallel regime would be
-// correct but slow.
-func (st *SessionState) SwitchEngine(e Engine) {
-	switch {
-	case e != EngineHybrid:
-		st.HybridFrontier = false
-	case st.Opts.Engine != EngineHybrid:
-		st.HybridFrontier = st.inferHybridRegime()
-	}
-	st.Opts.Engine = e
 }

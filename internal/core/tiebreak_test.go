@@ -54,13 +54,13 @@ func TestTieLowestIDDeterministic(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Threshold = 1
 	opts.Ties = TieLowestID
-	opts.Engine = EngineSequential
+	opts = pathSequential.on(opts)
 	seq, err := Reconcile(context.Background(), g1, g2, seeds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{1, 3, 8} {
-		opts.Engine = EngineParallel
+		opts = pathParallel.on(opts)
 		opts.Workers = w
 		par, err := Reconcile(context.Background(), g1, g2, seeds, opts)
 		if err != nil {

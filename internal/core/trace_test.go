@@ -35,8 +35,7 @@ func spansByKind(p *trace.Persisted) map[trace.Kind][]trace.Span {
 
 func TestSessionEmitsSweepAndBucketSpans(t *testing.T) {
 	g1, g2, seeds := testInstance(11, 150)
-	opts := DefaultOptions()
-	opts.Engine = EngineSequential
+	opts := pathSequential.on(DefaultOptions())
 	s, err := NewSession(g1, g2, seeds, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -94,14 +93,12 @@ func TestSessionSeedIngestSpan(t *testing.T) {
 	}
 }
 
-// TestHybridHandoffSpan drives a hybrid session to convergence so the regime
-// switches, and requires exactly one engine-handoff span (the switch is
+// TestHybridHandoffSpan drives a default session to convergence so the
+// regime switches, and requires exactly one engine-handoff span (the switch is
 // one-way and the state build happens once).
 func TestHybridHandoffSpan(t *testing.T) {
 	g1, g2, seeds := testInstance(13, 200)
-	opts := DefaultOptions()
-	opts.Engine = EngineHybrid
-	s, err := NewSession(g1, g2, seeds, opts)
+	s, err := NewSession(g1, g2, seeds, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +108,7 @@ func TestHybridHandoffSpan(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !s.FrontierActive() {
-		t.Skip("instance never crossed the hybrid regime threshold")
+		t.Skip("instance never crossed the regime threshold")
 	}
 	by := spansByKind(tr.Export())
 	if len(by[trace.KindHandoff]) != 1 {
@@ -124,12 +121,10 @@ func TestHybridHandoffSpan(t *testing.T) {
 // require every sweep to appear exactly once — the interrupted sweep's span
 // covers its post-restore portion, and none are duplicated or lost.
 func TestTraceContinuousAcrossRestore(t *testing.T) {
-	for _, eng := range []Engine{EngineSequential, EngineParallel, EngineFrontier, EngineHybrid} {
-		t.Run(fmt.Sprintf("engine-%d", eng), func(t *testing.T) {
+	for i, path := range testPaths {
+		t.Run(fmt.Sprintf("engine-%d", i), func(t *testing.T) {
 			g1, g2, seeds := testInstance(14, 150)
-			opts := DefaultOptions()
-			opts.Engine = eng
-			s, err := NewSession(g1, g2, seeds, opts)
+			s, err := NewSession(g1, g2, seeds, path.on(DefaultOptions()))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -54,8 +54,7 @@ type scored struct {
 
 // Reconcile runs User-Matching with every bucket pass executed as the four
 // MapReduce rounds above. Results are identical to core.Reconcile under the
-// same options (tested for equivalence); the Engine field of opts is
-// ignored.
+// same options (tested for equivalence).
 func Reconcile(g1, g2 *graph.Graph, seeds []graph.Pair, opts core.Options) (*core.Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err

@@ -32,7 +32,7 @@ func TestMapReduceMatchesCoreEngines(t *testing.T) {
 	err := quick.Check(func(seed uint64) bool {
 		g1, g2, seeds := instance(seed, 250)
 		opts := core.DefaultOptions()
-		opts.Engine = core.EngineSequential
+		opts.Workers = 1
 		want, err := core.Reconcile(context.Background(), g1, g2, seeds, opts)
 		if err != nil {
 			return false

@@ -38,7 +38,7 @@ func TestMapReduceMatchesCoreUnderVariants(t *testing.T) {
 		}(),
 	}
 	for i, opts := range variants {
-		opts.Engine = core.EngineSequential
+		opts.Workers = 1
 		want, err := core.Reconcile(context.Background(), g1, g2, seeds, opts)
 		if err != nil {
 			t.Fatalf("variant %d: %v", i, err)

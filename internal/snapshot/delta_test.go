@@ -24,14 +24,13 @@ func deltaEqual(a, b *core.StateDelta) bool {
 }
 
 // TestDeltaRoundTrip drives the delta codec over real per-sweep churn on
-// every engine: decode(encode(d)) == d on values and bytes, and the decoded
-// delta replays onto the base to the exact target state.
+// three paths: decode(encode(d)) == d on values and bytes, and the decoded
+// delta replays onto the base to the exact target state. The first three
+// sweeps of this instance stay before the default's handoff.
 func TestDeltaRoundTrip(t *testing.T) {
-	for _, engine := range []core.Engine{core.EngineSequential, core.EngineParallel, core.EngineFrontier} {
-		t.Run(engine.String(), func(t *testing.T) {
-			opts := core.DefaultOptions()
-			opts.Engine = engine
-			_, _, s := testSession(t, 42, 300, opts, 0)
+	for _, path := range pathNames[:3] {
+		t.Run(path, func(t *testing.T) {
+			_, _, s := pathSession(t, path, 42, 300, core.DefaultOptions(), 0)
 			base := s.ExportState()
 			for sweep := 0; sweep < 3; sweep++ {
 				s.Run(context.Background(), 1)

@@ -32,6 +32,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	f.Add(uint64(3), uint16(250), uint16(0x1ff), uint8(7))
 	f.Add(uint64(77), uint16(180), uint16(0x0aa), uint8(1))
 	f.Add(uint64(1234), uint16(90), uint16(0x155), uint8(12))
+	f.Add(uint64(5), uint16(120), uint16(0x304), uint8(6)) // the frontier path
 
 	f.Fuzz(func(t *testing.T, seed uint64, nRaw uint16, cfg uint16, stopRaw uint8) {
 		// Derive a small instance the way FuzzEngineEquivalence does: PA
@@ -54,19 +55,10 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		if cfg&0x80 != 0 {
 			opts.Scoring = core.ScoreAdamicAdar
 		}
-		switch (cfg >> 8) % 4 {
-		case 1:
-			opts.Engine = core.EngineSequential
-		case 2:
-			opts.Engine = core.EngineParallel
-		case 3:
-			opts.Engine = core.EngineFrontier
-		} // case 0 keeps the default (hybrid)
+		// 0 is the default (hybrid), 1 sequential, 2 parallel, 3 frontier.
+		path := pathNames[((cfg>>8)+3)%4]
 
-		s, err := core.NewSession(g1, g2, seeds, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := newOnPath(t, path, g1, g2, seeds, opts)
 		totalBuckets := opts.Iterations * len(opts.BucketSchedule(g1, g2))
 		stop := int(stopRaw) % (totalBuckets + 1) // 0 = snapshot before any bucket
 		if stop > 0 {

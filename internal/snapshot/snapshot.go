@@ -1,6 +1,6 @@
 // Package snapshot is the versioned binary codec for durable reconciliation
 // state: CSR graphs, the matching with its seed boundary, the bucket-schedule
-// position, the phase log and the hybrid regime bit. Engine caches are not
+// position, the phase log and the regime bit. Engine caches are not
 // state: restore rebuilds them from the matching.
 //
 // Every stream is framed the same way:
@@ -372,9 +372,19 @@ func skipU32s(r *reader, count uint64, what string) error {
 	return nil
 }
 
+// The options carry an engine slot from when the engine was a user choice.
+// The slot stays in the layout and is always written as engineSlot, the
+// value the default engine wrote, so records stay byte-identical. On decode,
+// values below engineSlot come from records an engine pinned by the user
+// wrote (0 parallel, 1 sequential, 2 frontier). They restore as the one
+// engine in the full-scan regime, which such a record always holds: a set
+// regime bit under one of them is refused as corrupt, as is any value above
+// engineSlot.
+const engineSlot = 3
+
 // optionFields flattens the Options struct into its wire order, shared by
-// encode and decode so the two cannot drift.
-func optionFields(o *core.Options) []struct {
+// encode and decode so the two cannot drift. engine is the engine slot.
+func optionFields(o *core.Options, engine *int) []struct {
 	v    *int
 	what string
 } {
@@ -386,7 +396,7 @@ func optionFields(o *core.Options) []struct {
 		{&o.Iterations, "iterations"},
 		{&o.MinBucketExp, "min bucket exp"},
 		{&o.MaxDegree, "max degree"},
-		{(*int)(&o.Engine), "engine"},
+		{engine, "engine"},
 		{&o.Workers, "workers"},
 		{(*int)(&o.Ties), "tie policy"},
 		{(*int)(&o.Scoring), "scoring"},
@@ -397,7 +407,8 @@ func optionFields(o *core.Options) []struct {
 // encodeState writes the session-state payload.
 func encodeState(w *writer, st *core.SessionState) error {
 	o := st.Opts
-	for _, f := range optionFields(&o) {
+	engine := engineSlot
+	for _, f := range optionFields(&o, &engine) {
 		if err := w.uint(*f.v, f.what); err != nil {
 			return err
 		}
@@ -477,12 +488,16 @@ func encodeState(w *writer, st *core.SessionState) error {
 // semantic invariant against the graphs before the state is used.
 func decodeState(r *reader, version uint64) (*core.SessionState, error) {
 	st := &core.SessionState{}
-	for _, f := range optionFields(&st.Opts) {
+	var engine int
+	for _, f := range optionFields(&st.Opts, &engine) {
 		v, err := r.uint(f.what)
 		if err != nil {
 			return nil, err
 		}
 		*f.v = v
+	}
+	if engine > engineSlot {
+		return nil, fmt.Errorf("snapshot: decode engine: bad value %d", engine)
 	}
 	disabled, err := r.byte("bucketing flag")
 	if err != nil {
@@ -516,7 +531,7 @@ func decodeState(r *reader, version uint64) (*core.SessionState, error) {
 		return nil, err
 	}
 	if version >= 2 {
-		// Version 1 predates the hybrid engine and the bounded phase log;
+		// Version 1 predates the regime handoff and the bounded phase log;
 		// its streams decode with these fields zero, which is exactly the
 		// state every version-1 session was in.
 		hybrid, err := r.byte("hybrid regime flag")
@@ -525,6 +540,9 @@ func decodeState(r *reader, version uint64) (*core.SessionState, error) {
 		}
 		if hybrid > 1 {
 			return nil, fmt.Errorf("snapshot: decode hybrid regime flag: bad value %d", hybrid)
+		}
+		if hybrid == 1 && engine != engineSlot {
+			return nil, fmt.Errorf("snapshot: decode hybrid regime flag: set under pinned engine %d", engine)
 		}
 		st.HybridFrontier = hybrid == 1
 		if st.PhasesDropped, err = r.uint("evicted phase count"); err != nil {

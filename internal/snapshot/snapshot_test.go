@@ -13,17 +13,53 @@ import (
 	"github.com/sociograph/reconcile/internal/xrand"
 )
 
+// pathNames lists the four runs the suites compare, named after the
+// execution paths internal/core's suites pin. Outside that package a run's
+// path is set by its worker count and by the regime it starts in:
+// sequential is one worker, parallel three, frontier the frontier regime
+// from the first bucket, and hybrid the default. Every path produces the
+// same links.
+var pathNames = []string{"sequential", "parallel", "frontier", "hybrid"}
+
+// newOnPath is core.NewSession on one of pathNames. The frontier path is a
+// session restored, before its first bucket, from a state whose regime bit
+// is set: every bucket it runs takes the frontier path.
+func newOnPath(t testing.TB, path string, g1, g2 *graph.Graph, seeds []graph.Pair, opts core.Options) *core.Session {
+	t.Helper()
+	switch path {
+	case "sequential":
+		opts.Workers = 1
+	case "parallel":
+		opts.Workers = 3
+	}
+	s, err := core.NewSession(g1, g2, seeds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if path == "frontier" {
+		st := s.ExportState()
+		st.HybridFrontier = true
+		if s, err = core.RestoreSession(g1, g2, st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s
+}
+
 // testSession builds a partially-run session over a small instance.
 func testSession(t testing.TB, seed uint64, n int, opts core.Options, stopAfter int) (*graph.Graph, *graph.Graph, *core.Session) {
+	t.Helper()
+	return pathSession(t, "hybrid", seed, n, opts, stopAfter)
+}
+
+// pathSession is testSession on one of pathNames.
+func pathSession(t testing.TB, path string, seed uint64, n int, opts core.Options, stopAfter int) (*graph.Graph, *graph.Graph, *core.Session) {
 	t.Helper()
 	r := xrand.New(seed)
 	g := gen.PreferentialAttachment(r, n, 4)
 	g1, g2 := sampling.IndependentCopies(r, g, 0.7, 0.8)
 	seeds := sampling.Seeds(r, graph.IdentityPairs(n), 0.2)
-	s, err := core.NewSession(g1, g2, seeds, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newOnPath(t, path, g1, g2, seeds, opts)
 	if stopAfter > 0 {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
@@ -56,11 +92,10 @@ func stateEqual(a, b *core.SessionState) bool {
 }
 
 func TestFullRoundTrip(t *testing.T) {
-	for _, engine := range []core.Engine{core.EngineSequential, core.EngineParallel, core.EngineFrontier, core.EngineHybrid} {
-		t.Run(engine.String(), func(t *testing.T) {
+	for _, path := range pathNames {
+		t.Run(path, func(t *testing.T) {
 			opts := core.DefaultOptions()
-			opts.Engine = engine
-			g1, g2, s := testSession(t, 42, 300, opts, 3)
+			g1, g2, s := pathSession(t, path, 42, 300, opts, 3)
 			st := s.ExportState()
 
 			var buf bytes.Buffer

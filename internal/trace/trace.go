@@ -34,7 +34,7 @@ type Kind string
 const (
 	KindSweep            Kind = "sweep"             // one full sweep of the bucket schedule
 	KindBucket           Kind = "bucket"            // one bucket phase within a sweep
-	KindHandoff          Kind = "engine-handoff"    // hybrid parallel→frontier state build
+	KindHandoff          Kind = "engine-handoff"    // full-scan→frontier state build
 	KindCheckpointWrite  Kind = "checkpoint-write"  // one checkpoint record written+fsynced
 	KindCheckpointReplay Kind = "checkpoint-replay" // one checkpoint record replayed at boot
 	KindSlotWait         Kind = "slot-wait"         // scheduler Acquire: queued for a run slot

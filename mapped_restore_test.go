@@ -69,7 +69,7 @@ func TestMappedRangedRestoreMatrix(t *testing.T) {
 	if len(want.NewPairs) == 0 {
 		t.Fatal("reference run found nothing; instance too weak")
 	}
-	chain := writeChain(t, g1, g2, opts)
+	chain := writeChain(t, "hybrid", g1, g2, opts)
 	wantG1, wantG2 := graphBytes(t, g1), graphBytes(t, g2)
 
 	dir := t.TempDir()

@@ -36,8 +36,8 @@
 //   - copy models: IndependentCopies, CascadeCopies, CommunityCopies,
 //     TimeSplit, SybilAttack, Seeds;
 //   - matching: New, Reconciler, Option (WithThreshold, WithIterations,
-//     WithEngine, WithScoring, WithTieBreak, WithWorkers, WithMargin,
-//     WithBucketing, WithSeeds, WithProgress, ...), Result, PhaseEvent;
+//     WithScoring, WithTieBreak, WithWorkers, WithMargin, WithBucketing,
+//     WithSeeds, WithProgress, ...), Result, PhaseEvent;
 //   - durability: Reconciler.Snapshot/SnapshotState, Restore, RestoreState,
 //     Reconciler.Resume — serialize a session mid-run and finish it later,
 //     bit-identically to an uninterrupted run (see DESIGN.md "Durability");
@@ -109,9 +109,6 @@ type Result = core.Result
 // long-lived incremental session's phase log stays bounded.
 const PhaseRetainSweeps = core.PhaseRetainSweeps
 
-// Engine selects the matcher's execution strategy.
-type Engine = core.Engine
-
 // TieBreak selects how equally-scored best candidates are handled.
 type TieBreak = core.TieBreak
 
@@ -137,24 +134,8 @@ type Scoring = core.Scoring
 // vertex deletion) of Section 3.1.
 type NoisyCopyParams = sampling.NoisyCopyParams
 
-// Execution, tie-break and scoring policies (see core.Options).
-//
-// EngineHybrid — the default — starts on the parallel engine, where the
-// commit-dense early sweeps are cheapest, and hands off to the frontier
-// engine once the observed per-sweep commit rate drops below the measured
-// crossover, so converged and incremental phases stop rescanning the whole
-// node set. EngineFrontier re-scores only nodes whose scoring inputs changed
-// since their last scoring (the dirty frontier around freshly committed
-// links), caching per-bucket proposals across passes. EngineParallel
-// re-scans all candidates every pass with a goroutine pool; EngineSequential
-// is that pass with one worker, the single-threaded reference. All four
-// produce bit-identical matchings for every option combination — the
-// engine is purely a scheduling choice.
+// Tie-break and scoring policies (see core.Options).
 const (
-	EngineParallel    = core.EngineParallel
-	EngineSequential  = core.EngineSequential
-	EngineFrontier    = core.EngineFrontier
-	EngineHybrid      = core.EngineHybrid
 	TieReject         = core.TieReject
 	TieLowestID       = core.TieLowestID
 	ScoreWitnessCount = core.ScoreWitnessCount
@@ -272,8 +253,7 @@ func CorruptSeeds(r *Rand, seeds []Pair, n2 int, flip float64) []Pair {
 }
 
 // DefaultOptions returns the configuration used throughout the paper's
-// experiments (T=2, two sweeps, bucketing to degree 2) on the hybrid
-// engine.
+// experiments (T=2, two sweeps, bucketing to degree 2).
 func DefaultOptions() Options { return core.DefaultOptions() }
 
 // ReconcileMapReduce runs the identical algorithm formulated as the paper's

@@ -46,14 +46,6 @@ func WithThreshold(t int) Option { return func(s *settings) { s.opts.Threshold =
 // (default 2).
 func WithIterations(k int) Option { return func(s *settings) { s.opts.Iterations = k } }
 
-// WithEngine selects the execution strategy (default EngineHybrid, which
-// runs parallel scans while commits are dense and switches to the frontier
-// scheduler once the per-sweep commit rate drops below the measured
-// crossover; EngineFrontier is the pure incremental scheduler,
-// EngineParallel and EngineSequential re-scan all candidates every pass).
-// All engines produce bit-identical matchings.
-func WithEngine(e Engine) Option { return func(s *settings) { s.opts.Engine = e } }
-
 // WithScoring selects the candidate ranking function (default
 // ScoreWitnessCount, the paper's rule).
 func WithScoring(sc Scoring) Option { return func(s *settings) { s.opts.Scoring = sc } }
@@ -62,9 +54,10 @@ func WithScoring(sc Scoring) Option { return func(s *settings) { s.opts.Scoring 
 // (default TieReject).
 func WithTieBreak(t TieBreak) Option { return func(s *settings) { s.opts.Ties = t } }
 
-// WithWorkers bounds the engine's goroutines — the parallel engine's
-// candidate scan and the frontier engine's re-scoring batches; 0 (the
-// default) means GOMAXPROCS.
+// WithWorkers bounds the engine's goroutines — the full scan's candidate
+// pass and the frontier's re-scoring batches; 0 (the default) means
+// GOMAXPROCS, and 1 is the single-threaded run. The matching does not
+// depend on it.
 func WithWorkers(n int) Option { return func(s *settings) { s.opts.Workers = n } }
 
 // WithMargin requires the best candidate's witness count to exceed the
@@ -153,19 +146,16 @@ func (r *Reconciler) AddSeeds(seeds []Pair) error { return r.sess.AddSeeds(seeds
 
 // Result snapshots the current state in Run's output layout: all
 // links (seeds first), discoveries, and per-bucket phase statistics. It
-// copies only the phase statistics: the link slices are shared with the
+// copies nothing: the link slices and the phase window are shared with the
 // Reconciler, never change after return and must not be written, as with
-// Run, so a call costs nothing per link.
+// Run, so a call costs nothing per link or phase.
 func (r *Reconciler) Result() *Result { return r.sess.Result() }
-
-// Phases returns a copy of the per-bucket phase statistics Result reports.
-func (r *Reconciler) Phases() []PhaseStat { return r.sess.Phases() }
 
 // Len returns the current number of links, seeds included.
 func (r *Reconciler) Len() int { return r.sess.Len() }
 
-// FrontierActive reports whether an EngineHybrid reconciler has handed off
-// to its frontier regime; always false for fixed engines. Readable
+// FrontierActive reports whether the reconciler has handed off from the
+// full scan to its frontier regime; the handoff is one-way. Readable
 // wherever the session is — between buckets on the run goroutine, or any
 // time no run is in flight.
 func (r *Reconciler) FrontierActive() bool { return r.sess.FrontierActive() }

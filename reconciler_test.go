@@ -41,7 +41,6 @@ func TestFunctionalOptionsSetFields(t *testing.T) {
 	rec, err := reconcile.New(g1, g2,
 		reconcile.WithThreshold(3),
 		reconcile.WithIterations(4),
-		reconcile.WithEngine(reconcile.EngineSequential),
 		reconcile.WithScoring(reconcile.ScoreAdamicAdar),
 		reconcile.WithTieBreak(reconcile.TieLowestID),
 		reconcile.WithWorkers(5),
@@ -56,7 +55,6 @@ func TestFunctionalOptionsSetFields(t *testing.T) {
 	want := reconcile.Options{
 		Threshold:        3,
 		Iterations:       4,
-		Engine:           reconcile.EngineSequential,
 		Scoring:          reconcile.ScoreAdamicAdar,
 		Ties:             reconcile.TieLowestID,
 		Workers:          5,
@@ -120,7 +118,7 @@ func TestDeprecatedWrapperEquivalence(t *testing.T) {
 				o := reconcile.DefaultOptions()
 				o.Threshold = 3
 				o.Iterations = 1
-				o.Engine = reconcile.EngineSequential
+				o.Workers = 1
 				o.Ties = reconcile.TieLowestID
 				o.Scoring = reconcile.ScoreAdamicAdar
 				return o
@@ -128,7 +126,7 @@ func TestDeprecatedWrapperEquivalence(t *testing.T) {
 			newOpts: []reconcile.Option{
 				reconcile.WithThreshold(3),
 				reconcile.WithIterations(1),
-				reconcile.WithEngine(reconcile.EngineSequential),
+				reconcile.WithWorkers(1),
 				reconcile.WithTieBreak(reconcile.TieLowestID),
 				reconcile.WithScoring(reconcile.ScoreAdamicAdar),
 			},
@@ -275,11 +273,12 @@ func TestWithProgressMatchesPhases(t *testing.T) {
 }
 
 // TestResultViewsStayFixed pins the contract of every Result a Reconciler
-// hands out: Pairs and NewPairs are read-only views of the append-only link
-// log. A Result taken from Run, RunUntilStable, Resume, Result or a progress
-// hook mid-run still reads as it did when taken after later ingests grow the
-// matching past it, and a caller's append to its slices reallocates instead
-// of reaching the Reconciler.
+// hands out: Pairs, NewPairs and Phases are read-only views of the
+// append-only link log and the phase window. A Result taken from Run,
+// RunUntilStable, Resume, Result or a progress hook mid-run still reads as
+// it did when taken after later ingests grow the matching past it and later
+// sweeps slide the phase window past it, and a caller's append to its
+// slices reallocates instead of reaching the Reconciler.
 func TestResultViewsStayFixed(t *testing.T) {
 	// A sparse instance, so that many true links stay to be ingested.
 	r := reconcile.NewRand(8)
@@ -290,10 +289,11 @@ func TestResultViewsStayFixed(t *testing.T) {
 		from            string
 		res             *reconcile.Result
 		pairs, newPairs []reconcile.Pair // copies made when res was taken
+		phases          []reconcile.PhaseStat
 	}
 	var taken []held
 	hold := func(from string, res *reconcile.Result) {
-		taken = append(taken, held{from, res, slices.Clone(res.Pairs), slices.Clone(res.NewPairs)})
+		taken = append(taken, held{from, res, slices.Clone(res.Pairs), slices.Clone(res.NewPairs), slices.Clone(res.Phases)})
 	}
 	// ingest adds up to 20 true links (the copies share node IDs) whose
 	// endpoints are both still unlinked, so every ingest grows the matching.
@@ -363,10 +363,28 @@ func TestResultViewsStayFixed(t *testing.T) {
 	if rec.Len() <= last {
 		t.Fatalf("later ingests left the matching at %d links; the views are not tested past their length", last)
 	}
+	// Slide the phase window past every held one: the session drops whole
+	// sweeps from its front and keeps appending behind them.
+	newest := 0
+	for _, h := range taken {
+		newest = max(newest, h.phases[len(h.phases)-1].Iteration)
+	}
+	for rec.Result().Phases[0].Iteration <= newest {
+		if _, err := rec.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	for _, h := range taken {
 		if !slices.Equal(h.res.Pairs, h.pairs) || !slices.Equal(h.res.NewPairs, h.newPairs) {
 			t.Fatalf("%s: Result changed after the matching grew from %d to %d links", h.from, len(h.pairs), rec.Len())
+		}
+		if !slices.Equal(h.res.Phases, h.phases) {
+			t.Fatalf("%s: Phases changed after the window slid past sweep %d", h.from, newest)
+		}
+		if cap(h.res.Phases) != len(h.res.Phases) {
+			t.Fatalf("%s: Phases has spare capacity (%d/%d), so an append would write into the window",
+				h.from, len(h.res.Phases), cap(h.res.Phases))
 		}
 		if !slices.Equal(h.res.NewPairs, h.res.Pairs[h.res.Seeds:]) {
 			t.Fatalf("%s: NewPairs is not Pairs[Seeds:]", h.from)
@@ -380,20 +398,24 @@ func TestResultViewsStayFixed(t *testing.T) {
 	// A caller's append to the current views must reach neither the next
 	// Result nor the state.
 	cur := rec.Result()
-	want := slices.Clone(cur.Pairs)
+	want, wantPhases := slices.Clone(cur.Pairs), slices.Clone(cur.Phases)
 	var before bytes.Buffer
 	if err := rec.SnapshotState(&before); err != nil {
 		t.Fatal(err)
 	}
 	stray := reconcile.Pair{Left: 1<<32 - 2, Right: 1<<32 - 2}
+	strayPhase := reconcile.PhaseStat{Iteration: -1}
 	_ = append(cur.Pairs, stray)
 	_ = append(cur.NewPairs, stray)
+	_ = append(cur.Phases, strayPhase)
 	for _, h := range taken {
 		_ = append(h.res.Pairs, stray)
 		_ = append(h.res.NewPairs, stray)
+		_ = append(h.res.Phases, strayPhase)
 	}
 	again := rec.Result()
-	if !slices.Equal(again.Pairs, want) || !slices.Equal(again.NewPairs, want[again.Seeds:]) {
+	if !slices.Equal(again.Pairs, want) || !slices.Equal(again.NewPairs, want[again.Seeds:]) ||
+		!slices.Equal(again.Phases, wantPhases) {
 		t.Fatal("appending to a Result's slices changed the next Result")
 	}
 	var after bytes.Buffer
@@ -403,12 +425,21 @@ func TestResultViewsStayFixed(t *testing.T) {
 	if !bytes.Equal(before.Bytes(), after.Bytes()) {
 		t.Fatal("appending to a Result's slices changed the SnapshotState bytes")
 	}
+	// The next sweep appends to the window; the stray entries must not
+	// show in it.
+	if _, err := rec.RunUntilStable(context.Background(), 1); err != nil {
+		t.Fatal(err)
+	}
+	if slices.Contains(rec.Result().Phases, strayPhase) {
+		t.Fatal("appending to a Result's Phases reached the window")
+	}
 }
 
 // TestConvergedRunCopiesNoLinks pins that a sweep of a converged Reconciler
-// and the Results it hands out allocate in proportion to the phase window,
-// not to the link log: Run, RunUntilStable and Result return views of the
-// log instead of copies. It is an exact count, so it holds on any hardware.
+// and the Results it hands out allocate neither in proportion to the link
+// log nor to the phase window: Run, RunUntilStable and Result return views
+// of both instead of copies. It is an exact count, so it holds on any
+// hardware.
 func TestConvergedRunCopiesNoLinks(t *testing.T) {
 	inst := makeInstance(10000, 10)
 	rec, err := reconcile.New(inst.g1, inst.g2, reconcile.WithSeeds(inst.seeds))
@@ -419,11 +450,13 @@ func TestConvergedRunCopiesNoLinks(t *testing.T) {
 	if _, err := rec.RunUntilStable(ctx, 10); err != nil {
 		t.Fatal(err)
 	}
-	// Each of the two Results copies the phase window, and the sweep may
-	// regrow the session's own window once; 1 KiB covers the Result headers
-	// and the sweep's bookkeeping.
-	phases := len(rec.Phases())
-	bound := uint64(4*phases)*uint64(unsafe.Sizeof(reconcile.PhaseStat{})) + 1024
+	// The least of three readings was 352 bytes at -cpu 1,2,4,8 and under
+	// -race: the two Result headers and the sweep's bucket schedules; the
+	// bound adds one 32-byte size class. A sweep that slides the phase
+	// window reallocates it now and then, which the least of three leaves
+	// out; a copy of the window (45 entries of 32 bytes here, per Result)
+	// or of the link log does not fit.
+	const bound = 384
 	if pairLog := uint64(rec.Len()) * uint64(unsafe.Sizeof(reconcile.Pair{})); pairLog < 4*bound {
 		t.Fatalf("the %d-byte pair log is too small to tell a pair copy from the phase log (bound %d)", pairLog, bound)
 	}

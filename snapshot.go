@@ -12,7 +12,7 @@ import (
 )
 
 // Durable sessions: a Reconciler's complete state — graphs, matching, seed
-// boundary, bucket-schedule position, phase log and hybrid regime —
+// boundary, bucket-schedule position, phase log and regime bit —
 // serializes to a versioned, checksummed binary snapshot and restores to a
 // Reconciler whose future output is bit-identical to the original's, even
 // when the snapshot was taken mid-run at a bucket boundary. Engine caches
@@ -72,10 +72,8 @@ func (r *Reconciler) Resume(ctx context.Context) (*Result, error) {
 // Reconciler mid-schedule. Options may adjust execution without touching
 // matching semantics:
 //
-//   - WithEngine switches engines — all four resume bit-identically
-//     (restoring as hybrid infers which regime the run is in from the
-//     recorded commit history);
-//   - WithWorkers and WithIterations re-tune execution;
+//   - WithWorkers and WithIterations re-tune execution; the run resumes in
+//     the regime it was exported in (full scan or frontier);
 //   - WithProgress re-installs a progress hook (hooks do not serialize),
 //     and WithTracer a span recorder (tracers do not either — continue a
 //     persisted trace with RestoreTraceRecorder);
@@ -115,14 +113,13 @@ func restoreReconciler(g1, g2 *Graph, st *core.SessionState, opts []Option) (*Re
 	for _, opt := range opts {
 		opt(&s)
 	}
-	// Engine, Workers and Iterations are pure execution knobs; everything
-	// else is baked into the committed links.
+	// Workers and Iterations are pure execution knobs; everything else is
+	// baked into the committed links.
 	masked := st.Opts
-	masked.Engine, masked.Workers, masked.Iterations = s.opts.Engine, s.opts.Workers, s.opts.Iterations
+	masked.Workers, masked.Iterations = s.opts.Workers, s.opts.Iterations
 	if masked != s.opts {
-		return nil, fmt.Errorf("reconcile: restore options may change engine, workers and iterations only; matching semantics (threshold, scoring, ties, margin, bucket schedule) come from the snapshot")
+		return nil, fmt.Errorf("reconcile: restore options may change workers and iterations only; matching semantics (threshold, scoring, ties, margin, bucket schedule) come from the snapshot")
 	}
-	st.SwitchEngine(s.opts.Engine)
 	st.Opts = s.opts
 	sess, err := core.RestoreSession(g1, g2, st)
 	if err != nil {
@@ -174,10 +171,11 @@ func ReadStateDelta(r io.Reader) (*StateDelta, error) {
 // exported over, with the same option rules and shape checks as
 // RestoreState. Restoring from (full + deltas) is bit-identical to
 // restoring the monolithic snapshot of the same moment — the chain
-// resume-equivalence suite pins this on all engines.
+// resume-equivalence suite pins this at one worker and several, on both
+// sides of the regime handoff.
 func RestoreSessionState(g1, g2 *Graph, s *SessionState, opts ...Option) (*Reconciler, error) {
-	// Work on a shallow copy: restoreReconciler canonicalizes options and
-	// the regime bit, and the caller's SessionState must stay reusable.
+	// Work on a shallow copy: restoreReconciler canonicalizes the options,
+	// and the caller's SessionState must stay reusable.
 	st := *s.st
 	return restoreReconciler(g1, g2, &st, opts)
 }

@@ -144,7 +144,7 @@ func TestRestoreOptionRules(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Converge before snapshotting, so post-restore sweeps find nothing new
-	// on any engine and the counts below are comparable.
+	// and the counts below are comparable.
 	want, err := rec.RunUntilStable(context.Background(), 20)
 	if err != nil {
 		t.Fatal(err)
@@ -155,25 +155,26 @@ func TestRestoreOptionRules(t *testing.T) {
 	}
 	snap := buf.Bytes()
 
-	// Engine switches resume bit-identically (here: after convergence, more
-	// sweeps find nothing either way). Restoring as hybrid from this
-	// converged hybrid snapshot keeps its regime; the fixed engines clear
-	// it, and the frontier rebuilds its state from the matching.
-	for _, engine := range []reconcile.Engine{reconcile.EngineSequential, reconcile.EngineParallel, reconcile.EngineFrontier, reconcile.EngineHybrid} {
+	// Worker counts re-tune a restore, and the converged snapshot resumes
+	// in the frontier regime it was taken in; more sweeps find nothing.
+	for _, workers := range []int{1, 2} {
 		r2, err := reconcile.Restore(bytes.NewReader(snap),
-			reconcile.WithEngine(engine), reconcile.WithWorkers(2), reconcile.WithIterations(3))
+			reconcile.WithWorkers(workers), reconcile.WithIterations(3))
 		if err != nil {
-			t.Fatalf("engine %v: %v", engine, err)
+			t.Fatalf("workers %d: %v", workers, err)
 		}
-		if got := r2.Options().Engine; got != engine {
-			t.Fatalf("engine = %v, want %v", got, engine)
+		if got := r2.Options().Workers; got != workers {
+			t.Fatalf("workers = %d, want %d", got, workers)
+		}
+		if !r2.FrontierActive() {
+			t.Fatalf("workers %d: converged snapshot restored outside the frontier regime", workers)
 		}
 		res, err := r2.RunUntilStable(context.Background(), 5)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(res.Pairs) != len(want.Pairs) {
-			t.Fatalf("engine %v: %d pairs after restore, want %d", engine, len(res.Pairs), len(want.Pairs))
+			t.Fatalf("workers %d: %d pairs after restore, want %d", workers, len(res.Pairs), len(want.Pairs))
 		}
 	}
 

@@ -3,7 +3,7 @@ package reconcile
 import "github.com/sociograph/reconcile/internal/trace"
 
 // Execution tracing. A TraceRecorder collects typed spans — sweeps, bucket
-// phases, the hybrid engine handoff, seed ingests, and whatever the caller
+// phases, the engine's regime handoff, seed ingests, and whatever the caller
 // observes onto it (cmd/serve adds checkpoint writes, replays, slot waits
 // and graph opens) — on a per-job monotonic timeline. See internal/trace
 // for the model: bounded ring, phase-log-window retention with cumulative
