@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"maps"
 	"net/http"
 	"net/http/pprof"
 	"sort"
@@ -771,14 +772,28 @@ func checkSeeds(raw []pairSpec, n1, n2 int) error {
 
 // seedConflict returns an error for the first seed that links a node
 // already linked, by links or by an earlier seed, to a different partner.
-// An exact duplicate is no conflict: New and AddSeeds ignore it.
+// An exact duplicate is no conflict: New and AddSeeds ignore it. Only the
+// seeds' own endpoints can conflict, so the maps hold those alone, whatever
+// the number of links.
 func seedConflict(links, seeds []reconcile.Pair) error {
-	usedL := make(map[reconcile.NodeID]reconcile.NodeID, len(links)+len(seeds))
-	usedR := make(map[reconcile.NodeID]reconcile.NodeID, len(links)+len(seeds))
-	for _, p := range links {
-		usedL[p.Left] = p.Right
-		usedR[p.Right] = p.Left
+	const unlinked = ^reconcile.NodeID(0) // no node has this ID
+	usedL := make(map[reconcile.NodeID]reconcile.NodeID, len(seeds))
+	usedR := make(map[reconcile.NodeID]reconcile.NodeID, len(seeds))
+	for _, p := range seeds {
+		usedL[p.Left] = unlinked
+		usedR[p.Right] = unlinked
 	}
+	for _, p := range links {
+		if _, ok := usedL[p.Left]; ok {
+			usedL[p.Left] = p.Right
+		}
+		if _, ok := usedR[p.Right]; ok {
+			usedR[p.Right] = p.Left
+		}
+	}
+	isUnlinked := func(_, v reconcile.NodeID) bool { return v == unlinked }
+	maps.DeleteFunc(usedL, isUnlinked)
+	maps.DeleteFunc(usedR, isUnlinked)
 	for _, p := range seeds {
 		if cur, ok := usedL[p.Left]; ok {
 			if cur == p.Right {

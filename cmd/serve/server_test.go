@@ -470,6 +470,41 @@ func TestWirePhasesCopiesNoPairs(t *testing.T) {
 	}
 }
 
+// TestSeedConflictAllocations pins that a seeds POST's conflict pre-check
+// allocates for the batch's own seeds and not for the job's links.
+func TestSeedConflictAllocations(t *testing.T) {
+	const links, seeds = 30_000, 5
+	var view, batch []reconcile.Pair
+	for i := range links {
+		view = append(view, reconcile.Pair{Left: reconcile.NodeID(i), Right: reconcile.NodeID(links - 1 - i)})
+	}
+	for i := range seeds {
+		batch = append(batch, reconcile.Pair{Left: reconcile.NodeID(links + i), Right: reconcile.NodeID(links + i)})
+	}
+	var least uint64
+	for try := 0; try < 3; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := seedConflict(view, batch)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("a batch of unlinked nodes conflicts: %v", err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; try == 0 || grew < least {
+			least = grew
+		}
+	}
+	if least > 4<<10 {
+		t.Fatalf("checking %d seeds against %d links allocated %d bytes, want at most %d", seeds, links, least, 4<<10)
+	}
+	t.Logf("checking %d seeds against %d links allocated %d bytes", seeds, links, least)
+	batch = append(batch, reconcile.Pair{Left: 7, Right: links - 1 - 7}, reconcile.Pair{Left: links + 9, Right: 3})
+	want := fmt.Sprintf("seed (%d, 3): right node already linked to %d", links+9, links-1-3)
+	if err := seedConflict(view, batch); err == nil || err.Error() != want {
+		t.Fatalf("conflict = %v, want %q", err, want)
+	}
+}
+
 // TestServePairsDuringSeedRestarts polls GET .../jobs/{id}?pairs=1 while
 // seed POSTs restart the job. A served list is a view of the job's link log
 // converted after j.mu is released, so a restarted run may append to the

@@ -12,9 +12,10 @@ import (
 )
 
 // naiveReconcile is an O(n1·n2) reference implementation of User-Matching
-// semantics, computing the full score matrix per bucket via the
-// SimilarityWitnesses definition and committing mutual unique bests. The
-// optimized engines must agree with it exactly.
+// semantics under count ranking with no margin, computing the full score
+// matrix per bucket via the SimilarityWitnesses definition and committing
+// mutual bests: unique ones under TieReject, the lowest-ID one among the
+// tied under TieLowestID. The optimized engines must agree with it exactly.
 func naiveReconcile(t *testing.T, g1, g2 *graph.Graph, seeds []graph.Pair, opts Options) []graph.Pair {
 	t.Helper()
 	m, err := NewMatching(g1.NumNodes(), g2.NumNodes(), seeds)
@@ -54,13 +55,16 @@ func naiveReconcile(t *testing.T, g1, g2 *graph.Graph, seeds []graph.Pair, opts 
 					}
 				}
 			}
+			// Candidates are visited by ascending ID, so a best kept on a
+			// tie is the lowest-ID one at the top score.
+			rejectTie := opts.Ties == TieReject
 			for v1 := range bestL {
 				p := bestL[v1]
-				if p.score < opts.Threshold || p.tie {
+				if p.score < opts.Threshold || p.tie && rejectTie {
 					continue
 				}
 				q := bestR[p.node]
-				if q.score < opts.Threshold || q.tie || q.node != graph.NodeID(v1) {
+				if q.score < opts.Threshold || q.tie && rejectTie || q.node != graph.NodeID(v1) {
 					continue
 				}
 				m.add(graph.Pair{Left: graph.NodeID(v1), Right: p.node})

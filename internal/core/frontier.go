@@ -370,6 +370,6 @@ func (f *frontierState) rescoreNode(dir passDirection, sc *scorer, v graph.NodeI
 		}
 		return
 	}
-	sc.walk(v, ga, gb, link, partners, p.minClass)
+	sc.walk(v, ga, gb, link, partners, p)
 	sc.selectLevels(p, f.topExp, partners.class, row)
 }

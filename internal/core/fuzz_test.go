@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"github.com/sociograph/reconcile/internal/gen"
@@ -156,6 +157,58 @@ func FuzzEngineEquivalence(f *testing.F) {
 			if !resultsIdentical(seqInc, inc) {
 				t.Fatalf("incremental %s diverges: %d vs %d pairs (cfg=%#x n=%d)",
 					p.name, len(inc.Pairs), len(seqInc.Pairs), cfg, n)
+			}
+		}
+	})
+}
+
+// FuzzNaiveEquivalence compares every path of the engine (testPaths) with
+// naiveReconcile, a reference that shares none of the engine's scoring
+// code, on tiny random instances under the paper's count ranking with no
+// margin: T from 1 to 4, either tie policy, bucketing on or off, a
+// MinBucketExp of 0 or 1, an optional MaxDegree override, and one or two
+// sweeps. The pairs must agree in discovery order. The corpus covers T 1 to
+// 3 under both tie policies and T 4 under TieReject, on instances that find
+// links beyond their seeds. Explore with
+//
+//	go test -fuzz=FuzzNaiveEquivalence -fuzztime=20s -run '^FuzzNaiveEquivalence$' ./internal/core
+func FuzzNaiveEquivalence(f *testing.F) {
+	f.Add(uint64(3), uint8(70), uint16(0x00))   // T1, TieReject
+	f.Add(uint64(5), uint8(70), uint16(0x14))   // T1, TieLowestID, MinBucketExp 1
+	f.Add(uint64(9), uint8(70), uint16(0x29))   // T2, TieReject, unbucketed, two sweeps
+	f.Add(uint64(1), uint8(70), uint16(0x05))   // T2, TieLowestID
+	f.Add(uint64(11), uint8(60), uint16(0x22))  // T3, TieReject, two sweeps
+	f.Add(uint64(11), uint8(60), uint16(0x1c6)) // T3, TieLowestID, MaxDegree 4
+	f.Add(uint64(11), uint8(60), uint16(0x33))  // T4, TieReject, MinBucketExp 1, two sweeps
+
+	f.Fuzz(func(t *testing.T, seed uint64, nRaw uint8, cfg uint16) {
+		n := 10 + int(nRaw)%71
+		r := xrand.New(seed)
+		g := gen.PreferentialAttachment(r, n, 2+int(seed%3))
+		g1, g2 := sampling.IndependentCopies(r, g, 0.7, 0.7)
+		seeds := sampling.Seeds(r, graph.IdentityPairs(n), 0.15)
+
+		opts := DefaultOptions()
+		opts.Threshold = 1 + int(cfg&0x3) // 1..4
+		if cfg&0x4 != 0 {
+			opts.Ties = TieLowestID
+		}
+		opts.DisableBucketing = cfg&0x8 != 0
+		opts.MinBucketExp = int((cfg >> 4) & 0x1)
+		opts.Iterations = 1 + int((cfg>>5)&0x1)
+		if cfg&0x40 != 0 {
+			opts.MaxDegree = 1 + int((cfg>>7)&0xf)
+		}
+		opts.Workers = 3
+
+		want := naiveReconcile(t, g1, g2, seeds, opts)
+		for _, p := range testPaths {
+			res, err := Reconcile(context.Background(), g1, g2, seeds, p.on(opts))
+			if err != nil {
+				t.Fatalf("%s: %v", p.name, err)
+			}
+			if !slices.Equal(res.Pairs, want) {
+				t.Fatalf("%s: %d pairs, the reference %d (cfg=%#x n=%d)", p.name, len(res.Pairs), len(want), cfg, n)
 			}
 		}
 	})

@@ -22,34 +22,38 @@ package core
 // and the frontier handles later seed bursts through its own invalidation.
 //
 // Measured with BenchmarkHybridCrossover (internal/core/bench_test.go) on
-// the recording machine of BENCH_engines.json (linux/amd64, GOMAXPROCS=1,
-// go1.24, 2026-10-17; min of 6 runs at -benchtime 5x), after the full scan
-// began deriving the right side's proposals instead of walking it. On the
-// 2x20k-node preferential-attachment calibration instance, per-sweep cost
-// of a warm session (parallel vs frontier, ns), and of the frontier sweep
-// right after a restore (rebuild):
+// a shared two-vCPU Xeon VM at 2.0 GHz (linux/amd64, GOMAXPROCS=1,
+// go1.24.0, 2026-10-19; min of 12 runs at -benchtime 5x, in two batches of
+// 6 alternating with the previous commit's binary), after walks began
+// listing a candidate only once its count reaches T under the paper's
+// rule. On the 2x20k-node preferential-attachment calibration instance,
+// per-sweep cost of a warm session (parallel vs frontier, ns), and of the
+// frontier sweep right after a restore (rebuild):
 //
-//	rate 0.241   12.2M vs 72.1M  rebuild 77.3M  (parallel 5.9x)
-//	rate 0.062    4.2M vs 12.4M  rebuild 16.1M  (parallel 2.9x)
-//	rate 0.012    2.7M vs  5.3M  rebuild  7.9M  (parallel 2.0x)
-//	rate 0.0023   1.9M vs  2.2M  rebuild  5.7M  (level)
-//	rate 0.0006   1.8M vs  0.7M  rebuild  4.3M  (frontier 2.6x)
-//	rate 0.0002   1.7M vs  0.16M rebuild  5.1M  (frontier 10x)
+//	rate 0.241    9.6M vs 48.0M  rebuild 49.7M  (parallel 5.0x)
+//	rate 0.062    4.0M vs 11.2M  rebuild 12.4M  (parallel 2.8x)
+//	rate 0.012    1.8M vs  3.9M  rebuild  6.4M  (parallel 2.1x)
+//	rate 0.0023   1.4M vs  1.3M  rebuild  5.7M  (level)
+//	rate 0.0006   1.3M vs  0.42M rebuild  5.3M  (frontier 3.2x)
+//	rate 0.0002   1.3M vs  0.10M rebuild  5.0M  (frontier 13x)
 //
-// The warm regimes are level at 0.0023 and the frontier wins from 0.0006
-// on. Before the derivation the frontier already won at 0.0023 (3.6M vs
-// 1.9M in a min-of-3 run of the same harness on the previous code), so the
-// crossover has moved about one sweep later. The switch fires at the sweep boundary after a sweep
-// whose rate is below 0.02, so here it fires after the 0.012 sweep: the
-// 0.0023 sweep pays the all-dirty rebuild (the rebuild row, which also
-// builds the candidate lists a handoff takes over), and every later sweep
-// and every AddSeeds re-run runs at frontier speed. Firing a sweep later (a
-// constant between 0.0023 and 0.012) would run the 0.0023 sweep on
-// parallel and pay the rebuild on the 0.0006 one: 1.9M + 4.3M against
-// 5.7M + 0.7M, within noise. A rebuild now costs two to four parallel
-// sweeps at every rate, so the handoff pays off over the sweeps and re-runs
-// that follow it; the serve and incremental workloads, which decide a move,
-// were not measured with another constant, so it stays (ROADMAP).
+// The same runs of the previous commit read 12.4M vs 64.6M at 0.241, 3.7M
+// vs 14.3M at 0.062, 2.0M vs 5.0M at 0.012 and 1.5M vs 1.8M at 0.0023: the
+// frontier got cheaper at every rate and the full scan at every rate but
+// 0.062 (this host's minima move by 10% from batch to batch), and the warm
+// regimes are still level at 0.0023 with the frontier winning from 0.0006
+// on. The switch fires at the
+// sweep boundary after a sweep whose rate is below 0.02, so here it fires
+// after the 0.012 sweep: the 0.0023 sweep pays the all-dirty rebuild (the
+// rebuild row, which also builds the candidate lists a handoff takes
+// over), and every later sweep and every AddSeeds re-run runs at frontier
+// speed. Firing a sweep later (a constant between 0.0023 and 0.012) would
+// run the 0.0023 sweep on parallel and pay the rebuild on the 0.0006 one:
+// 1.4M + 5.3M against 5.7M + 0.42M, 10% in the present constant's favour. A rebuild costs three
+// to four parallel sweeps at the low rates, so the handoff pays off over
+// the sweeps and re-runs that follow it; the serve and incremental
+// workloads, which decide a move, were not measured with another
+// constant, so it stays (ROADMAP).
 // Commit-dense sweeps never trigger it: cold-batch sweeps on the recorded
 // workloads run at rates 0.05-0.3 until convergence, incremental AddSeeds
 // sweeps at <0.001.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"math/bits"
 	"runtime"
 	"slices"
@@ -333,12 +334,16 @@ func referenceSelect(scores []int32, weights []float32, touched []graph.NodeID, 
 	return candidate{node: best, score: selCount}
 }
 
-// TestOnePassSelection runs hand-built touched sets through the one-pass
+// TestOnePassSelection runs hand-built candidate sets through the one-pass
 // selection and checks each against the expected proposal and against the
-// three-loop rule it replaces; the scratch must come back cleared. The
-// all-levels selection must agree with the same rule at every level: with
-// even IDs in the top level's degree class and odd IDs one class below,
-// level 0 sees the even candidates only and level 1 sees all of them.
+// three-loop rule it replaces, which reads every candidate. Each set is
+// listed as a walk lists it: every candidate, or under derive only those at
+// count >= T, so the derive cases check that leaving the others out changes
+// nothing; every count-ranked case without a margin also runs under derive.
+// The next walk must read every count as 0. The all-levels selection must
+// agree with the same rule at every level: with even IDs in the top level's
+// degree class and odd IDs one class below, level 0 sees the even
+// candidates only and level 1 sees all of them.
 func TestOnePassSelection(t *testing.T) {
 	type cand struct {
 		node   graph.NodeID
@@ -348,6 +353,7 @@ func TestOnePassSelection(t *testing.T) {
 	cases := []struct {
 		name      string
 		weighted  bool
+		derive    bool
 		ties      TieBreak
 		threshold int32
 		margin    int32
@@ -377,6 +383,16 @@ func TestOnePassSelection(t *testing.T) {
 			want:    candidate{node: 6, score: 3}},
 		{name: "count below threshold", threshold: 3,
 			touched: []cand{{1, 1, 0}, {6, 2, 0}}},
+		{name: "derive lists only the one at T", threshold: 3, derive: true, ties: TieReject,
+			touched: []cand{{1, 2, 0}, {2, 2, 0}, {6, 3, 0}, {4, 1, 0}},
+			want:    candidate{node: 6, score: 3}},
+		{name: "derive with a tie below T", threshold: 3, derive: true, ties: TieLowestID,
+			touched: []cand{{8, 2, 0}, {2, 2, 0}, {9, 4, 0}, {6, 3, 0}},
+			want:    candidate{node: 9, score: 4}},
+		{name: "derive tie at the top rejects", threshold: 2, derive: true, ties: TieReject,
+			touched: []cand{{7, 1, 0}, {5, 3, 0}, {8, 2, 0}, {3, 3, 0}}},
+		{name: "derive lists nothing", threshold: 4, derive: true,
+			touched: []cand{{1, 3, 0}, {6, 3, 0}, {2, 1, 0}}},
 		{name: "adamic-adar weight argmax is not count argmax", weighted: true, threshold: 2,
 			touched: []cand{{4, 3, 1.0}, {2, 2, 1.5}, {7, 1, 0.2}},
 			want:    candidate{node: 2, score: 2}},
@@ -393,69 +409,249 @@ func TestOnePassSelection(t *testing.T) {
 			touched: []cand{{6, 2, 1.25}, {3, 1, 1.25}},
 			want:    candidate{node: 3, score: 1}},
 	}
+	const n = 16
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			p := passParams{threshold: tc.threshold, ties: tc.ties, weighted: tc.weighted, minMargin: tc.margin}
-			sc := newScorer(16, tc.weighted)
-			for _, c := range tc.touched {
-				sc.touched = append(sc.touched, c.node)
-				sc.scores[c.node] = c.count
+		derives := []bool{tc.derive}
+		if !tc.derive && !tc.weighted && tc.margin == 0 {
+			derives = []bool{false, true}
+		}
+		for _, derive := range derives {
+			name := tc.name
+			if derive && !tc.derive {
+				name += "/derive"
+			}
+			t.Run(name, func(t *testing.T) {
+				p := passParams{threshold: tc.threshold, ties: tc.ties, weighted: tc.weighted, minMargin: tc.margin, derive: derive}
+				counts := make([]int32, n)
+				var weights []float32
 				if tc.weighted {
-					sc.weights[c.node] = c.weight
+					weights = make([]float32, n)
 				}
-			}
-			ref := referenceSelect(sc.scores, sc.weights, sc.touched, p)
-			var got candidate
-			if tc.weighted {
-				got = sc.selectWeighted(p)
-			} else {
-				got = sc.selectCount(p, 0)
-			}
-			if got != tc.want {
-				t.Errorf("selected %+v, want %+v", got, tc.want)
-			}
-			if got != ref {
-				t.Errorf("selected %+v, the replaced rule selects %+v", got, ref)
-			}
-			if len(sc.touched) != 0 {
-				t.Errorf("touched list not cleared: %v", sc.touched)
-			}
-			for w := range sc.scores {
-				if sc.scores[w] != 0 || (tc.weighted && sc.weights[w] != 0) {
-					t.Fatalf("scratch not cleared at %d", w)
+				var all, even []graph.NodeID
+				for _, c := range tc.touched {
+					counts[c.node] = c.count
+					if tc.weighted {
+						weights[c.node] = c.weight
+					}
+					all = append(all, c.node)
+					if c.node%2 == 0 {
+						even = append(even, c.node)
+					}
 				}
-			}
+				ref := referenceSelect(counts, weights, all, p)
+				sc := newScorer(n, tc.weighted)
+				// stage lists the case's candidates as a fresh walk would,
+				// over whatever the previous walk left in the scratch.
+				stage := func() (listed []scoredPair) {
+					sc.stamp(n)
+					for _, c := range tc.touched {
+						sc.scores[c.node] = sc.base + uint32(c.count)
+						if tc.weighted {
+							sc.weights[c.node] = c.weight
+						}
+						if uint32(c.count) >= p.listAt() {
+							sc.listed = append(sc.listed, c.node)
+							listed = append(listed, scoredPair{left: 0, right: c.node, count: c.count})
+						}
+					}
+					return listed
+				}
+				readsZero := func(what string) {
+					t.Helper()
+					sc.stamp(n)
+					if len(sc.listed) != 0 {
+						t.Errorf("%s left the list: %v", what, sc.listed)
+					}
+					for w, c := range sc.scores {
+						if c > sc.base {
+							t.Fatalf("%s: the next walk reads count %d at %d", what, c-sc.base, w)
+						}
+					}
+				}
 
-			class := make([]uint8, len(sc.scores))
-			var even []graph.NodeID
-			for _, c := range tc.touched {
-				class[c.node] = uint8(2 - c.node%2)
-				sc.touched = append(sc.touched, c.node)
-				sc.scores[c.node] = c.count
+				listed := stage()
+				var got candidate
 				if tc.weighted {
-					sc.weights[c.node] = c.weight
+					got = sc.selectWeighted(p)
+				} else {
+					got = sc.selectCount(p, 0)
 				}
-				if c.node%2 == 0 {
-					even = append(even, c.node)
+				if got != tc.want {
+					t.Errorf("selected %+v, want %+v", got, tc.want)
+				}
+				if got != ref {
+					t.Errorf("selected %+v, the replaced rule selects %+v", got, ref)
+				}
+				if derive && !slices.Equal(sc.pairs, listed) {
+					t.Errorf("recorded pairs %v, want the ones at T %v", sc.pairs, listed)
+				}
+				readsZero("selection")
+
+				class := make([]uint8, n)
+				for _, c := range tc.touched {
+					class[c.node] = uint8(2 - c.node%2)
+				}
+				stage()
+				want := []candidate{{}, ref}
+				if len(even) > 0 {
+					want[0] = referenceSelect(counts, weights, even, p)
+				}
+				out := make([]candidate, 2)
+				sc.selectLevels(p, 1, class, out)
+				for j := range out {
+					if out[j] != want[j] {
+						t.Errorf("level %d selected %+v, the rule selects %+v", j, out[j], want[j])
+					}
+				}
+				readsZero("all-levels selection")
+			})
+		}
+	}
+}
+
+// TestWalkListsCandidatesAtT checks the walk's listing against brute force.
+// On a fixed instance and a partial matching, for every eligible node of
+// both directions at several floors, the walk must list exactly the
+// unmatched partners at or above the floor whose SimilarityWitnesses count
+// reaches the pass's listing count — T under the paper's rule, 1 under
+// Adamic-Adar ranking or a margin — each once and with that count. One
+// scorer walks every node in turn, so this also checks that no walk reads
+// another's counts. It reports how many candidates were listed against how
+// many a walk touches (count >= 1).
+func TestWalkListsCandidatesAtT(t *testing.T) {
+	g1, g2, seeds := testInstance(31, 300)
+	m, err := NewMatching(g1.NumNodes(), g2.NumNodes(), seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lc := newLinkedCounts(g1, g2, m)
+	configs := []struct {
+		name   string
+		set    func(*Options)
+		listAt int
+	}{
+		{"T1", func(o *Options) { o.Threshold = 1 }, 1},
+		{"T2", func(o *Options) {}, 2},
+		{"T3", func(o *Options) { o.Threshold = 3 }, 3},
+		{"adamic-adar", func(o *Options) { o.Scoring = ScoreAdamicAdar }, 1},
+		{"margin1", func(o *Options) { o.MinMargin = 1 }, 1},
+	}
+	for _, cfg := range configs {
+		t.Run(cfg.name, func(t *testing.T) {
+			opts := DefaultOptions()
+			cfg.set(&opts)
+			listed, touched := 0, 0
+			for _, minDeg := range []int{1, 2, 8} {
+				p := opts.passParams(minDeg)
+				for _, dir := range []passDirection{fromLeft, fromRight} {
+					ga, gb, link, selfMatched, partnerMatched := passViews(dir, g1, g2, m)
+					linked := lc.left
+					if dir == fromRight {
+						linked = lc.right
+					}
+					partners := newCandLists(gb, partnerMatched)
+					sc := newScorer(gb.NumNodes(), p.weighted)
+					for v := 0; v < ga.NumNodes(); v++ {
+						id := graph.NodeID(v)
+						if selfMatched[id] != NoMatch || ga.Degree(id) < minDeg || int(linked[id]) < opts.Threshold {
+							continue
+						}
+						var want []graph.NodeID
+						for w := 0; w < gb.NumNodes(); w++ {
+							wid := graph.NodeID(w)
+							if partnerMatched[wid] != NoMatch || gb.Degree(wid) < minDeg {
+								continue
+							}
+							c := SimilarityWitnesses(g1, g2, m, id, wid)
+							if dir == fromRight {
+								c = SimilarityWitnesses(g1, g2, m, wid, id)
+							}
+							if c >= 1 {
+								touched++
+							}
+							if c >= cfg.listAt {
+								want = append(want, wid)
+							}
+						}
+						sc.walk(id, ga, gb, link, &partners, p)
+						got := slices.Clone(sc.listed)
+						slices.Sort(got)
+						if !slices.Equal(got, want) {
+							t.Fatalf("floor %d dir %d node %d: listed %v, want %v", minDeg, dir, v, got, want)
+						}
+						for _, w := range got {
+							c := SimilarityWitnesses(g1, g2, m, id, w)
+							if dir == fromRight {
+								c = SimilarityWitnesses(g1, g2, m, w, id)
+							}
+							if int(sc.count(w)) != c {
+								t.Fatalf("floor %d dir %d node %d: candidate %d reads count %d, want %d", minDeg, dir, v, w, sc.count(w), c)
+							}
+						}
+						listed += len(got)
+						sc.listed = sc.listed[:0]
+					}
 				}
 			}
-			want := []candidate{{}, ref}
-			if len(even) > 0 {
-				want[0] = referenceSelect(sc.scores, sc.weights, even, p)
+			if listed == 0 {
+				t.Fatal("no candidate was listed")
 			}
-			out := make([]candidate, 2)
-			sc.selectLevels(p, 1, class, out)
-			for j := range out {
-				if out[j] != want[j] {
-					t.Errorf("level %d selected %+v, the rule selects %+v", j, out[j], want[j])
+			t.Logf("listed %d of %d touched candidates", listed, touched)
+		})
+	}
+}
+
+// TestScorerStampWrap runs whole passes, in both directions and under each
+// selection, on a scorer whose stamp starts within a few degrees of
+// MaxUint32 over scratch that earlier walks filled up to it, and requires
+// the proposals of a fresh scorer. The stamp must wrap during the pass.
+func TestScorerStampWrap(t *testing.T) {
+	g1, g2, seeds := testInstance(32, 400)
+	m, err := NewMatching(g1.NumNodes(), g2.NumNodes(), seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lc := newLinkedCounts(g1, g2, m)
+	configs := []struct {
+		name string
+		set  func(*Options)
+	}{
+		{"count", func(o *Options) {}},
+		{"T1", func(o *Options) { o.Threshold = 1 }},
+		{"adamic-adar", func(o *Options) { o.Scoring = ScoreAdamicAdar }},
+		{"margin1", func(o *Options) { o.MinMargin = 1 }},
+	}
+	for _, cfg := range configs {
+		t.Run(cfg.name, func(t *testing.T) {
+			opts := DefaultOptions()
+			cfg.set(&opts)
+			p := opts.passParams(1)
+			for _, dir := range []passDirection{fromLeft, fromRight} {
+				ga, gb, _, _, partnerMatched := passViews(dir, g1, g2, m)
+				partners := newCandLists(gb, partnerMatched)
+				n := ga.NumNodes()
+				want := make([]candidate, n)
+				scoreRange(dir, g1, g2, m, lc, &partners, p, 0, n, newScorer(gb.NumNodes(), p.weighted), want)
+				maxDeg := 0
+				for v := 0; v < n; v++ {
+					maxDeg = max(maxDeg, ga.Degree(graph.NodeID(v)))
 				}
-			}
-			if len(sc.touched) != 0 {
-				t.Errorf("all-levels selection left the touched list: %v", sc.touched)
-			}
-			for w := range sc.scores {
-				if sc.scores[w] != 0 || (tc.weighted && sc.weights[w] != 0) {
-					t.Fatalf("all-levels selection left scratch at %d", w)
+				for _, left := range []uint32{0, 1, uint32(maxDeg), uint32(3 * maxDeg)} {
+					sc := newScorer(gb.NumNodes(), p.weighted)
+					sc.end = math.MaxUint32 - left
+					for w := range sc.scores {
+						sc.scores[w] = sc.end - uint32(w%3)
+					}
+					got := make([]candidate, n)
+					scoreRange(dir, g1, g2, m, lc, &partners, p, 0, n, sc, got)
+					if sc.end >= math.MaxUint32-left {
+						t.Fatalf("dir %d, %d below MaxUint32: the stamp never wrapped", dir, left)
+					}
+					for v := range want {
+						if got[v] != want[v] {
+							t.Fatalf("dir %d, %d below MaxUint32: node %d proposes %+v, a fresh scorer %+v", dir, left, v, got[v], want[v])
+						}
+					}
 				}
 			}
 		})

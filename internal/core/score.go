@@ -31,6 +31,18 @@ type passParams struct {
 	derive bool
 }
 
+// listAt is the witness count at which a walk lists a candidate for the
+// selection. Under derive it is T: accept refuses a selected count below T,
+// such a candidate can neither beat nor tie one at T, and only the margin
+// rule reads the runner-up, so leaving it out changes no proposal. Weight
+// ranking and the margin read every candidate, so there it is 1.
+func (p passParams) listAt() uint32 {
+	if p.derive {
+		return uint32(p.threshold)
+	}
+	return 1
+}
+
 func (o Options) passParams(minDeg int) passParams {
 	return passParams{
 		minDeg:    minDeg,
@@ -54,16 +66,22 @@ func witnessWeight(d1, d2 int) float32 {
 	return float32(1 / math.Log2(float64(2+d)))
 }
 
-// scorer is the per-worker scratch for one directional scoring pass. Scores
-// are accumulated in dense arrays indexed by partner node, with a touched
-// list for O(candidates) clearing — the matcher's hot path allocates nothing
-// per node. A session's walk state keeps its scorers across passes and
-// regimes.
+// scorer is the per-worker scratch for one directional scoring pass. Witness
+// counts are stamped into a dense array indexed by partner node: during a
+// walk, w's count is scores[w]-base when scores[w] > base and 0 otherwise.
+// Each walk moves base to the previous walk's end and the end on by deg(v),
+// which bounds every count in a simple graph, so no walk reads another's
+// counts and nothing is cleared between walks; the array is zeroed only
+// when the end would pass MaxUint32. The listed candidates are those whose
+// count reached the pass's listAt, in the order they reached it — the
+// matcher's hot path allocates nothing per node. A session's walk state
+// keeps its scorers across passes and regimes.
 type scorer struct {
-	scores  []int32
-	weights []float32 // nil unless weighted scoring is on
-	touched []graph.NodeID
-	// levels groups the touched candidates by the first schedule level at
+	scores    []uint32
+	base, end uint32    // the current walk's stamp range
+	weights   []float32 // nil unless weighted scoring is on; valid where the count is > 0
+	listed    []graph.NodeID
+	// levels groups the listed candidates by the first schedule level at
 	// which they are eligible; only the frontier's all-levels selection
 	// uses it.
 	levels [][]graph.NodeID
@@ -80,7 +98,7 @@ type scoredPair struct {
 }
 
 func newScorer(nPartners int, weighted bool) *scorer {
-	s := &scorer{scores: make([]int32, nPartners)}
+	s := &scorer{scores: make([]uint32, nPartners)}
 	if weighted {
 		s.weights = make([]float32, nPartners)
 	}
@@ -99,34 +117,37 @@ func (s *scorer) bestFor(
 	partners *candLists,
 	p passParams,
 ) candidate {
-	s.walk(v, ga, gb, link, partners, p.minClass)
+	s.walk(v, ga, gb, link, partners, p)
 	if s.weights != nil {
 		return s.selectWeighted(p)
 	}
 	return s.selectCount(p, v)
 }
 
-// walk accumulates the similarity-witness scores of every candidate partner
+// walk accumulates the similarity-witness counts of every candidate partner
 // for node v in graph ga, where partners live in graph gb:
 //
 //	for each neighbor u of v in ga that is linked to u' = link[u],
-//	    every unmatched w ∈ N_gb(u') of degree class >= minClass
+//	    every unmatched w ∈ N_gb(u') of degree class >= p.minClass
 //	    gains one witness (u, u').
 //
 // The unmatched, floor-eligible neighbors of u' are a prefix of partners'
 // candidate list for u' (unmatched neighbors only, by descending degree
 // class), so the walk stops at the first partner below the floor and never
-// looks at a matched one. Each candidate's witnesses are added in N(v)
-// order, so its Adamic-Adar weight is the same float sum whichever
-// selection reads it. It is the one scoring kernel: the full scan walks
-// down to the pass's floor, the frontier down to the schedule's lowest.
+// looks at a matched one. A candidate is listed when its count reaches
+// p.listAt(). Each candidate's witnesses are added in N(v) order, so its
+// Adamic-Adar weight is the same float sum whichever selection reads it. It
+// is the one scoring kernel: the full scan walks down to the pass's floor,
+// the frontier down to the schedule's lowest.
 func (s *scorer) walk(
 	v graph.NodeID,
 	ga, gb *graph.Graph,
 	link []graph.NodeID,
 	partners *candLists,
-	minClass uint8,
+	p passParams,
 ) {
+	s.stamp(ga.Degree(v))
+	base, atList := s.base, s.base+p.listAt()
 	for _, u := range ga.Neighbors(v) {
 		u2 := link[u]
 		if u2 == NoMatch {
@@ -137,37 +158,56 @@ func (s *scorer) walk(
 			wt = witnessWeight(ga.Degree(u), gb.Degree(u2))
 		}
 		for _, w := range partners.list(u2) {
-			if partners.class[w] < minClass {
+			if partners.class[w] < p.minClass {
 				break
 			}
-			if s.scores[w] == 0 {
-				s.touched = append(s.touched, w)
-			}
-			s.scores[w]++
+			c := s.scores[w]
 			if s.weights != nil {
-				s.weights[w] += wt
+				if c <= base {
+					s.weights[w] = wt
+				} else {
+					s.weights[w] += wt
+				}
+			}
+			c = max(c, base) + 1
+			s.scores[w] = c
+			if c == atList {
+				s.listed = append(s.listed, w)
 			}
 		}
 	}
 }
 
+// stamp starts the stamp range of a walk from a node of degree d.
+func (s *scorer) stamp(d int) {
+	if uint64(s.end)+uint64(d) > math.MaxUint32 {
+		clear(s.scores)
+		s.end = 0
+	}
+	s.base = s.end
+	s.end += uint32(d)
+}
+
+// count is the witness count of w, a candidate the current walk listed.
+func (s *scorer) count(w graph.NodeID) int32 { return int32(s.scores[w] - s.base) }
+
 // selectCount is v's selection under witness-count ranking, in one loop
-// over the touched candidates that also clears the scratch: the proposal is
-// the lowest-ID candidate with the top count; a tie is more than one
-// candidate at the top count, and the margin is measured against the
-// runner-up count (the top count itself when tied). The result depends on
-// the candidates' counts only, not on the order they were touched in. Under
-// derive the loop also records every pair (v, w) at count >= T in s.pairs.
+// over the listed candidates: the proposal is the lowest-ID candidate with
+// the top count; a tie is more than one candidate at the top count, and the
+// margin is measured against the runner-up count (the top count itself when
+// tied). The result depends on the candidates' counts only, not on the
+// order they were listed in. Under derive the listed candidates are exactly
+// those at count >= T, and the loop records every pair (v, w) of them in
+// s.pairs.
 func (s *scorer) selectCount(p passParams, v graph.NodeID) candidate {
 	var (
 		best      graph.NodeID
 		top, next int32 // the top count and the highest count below it
 		atTop     int32 // candidates scoring top
 	)
-	for _, w := range s.touched {
-		c := s.scores[w]
-		s.scores[w] = 0
-		if p.derive && c >= p.threshold {
+	for _, w := range s.listed {
+		c := s.count(w)
+		if p.derive {
 			s.pairs = append(s.pairs, scoredPair{left: v, right: w, count: c})
 		}
 		switch {
@@ -182,7 +222,7 @@ func (s *scorer) selectCount(p passParams, v graph.NodeID) candidate {
 			next = c
 		}
 	}
-	s.touched = s.touched[:0]
+	s.listed = s.listed[:0]
 	if atTop > 1 {
 		next = top
 	}
@@ -194,7 +234,7 @@ func (s *scorer) selectCount(p passParams, v graph.NodeID) candidate {
 // candidate at that weight, and the threshold and margin still apply to
 // witness counts — the margin against the highest count among the other
 // candidates. Each weight is a sum accumulated in N(v) order, so it too is
-// independent of the order candidates were touched in.
+// independent of the order candidates were listed in.
 func (s *scorer) selectWeighted(p passParams) candidate {
 	var (
 		best      graph.NodeID
@@ -204,9 +244,8 @@ func (s *scorer) selectWeighted(p passParams) candidate {
 		top, next int32 // the top count and the highest count below it
 		atTop     int32 // candidates scoring top
 	)
-	for _, w := range s.touched {
-		c, wt := s.scores[w], s.weights[w]
-		s.scores[w], s.weights[w] = 0, 0
+	for _, w := range s.listed {
+		c, wt := s.count(w), s.weights[w]
 		switch {
 		case wt > bestW:
 			best, bestW, bestCount, tie = w, wt, c, false
@@ -225,7 +264,7 @@ func (s *scorer) selectWeighted(p passParams) candidate {
 			next = c
 		}
 	}
-	s.touched = s.touched[:0]
+	s.listed = s.listed[:0]
 	maxOther := top
 	if bestCount == top && atTop == 1 {
 		maxOther = next
@@ -252,16 +291,15 @@ func (p passParams) accept(best graph.NodeID, selCount, maxOther int32, tie bool
 // walk down to the schedule's lowest floor: out[j] is the proposal bestFor
 // would return at level j's floor. A candidate of degree class c is first
 // eligible at level topExp+1-c (level 0 for every class above the top
-// floor's), so the touched list is grouped by that level and the levels are
-// added one by one as the floor descends, keeping the running best and tie
-// and the top two witness counts for the margin rule. Like the single-level
-// selections it reads only counts, weights and IDs, and it clears the
-// scratch.
+// floor's), so the listed candidates are grouped by that level and the
+// levels are added one by one as the floor descends, keeping the running
+// best and tie and the top two witness counts for the margin rule. Like the
+// single-level selections it reads only counts, weights and IDs.
 func (s *scorer) selectLevels(p passParams, topExp int, class []uint8, out []candidate) {
 	if len(s.levels) < len(out) {
 		s.levels = make([][]graph.NodeID, len(out))
 	}
-	for _, w := range s.touched {
+	for _, w := range s.listed {
 		j := max(0, topExp+1-int(class[w]))
 		s.levels[j] = append(s.levels[j], w)
 	}
@@ -276,7 +314,8 @@ func (s *scorer) selectLevels(p passParams, topExp int, class []uint8, out []can
 	)
 	for j := range out {
 		for _, w := range s.levels[j] {
-			k := float64(s.scores[w])
+			c := s.count(w)
+			k := float64(c)
 			if s.weights != nil {
 				k = float64(s.weights[w])
 			}
@@ -289,7 +328,6 @@ func (s *scorer) selectLevels(p passParams, topExp int, class []uint8, out []can
 				}
 				tie = true
 			}
-			c := s.scores[w]
 			switch {
 			case c > cnt1:
 				cnt1, cnt2, mult1 = c, cnt1, 1
@@ -304,7 +342,7 @@ func (s *scorer) selectLevels(p passParams, topExp int, class []uint8, out []can
 			out[j] = candidate{}
 			continue
 		}
-		selCount := s.scores[best]
+		selCount := s.count(best)
 		// Max witness count among candidates other than the selected one.
 		maxOther := cnt1
 		if selCount == cnt1 && mult1 == 1 {
@@ -312,13 +350,7 @@ func (s *scorer) selectLevels(p passParams, topExp int, class []uint8, out []can
 		}
 		out[j] = p.accept(best, selCount, maxOther, tie)
 	}
-	for _, w := range s.touched {
-		s.scores[w] = 0
-		if s.weights != nil {
-			s.weights[w] = 0
-		}
-	}
-	s.touched = s.touched[:0]
+	s.listed = s.listed[:0]
 }
 
 // passDirection identifies which side of the bipartite candidate space a
