@@ -15,6 +15,7 @@ func TestParseBenchOutput(t *testing.T) {
 		"BenchmarkReconcileFrontier-8   	      10	 103053633 ns/op	 2469728 B/op",
 		"BenchmarkReconcileFrontier-8   	      12	  95000000 ns/op	 2469728 B/op",
 		"BenchmarkReconcileFrontier-8   	       9	 110000000 ns/op",
+		"BenchmarkReconcileParallel-2   	       1	  24500000 ns/op	 2187264 B/op	    1309 allocs/op",
 		"BenchmarkStoreCheckpoint/delta/shards=8 	       1	   9473738 ns/op	        26.00 ckpt_bytes",
 		"BenchmarkSnapshotEncodeState 	    1135	   2127301 ns/op	1420.37 MB/s",
 		"PASS",
@@ -22,6 +23,7 @@ func TestParseBenchOutput(t *testing.T) {
 	}, best)
 	want := map[string]float64{
 		"BenchmarkReconcileFrontier":              95000000, // min of three runs
+		"BenchmarkReconcileParallel":              24500000, // B/op and allocs/op columns ignored
 		"BenchmarkStoreCheckpoint/delta/shards=8": 9473738,  // sub-benchmark names survive
 		"BenchmarkSnapshotEncodeState":            2127301,  // no GOMAXPROCS suffix
 	}

@@ -164,10 +164,12 @@ func gateInstance() (*graph.Graph, *graph.Graph, []graph.Pair) {
 }
 
 // benchBatch times the one-shot batch run on path p: a cold NewSession,
-// then Run.
+// then Run. It reports allocations too, so the engine rows show a run's
+// B/op beside its ns/op.
 func benchBatch(b *testing.B, p testPath) {
 	g1, g2, seeds := gateInstance()
 	opts := p.on(DefaultOptions())
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s, err := NewSession(g1, g2, seeds, opts)

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 
 	"github.com/sociograph/reconcile/internal/graph"
 )
@@ -153,33 +154,41 @@ func (ws *walkState) scorers(dir passDirection, g1, g2 *graph.Graph, m *Matching
 	return (*pool)[:workers], partners
 }
 
-// scanState is the full scan's own pass buffers: both sides' proposals,
-// reused by every pass. It is built at the session's first full-scan bucket
-// and dropped when a hybrid session hands off to the frontier.
+// scanState is the full scan's own pass buffers, reused by every pass: the
+// left side's proposals, and for the right side either its column words
+// (under derive) or its walked proposals (under any other rule). It is
+// built at the session's first full-scan bucket and dropped when a hybrid
+// session hands off to the frontier.
 type scanState struct {
 	leftBest, rightBest []candidate
+	// cols holds, under derive, one column word per right node (see
+	// foldColumn), shared by all of a pass's workers: 8 bytes per node
+	// whatever the number of pairs or workers.
+	cols []atomic.Uint64
 }
 
-func newScanState(g1, g2 *graph.Graph) *scanState {
-	return &scanState{
-		leftBest:  make([]candidate, g1.NumNodes()),
-		rightBest: make([]candidate, g2.NumNodes()),
+func newScanState(g1, g2 *graph.Graph, derive bool) *scanState {
+	st := &scanState{leftBest: make([]candidate, g1.NumNodes())}
+	if derive {
+		st.cols = make([]atomic.Uint64, g2.NumNodes())
+	} else {
+		st.rightBest = make([]candidate, g2.NumNodes())
 	}
+	return st
 }
 
 // runBucket performs one scoring pass at the given degree floor and commits
 // every mutual-best pair with score >= T. Returns the number of new links.
 // Under the paper's rule (count ranking, no margin) only the left side is
-// walked, and the right side's proposals are derived from the pairs the
-// left pass scored (deriveRight); any other rule walks both sides.
+// walked: its selections fold every pair at count >= T into the right
+// side's column words, which the commit decodes (back); any other rule
+// walks both sides.
 func (st *scanState) runBucket(g1, g2 *graph.Graph, m *Matching, lc *linkedCounts, ws *walkState, minDeg int, opts Options) int {
 	ws.sync(g1, g2, m)
 	p := opts.passParams(minDeg)
 	workers := opts.workers()
-	left := st.pass(fromLeft, g1, g2, m, lc, ws, p, workers)
-	if p.derive {
-		st.deriveRight(left, p)
-	} else {
+	st.pass(fromLeft, g1, g2, m, lc, ws, p, workers)
+	if !p.derive {
 		st.pass(fromRight, g1, g2, m, lc, ws, p, workers)
 	}
 
@@ -192,7 +201,7 @@ func (st *scanState) runBucket(g1, g2 *graph.Graph, m *Matching, lc *linkedCount
 		if c.score == 0 {
 			continue
 		}
-		back := st.rightBest[c.node]
+		back := st.back(c.node, p)
 		if back.score == 0 || back.node != graph.NodeID(v1) {
 			continue
 		}
@@ -204,58 +213,41 @@ func (st *scanState) runBucket(g1, g2 *graph.Graph, m *Matching, lc *linkedCount
 	return matched
 }
 
-// pass is scoreRange sharded over a worker pool, returning the scorers it
-// used. Each worker owns a scorer from the direction's pool; outputs land in
-// disjoint slices of the direction's proposals and the candidate lists are
-// only read, so no synchronization beyond waiting for the chunks is needed
-// and the result is independent of scheduling.
-func (st *scanState) pass(dir passDirection, g1, g2 *graph.Graph, m *Matching, lc *linkedCounts, ws *walkState, p passParams, workers int) []*scorer {
-	best := st.leftBest
-	if dir == fromRight {
-		best = st.rightBest
+// back is right node w's proposal in the pass just run: under derive, w's
+// column word decoded (decodeColumn); otherwise what the right pass
+// selected. The commit reads it only at the targets of left proposals.
+func (st *scanState) back(w graph.NodeID, p passParams) candidate {
+	if p.derive {
+		return p.decodeColumn(st.cols[w].Load())
 	}
+	return st.rightBest[w]
+}
+
+// pass is scoreRange sharded over a worker pool. Each worker owns a scorer
+// from the direction's pool; outputs land in disjoint slices of the
+// direction's proposals and the candidate lists are only read. A left pass
+// under derive first clears the column words and lends them to its
+// scorers for the pass, and every worker folds into them by CAS, whose
+// result does not depend on the order. So no synchronization beyond
+// waiting for the chunks is needed and the result is independent of
+// scheduling.
+func (st *scanState) pass(dir passDirection, g1, g2 *graph.Graph, m *Matching, lc *linkedCounts, ws *walkState, p passParams, workers int) {
+	best, cols := st.leftBest, st.cols
+	if dir == fromRight {
+		best, cols = st.rightBest, nil
+	}
+	clear(cols)
 	n := len(best)
 	if n == 0 {
-		return nil
+		return
 	}
 	scorers, partners := ws.scorers(dir, g1, g2, m, p.weighted, max(1, min(workers, n)))
 	parallelChunks(n, len(scorers), func(w, lo, hi int) {
-		scoreRange(dir, g1, g2, m, lc, partners, p, lo, hi, scorers[w], best)
+		sc := scorers[w]
+		sc.cols = cols
+		scoreRange(dir, g1, g2, m, lc, partners, p, lo, hi, sc, best)
+		sc.cols = nil
 	})
-	return scorers
-}
-
-// deriveRight sets rightBest from the pairs the left pass's scorers
-// recorded, and drains their buffers. Under count ranking with no margin, a
-// right node's proposal reads only its candidates at the top count, and only
-// when that count reaches T. Every pair at count >= T was recorded, with the
-// count the right pass would give it: its left endpoint has at least T
-// linked neighbors too, so the left pass scored it. A count below T can
-// neither beat nor tie one at T, and the runner-up is never read. So w's
-// proposal is the column maximum of the pairs (·, w): the top count, the
-// lowest left ID at it, and a tie when more than one pair reaches it,
-// through the same accept rule. The fold does not depend on which worker
-// recorded a pair or in what order.
-func (st *scanState) deriveRight(scorers []*scorer, p passParams) {
-	clear(st.rightBest)
-	for _, sc := range scorers {
-		for _, e := range sc.pairs {
-			b := &st.rightBest[e.right]
-			if e.count > b.score || e.count == b.score && e.left < b.node {
-				*b = candidate{node: e.left, score: e.count}
-			}
-		}
-	}
-	// A column's top pair already reaches T, so only a tie can change what
-	// accept returns: apply the rule once the column is known to be tied.
-	for _, sc := range scorers {
-		for _, e := range sc.pairs {
-			if b := &st.rightBest[e.right]; e.count == b.score && e.left != b.node {
-				*b = p.accept(b.node, b.score, b.score, true)
-			}
-		}
-		sc.pairs = sc.pairs[:0]
-	}
 }
 
 // parallelChunks cuts [0, n) into at most workers contiguous chunks and

@@ -95,16 +95,12 @@ func (s *Session) endSweep() {
 		// nothing, and a kill/restore at this exact boundary builds the
 		// identical state from the matching at the restored first bucket.
 		// The frontier takes over the candidate lists; the full scan's
-		// proposal buffers, and the pair buffers its count-scored left
-		// passes filled, have no further use (the frontier selects through
-		// selectLevels and records no pairs).
+		// proposals and column words have no further use (the frontier
+		// selects through selectLevels and folds nothing), and no scorer
+		// holds the words past its pass, so dropping the scan state frees
+		// them.
 		s.hybridSwitched = true
 		s.scan = nil
-		if s.walk != nil {
-			for _, sc := range s.walk.leftScorers {
-				sc.pairs = nil
-			}
-		}
 	}
 	s.evictPhases()
 }

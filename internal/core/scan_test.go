@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/sociograph/reconcile/internal/gen"
@@ -204,9 +206,11 @@ func TestCandidateListInvariant(t *testing.T) {
 // count-scored full scan walks only the left side, so it never builds G1's
 // lists or a right-side scorer; an Adamic-Adar full scan builds both at its
 // first pass; the frontier builds G1's at its first right refresh, which on
-// the default path comes after the handoff. The full scan's proposal
-// buffers (scan) are never built for a frontier pass and are dropped at the
-// handoff.
+// the default path comes after the handoff. The full scan's buffers (scan)
+// are never built for a frontier pass and are dropped at the handoff: the
+// right side's column words under the paper's rule, its proposals under
+// Adamic-Adar, never both. Between passes no scorer references the words,
+// so dropping the scan state frees them.
 func TestScanStateLifetime(t *testing.T) {
 	g1, g2, seeds := testInstance(12, 400)
 	ctx := context.Background()
@@ -241,7 +245,16 @@ func TestScanStateLifetime(t *testing.T) {
 				t.Fatalf("%s: candidate lists rebuilt mid-session", tc.name)
 			}
 			lists = s.walk
+			// A pass lends the scan's column words to its scorers and takes
+			// them back, so after the handoff drops the scan state no
+			// scorer keeps the words alive.
+			for _, sc := range slices.Concat(s.walk.leftScorers, s.walk.rightScorers) {
+				if sc.cols != nil {
+					t.Fatalf("%s: a scorer still references the column words after its pass (frontier regime %v)", tc.name, s.FrontierActive())
+				}
+			}
 			g1Lists := s.walk.left.built() || len(s.walk.rightScorers) > 0
+			weighted := tc.scoring == ScoreAdamicAdar
 			switch {
 			case tc.path == pathFrontier && s.scan != nil:
 				t.Fatal("frontier session built full-scan buffers")
@@ -250,18 +263,17 @@ func TestScanStateLifetime(t *testing.T) {
 				if s.scan != nil {
 					t.Fatal("session kept full-scan buffers in the frontier regime")
 				}
-				for _, sc := range slices.Concat(s.walk.leftScorers, s.walk.rightScorers) {
-					if sc.pairs != nil {
-						t.Fatal("session kept a scorer's pair buffer in the frontier regime")
-					}
-				}
 			case s.scan != nil:
 				built = true
 				if !s.walk.right.built() || len(s.walk.leftScorers) == 0 {
 					t.Fatalf("%s: a full-scan pass ran without G2's lists or a left-side scorer", tc.name)
 				}
-				if weighted := tc.scoring == ScoreAdamicAdar; g1Lists != weighted {
+				if g1Lists != weighted {
 					t.Fatalf("%s: after a full-scan pass, G1's lists or right-side scorers built = %v, want %v", tc.name, g1Lists, weighted)
+				}
+				if (s.scan.rightBest != nil) != weighted || (s.scan.cols != nil) == weighted {
+					t.Fatalf("%s: the scan built right proposals %v and column words %v; a rule that walks the right side needs only the proposals, the paper's rule only the words",
+						tc.name, s.scan.rightBest != nil, s.scan.cols != nil)
 				}
 			}
 		})
@@ -339,7 +351,9 @@ func referenceSelect(scores []int32, weights []float32, touched []graph.NodeID, 
 // three-loop rule it replaces, which reads every candidate. Each set is
 // listed as a walk lists it: every candidate, or under derive only those at
 // count >= T, so the derive cases check that leaving the others out changes
-// nothing; every count-ranked case without a margin also runs under derive.
+// nothing; every count-ranked case without a margin also runs under derive,
+// where the selection must fold each listed candidate's count and the
+// walking node's ID into the candidate's column word and touch no other.
 // The next walk must read every count as 0. The all-levels selection must
 // agree with the same rule at every level: with even IDs in the top level's
 // degree class and odd IDs one class below, level 0 sees the even
@@ -440,10 +454,15 @@ func TestOnePassSelection(t *testing.T) {
 				}
 				ref := referenceSelect(counts, weights, all, p)
 				sc := newScorer(n, tc.weighted)
-				// stage lists the case's candidates as a fresh walk would,
-				// over whatever the previous walk left in the scratch.
-				stage := func() (listed []scoredPair) {
+				// stage lists the case's candidates as a fresh walk from
+				// node v would, over whatever the previous walk left in the
+				// scratch, and returns the column words a derive fold of
+				// them leaves: count in bits 33-63 and v in bits 0-31 at
+				// each listed candidate, no tie, and 0 elsewhere.
+				const v = 13
+				stage := func() (words []uint64) {
 					sc.stamp(n)
+					words = make([]uint64, n)
 					for _, c := range tc.touched {
 						sc.scores[c.node] = sc.base + uint32(c.count)
 						if tc.weighted {
@@ -451,10 +470,10 @@ func TestOnePassSelection(t *testing.T) {
 						}
 						if uint32(c.count) >= p.listAt() {
 							sc.listed = append(sc.listed, c.node)
-							listed = append(listed, scoredPair{left: 0, right: c.node, count: c.count})
+							words[c.node] = uint64(c.count)<<33 | v
 						}
 					}
-					return listed
+					return words
 				}
 				readsZero := func(what string) {
 					t.Helper()
@@ -469,12 +488,15 @@ func TestOnePassSelection(t *testing.T) {
 					}
 				}
 
-				listed := stage()
+				words := stage()
+				if derive {
+					sc.cols = make([]atomic.Uint64, n)
+				}
 				var got candidate
 				if tc.weighted {
 					got = sc.selectWeighted(p)
 				} else {
-					got = sc.selectCount(p, 0)
+					got = sc.selectCount(p, v)
 				}
 				if got != tc.want {
 					t.Errorf("selected %+v, want %+v", got, tc.want)
@@ -482,9 +504,12 @@ func TestOnePassSelection(t *testing.T) {
 				if got != ref {
 					t.Errorf("selected %+v, the replaced rule selects %+v", got, ref)
 				}
-				if derive && !slices.Equal(sc.pairs, listed) {
-					t.Errorf("recorded pairs %v, want the ones at T %v", sc.pairs, listed)
+				for w := range sc.cols {
+					if got := sc.cols[w].Load(); got != words[w] {
+						t.Errorf("column %d folded word %#x, want %#x", w, got, words[w])
+					}
 				}
+				sc.cols = nil
 				readsZero("selection")
 
 				class := make([]uint8, n)
@@ -692,13 +717,53 @@ func TestScanPassAllocations(t *testing.T) {
 	t.Logf("second sweep (%d links) allocated %d bytes", found, got)
 }
 
-// TestDeriveRightColumnRule feeds hand-built per-worker pair buffers to the
-// column rule and checks every right node's derived proposal against the
-// rule the right pass applies (referenceSelect) to the same candidates. The
-// buffers hold only the candidates at count >= T, as the left pass records
-// them; the reference sees all of them. Each case splits its pairs over two
-// workers and merges the buffers in both orders; the buffers must come back
-// drained and a stale proposal from an earlier pass must not survive.
+// TestReconcileAllocationBound bounds what a whole run allocates by the
+// size of its input, on the skewed graph of the experiments' Table 2 row
+// RMAT15 (seed 1). Memory that grows with the pairs scored rather than with
+// the graph fails it: these graphs score far more pairs than they have
+// edges (60.7M at count >= 2 in one pass at RMAT19, which has 7.7M edges).
+// At one worker the least of three TotalAlloc readings around Reconcile
+// must be at most 16 bytes per node and edge of the two copies. The bound
+// counts allocated bytes, not time, so it holds on any hardware.
+func TestReconcileAllocationBound(t *testing.T) {
+	r := xrand.New(1*0x9e3779b97f4a7c15 + 0x7B2) // the experiments' rng(salt 0x7B2) at seed 1
+	g := gen.RMAT(r, gen.DefaultRMAT(15))
+	g1, g2 := sampling.IndependentCopies(r, g, 0.5, 0.5)
+	seeds := sampling.Seeds(r, graph.IdentityPairs(g.NumNodes()), 0.10)
+	opts := DefaultOptions()
+	opts.Threshold = 2
+	opts.Workers = 1
+	size := uint64(g1.NumNodes()+g2.NumNodes()) + uint64(g1.NumEdges()+g2.NumEdges())
+	limit := 16 * size
+	least := uint64(math.MaxUint64)
+	links := 0
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := Reconcile(context.Background(), g1, g2, seeds, opts)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+		links = len(res.NewPairs)
+	}
+	t.Logf("%d nodes and %d edges over both copies; %d links found; least of three runs allocated %d bytes, limit %d",
+		g1.NumNodes()+g2.NumNodes(), g1.NumEdges()+g2.NumEdges(), links, least, limit)
+	if least > limit {
+		t.Fatalf("Reconcile allocated %d bytes, over the %d-byte bound (16 B per node and edge)", least, limit)
+	}
+}
+
+// TestDeriveRightColumnRule folds hand-built columns into the scan's column
+// words and checks every right node's decoded proposal (scanState.back)
+// against the rule the right pass applies (referenceSelect) to the same
+// candidates. Only the candidates at count >= T are folded, as the left
+// pass lists them; the reference sees all of them. Each case's pairs are
+// split into two halves, as two workers would fold them, and folded in both
+// orders. Before each order a previous pass's fold leaves a word at count 9
+// in every column, and then a left pass over an instance with nothing to
+// score runs: a stale word that survives the pass's clear fails the test.
 func TestDeriveRightColumnRule(t *testing.T) {
 	type cand struct {
 		left  graph.NodeID
@@ -741,28 +806,42 @@ func TestDeriveRightColumnRule(t *testing.T) {
 			want: map[graph.NodeID]candidate{7: {node: 8, score: 4}}},
 	}
 	const n = 16
+	g := graph.FromEdges(n, nil)
+	m, err := NewMatching(n, n, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lc := newLinkedCounts(g, g, m)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p := passParams{threshold: tc.threshold, ties: tc.ties, derive: true}
-			// Split the recorded pairs over two workers, alternating, so a
-			// column's pairs land in both buffers.
-			var bufs [2][]scoredPair
+			type pair struct {
+				left, right graph.NodeID
+				count       int32
+			}
+			// Split the pairs at count >= T into two halves, alternating, so
+			// a column's pairs land in both.
+			var halves [2][]pair
 			k := 0
 			for w := graph.NodeID(0); w < n; w++ {
 				for _, c := range tc.columns[w] {
 					if c.count >= tc.threshold {
-						bufs[k%2] = append(bufs[k%2], scoredPair{left: c.left, right: w, count: c.count})
+						halves[k%2] = append(halves[k%2], pair{left: c.left, right: w, count: c.count})
 						k++
 					}
 				}
 			}
+			st := newScanState(g, g, true)
 			for _, order := range [][2]int{{0, 1}, {1, 0}} {
-				scorers := []*scorer{{pairs: append([]scoredPair(nil), bufs[order[0]]...)}, {pairs: append([]scoredPair(nil), bufs[order[1]]...)}}
-				st := &scanState{rightBest: make([]candidate, n)}
-				for w := range st.rightBest {
-					st.rightBest[w] = candidate{node: 15, score: 9} // a stale proposal
+				for w := range st.cols {
+					foldColumn(&st.cols[w], 15, 9) // the previous pass's word
 				}
-				st.deriveRight(scorers, p)
+				st.pass(fromLeft, g, g, m, lc, &walkState{}, p, 2)
+				for _, h := range order {
+					for _, e := range halves[h] {
+						foldColumn(&st.cols[e.right], e.left, e.count)
+					}
+				}
 				for w := graph.NodeID(0); w < n; w++ {
 					var want candidate
 					if cs := tc.columns[w]; len(cs) > 0 {
@@ -774,20 +853,99 @@ func TestDeriveRightColumnRule(t *testing.T) {
 						}
 						want = referenceSelect(scores, nil, touched, p)
 					}
-					if got := st.rightBest[w]; got != want {
+					if got := st.back(w, p); got != want {
 						t.Errorf("order %v: right node %d derived %+v, the right pass selects %+v", order, w, got, want)
 					}
-					if got := st.rightBest[w]; got != tc.want[w] {
+					if got := st.back(w, p); got != tc.want[w] {
 						t.Errorf("order %v: right node %d derived %+v, want %+v", order, w, got, tc.want[w])
-					}
-				}
-				for i, sc := range scorers {
-					if len(sc.pairs) != 0 {
-						t.Errorf("order %v: worker %d's buffer not drained: %v", order, i, sc.pairs)
 					}
 				}
 			}
 		})
+	}
+}
+
+// TestColumnFoldOrderIndependent folds random sets of pairs, distinct left
+// IDs with random counts, into one column word, sequentially in shuffled
+// orders and from 8 goroutines at once, and requires the word the reference
+// computes from the set alone: the top count in bits 33-63, the lowest left
+// ID at it in bits 0-31, and bit 32 set exactly when two or more left IDs
+// reach the top count. Counts come from a narrow range, so ties are common,
+// half the sets at the top of the count field, and IDs span the whole ID
+// range, so a count or an ID that spills into a neighbouring field fails.
+func TestColumnFoldOrderIndependent(t *testing.T) {
+	type pair struct {
+		left  graph.NodeID
+		count int32
+	}
+	r := xrand.New(26)
+	for trial := 0; trial < 400; trial++ {
+		k := 1 + r.IntN(256)
+		span := 1 + r.IntN(4)
+		base := int32(1)
+		if trial%4 >= 2 {
+			base = math.MaxInt32 - int32(span)
+		}
+		seen := map[graph.NodeID]bool{}
+		var pairs []pair
+		for len(pairs) < k {
+			left := graph.NodeID(r.Uint32N(uint32(NoMatch)))
+			if trial%2 == 0 {
+				left = graph.NodeID(r.IntN(2 * k))
+			}
+			if !seen[left] {
+				seen[left] = true
+				pairs = append(pairs, pair{left: left, count: base + int32(r.IntN(span+1))})
+			}
+		}
+		var (
+			top    int32
+			lowest graph.NodeID
+			atTop  int
+		)
+		for _, e := range pairs {
+			switch {
+			case e.count > top:
+				top, lowest, atTop = e.count, e.left, 1
+			case e.count == top:
+				lowest, atTop = min(lowest, e.left), atTop+1
+			}
+		}
+		check := func(how string, order int, word uint64) {
+			t.Helper()
+			gotTop, gotLowest, gotTie := int32(word>>33), graph.NodeID(word&(1<<32-1)), word&(1<<32) != 0
+			if gotTop != top || gotLowest != lowest || gotTie != (atTop > 1) {
+				t.Fatalf("trial %d, %s %d: %d pairs folded to count %d, lowest ID %d, tie %v; want %d, %d, %v",
+					trial, how, order, len(pairs), gotTop, gotLowest, gotTie, top, lowest, atTop > 1)
+			}
+		}
+		for order := range 4 {
+			r.Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
+			var col atomic.Uint64
+			for _, e := range pairs {
+				foldColumn(&col, e.left, e.count)
+			}
+			check("shuffled order", order, col.Load())
+		}
+		var (
+			col   atomic.Uint64
+			wg    sync.WaitGroup
+			start = make(chan struct{})
+		)
+		const goroutines = 8
+		for g := range goroutines {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for i := g; i < len(pairs); i += goroutines {
+					foldColumn(&col, pairs[i].left, pairs[i].count)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		check("goroutines", goroutines, col.Load())
 	}
 }
 
@@ -797,8 +955,8 @@ func TestDeriveRightColumnRule(t *testing.T) {
 // replaces selects there: scoreRange from the right, walking G1's candidate
 // lists, on the matching the pass started from. It runs at one and four
 // workers, unbucketed, under a MaxDegree override and under TieLowestID.
-// Four workers record pairs concurrently, so under -race this also checks
-// that the buffers stay per worker.
+// Four workers fold pairs into the shared column words concurrently, so
+// under -race this also checks that every fold is atomic.
 func TestDerivedRightProposals(t *testing.T) {
 	configs := []struct {
 		name string
@@ -830,15 +988,16 @@ func TestDerivedRightProposals(t *testing.T) {
 					}
 					lists := newCandLists(g1, start.left)
 					p := opts.passParams(ev.MinDegree)
-					p.derive = false
+					right := p
+					right.derive = false
 					ref := make([]candidate, n2)
-					scoreRange(fromRight, g1, g2, start, newLinkedCounts(g1, g2, start), &lists, p, 0, n2, newScorer(n1, false), ref)
+					scoreRange(fromRight, g1, g2, start, newLinkedCounts(g1, g2, start), &lists, right, 0, n2, newScorer(n1, false), ref)
 					for v1, c := range s.scan.leftBest {
 						if c.score == 0 {
 							continue
 						}
 						targets++
-						if got := s.scan.rightBest[c.node]; got != ref[c.node] {
+						if got := s.scan.back(c.node, p); got != ref[c.node] {
 							t.Fatalf("seed %d sweep %d bucket %d: left %d proposes %d, which derived %+v; the right pass selects %+v",
 								seed, ev.Iteration, ev.Bucket, v1, c.node, got, ref[c.node])
 						}

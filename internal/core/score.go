@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/bits"
+	"sync/atomic"
 
 	"github.com/sociograph/reconcile/internal/graph"
 )
@@ -27,7 +28,7 @@ type passParams struct {
 	minMargin int32
 	// derive is the paper's rule, count ranking with no margin, under which
 	// the full scan derives the right side's proposals from the pairs the
-	// left pass records instead of walking the right side.
+	// left pass folds into column words instead of walking the right side.
 	derive bool
 }
 
@@ -51,9 +52,13 @@ func (o Options) passParams(minDeg int) passParams {
 		ties:      o.Ties,
 		weighted:  o.Scoring == ScoreAdamicAdar,
 		minMargin: int32(o.MinMargin),
-		derive:    o.Scoring == ScoreWitnessCount && o.MinMargin == 0,
+		derive:    o.derives(),
 	}
 }
+
+// derives reports whether the options are the paper's rule, under which
+// the full scan derives the right side's proposals (passParams.derive).
+func (o Options) derives() bool { return o.Scoring == ScoreWitnessCount && o.MinMargin == 0 }
 
 // witnessWeight is the Adamic-Adar style contribution of a witness pair
 // whose endpoints have the given degrees: rarely-linked witnesses count for
@@ -85,16 +90,11 @@ type scorer struct {
 	// which they are eligible; only the frontier's all-levels selection
 	// uses it.
 	levels [][]graph.NodeID
-	// pairs collects, under derive, every candidate pair at count >= T that
-	// selectCount saw, until the full scan's deriveRight drains it.
-	pairs []scoredPair
-}
-
-// scoredPair is a candidate pair (left, right) the left pass scored at a
-// witness count of at least T.
-type scoredPair struct {
-	left, right graph.NodeID
-	count       int32
+	// cols is, during a full-scan left pass under derive, the scan's column
+	// words, which selectCount folds every listed pair into; nil otherwise.
+	// The pass lends them for its duration only, so dropping the scan state
+	// frees them.
+	cols []atomic.Uint64
 }
 
 func newScorer(nPartners int, weighted bool) *scorer {
@@ -196,9 +196,9 @@ func (s *scorer) count(w graph.NodeID) int32 { return int32(s.scores[w] - s.base
 // the top count; a tie is more than one candidate at the top count, and the
 // margin is measured against the runner-up count (the top count itself when
 // tied). The result depends on the candidates' counts only, not on the
-// order they were listed in. Under derive the listed candidates are exactly
-// those at count >= T, and the loop records every pair (v, w) of them in
-// s.pairs.
+// order they were listed in. With column words lent, the listed candidates
+// are exactly those at count >= T (derive), and the loop folds every pair
+// (v, w) of them into w's word.
 func (s *scorer) selectCount(p passParams, v graph.NodeID) candidate {
 	var (
 		best      graph.NodeID
@@ -207,8 +207,8 @@ func (s *scorer) selectCount(p passParams, v graph.NodeID) candidate {
 	)
 	for _, w := range s.listed {
 		c := s.count(w)
-		if p.derive {
-			s.pairs = append(s.pairs, scoredPair{left: v, right: w, count: c})
+		if s.cols != nil {
+			foldColumn(&s.cols[w], v, c)
 		}
 		switch {
 		case c > top:
@@ -227,6 +227,54 @@ func (s *scorer) selectCount(p passParams, v graph.NodeID) candidate {
 		next = top
 	}
 	return p.accept(best, top, next, atTop > 1)
+}
+
+// A column word is one right node's column maximum over the pairs a derive
+// left pass folds into it: the top count in bits 33-63 (a count is at most
+// deg(v), below 2^31), a tie flag in bit 32, and the lowest left ID at the
+// top count in bits 0-31. The zero word is a column nothing reached.
+const (
+	colCountShift        = 33
+	colTie        uint64 = 1 << 32
+)
+
+// foldColumn folds the pair (left, ·) at witness count count into col: a
+// higher count replaces the word and clears the flag, an equal count sets
+// the flag and keeps the lower ID, and a lower count is dropped after one
+// load. The fold is commutative and associative, so the word does not
+// depend on the order of the folds or on which workers made them, and each
+// left node folds at most once per column in a pass, so the flag is set
+// exactly when two or more left nodes reach the top count.
+func foldColumn(col *atomic.Uint64, left graph.NodeID, count int32) {
+	c := uint64(count) << colCountShift
+	for {
+		old := col.Load()
+		var word uint64
+		switch top := int32(old >> colCountShift); {
+		case count > top:
+			word = c | uint64(left)
+		case count == top:
+			word = c | colTie | uint64(min(left, graph.NodeID(old)))
+		default:
+			return
+		}
+		if col.CompareAndSwap(old, word) {
+			return
+		}
+	}
+}
+
+// decodeColumn is the proposal of a right node whose column word is word:
+// the lowest left ID at the top count, through the accept rule with the
+// tie the word records. Under derive this is exactly the proposal the
+// right pass would select. Every pair at count >= T was folded with the
+// count the right pass gives it, because its left endpoint has at least T
+// linked neighbors too, so the left pass scored it; a count below T can
+// neither beat nor tie one at T; and with no margin the runner-up is never
+// read. A zero word's count is below T.
+func (p passParams) decodeColumn(word uint64) candidate {
+	top := int32(word >> colCountShift)
+	return p.accept(graph.NodeID(word), top, top, word&colTie != 0)
 }
 
 // selectWeighted is the selection under Adamic-Adar ranking: the proposal is

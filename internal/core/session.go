@@ -189,7 +189,7 @@ func (s *Session) Run(ctx context.Context, sweeps int) (int, error) {
 			matched = s.fr.runBucket(s.g1, s.g2, s.m, s.lc, s.walk, bi, minDeg, s.opts)
 		} else {
 			if s.scan == nil {
-				s.scan = newScanState(s.g1, s.g2)
+				s.scan = newScanState(s.g1, s.g2, s.opts.derives())
 			}
 			matched = s.scan.runBucket(s.g1, s.g2, s.m, s.lc, s.walk, minDeg, s.opts)
 		}

@@ -110,6 +110,11 @@ func TestTable2Scaling(t *testing.T) {
 	if rows[2].Relative < rows[0].Relative {
 		t.Error("largest graph should not be faster than the smallest")
 	}
+	for _, row := range rows {
+		if row.AllocBytes == 0 || row.PeakHeapBytes == 0 {
+			t.Errorf("%s: alloc %d B, peak heap %d B; both must be measured", row.Name, row.AllocBytes, row.PeakHeapBytes)
+		}
+	}
 }
 
 func TestTable3FacebookClaims(t *testing.T) {

@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"runtime"
+	"runtime/metrics"
 	"time"
 
+	"github.com/sociograph/reconcile/internal/core"
 	"github.com/sociograph/reconcile/internal/eval"
 	"github.com/sociograph/reconcile/internal/gen"
 	"github.com/sociograph/reconcile/internal/graph"
@@ -21,6 +24,10 @@ type Table2Row struct {
 	Edges    int64
 	Elapsed  time.Duration
 	Relative float64
+	Links    int // links the matcher found beyond the seeds
+	// AllocBytes is what the matcher call allocated, and PeakHeapBytes the
+	// largest heap-objects reading taken while it ran (see measure).
+	AllocBytes, PeakHeapBytes uint64
 }
 
 // Table2Data runs the experiment. RMAT scales are cfg.RMATBase, +2, +4
@@ -35,17 +42,28 @@ func Table2Data(cfg Config) ([]Table2Row, error) {
 		g := gen.RMAT(r, gen.DefaultRMAT(sc))
 		g1, g2 := sampling.IndependentCopies(r, g, 0.5, 0.5)
 		seeds := sampling.Seeds(r, graph.IdentityPairs(g.NumNodes()), 0.10)
-		start := time.Now()
-		if _, err := reconcile(g1, g2, seeds, 2, cfg); err != nil {
+		var (
+			elapsed time.Duration
+			res     *core.Result
+		)
+		alloc, peak, err := measure(func() (err error) {
+			start := time.Now()
+			res, err = reconcile(g1, g2, seeds, 2, cfg)
+			elapsed = time.Since(start)
+			return err
+		})
+		if err != nil {
 			return nil, err
 		}
-		elapsed := time.Since(start)
 		rows = append(rows, Table2Row{
-			Name:    rmatName(sc),
-			Scale:   sc,
-			Nodes:   g.NumNodes(),
-			Edges:   g.NumEdges(),
-			Elapsed: elapsed,
+			Name:          rmatName(sc),
+			Scale:         sc,
+			Nodes:         g.NumNodes(),
+			Edges:         g.NumEdges(),
+			Elapsed:       elapsed,
+			Links:         len(res.NewPairs),
+			AllocBytes:    alloc,
+			PeakHeapBytes: peak,
 		})
 	}
 	base := rows[0].Elapsed
@@ -53,6 +71,37 @@ func Table2Data(cfg Config) ([]Table2Row, error) {
 		rows[i].Relative = float64(rows[i].Elapsed) / float64(base)
 	}
 	return rows, nil
+}
+
+// measure runs fn and returns the bytes allocated during it and the peak
+// heap: the largest /memory/classes/heap/objects:bytes reading (live
+// objects and dead ones not yet swept), sampled every 10 ms by a single
+// goroutine that runs only while fn does.
+func measure(fn func() error) (alloc, peak uint64, err error) {
+	stop, done := make(chan struct{}), make(chan uint64)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	go func() {
+		sample := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+		tick := time.NewTicker(10 * time.Millisecond)
+		defer tick.Stop()
+		var peak uint64
+		for {
+			metrics.Read(sample)
+			peak = max(peak, sample[0].Value.Uint64())
+			select {
+			case <-stop:
+				done <- peak
+				return
+			case <-tick.C:
+			}
+		}
+	}()
+	err = fn()
+	close(stop)
+	peak = <-done
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc, peak, err
 }
 
 func rmatName(scale int) string {
@@ -80,10 +129,11 @@ func Table2(cfg Config) (*Report, error) {
 		return nil, err
 	}
 	rep := &Report{Name: "Table 2: relative running time on growing RMAT graphs (s=0.5, seed prob 10%)"}
-	t := &eval.Table{Header: []string{"network", "nodes", "edges", "time", "relative", "us/edge"}}
+	t := &eval.Table{Header: []string{"network", "nodes", "edges", "links", "time", "relative", "us/edge", "alloc MB", "peak heap MB"}}
 	for _, row := range rows {
 		usPerEdge := float64(row.Elapsed.Microseconds()) / float64(row.Edges)
-		t.AddRow(row.Name, row.Nodes, row.Edges, row.Elapsed.Round(time.Millisecond).String(), row.Relative, usPerEdge)
+		t.AddRow(row.Name, row.Nodes, row.Edges, row.Links, row.Elapsed.Round(time.Millisecond).String(), row.Relative, usPerEdge,
+			float64(row.AllocBytes)/1e6, float64(row.PeakHeapBytes)/1e6)
 	}
 	rep.Tables = append(rep.Tables, t)
 	rep.notef("paper (RMAT24/26/28): relative running times 1 / 1.199 / 12.544 on a MapReduce cluster at fixed resources")
