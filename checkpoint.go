@@ -2,7 +2,6 @@ package reconcile
 
 import (
 	"errors"
-	"fmt"
 	"io"
 
 	"github.com/sociograph/reconcile/internal/core"
@@ -21,12 +20,6 @@ import (
 // moment, a delta a plain delta record against the checkpoint before it.
 // cmd/serve's -data-dir store is the reference consumer.
 
-// ErrFullRequired reports that a delta checkpoint cannot be prepared — there
-// is no base yet, or the session changed in a way deltas do not express
-// (a session handing off to the frontier regime). Callers prepare a
-// full checkpoint and continue.
-var ErrFullRequired = errors.New("reconcile: delta checkpoint requires a full snapshot first")
-
 // A Checkpointer writes a Reconciler's checkpoint chain: full checkpoints
 // interleaved with delta checkpoints, each delta relative to the checkpoint
 // committed immediately before it. Each checkpoint is prepared (Prepare),
@@ -42,7 +35,7 @@ type Checkpointer struct {
 	base *core.SessionState
 }
 
-// Reset drops the delta base: the next Prepare must be a full.
+// Reset drops the delta base: the next Prepare is a full.
 func (c *Checkpointer) Reset() { c.base = nil }
 
 // A Checkpoint is one prepared checkpoint, frozen from a single ExportState
@@ -66,26 +59,18 @@ func (ck *Checkpoint) Encode(w io.Writer) error {
 }
 
 // Prepare exports the Reconciler's state as the next checkpoint of the
-// chain. With wantFull false it prepares a delta against the previous
-// committed checkpoint; if there is no base, or the state is not
-// delta-expressible from it (a regime handoff), nothing is prepared
-// and ErrFullRequired says to retry with wantFull true.
-func (c *Checkpointer) Prepare(r *Reconciler, wantFull bool) (*Checkpoint, error) {
-	if !wantFull && c.base == nil {
-		return nil, ErrFullRequired
+// chain: a delta against the previous committed checkpoint when the state
+// is expressible as one, a full otherwise — when wantFull asks for one,
+// when there is no base (a fresh or Reset Checkpointer), and across the
+// regime handoff, which deltas do not express.
+func (c *Checkpointer) Prepare(r *Reconciler, wantFull bool) *Checkpoint {
+	ck := &Checkpoint{st: r.sess.ExportState()}
+	if !wantFull && c.base != nil {
+		// DiffStates fails only with core.ErrNotDiffable, and a full
+		// records any state.
+		ck.delta, _ = core.DiffStates(c.base, ck.st)
 	}
-	st := r.sess.ExportState()
-	if wantFull {
-		return &Checkpoint{st: st}, nil
-	}
-	d, err := core.DiffStates(c.base, st)
-	if errors.Is(err, core.ErrNotDiffable) {
-		return nil, fmt.Errorf("%w: %v", ErrFullRequired, err)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return &Checkpoint{st: st, delta: d}, nil
+	return ck
 }
 
 // Commit makes ck the base the next delta Prepare diffs against. Call it

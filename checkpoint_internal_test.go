@@ -3,7 +3,6 @@ package reconcile
 import (
 	"bytes"
 	"context"
-	"errors"
 	"runtime"
 	"testing"
 	"unsafe"
@@ -37,19 +36,13 @@ func TestChainByteIdentity(t *testing.T) {
 			victim, err := NewOnPath(path, g1, g2, WithSeeds(seeds), WithIterations(8),
 				WithProgress(func(PhaseEvent) {
 					cur := victim.sess.ExportState()
-					ck, err := ckpt.Prepare(victim, prev == nil)
-					if errors.Is(err, ErrFullRequired) {
-						ck, err = ckpt.Prepare(victim, true)
-					}
-					if err != nil {
-						t.Errorf("prepare: %v", err)
-						return
-					}
+					ck := ckpt.Prepare(victim, prev == nil)
 					var got, want bytes.Buffer
 					if err := ck.Encode(&got); err != nil {
 						t.Errorf("encode: %v", err)
 						return
 					}
+					var err error
 					if ck.Full() {
 						fulls++
 						err = victim.SnapshotState(&want)
@@ -102,10 +95,7 @@ func TestApplyDeltaRefusesMisfit(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		ck, err := ckpt.Prepare(rec, i == 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ck := ckpt.Prepare(rec, i == 0)
 		var buf bytes.Buffer
 		if err := ck.Encode(&buf); err != nil {
 			t.Fatal(err)
@@ -180,11 +170,7 @@ func TestReplayAllocation(t *testing.T) {
 	rec, err := NewOnPath("frontier", g1, g2, WithSeeds(Seeds(r, IdentityPairs(n), 0.3)),
 		WithIterations(2),
 		WithProgress(func(PhaseEvent) {
-			ck, err := ckpt.Prepare(rec, len(records) == 0)
-			if err != nil {
-				t.Errorf("prepare: %v", err)
-				return
-			}
+			ck := ckpt.Prepare(rec, len(records) == 0)
 			var buf bytes.Buffer
 			if err := ck.Encode(&buf); err != nil {
 				t.Errorf("encode: %v", err)

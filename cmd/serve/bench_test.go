@@ -105,14 +105,16 @@ func BenchmarkStoreCheckpoint(b *testing.B) {
 }
 
 // benchRecoveryChain builds the recovery-bench fixture: one job persisted
-// under cfg with a chain of one full plus 7 deltas (the -full-every 8 worst
-// case). The job checkpoints at every sweep boundary from its regime
-// handoff on: the handoff's checkpoint re-anchors a chain with a full,
-// which (with retention) would change the chain shape these benches exist
-// to measure, so the chain starts there.
-func benchRecoveryChain(b *testing.B, cfg storeConfig) *store {
+// with a chain of one full plus 7 deltas (the -full-every 8 worst case),
+// its graphs in the binary format (binary, which boot decodes onto the
+// heap) or in the mappable container the server writes. The job
+// checkpoints at every sweep boundary from its regime handoff on: the
+// handoff's checkpoint re-anchors a chain with a full, which (with
+// retention) would change the chain shape these benches exist to measure,
+// so the chain starts there.
+func benchRecoveryChain(b *testing.B, binary bool) *store {
 	b.Helper()
-	st, err := newStore(b.TempDir(), cfg)
+	st, err := newStore(b.TempDir(), storeConfig{shards: 1, fullEvery: 8, keep: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -121,7 +123,7 @@ func benchRecoveryChain(b *testing.B, cfg storeConfig) *store {
 	g1, g2 := reconcile.IndependentCopies(r, world, 0.8, 0.8)
 	seeds := reconcile.Seeds(r, reconcile.IdentityPairs(2000), 0.2)
 	js := st.jobStore("job-1")
-	if err := js.saveGraphs(g1, g2); err != nil {
+	if err := writeGraphs(js, binary, g1, g2); err != nil {
 		b.Fatal(err)
 	}
 	var rec *reconcile.Reconciler
@@ -156,9 +158,10 @@ func benchRecoveryChain(b *testing.B, cfg storeConfig) *store {
 
 // BenchmarkStoreRecovery measures boot-time chain replay: loading one job
 // back from the full-plus-7-deltas chain, including graph reads and full
-// state re-validation, with graphs decoded onto the heap.
+// state re-validation, with graphs in the binary format decoded onto the
+// heap.
 func BenchmarkStoreRecovery(b *testing.B) {
-	st := benchRecoveryChain(b, storeConfig{shards: 1, fullEvery: 8, keep: 2})
+	st := benchRecoveryChain(b, true)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, skipped := st.loadAll(); len(skipped) != 0 {
@@ -167,13 +170,14 @@ func BenchmarkStoreRecovery(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreRecoveryMapped is BenchmarkStoreRecovery with -mmap: the
-// graphs come back as read-only file mappings instead of heap decodes, so
-// the delta between the two rows is the syscall path's recovery win. The
-// per-iteration closeMapped mirrors the server's shutdown path and keeps
-// the bench from accumulating mappings across iterations.
+// BenchmarkStoreRecoveryMapped is BenchmarkStoreRecovery over the mappable
+// graph files the server writes: the graphs come back as read-only file
+// mappings instead of heap decodes, so the delta between the two rows is
+// the syscall path's recovery win. The per-iteration closeMapped mirrors
+// the server's shutdown path and keeps the bench from accumulating
+// mappings across iterations.
 func BenchmarkStoreRecoveryMapped(b *testing.B) {
-	st := benchRecoveryChain(b, storeConfig{shards: 1, fullEvery: 8, keep: 2, mmap: true})
+	st := benchRecoveryChain(b, false)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ps, _, skipped := st.loadAll()
@@ -189,9 +193,8 @@ func BenchmarkStoreRecoveryMapped(b *testing.B) {
 }
 
 // bootStoreConfig is the store cmd/serve runs with under the benchmark's
-// recovery workload: the default 4 shards, chain period and retention, and
-// -mmap.
-var bootStoreConfig = storeConfig{shards: 4, fullEvery: 8, keep: 3, mmap: true}
+// recovery workload: the default 4 shards, chain period and retention.
+var bootStoreConfig = storeConfig{shards: 4, fullEvery: 8, keep: 3}
 
 // bootFixture fills a data dir shaped like the recovery workload's: 28
 // small (n = 3,000) and 2 large (n = 6,000) jobs over preferential-

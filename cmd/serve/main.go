@@ -6,7 +6,7 @@
 // Usage:
 //
 //	serve -addr :8080 [-data-dir /var/lib/reconcile] [-shards 4]
-//	      [-full-every 8] [-keep 3] [-mmap]
+//	      [-full-every 8] [-keep 3]
 //	      [-tenants tenants.json] [-admin-token $TOKEN] [-run-slots N]
 //	      [-max-body-bytes N] [-shutdown-grace 15s]
 //
@@ -22,16 +22,14 @@
 // -full-every-th checkpoint, and the last -keep full chains are retained
 // per job. Without -data-dir jobs live in RAM only.
 //
-// With -mmap (the default where the platform supports it) new jobs' graphs
-// are written in the mappable container format and every job's graphs are
-// served from read-only file mappings after a restart: recovery pages the
-// immutable CSR arrays in on demand instead of re-decoding them onto the
-// heap, and concurrent processes share one page-cache copy. Either setting
-// reads graph files written under the other, so -mmap can be flipped over
-// an existing data directory without migration (legacy files are decoded
-// onto the heap behind the same lifetime API). Every checkpoint is one
-// record, whose durable rename is its commit point; -range-nodes, which
-// once cut large jobs' checkpoints into node ranges, is accepted and
+// Job graphs are written in the mappable container format and served from
+// read-only file mappings after a restart: recovery pages the immutable
+// CSR arrays in on demand instead of re-decoding them onto the heap, and
+// concurrent processes share one page-cache copy. Where mmap is
+// unsupported, and for graph files in the binary format, boot decodes the
+// graphs onto the heap behind the same lifetime API. Every checkpoint is
+// one record, whose durable rename is its commit point; -range-nodes,
+// which once cut large jobs' checkpoints into node ranges, is accepted and
 // ignored, and boot skips a job whose chain was written in ranges.
 //
 // Multi-tenancy: every job belongs to a tenant. The un-namespaced routes
@@ -126,7 +124,6 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/sociograph/reconcile"
 	"github.com/sociograph/reconcile/internal/tenant"
 )
 
@@ -162,7 +159,6 @@ func main() {
 	shards := flag.Int("shards", 4, "shard directories new jobs hash across within each tenant's root; each is an independent fsync domain (mount on separate volumes to spread checkpoint IO)")
 	fullEvery := flag.Int("full-every", 8, "checkpoint chain period: one full state snapshot, then full-every-1 cheap delta records (1 = every checkpoint full)")
 	keep := flag.Int("keep", 3, "full checkpoint chains retained per job; older records are removed after each new full and on boot")
-	mmapGraphs := flag.Bool("mmap", reconcile.MmapSupported, "serve job graphs from read-only file mappings: new graphs are written in the mappable container format and restored jobs page them in on demand (either setting reads files written under the other)")
 	flag.Int("range-nodes", 0, "ignored: every checkpoint is one record (kept so existing command lines still start)")
 	tenantsFile := flag.String("tenants", "", "tenant registry JSON ({\"tenants\": [{name, token|tokenEnv, weight, maxJobs, maxNodes, maxCheckpointBytes}, ...]}); empty: only the open default tenant")
 	adminToken := flag.String("admin-token", os.Getenv("RECONCILE_ADMIN_TOKEN"), "bearer token for /v1/admin (default $RECONCILE_ADMIN_TOKEN; empty leaves the admin API open)")
@@ -192,7 +188,6 @@ func main() {
 			shards:    *shards,
 			fullEvery: *fullEvery,
 			keep:      *keep,
-			mmap:      *mmapGraphs,
 		}); err != nil {
 			fatal("opening job store", err)
 		}

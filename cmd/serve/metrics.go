@@ -96,7 +96,7 @@ func newServeMetrics(s *server) *serveMetrics {
 		gcPause: r.GaugeVec("reconcile_go_gc_pause_seconds",
 			"GC stop-the-world pause quantiles over the process lifetime.", "quantile"),
 		mappings: r.Gauge("reconcile_graph_open_mappings",
-			"Graph file mappings currently open (-mmap jobs; heap fallbacks not counted)."),
+			"Graph file mappings currently open (restored jobs; heap fallbacks not counted)."),
 	}
 	s.sched.SetWaitObserver(func(tn string, seconds float64) {
 		m.slotWait.With(tn).Observe(seconds)

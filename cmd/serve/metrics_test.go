@@ -234,11 +234,11 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 // TestMetricsOpenMappingsGauge pins reconcile_graph_open_mappings to the
-// -mmap lifetime: a live job holds no mappings (its graphs arrived over the
+// mapping lifetime: a live job holds no mappings (its graphs arrived over the
 // wire), but restoring it on reboot pages both graph files in, moving the
 // gauge by two per job wherever the platform supports mapping.
 func TestMetricsOpenMappingsGauge(t *testing.T) {
-	st, err := newStore(t.TempDir(), storeConfig{shards: 3, fullEvery: 3, keep: 2, mmap: true})
+	st, err := newStore(t.TempDir(), testStoreConfig)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -103,10 +103,11 @@ type job struct {
 	js          *jobStore      // the job's slice of the store; nil without -data-dir
 	untilStable bool
 	maxSweeps   int
-	// mg1/mg2 hold the graphs' file mappings for jobs restored under -mmap
-	// (nil otherwise): the Reconciler reads the mapped arrays in place, so
-	// the job owns their lifetime — runs pin them (pinGraphs), and they are
-	// closed only after the run goroutine drains, on delete and at shutdown.
+	// mg1/mg2 hold the graphs' file mappings for jobs restored from the
+	// store (nil otherwise): the Reconciler reads the mapped arrays in
+	// place, so the job owns their lifetime — runs pin them (pinGraphs),
+	// and they are closed only after the run goroutine drains, on delete
+	// and at shutdown.
 	mg1, mg2 *reconcile.MappedGraph
 	// tr is the job's span recorder — sweeps, buckets, checkpoint writes,
 	// slot waits, and (after a restart) replay and graph-open spans. Set once
@@ -119,7 +120,8 @@ type job struct {
 	rec            *reconcile.Reconciler
 	cancel         context.CancelFunc
 	status         jobStatus
-	phases         []phaseJSON
+	phases         []reconcile.PhaseStat // the session's phase window: a read-only view
+	buckets        int                   // buckets per sweep, for the wire form of phases
 	errMsg         string
 	seeds          int
 	links          int
@@ -163,14 +165,14 @@ func (j *job) persistLocked() error {
 }
 
 // view snapshots the job for JSON rendering. The lock covers only the
-// bookkeeping copies and taking a view of the link log; the per-pair wire
-// conversion (and the caller's JSON marshal) runs outside j.mu, so a
-// million-link ?pairs=1 read does not stall the run goroutine's progress
-// hook and checkpoint path for its duration. The view must still be taken
-// under the lock: an addSeeds can restart the run (and with it the only
-// goroutine allowed to drive the Reconciler) the moment it is released.
-// Reading it after the release is safe because a restarted run only
-// appends to the log past the view's length.
+// bookkeeping copies and taking views of the phase window and the link
+// log; the wire conversions (and the caller's JSON marshal) run outside
+// j.mu, so a million-link ?pairs=1 read does not stall the run goroutine's
+// progress hook and checkpoint path for its duration. The views must still
+// be taken under the lock: an addSeeds can restart the run (and with it
+// the only goroutine allowed to drive the Reconciler) the moment it is
+// released. Reading them after the release is safe because a running
+// session only appends to its logs past the views' lengths.
 func (j *job) view(includePairs bool) jobView {
 	j.mu.Lock()
 	v := jobView{
@@ -179,14 +181,15 @@ func (j *job) view(includePairs bool) jobView {
 		Links:  j.links,
 		Seeds:  j.seeds,
 		New:    j.links - j.seeds,
-		Phases: append([]phaseJSON(nil), j.phases...),
 		Error:  j.errMsg,
 	}
+	phases, buckets := j.phases, j.buckets
 	var pairs []reconcile.Pair
 	if includePairs && j.status != statusRunning {
 		pairs = j.rec.Result().Pairs
 	}
 	j.mu.Unlock()
+	v.Phases = wirePhases(phases, buckets)
 	if pairs != nil {
 		v.Pairs = make([][2]int, 0, len(pairs))
 		for _, p := range pairs {
@@ -348,10 +351,10 @@ func newServerWith(st *store, cfg serverConfig) (*server, []error) {
 		j.frontier = rec.FrontierActive()
 		// The replayed chain is the durable truth (each record lands before
 		// its meta, so a crash between the two renames leaves the meta one
-		// phase batch behind); rebuild the wire counters and phase log from
+		// phase batch behind); take the wire counters and phase log from
 		// it.
 		j.links = rec.Len()
-		j.phases = wirePhases(rec)
+		j.phases, j.buckets = rec.Result().Phases, len(rec.Options().BucketSchedule(p.g1, p.g2))
 		if j.status == statusRunning {
 			j.status = statusInterrupted
 			j.errMsg = "server stopped mid-run; POST /v1/jobs/" + j.id + "/resume to finish"
@@ -384,13 +387,13 @@ func (s *server) tenantTable(name string) *tenantJobs {
 	return tj
 }
 
-// wirePhases reconstructs the wire-form phase log from a Reconciler's own
-// phase statistics. Every sweep runs the full bucket schedule in order, so
-// the bucket index is the entry's position within its sweep.
-func wirePhases(rec *reconcile.Reconciler) []phaseJSON {
-	g1, g2 := rec.Graphs()
-	buckets := len(rec.Options().BucketSchedule(g1, g2))
-	phases := rec.Result().Phases
+// wirePhases builds the wire form of a session's phase window. The window
+// starts at a sweep boundary and every sweep runs the full schedule of
+// buckets in order, so an entry's bucket is its position within its sweep.
+func wirePhases(phases []reconcile.PhaseStat, buckets int) []phaseJSON {
+	if len(phases) == 0 {
+		return nil
+	}
 	out := make([]phaseJSON, 0, len(phases))
 	for i, ph := range phases {
 		out = append(out, phaseJSON{
@@ -405,36 +408,17 @@ func wirePhases(rec *reconcile.Reconciler) []phaseJSON {
 	return out
 }
 
-// progressHook streams phase events into the job under its lock, so a
-// concurrent GET sees bucket-by-bucket statistics live; with a store it also
-// checkpoints at every sweep boundary (and at any phase boundary an explicit
-// checkpoint request is waiting on). The hook runs on the run goroutine
-// between buckets, exactly where session state is exportable.
+// progressHook publishes each phase event to the job under its lock, so a
+// concurrent GET sees bucket-by-bucket statistics live: it takes a view of
+// the session's own phase window, which the session bounds to the last
+// PhaseRetainSweeps sweeps. With a store it also checkpoints at every sweep
+// boundary (and at any phase boundary an explicit checkpoint request is
+// waiting on). The hook runs on the run goroutine between buckets, exactly
+// where session state is exportable.
 func (s *server) progressHook(j *job) func(reconcile.PhaseEvent) {
 	return func(e reconcile.PhaseEvent) {
 		j.mu.Lock()
-		j.phases = append(j.phases, phaseJSON{
-			Iteration: e.Iteration,
-			Bucket:    e.Bucket,
-			Buckets:   e.Buckets,
-			MinDegree: e.MinDegree,
-			Matched:   e.Matched,
-			Total:     e.TotalLinks,
-		})
-		if e.Bucket == e.Buckets {
-			// Mirror the session's own bounded phase log: a long-lived
-			// incremental job keeps the last PhaseRetainSweeps sweeps of
-			// bucket detail, so the wire view and meta stay O(1) however
-			// many resume/seed rounds the job accumulates.
-			minIter := e.Iteration - reconcile.PhaseRetainSweeps + 1
-			cut := 0
-			for cut < len(j.phases) && j.phases[cut].Iteration < minIter {
-				cut++
-			}
-			if cut > 0 {
-				j.phases = append(j.phases[:0], j.phases[cut:]...)
-			}
-		}
+		j.phases, j.buckets = j.rec.Result().Phases, e.Buckets
 		j.links = e.TotalLinks
 		// The hook runs on the run goroutine between buckets — the one place
 		// session state is readable mid-run — so sample the hybrid regime
@@ -849,7 +833,7 @@ func (s *server) runJob(ctx context.Context, cancel context.CancelFunc, j *job, 
 // pinGraphs pins the job's graph mappings for the duration of a run, so a
 // Close racing the run (delete, shutdown) waits for the run's bucket
 // boundary instead of unmapping memory the engines are scanning. A no-op
-// for heap-backed jobs.
+// for jobs submitted to this process, whose graphs hold no mapping.
 func (j *job) pinGraphs() (unpin func(), err error) {
 	if j.mg1 == nil {
 		return func() {}, nil
@@ -1498,9 +1482,9 @@ func drainOutcomes(jobs []*job) []drainOutcome {
 	return out
 }
 
-// closeMappings closes every job's mapped graph files — the -mmap lifetime's
-// shutdown half. Call only after the jobs have drained (awaitDrain); a
-// restart reopens the mappings from the store.
+// closeMappings closes every job's mapped graph files — the mapping
+// lifetime's shutdown half. Call only after the jobs have drained
+// (awaitDrain); a restart reopens the mappings from the store.
 func (s *server) closeMappings() {
 	s.mu.Lock()
 	var jobs []*job

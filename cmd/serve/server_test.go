@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -421,15 +422,23 @@ func TestServeEngineSelection(t *testing.T) {
 	}
 }
 
-// TestWirePhasesCopiesNoPairs pins that rebuilding a restored job's wire
-// phase log, which boot does for every job, allocates in proportion to
-// the phase window and not to the job's matching.
+// TestWirePhasesCopiesNoPairs pins the wire phase log a GET builds from
+// the view of the session's phase window that boot and the progress hook
+// take: it equals the run's phase events, and building it allocates in
+// proportion to the window and not to the job's matching.
 func TestWirePhasesCopiesNoPairs(t *testing.T) {
 	r := reconcile.NewRand(29)
 	const n = 20_000
 	g1, g2 := reconcile.IndependentCopies(r, reconcile.GeneratePA(r, n, 6), 0.7, 0.7)
+	var events []phaseJSON
 	rec, err := reconcile.New(g1, g2, reconcile.WithSeeds(reconcile.Seeds(r, reconcile.IdentityPairs(n), 0.3)),
-		reconcile.WithIterations(2))
+		reconcile.WithIterations(2),
+		reconcile.WithProgress(func(e reconcile.PhaseEvent) {
+			events = append(events, phaseJSON{
+				Iteration: e.Iteration, Bucket: e.Bucket, Buckets: e.Buckets,
+				MinDegree: e.MinDegree, Matched: e.Matched, Total: e.TotalLinks,
+			})
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,11 +453,15 @@ func TestWirePhasesCopiesNoPairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	buckets := len(restored.Options().BucketSchedule(g1, g2))
 	phases := len(restored.Result().Phases)
-	if want := len(rec.Result().Phases); phases != want || phases == 0 {
-		t.Fatalf("restored job holds %d phase entries, want %d", phases, want)
+	if phases != len(events) || phases == 0 {
+		t.Fatalf("restored job holds %d phase entries, want %d", phases, len(events))
 	}
-	bound := uint64(2*phases)*uint64(unsafe.Sizeof(phaseJSON{})+unsafe.Sizeof(reconcile.PhaseStat{})) + 1024
+	if out := wirePhases(restored.Result().Phases, buckets); !reflect.DeepEqual(out, events) {
+		t.Fatalf("wire log %v, want the run's phase events %v", out, events)
+	}
+	bound := uint64(phases)*uint64(unsafe.Sizeof(phaseJSON{})) + 1024
 	if pairLog := uint64(restored.Len()) * uint64(unsafe.Sizeof(reconcile.Pair{})); pairLog < 4*bound {
 		t.Fatalf("the %d-byte pair log is too small to tell a pair copy from the phase log (bound %d)", pairLog, bound)
 	}
@@ -456,7 +469,7 @@ func TestWirePhasesCopiesNoPairs(t *testing.T) {
 	for try := 0; try < 3; try++ {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		out := wirePhases(restored)
+		out := wirePhases(restored.Result().Phases, buckets)
 		runtime.ReadMemStats(&after)
 		if len(out) != phases {
 			t.Fatalf("wire log has %d entries, want %d", len(out), phases)

@@ -95,12 +95,6 @@ type storeConfig struct {
 	shards    int // shard directories for new jobs, per tenant
 	fullEvery int // chain period: one full, then fullEvery-1 deltas
 	keep      int // full chains retained per job
-	// mmap writes new jobs' graphs in the mappable container format and
-	// loads graph files through reconcile.OpenGraphMapped, so restored jobs
-	// serve their immutable CSR arrays straight from read-only file mappings
-	// (falling back to heap copies where mmap is unavailable). Either
-	// setting reads files written under the other.
-	mmap bool
 }
 
 func newStore(dir string, cfg storeConfig) (*store, error) {
@@ -409,21 +403,15 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// saveGraphs persists the job's two graphs — in the mappable container
-// format under -mmap, so a restart serves them from file mappings. Called
-// once at submission.
+// saveGraphs persists the job's two graphs in the mappable container
+// format, so a restart serves them from file mappings. Called once at
+// submission.
 func (js *jobStore) saveGraphs(g1, g2 *reconcile.Graph) error {
-	cfg := js.ts.store.cfg
 	for _, f := range []struct {
 		suffix string
 		g      *reconcile.Graph
 	}{{".g1", g1}, {".g2", g2}} {
-		err := js.writeTracked(js.path(f.suffix), func(w *os.File) error {
-			if cfg.mmap {
-				return reconcile.WriteGraphMapped(w, f.g)
-			}
-			return reconcile.WriteGraphBinary(w, f.g)
-		})
+		err := js.writeTracked(js.path(f.suffix), func(w *os.File) error { return reconcile.WriteGraphMapped(w, f.g) })
 		if err != nil {
 			return fmt.Errorf("store: graphs of %s: %w", js.id, err)
 		}
@@ -432,28 +420,23 @@ func (js *jobStore) saveGraphs(g1, g2 *reconcile.Graph) error {
 }
 
 // checkpoint appends one checkpoint to the job's chain — a delta when a
-// durable base exists and the chain period allows it, a full otherwise —
-// then persists the meta. The chain record lands first: if the crash window
-// falls between it and the meta, recovery sees a fresh state with
-// slightly stale bookkeeping, which restore reconciles (counters are
-// re-derived from the state). Every attempt takes a fresh sequence number,
-// even one that fails, so no sequence ever holds records of two attempts;
-// and any failure drops the delta base, so the next checkpoint re-anchors
-// the chain with a full instead of building on records that may never have
+// durable base exists, the chain period allows it and the state is
+// delta-expressible from the base, a full otherwise — then persists the
+// meta. The chain record lands first: if the crash window falls between
+// it and the meta, recovery sees a fresh state with slightly stale
+// bookkeeping, which restore reconciles (counters are re-derived from the
+// state). Every attempt takes a fresh sequence number, even one that
+// fails, so no sequence ever holds records of two attempts; and any
+// failure drops the delta base, so the next checkpoint re-anchors the
+// chain with a full instead of building on records that may never have
 // become durable.
 func (js *jobStore) checkpoint(rec *reconcile.Reconciler, meta jobMeta) error {
 	js.seq++
 	if js.ckpt == nil {
 		js.ckpt = &reconcile.Checkpointer{}
 	}
-	ck, err := js.ckpt.Prepare(rec, js.sinceFull+1 >= js.ts.store.cfg.fullEvery)
-	if errors.Is(err, reconcile.ErrFullRequired) {
-		ck, err = js.ckpt.Prepare(rec, true)
-	}
-	if err == nil {
-		err = js.writeCheckpoint(ck)
-	}
-	if err != nil {
+	ck := js.ckpt.Prepare(rec, js.sinceFull+1 >= js.ts.store.cfg.fullEvery)
+	if err := js.writeCheckpoint(ck); err != nil {
 		js.ckpt.Reset()
 		return fmt.Errorf("store: checkpoint #%d of %s: %w", js.seq, js.id, err)
 	}
@@ -684,9 +667,9 @@ type persisted struct {
 	state   *reconcile.SessionState
 	js      *jobStore
 	dropped int // trailing checkpoints recovery had to abandon
-	// mg1/mg2 are the graphs' mapping handles when the store runs with
-	// -mmap: g1/g2 alias file-backed memory whose lifetime the server must
-	// tie to the job (Close on delete and at shutdown). nil without -mmap.
+	// mg1/mg2 are the graphs' mapping handles: g1/g2 alias file-backed
+	// memory whose lifetime the server must tie to the job (Close on
+	// delete and at shutdown).
 	mg1, mg2 *reconcile.MappedGraph
 }
 
@@ -798,32 +781,18 @@ func (ts *tenantStore) load(dir, id string, chain []chainRecord) (persisted, err
 		mg     **reconcile.MappedGraph
 	}{{".g1", &p.g1, &p.mg1}, {".g2", &p.g2, &p.mg2}} {
 		start := time.Now()
-		if ts.store.cfg.mmap {
-			mg, err := reconcile.OpenGraphMapped(js.path(f.suffix))
-			if err != nil {
-				p.closeMapped()
-				return p, fmt.Errorf("graph %s: %w", f.suffix, err)
-			}
-			*f.mg = mg
-			*f.dst = mg.Graph()
-			mode := "heap"
-			if mg.Mapped() {
-				mode = "mapped"
-			}
-			js.bootObserve(trace.KindGraphOpen, f.suffix[1:]+" "+mode, time.Since(start))
-			continue
-		}
-		file, err := os.Open(js.path(f.suffix))
+		mg, err := reconcile.OpenGraphMapped(js.path(f.suffix))
 		if err != nil {
-			return p, err
-		}
-		g, err := reconcile.ReadGraphBinary(file)
-		file.Close()
-		if err != nil {
+			p.closeMapped()
 			return p, fmt.Errorf("graph %s: %w", f.suffix, err)
 		}
-		*f.dst = g
-		js.bootObserve(trace.KindGraphOpen, f.suffix[1:]+" heap", time.Since(start))
+		*f.mg = mg
+		*f.dst = mg.Graph()
+		mode := "heap"
+		if mg.Mapped() {
+			mode = "mapped"
+		}
+		js.bootObserve(trace.KindGraphOpen, f.suffix[1:]+" "+mode, time.Since(start))
 	}
 	if p.state, p.dropped, err = js.recoverChain(chain); err != nil {
 		p.closeMapped()

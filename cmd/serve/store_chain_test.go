@@ -22,10 +22,10 @@ import (
 // newFrontierStart is reconcile.New with the session in the frontier regime
 // before its first bucket, as a restore of a record whose regime bit is set
 // leaves it, so every bucket it runs takes the frontier path. The default
-// engine's handoff re-anchors a chain with a full mid-run
-// (ErrFullRequired); a run in one regime throughout never does, which keeps
-// the exact full/delta shapes the store suites assert on. opts may change
-// only what a restore may (iterations, workers, hooks).
+// engine's handoff re-anchors a chain with a full mid-run; a run in one
+// regime throughout never does, which keeps the exact full/delta shapes the
+// store suites assert on. opts may change only what a restore may
+// (iterations, workers, hooks).
 func newFrontierStart(t testing.TB, g1, g2 *reconcile.Graph, seeds []reconcile.Pair, opts ...reconcile.Option) *reconcile.Reconciler {
 	t.Helper()
 	rec, err := reconcile.New(g1, g2, reconcile.WithSeeds(seeds))
@@ -79,7 +79,7 @@ func chainVictimFailing(t *testing.T, st *store, id string, iterations, sweeps, 
 	}
 
 	js := st.jobStore(id)
-	if err := js.saveGraphs(g1, g2); err != nil {
+	if err := writeGraphs(js, binaryGraphStores[st], g1, g2); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -122,14 +122,37 @@ func chainFiles(t *testing.T, js *jobStore) []string {
 	return out
 }
 
+// writeGraphs writes the job's graphs as the server does (saveGraphs), or
+// with binary set in the binary format (reconcile.WriteGraphBinary), which
+// boot decodes onto the heap.
+func writeGraphs(js *jobStore, binary bool, g1, g2 *reconcile.Graph) error {
+	if !binary {
+		return js.saveGraphs(g1, g2)
+	}
+	for _, f := range []struct {
+		suffix string
+		g      *reconcile.Graph
+	}{{".g1", g1}, {".g2", g2}} {
+		if err := js.writeTracked(js.path(f.suffix), func(w *os.File) error { return reconcile.WriteGraphBinary(w, f.g) }); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // resumeAndVerify boots a server over the store, requires the job to be
-// interrupted, resumes it and requires the final matching to be
-// bit-identical to the uninterrupted reference.
+// interrupted and its graphs backed as its row writes them, resumes it and
+// requires the final matching to be bit-identical to the uninterrupted
+// reference.
 func resumeAndVerify(t *testing.T, st *store, id string, want *reconcile.Result) {
 	t.Helper()
 	s, skipped := newServer(st)
 	for _, err := range skipped {
 		t.Fatalf("boot skipped a job: %v", err)
+	}
+	mapped := reconcile.MmapSupported && !binaryGraphStores[st]
+	if j := s.jobs[id]; j == nil || j.mg1.Mapped() != mapped {
+		t.Fatalf("restored job's graphs are not backed as written (want mapped = %v)", mapped)
 	}
 	ts := httptest.NewServer(s.handler())
 	defer ts.Close()
@@ -156,24 +179,31 @@ func resumeAndVerify(t *testing.T, st *store, id string, want *reconcile.Result)
 	}
 }
 
-// chainConfigs are the store configurations every store chain suite runs
-// over: graphs on the heap and mapped (-mmap). The "r1/" in the row names
-// is the one-record chain; the shape and retention suites name their rows
-// by backing alone.
+// chainConfigs are the graph backings every store chain suite runs over.
+// The server writes a job's graphs in the mappable container, which boot
+// maps (mmap, a heap copy where mmap is unsupported); a job whose graph
+// files are in the binary format, as servers that decoded graphs onto the
+// heap wrote them, boots heap-backed (heap). The "r1/" in the row names is
+// the one-record chain; the shape and retention suites name their rows by
+// backing alone.
 var chainConfigs = []struct {
-	name string
-	cfg  storeConfig
+	name   string
+	binary bool // chainVictim writes the graphs in the binary format
 }{
-	{"r1/heap", testStoreConfig},
-	{"r1/mmap", storeConfig{shards: 3, fullEvery: 3, keep: 2, mmap: true}},
+	{"r1/heap", true},
+	{"r1/mmap", false},
 }
+
+// binaryGraphStores holds the stores of the heap rows: chainVictim writes
+// their jobs' graphs in the binary format.
+var binaryGraphStores = map[*store]bool{}
 
 // forEachChain runs test once per chain configuration, each on a fresh
 // store.
 func forEachChain(t *testing.T, test func(t *testing.T, st *store)) {
 	for _, c := range chainConfigs {
 		t.Run(c.name, func(t *testing.T) {
-			test(t, newChainStore(t, c.cfg))
+			test(t, newRowStore(t, c.binary, testStoreConfig))
 		})
 	}
 }
@@ -182,7 +212,7 @@ func forEachChain(t *testing.T, test func(t *testing.T, st *store)) {
 func forEachBacking(t *testing.T, test func(t *testing.T, st *store)) {
 	for _, c := range chainConfigs {
 		t.Run(strings.TrimPrefix(c.name, "r1/"), func(t *testing.T) {
-			test(t, newChainStore(t, c.cfg))
+			test(t, newRowStore(t, c.binary, testStoreConfig))
 		})
 	}
 }
@@ -192,6 +222,17 @@ func newChainStore(t *testing.T, cfg storeConfig) *store {
 	st, err := newStore(t.TempDir(), cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return st
+}
+
+// newRowStore is newChainStore for a chainConfigs row.
+func newRowStore(t *testing.T, binary bool, cfg storeConfig) *store {
+	t.Helper()
+	st := newChainStore(t, cfg)
+	if binary {
+		binaryGraphStores[st] = true
+		t.Cleanup(func() { delete(binaryGraphStores, st) })
 	}
 	return st
 }
@@ -482,7 +523,7 @@ func TestStoreRejectsCorruptGeometry(t *testing.T) {
 func TestStoreTornTailFallback(t *testing.T) {
 	for _, c := range chainConfigs {
 		t.Run(c.name+"/head-missing", func(t *testing.T) {
-			st := newChainStore(t, c.cfg)
+			st := newRowStore(t, c.binary, testStoreConfig)
 			want := chainVictim(t, st, "job-1", 6, 5)
 			js := st.jobStore("job-1")
 			records := requireChain(t, js, "full", "delta", "delta", "full", "delta")
@@ -509,7 +550,7 @@ func TestStoreFailedCheckpointAttempt(t *testing.T) {
 	for _, c := range chainConfigs {
 		for _, sweeps := range []int{3, 5} {
 			t.Run(fmt.Sprintf("%s/kill-after-%d", c.name, sweeps), func(t *testing.T) {
-				st := newChainStore(t, c.cfg)
+				st := newRowStore(t, c.binary, testStoreConfig)
 				// Checkpoint #3 is a delta; block its record.
 				js := st.jobStore("job-1")
 				blocker := js.chainPath(3, "delta")
@@ -690,9 +731,7 @@ func TestStoreReleasesBaseWhenIdle(t *testing.T) {
 func TestStoreByteAccountingInvariant(t *testing.T) {
 	for _, c := range chainConfigs {
 		t.Run(c.name, func(t *testing.T) {
-			cfg := c.cfg
-			cfg.shards, cfg.fullEvery, cfg.keep = 2, 2, 1
-			st := newChainStore(t, cfg)
+			st := newRowStore(t, c.binary, storeConfig{shards: 2, fullEvery: 2, keep: 1})
 			ts := st.tenant(tenant.Default)
 			check := func(stage string) {
 				t.Helper()

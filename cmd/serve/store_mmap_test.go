@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -10,20 +12,15 @@ import (
 	"github.com/sociograph/reconcile"
 )
 
-// TestStoreMappedRestartLifecycle pins the -mmap lifetime across a restart:
-// graphs written in the mappable format come back as live mappings, seed ingestion runs over the mapped
-// arrays (pinned for the run's duration), and DELETE waits out the run,
-// purges the files and closes the mapping — after which access fails
-// cleanly.
+// TestStoreMappedRestartLifecycle pins the mapping lifetime across a
+// restart: graphs the server wrote in the mappable format come back as
+// live mappings, seed ingestion runs over the mapped arrays (pinned for the
+// run's duration), and DELETE waits out the run, purges the files and
+// closes the mapping — after which access fails cleanly.
 func TestStoreMappedRestartLifecycle(t *testing.T) {
-	for _, c := range chainConfigs {
-		if !c.cfg.mmap {
-			continue
-		}
-		t.Run(c.name, func(t *testing.T) {
-			mappedRestartLifecycle(t, newChainStore(t, c.cfg))
-		})
-	}
+	t.Run("r1/mmap", func(t *testing.T) {
+		mappedRestartLifecycle(t, newChainStore(t, testStoreConfig))
+	})
 }
 
 func mappedRestartLifecycle(t *testing.T, st *store) {
@@ -50,7 +47,7 @@ func mappedRestartLifecycle(t *testing.T, st *store) {
 		t.Fatal("job not restored")
 	}
 	if j.mg1 == nil || j.mg2 == nil {
-		t.Fatal("restored job holds no mapping handles under -mmap")
+		t.Fatal("restored job holds no mapping handles")
 	}
 	if j.mg1.Mapped() != reconcile.MmapSupported {
 		t.Fatalf("Mapped() = %v, want %v", j.mg1.Mapped(), reconcile.MmapSupported)
@@ -109,51 +106,73 @@ func mappedRestartLifecycle(t *testing.T, st *store) {
 	s2.closeMappings()
 }
 
-// TestStoreMmapFormatInterop pins the migration contract: a store written
-// without -mmap reads back with it (legacy graphs decode onto the heap
-// behind the mapping API), and a store written with -mmap reads back
-// without it (ReadGraphBinary sniffs the mappable container).
+// TestStoreMmapFormatInterop pins the two graph formats a job's files may
+// hold. A job whose graph files are in the binary format, as servers that
+// decoded graphs onto the heap wrote them, restores heap-backed through
+// OpenGraphMapped's binary branch with its exact pairs (legacy-then-mmap);
+// the mappable files the server writes read back through ReadGraphBinary
+// as the job's graphs (mmap-then-legacy).
 func TestStoreMmapFormatInterop(t *testing.T) {
-	for _, dir := range []struct {
-		name           string
-		write, read    bool // cfg.mmap at write/read time
-		wantMappedRead bool
-	}{
-		{"legacy-then-mmap", false, true, false},
-		{"mmap-then-legacy", true, false, false},
-	} {
-		t.Run(dir.name, func(t *testing.T) {
-			root := t.TempDir()
-			cfg := testStoreConfig
-			cfg.mmap = dir.write
-			st, err := newStore(root, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ts := httptest.NewServer(newTestServer(t, st).handler())
-			resp := postJSON(t, ts.URL+"/v1/jobs", testInstance(t, 300, 0.15))
-			resp.Body.Close()
-			if v := waitForJob(t, ts.URL, "job-1"); v.Status != statusDone {
-				t.Fatalf("job: status %q (%s)", v.Status, v.Error)
-			}
-			want := jobPairs(t, ts.URL, "job-1").Pairs
-			ts.Close()
-
-			cfg.mmap = dir.read
-			st2, err := newStore(root, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s2 := newTestServer(t, st2)
-			ts2 := httptest.NewServer(s2.handler())
-			defer ts2.Close()
-			got := jobPairs(t, ts2.URL, "job-1")
-			if got.Status != statusDone || len(got.Pairs) != len(want) {
-				t.Fatalf("flipped-format restore: status %q, %d pairs, want done/%d", got.Status, len(got.Pairs), len(want))
-			}
-			if j := s2.jobs["job-1"]; dir.read && (j.mg1 == nil || j.mg1.Mapped() != dir.wantMappedRead && reconcile.MmapSupported) {
-				t.Fatalf("legacy graphs under -mmap: mg=%v", j.mg1)
-			}
-		})
+	submit := func(t *testing.T, st *store) (*server, [][2]int) {
+		t.Helper()
+		s := newTestServer(t, st)
+		ts := httptest.NewServer(s.handler())
+		defer ts.Close()
+		resp := postJSON(t, ts.URL+"/v1/jobs", testInstance(t, 300, 0.15))
+		resp.Body.Close()
+		if v := waitForJob(t, ts.URL, "job-1"); v.Status != statusDone {
+			t.Fatalf("job: status %q (%s)", v.Status, v.Error)
+		}
+		s.jobs["job-1"].pending.Wait() // the terminal checkpoint is on disk
+		return s, jobPairs(t, ts.URL, "job-1").Pairs
 	}
+	t.Run("legacy-then-mmap", func(t *testing.T) {
+		st := newChainStore(t, testStoreConfig)
+		s, want := submit(t, st)
+		j := s.jobs["job-1"]
+		g1, g2 := j.rec.Graphs()
+		if err := writeGraphs(j.js, true, g1, g2); err != nil {
+			t.Fatal(err)
+		}
+		s2 := newTestServer(t, st)
+		ts2 := httptest.NewServer(s2.handler())
+		defer ts2.Close()
+		if j := s2.jobs["job-1"]; j == nil || j.mg1 == nil || j.mg1.Mapped() || j.mg2.Mapped() {
+			t.Fatal("binary-format graphs did not restore heap-backed behind the mapping API")
+		}
+		got := jobPairs(t, ts2.URL, "job-1")
+		if got.Status != statusDone || fmt.Sprint(got.Pairs) != fmt.Sprint(want) {
+			t.Fatalf("heap-backed restore: status %q, %d pairs; want done and the job's %d pairs", got.Status, len(got.Pairs), len(want))
+		}
+	})
+	t.Run("mmap-then-legacy", func(t *testing.T) {
+		st := newChainStore(t, testStoreConfig)
+		s, _ := submit(t, st)
+		j := s.jobs["job-1"]
+		g1, g2 := j.rec.Graphs()
+		for _, f := range []struct {
+			suffix string
+			g      *reconcile.Graph
+		}{{".g1", g1}, {".g2", g2}} {
+			file, err := os.Open(j.js.path(f.suffix))
+			if err != nil {
+				t.Fatal(err)
+			}
+			back, err := reconcile.ReadGraphBinary(file)
+			file.Close()
+			if err != nil {
+				t.Fatalf("%s: %v", f.suffix, err)
+			}
+			var got, want bytes.Buffer
+			if err := reconcile.WriteGraphBinary(&got, back); err != nil {
+				t.Fatal(err)
+			}
+			if err := reconcile.WriteGraphBinary(&want, f.g); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("%s reads back as another graph", f.suffix)
+			}
+		}
+	})
 }

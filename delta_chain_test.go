@@ -3,7 +3,6 @@ package reconcile_test
 import (
 	"bytes"
 	"context"
-	"errors"
 	"reflect"
 	"testing"
 
@@ -28,15 +27,7 @@ func writeChain(t *testing.T, path string, g1, g2 *reconcile.Graph, opts []recon
 	var victim *reconcile.Reconciler
 	victim, err := reconcile.NewOnPath(path, g1, g2, append(opts,
 		reconcile.WithProgress(func(reconcile.PhaseEvent) {
-			ck, err := ckpt.Prepare(victim, len(chain) == 0)
-			if errors.Is(err, reconcile.ErrFullRequired) {
-				// The regime handoff just landed; re-anchor the chain.
-				ck, err = ckpt.Prepare(victim, true)
-			}
-			if err != nil {
-				t.Errorf("prepare checkpoint %d: %v", len(chain), err)
-				return
-			}
+			ck := ckpt.Prepare(victim, len(chain) == 0)
 			var rec, mono bytes.Buffer
 			if err := ck.Encode(&rec); err != nil {
 				t.Errorf("encode checkpoint %d: %v", len(chain), err)
@@ -104,8 +95,8 @@ func replayChain(t *testing.T, chain []chainCheckpoint, cut int) *reconcile.Sess
 // the monolithic snapshot taken at the same boundary, so restore-from-chain
 // and restore-from-snapshot are the same operation. The hybrid row runs a
 // schedule long enough to cross its regime handoff, whose checkpoint is not
-// delta-expressible: the chain must re-anchor with a full there
-// (ErrFullRequired) and keep replaying.
+// delta-expressible: Prepare re-anchors the chain with a full there, and
+// the chain keeps replaying.
 func TestDeltaChainResumeEquivalence(t *testing.T) {
 	g1, g2, seeds := snapshotInstance(t)
 	for _, path := range reconcile.PathNames {
@@ -186,36 +177,51 @@ func chainResumeEquivalence(t *testing.T, g1, g2 *reconcile.Graph, path string, 
 	}
 }
 
-// TestCheckpointerFullRequired pins the Checkpointer's contract: a fresh
-// (zero-value) checkpointer demands a full first, a committed full makes
-// deltas possible, and Reset demands a full again.
+// TestCheckpointerFullRequired pins when Prepare returns a full: the first
+// checkpoint of a fresh (zero-value) Checkpointer, one asked to be full,
+// the first after Reset, and the one across the regime handoff, which a
+// delta does not express. Every other checkpoint is a delta.
 func TestCheckpointerFullRequired(t *testing.T) {
 	g1, g2, seeds := snapshotInstance(t)
-	rec, err := reconcile.New(g1, g2, reconcile.WithSeeds(seeds))
-	if err != nil {
-		t.Fatal(err)
-	}
 	var ckpt reconcile.Checkpointer
-	if _, err := ckpt.Prepare(rec, false); !errors.Is(err, reconcile.ErrFullRequired) {
-		t.Fatalf("delta without a base: err = %v, want ErrFullRequired", err)
-	}
-	ck, err := ckpt.Prepare(rec, true)
+	var rec *reconcile.Reconciler
+	frontier, handoffs := false, 0
+	rec, err := reconcile.New(g1, g2, reconcile.WithSeeds(seeds), reconcile.WithIterations(8),
+		reconcile.WithProgress(func(reconcile.PhaseEvent) {
+			ck := ckpt.Prepare(rec, false)
+			handoff := rec.FrontierActive() != frontier
+			if handoff {
+				frontier = true
+				handoffs++
+			}
+			if ck.Full() != handoff {
+				t.Errorf("checkpoint full = %v where the handoff landing is %v", ck.Full(), handoff)
+			}
+			ckpt.Commit(ck)
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ck.Full() {
-		t.Fatal("full checkpoint reports Full() = false")
+	first := ckpt.Prepare(rec, false)
+	if !first.Full() {
+		t.Fatal("a fresh Checkpointer prepared a delta")
 	}
-	ckpt.Commit(ck)
-	if ck, err = ckpt.Prepare(rec, false); err != nil {
-		t.Fatalf("delta after a committed full: %v", err)
+	ckpt.Commit(first)
+	if _, err := rec.Run(context.Background()); err != nil {
+		t.Fatal(err)
 	}
-	if ck.Full() {
-		t.Fatal("delta checkpoint reports Full() = true")
+	if handoffs != 1 {
+		t.Fatalf("the run handed off %d times, want once", handoffs)
+	}
+	if !ckpt.Prepare(rec, true).Full() {
+		t.Fatal("a checkpoint asked to be full is a delta")
+	}
+	if ckpt.Prepare(rec, false).Full() {
+		t.Fatal("a checkpoint after a committed one in the same regime is a full")
 	}
 	ckpt.Reset()
-	if _, err := ckpt.Prepare(rec, false); !errors.Is(err, reconcile.ErrFullRequired) {
-		t.Fatalf("delta after Reset: err = %v, want ErrFullRequired", err)
+	if !ckpt.Prepare(rec, false).Full() {
+		t.Fatal("the first checkpoint after Reset is a delta")
 	}
 }
 
@@ -255,21 +261,14 @@ func TestDeltaCheckpointSizeRatio(t *testing.T) {
 	}
 
 	var ckpt reconcile.Checkpointer
-	full, err := ckpt.Prepare(rec, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ckpt.Commit(full)
+	ckpt.Commit(ckpt.Prepare(rec, true))
 	if err := rec.AddSeeds(fresh); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := rec.RunUntilStable(context.Background(), 10); err != nil {
 		t.Fatal(err)
 	}
-	ck, err := ckpt.Prepare(rec, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ck := ckpt.Prepare(rec, false)
 	var delta bytes.Buffer
 	if err := ck.Encode(&delta); err != nil {
 		t.Fatal(err)

@@ -72,8 +72,8 @@ const hybridCrossoverRate = 0.02
 // O(lifetime).
 const phaseRetainSweeps = 16
 
-// PhaseRetainSweeps is the phase-log retention window, exported for callers
-// that mirror the session's bounded log (cmd/serve's wire-phase feed).
+// PhaseRetainSweeps is the phase-log retention window, exported for the
+// public API (reconcile.PhaseRetainSweeps).
 const PhaseRetainSweeps = phaseRetainSweeps
 
 // FrontierActive reports whether the session has handed off to the

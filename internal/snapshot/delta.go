@@ -1,7 +1,6 @@
 package snapshot
 
 import (
-	"fmt"
 	"io"
 
 	"github.com/sociograph/reconcile/internal/core"
@@ -14,8 +13,8 @@ import (
 // panics. A delta is O(links and phases added since the last checkpoint) on
 // the wire, which is what makes per-sweep checkpoints cheap at paper scale;
 // core.ApplyDelta replays it onto the base state bit-identically. Like a
-// state payload, a delta payload ends with the frontier flag (see Version):
-// always 0 when written, a legacy cache-edit section skipped when 1.
+// state payload, a delta payload ends with the frontier flag, always 0
+// (see Version).
 
 // WriteDelta writes a delta record (core.DiffStates output) as a framed
 // stream.
@@ -26,9 +25,9 @@ func WriteDelta(w io.Writer, d *core.StateDelta) error {
 // ReadDelta reads a delta record written by WriteDelta.
 func ReadDelta(r io.Reader) (*core.StateDelta, error) {
 	var d *core.StateDelta
-	err := read(r, kindDelta, func(er *reader, v uint64) error {
+	err := read(r, kindDelta, func(er *reader) error {
 		var derr error
-		d, derr = decodeDelta(er, v)
+		d, derr = decodeDelta(er)
 		return derr
 	})
 	if err != nil {
@@ -37,35 +36,16 @@ func ReadDelta(r io.Reader) (*core.StateDelta, error) {
 	return d, nil
 }
 
-// deltaPositions flattens the scalar position fields into wire order, shared
-// by encode and decode so the two cannot drift.
-func deltaPositions(d *core.StateDelta) []struct {
-	v    *int
-	what string
-} {
-	return []struct {
-		v    *int
-		what string
-	}{
+// deltaFields lists the delta's scalar fields in wire order: the base
+// fingerprint, the new schedule position and the phase window's offsets.
+func deltaFields(d *core.StateDelta) []field {
+	return []field{
 		{&d.BasePairs, "base pair count"},
 		{&d.BasePhases, "base phase count"},
 		{&d.BaseSweeps, "base sweep count"},
 		{&d.BaseNextBucket, "base bucket position"},
 		{&d.Sweeps, "sweep count"},
 		{&d.NextBucket, "bucket position"},
-	}
-}
-
-// deltaWindowFields flattens the version-2 phase-window scalars into wire
-// order, shared by encode and decode so the two cannot drift.
-func deltaWindowFields(d *core.StateDelta) []struct {
-	v    *int
-	what string
-} {
-	return []struct {
-		v    *int
-		what string
-	}{
 		{&d.BasePhasesDropped, "base evicted phase count"},
 		{&d.PhasesDropped, "evicted phase count"},
 		{&d.DroppedMatched, "evicted match count"},
@@ -73,114 +53,37 @@ func deltaWindowFields(d *core.StateDelta) []struct {
 }
 
 func encodeDelta(w *writer, d *core.StateDelta) error {
-	for _, f := range deltaPositions(d) {
-		if err := w.uint(*f.v, f.what); err != nil {
-			return err
-		}
-	}
-	for _, f := range deltaWindowFields(d) {
-		if err := w.uint(*f.v, f.what); err != nil {
-			return err
-		}
-	}
-	hybrid := byte(0)
-	if d.HybridFrontier {
-		hybrid = 1
-	}
-	if err := w.byte(hybrid); err != nil {
+	if err := writeFields(w, deltaFields(d)...); err != nil {
 		return err
 	}
-	if err := w.uint(len(d.NewPairs), "new pair count"); err != nil {
+	if err := w.flag(d.HybridFrontier); err != nil {
 		return err
 	}
-	if err := writeU32s(w, 2*len(d.NewPairs), func(i int) uint32 {
-		if i%2 == 0 {
-			return uint32(d.NewPairs[i/2].Left)
-		}
-		return uint32(d.NewPairs[i/2].Right)
-	}); err != nil {
+	if err := writePairs(w, d.NewPairs, "new pair count"); err != nil {
 		return err
 	}
-	if err := w.uint(len(d.NewPhases), "new phase count"); err != nil {
+	if err := writePhases(w, d.NewPhases, "new phase count"); err != nil {
 		return err
 	}
-	for _, ph := range d.NewPhases {
-		for _, f := range []struct {
-			v    int
-			what string
-		}{
-			{ph.Iteration, "phase iteration"},
-			{ph.MinDegree, "phase min degree"},
-			{ph.Matched, "phase matched"},
-			{ph.TotalL, "phase total"},
-		} {
-			if err := w.uint(f.v, f.what); err != nil {
-				return err
-			}
-		}
-	}
-
-	return w.byte(0) // the frontier flag: no legacy frontier section
+	return w.byte(0) // the frontier flag (see Version)
 }
 
-func decodeDelta(r *reader, version uint64) (*core.StateDelta, error) {
+func decodeDelta(r *reader) (*core.StateDelta, error) {
 	d := &core.StateDelta{}
-	for _, f := range deltaPositions(d) {
-		v, err := r.uint(f.what)
-		if err != nil {
-			return nil, err
-		}
-		*f.v = v
-	}
-	if version >= 2 {
-		// Version 1 predates the bounded phase log and the hybrid engine;
-		// see decodeState.
-		for _, f := range deltaWindowFields(d) {
-			v, err := r.uint(f.what)
-			if err != nil {
-				return nil, err
-			}
-			*f.v = v
-		}
-		hybrid, err := r.byte("delta hybrid regime flag")
-		if err != nil {
-			return nil, err
-		}
-		if hybrid > 1 {
-			return nil, fmt.Errorf("snapshot: decode delta hybrid regime flag: bad value %d", hybrid)
-		}
-		d.HybridFrontier = hybrid == 1
-	}
-	nPairs, err := r.uint("new pair count")
-	if err != nil {
+	if err := readFields(r, deltaFields(d)...); err != nil {
 		return nil, err
 	}
-	if d.NewPairs, err = readPairs(r, uint64(nPairs), "new pairs"); err != nil {
+	var err error
+	if d.HybridFrontier, err = r.flag("delta hybrid regime flag"); err != nil {
 		return nil, err
 	}
-	nPhases, err := r.uint("new phase count")
-	if err != nil {
+	if d.NewPairs, err = readPairs(r, "new pair count"); err != nil {
 		return nil, err
 	}
-	for i := 0; i < nPhases; i++ {
-		var ph core.PhaseStat
-		for _, f := range []struct {
-			dst  *int
-			what string
-		}{
-			{&ph.Iteration, "phase iteration"},
-			{&ph.MinDegree, "phase min degree"},
-			{&ph.Matched, "phase matched"},
-			{&ph.TotalL, "phase total"},
-		} {
-			if *f.dst, err = r.uint(f.what); err != nil {
-				return nil, err
-			}
-		}
-		d.NewPhases = append(d.NewPhases, ph)
+	if d.NewPhases, err = readPhases(r, "new phase count"); err != nil {
+		return nil, err
 	}
-
-	if err := skipFrontier(r, "delta frontier", true); err != nil {
+	if err := r.endPayload("delta frontier flag"); err != nil {
 		return nil, err
 	}
 	return d, nil

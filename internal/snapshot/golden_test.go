@@ -3,8 +3,11 @@ package snapshot
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/sociograph/reconcile/internal/core"
@@ -107,14 +110,18 @@ func TestGoldenRecords(t *testing.T) {
 	}
 }
 
-// TestEngineSlotDecode pins the engine slot's decode rule: 0-2, written by
-// engines the user pinned, decode in the full-scan regime to the same state
-// (and re-encode as 3); a set regime bit under them, or a value above 3, is
-// refused as corrupt.
+// reframe rewrites a stream's CRC trailer after its body was edited.
+func reframe(b []byte) []byte {
+	body := b[:len(b)-4]
+	return binary.LittleEndian.AppendUint32(append([]byte(nil), body...), crc32.ChecksumIEEE(body))
+}
+
+// TestEngineSlotDecode pins the engine slot's decode rule: every record
+// holds 3, and any other value is refused as corrupt, in the full-scan
+// regime and in the frontier regime alike.
 func TestEngineSlotDecode(t *testing.T) {
 	states := goldenRun(t)
-	withSlot := func(st *core.SessionState, slot byte) []byte {
-		t.Helper()
+	for _, st := range []*core.SessionState{states[11], states[20]} {
 		var b bytes.Buffer
 		if err := WriteState(&b, st); err != nil {
 			t.Fatal(err)
@@ -123,25 +130,39 @@ func TestEngineSlotDecode(t *testing.T) {
 		if rec[goldenEngineAt] != engineSlot {
 			t.Fatalf("engine slot not at offset %d", goldenEngineAt)
 		}
-		rec[goldenEngineAt] = slot
-		return reframe(rec)
-	}
-	fullScan, frontier := states[11], states[20]
-	for slot := byte(0); slot < engineSlot; slot++ {
-		got, err := ReadState(bytes.NewReader(withSlot(fullScan, slot)))
-		if err != nil {
-			t.Fatalf("slot %d: %v", slot, err)
-		}
-		if !stateEqual(fullScan, got) {
-			t.Fatalf("slot %d: decoded to another state", slot)
-		}
-		if _, err := ReadState(bytes.NewReader(withSlot(frontier, slot))); err == nil {
-			t.Fatalf("slot %d: regime bit set under a pinned engine accepted", slot)
+		for _, slot := range []byte{0, 1, 2, engineSlot + 1} {
+			edited := append([]byte(nil), rec...)
+			edited[goldenEngineAt] = slot
+			if _, err := ReadState(bytes.NewReader(reframe(edited))); err == nil || !strings.Contains(err.Error(), "engine") {
+				t.Fatalf("engine slot %d (regime %v): err = %v, want an engine refusal", slot, st.HybridFrontier, err)
+			}
 		}
 	}
-	for _, st := range []*core.SessionState{fullScan, frontier} {
-		if _, err := ReadState(bytes.NewReader(withSlot(st, engineSlot+1))); err == nil {
-			t.Fatalf("engine slot %d accepted", engineSlot+1)
+}
+
+// TestLegacyFrontierSectionErrors pins the frontier flag that ends a state
+// and a delta payload: the golden records, which the writer reproduces,
+// hold 0 there, and a record whose flag opens the frontier section earlier
+// writers appended (1), or holds any other value, is refused.
+func TestLegacyFrontierSectionErrors(t *testing.T) {
+	for _, rec := range []struct {
+		name string
+		read func([]byte) error
+	}{
+		{"state-frontier.rsnp", func(b []byte) error { _, err := ReadState(bytes.NewReader(b)); return err }},
+		{"delta-full-scan.rsnp", func(b []byte) error { _, err := ReadDelta(bytes.NewReader(b)); return err }},
+	} {
+		b := readGolden(t, rec.name)
+		at := len(b) - 5 // the flag, then the 4-byte trailer
+		if b[at] != 0 {
+			t.Fatalf("%s: the frontier flag is set", rec.name)
+		}
+		for _, flag := range []byte{1, 2} {
+			edited := append([]byte(nil), b...)
+			edited[at] = flag
+			if err := rec.read(reframe(edited)); err == nil || !strings.Contains(err.Error(), "frontier flag") {
+				t.Fatalf("%s with frontier flag %d: err = %v, want a frontier flag refusal", rec.name, flag, err)
+			}
 		}
 	}
 }

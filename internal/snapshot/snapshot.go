@@ -13,10 +13,11 @@
 // checkpoint only the mutable state), and a delta record (the changes since
 // a prior state checkpoint — see delta.go — for stores that checkpoint every
 // sweep and amortize full snapshots). A checkpoint chain is one such state
-// or delta record per checkpoint. The encoding is canonical — one byte stream per value — so decode∘encode is
-// the identity on bytes as well as on values for every stream this encoder
-// writes, which the round-trip fuzz suite pins (a legacy frontier section,
-// see Version, is dropped on decode).
+// or delta record per checkpoint. The encoding is canonical — one byte
+// stream per value — so decode∘encode is the identity on bytes as well as
+// on values, which the round-trip fuzz suite pins. The decoders read only
+// what the encoders write: the current Version, with the fixed values the
+// layout keeps (see engineSlot and the frontier flag).
 //
 // Decoding is defensive end to end: all lengths are re-derived or
 // cross-checked, allocations grow only as payload bytes actually arrive (a
@@ -41,29 +42,16 @@ import (
 	"github.com/sociograph/reconcile/internal/graph"
 )
 
-// Version is the current snapshot format version. Decoders reject newer
-// versions (forward compatibility is explicit: bump this when the payload
-// layout changes, and teach Read the old layouts).
+// Version is the snapshot format version, the one the encoders write and
+// the only one the decoders read: a stream of any other version is refused.
+// Bump it when the payload layout changes.
 //
-// Version history:
-//
-//	1 — initial layout (PR 3), delta records (PR 4).
-//	2 — state and delta payloads gained the hybrid-engine regime flag and
-//	    the bounded phase log's evicted totals (phases dropped, matches
-//	    dropped). Version-1 streams decode with those fields zero — exactly
-//	    the state every pre-hybrid session was in.
-//
-// Both versions end a state or delta payload with a frontier flag byte.
-// Earlier writers set it to 1 and appended the frontier engine's proposal
-// cache and worklists (or their edits); writers now always write 0, and
-// decoders read such a legacy section through the checksum and drop it
-// (skipFrontier), since restore rebuilds that state from the matching. So
-// this build reads records written with the section, and builds that wrote
-// it read records written without it.
+// Version 2 state and delta payloads carry the regime flag and the bounded
+// phase log's evicted totals (phases dropped, matches dropped), and end
+// with a frontier flag byte that is always 0. The flag once opened a
+// section holding the frontier engine's proposal cache; restore rebuilds
+// that from the matching, so a set flag is refused as corrupt.
 const Version = 2
-
-// oldestReadable is the oldest format version Read still understands.
-const oldestReadable = 1
 
 var magic = [4]byte{'R', 'S', 'N', 'P'}
 
@@ -94,14 +82,14 @@ func Write(w io.Writer, g1, g2 *graph.Graph, st *core.SessionState) error {
 
 // Read reads a full snapshot.
 func Read(r io.Reader) (g1, g2 *graph.Graph, st *core.SessionState, err error) {
-	err = read(r, kindFull, func(er *reader, v uint64) error {
+	err = read(r, kindFull, func(er *reader) error {
 		if g1, err = graph.DecodeBinary(er); err != nil {
 			return err
 		}
 		if g2, err = graph.DecodeBinary(er); err != nil {
 			return err
 		}
-		st, err = decodeState(er, v)
+		st, err = decodeState(er)
 		return err
 	})
 	if err != nil {
@@ -118,7 +106,7 @@ func WriteGraph(w io.Writer, g *graph.Graph) error {
 // ReadGraph reads a single framed graph.
 func ReadGraph(r io.Reader) (*graph.Graph, error) {
 	var g *graph.Graph
-	err := read(r, kindGraph, func(er *reader, _ uint64) error {
+	err := read(r, kindGraph, func(er *reader) error {
 		var derr error
 		g, derr = graph.DecodeBinary(er)
 		return derr
@@ -137,9 +125,9 @@ func WriteState(w io.Writer, st *core.SessionState) error {
 // ReadState reads a state-only snapshot.
 func ReadState(r io.Reader) (*core.SessionState, error) {
 	var st *core.SessionState
-	err := read(r, kindState, func(er *reader, v uint64) error {
+	err := read(r, kindState, func(er *reader) error {
 		var derr error
-		st, derr = decodeState(er, v)
+		st, derr = decodeState(er)
 		return derr
 	})
 	if err != nil {
@@ -164,6 +152,14 @@ func (w *writer) Write(p []byte) (int, error) {
 func (w *writer) byte(b byte) error {
 	_, err := w.Write([]byte{b})
 	return err
+}
+
+// flag writes a bool as a 0 or 1 byte.
+func (w *writer) flag(set bool) error {
+	if set {
+		return w.byte(1)
+	}
+	return w.byte(0)
 }
 
 func (w *writer) uvarint(v uint64) error {
@@ -246,6 +242,25 @@ func (r *reader) byte(what string) (byte, error) {
 	return b, nil
 }
 
+// flag reads a byte written by writer.flag: 0 or 1.
+func (r *reader) flag(what string) (bool, error) {
+	b, err := r.byte(what)
+	if err == nil && b > 1 {
+		err = fmt.Errorf("snapshot: decode %s: bad value %d", what, b)
+	}
+	return b == 1, err
+}
+
+// endPayload reads the frontier flag that ends a state or delta payload,
+// which must be 0 (see Version).
+func (r *reader) endPayload(what string) error {
+	b, err := r.byte(what)
+	if err == nil && b != 0 {
+		err = fmt.Errorf("snapshot: decode %s: bad value %d", what, b)
+	}
+	return err
+}
+
 func (r *reader) uvarint(what string) (uint64, error) {
 	v, err := binary.ReadUvarint(r)
 	if err != nil {
@@ -269,7 +284,7 @@ func (r *reader) uint(what string) (int, error) {
 	return int(v), nil
 }
 
-func read(r io.Reader, kind byte, payload func(*reader, uint64) error) error {
+func read(r io.Reader, kind byte, payload func(*reader) error) error {
 	er := &reader{br: bufio.NewReader(r), crc: crc32.NewIEEE()}
 	var m [4]byte
 	if err := er.full(m[:]); err != nil {
@@ -282,8 +297,8 @@ func read(r io.Reader, kind byte, payload func(*reader, uint64) error) error {
 	if err != nil {
 		return err
 	}
-	if v < oldestReadable || v > Version {
-		return fmt.Errorf("snapshot: unsupported format version %d (this build reads %d through %d)", v, oldestReadable, Version)
+	if v != Version {
+		return fmt.Errorf("snapshot: unsupported format version %d (this build reads version %d)", v, Version)
 	}
 	k, err := er.byte("kind")
 	if err != nil {
@@ -292,7 +307,7 @@ func read(r io.Reader, kind byte, payload func(*reader, uint64) error) error {
 	if k != kind {
 		return fmt.Errorf("snapshot: stream kind %d, want %d", k, kind)
 	}
-	if err := payload(er, v); err != nil {
+	if err := payload(er); err != nil {
 		return err
 	}
 	sum := er.crc.Sum32()
@@ -312,11 +327,16 @@ func read(r io.Reader, kind byte, payload func(*reader, uint64) error) error {
 // chunkU32 is how many uint32 values the codec moves per bulk Read/Write.
 const chunkU32 = 16 * 1024
 
-// writeU32s writes values produced by at as little-endian uint32s.
-func writeU32s(w *writer, n int, at func(int) uint32) error {
+// writePairs writes a pair count, then each pair as two little-endian
+// uint32s.
+func writePairs(w *writer, pairs []graph.Pair, what string) error {
+	if err := w.uint(len(pairs), what); err != nil {
+		return err
+	}
 	buf := make([]byte, 0, 4*chunkU32)
-	for i := 0; i < n; i++ {
-		buf = binary.LittleEndian.AppendUint32(buf, at(i))
+	for _, p := range pairs {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(p.Left))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(p.Right))
 		if len(buf) == cap(buf) {
 			if _, err := w.Write(buf); err != nil {
 				return err
@@ -328,18 +348,23 @@ func writeU32s(w *writer, n int, at func(int) uint32) error {
 	return err
 }
 
-// readPairs reads count pairs, two little-endian uint32s each, straight
-// into the slice it returns. The slice grows one chunk at a time as the
-// chunk's bytes arrive, so a forged count fails at the truncated read
-// instead of allocating it.
-func readPairs(r *reader, count uint64, what string) ([]graph.Pair, error) {
-	if count > math.MaxInt64/8 {
-		return nil, fmt.Errorf("snapshot: decode %s: length %d out of range", what, count)
+// readPairs reads what writePairs wrote straight into the slice it
+// returns. The slice grows one chunk at a time as the chunk's bytes
+// arrive, so a forged count fails at the truncated read instead of
+// allocating it.
+func readPairs(r *reader, what string) ([]graph.Pair, error) {
+	count, err := r.uint(what)
+	if err != nil {
+		return nil, err
+	}
+	chunk := chunkU32 / 2
+	if count < chunk {
+		chunk = count // a short list reads through a short buffer
 	}
 	var out []graph.Pair
-	buf := make([]byte, 8*min(int(count), chunkU32/2))
-	for left := int(count); left > 0; {
-		c := min(left, chunkU32/2)
+	buf := make([]byte, 8*chunk)
+	for left := count; left > 0; {
+		c := min(left, chunk)
 		b := buf[:8*c]
 		if err := r.full(b); err != nil {
 			return nil, fmt.Errorf("snapshot: decode %s: %w", what, err)
@@ -356,42 +381,81 @@ func readPairs(r *reader, count uint64, what string) ([]graph.Pair, error) {
 	return out, nil
 }
 
-// skipU32s reads count uint32s through the checksum and drops them. The
-// copy moves one bounded buffer at a time, so a forged count fails at the
-// truncated read instead of allocating it.
-func skipU32s(r *reader, count uint64, what string) error {
-	if count > math.MaxInt64/4 {
-		return fmt.Errorf("snapshot: decode %s: length %d out of range", what, count)
-	}
-	if _, err := io.CopyN(io.Discard, r, int64(4*count)); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+// field is one int-valued wire field and its name in errors. Field lists
+// are shared by encode and decode so the two cannot drift.
+type field struct {
+	v    *int
+	what string
+}
+
+func writeFields(w *writer, fields ...field) error {
+	for _, f := range fields {
+		if err := w.uint(*f.v, f.what); err != nil {
+			return err
 		}
-		return fmt.Errorf("snapshot: decode %s: %w", what, err)
 	}
 	return nil
 }
 
+func readFields(r *reader, fields ...field) error {
+	for _, f := range fields {
+		v, err := r.uint(f.what)
+		if err != nil {
+			return err
+		}
+		*f.v = v
+	}
+	return nil
+}
+
+// phaseNames names a phase entry's fields in wire order: iteration, min
+// degree, matched, total.
+var phaseNames = [4]string{"phase iteration", "phase min degree", "phase matched", "phase total"}
+
+// writePhases writes a phase count, then each entry's fields.
+func writePhases(w *writer, phases []core.PhaseStat, what string) error {
+	if err := w.uint(len(phases), what); err != nil {
+		return err
+	}
+	for _, ph := range phases {
+		for i, v := range [...]int{ph.Iteration, ph.MinDegree, ph.Matched, ph.TotalL} {
+			if err := w.uint(v, phaseNames[i]); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// readPhases reads what writePhases wrote; the slice grows as entries
+// arrive.
+func readPhases(r *reader, what string) ([]core.PhaseStat, error) {
+	n, err := r.uint(what)
+	if err != nil {
+		return nil, err
+	}
+	var out []core.PhaseStat
+	for i := 0; i < n; i++ {
+		var v [4]int
+		for j := range v {
+			if v[j], err = r.uint(phaseNames[j]); err != nil {
+				return nil, err
+			}
+		}
+		out = append(out, core.PhaseStat{Iteration: v[0], MinDegree: v[1], Matched: v[2], TotalL: v[3]})
+	}
+	return out, nil
+}
+
 // The options carry an engine slot from when the engine was a user choice.
-// The slot stays in the layout and is always written as engineSlot, the
-// value the default engine wrote, so records stay byte-identical. On decode,
-// values below engineSlot come from records an engine pinned by the user
-// wrote (0 parallel, 1 sequential, 2 frontier). They restore as the one
-// engine in the full-scan regime, which such a record always holds: a set
-// regime bit under one of them is refused as corrupt, as is any value above
-// engineSlot.
+// The slot stays in the layout, so records stay byte-identical, and always
+// holds engineSlot, the value the default engine wrote; any other value is
+// refused as corrupt.
 const engineSlot = 3
 
-// optionFields flattens the Options struct into its wire order, shared by
-// encode and decode so the two cannot drift. engine is the engine slot.
-func optionFields(o *core.Options, engine *int) []struct {
-	v    *int
-	what string
-} {
-	return []struct {
-		v    *int
-		what string
-	}{
+// optionFields lists the Options in wire order. engine is the engine slot.
+func optionFields(o *core.Options, engine *int) []field {
+	return []field{
 		{&o.Threshold, "threshold"},
 		{&o.Iterations, "iterations"},
 		{&o.MinBucketExp, "min bucket exp"},
@@ -406,228 +470,87 @@ func optionFields(o *core.Options, engine *int) []struct {
 
 // encodeState writes the session-state payload.
 func encodeState(w *writer, st *core.SessionState) error {
-	o := st.Opts
 	engine := engineSlot
-	for _, f := range optionFields(&o, &engine) {
-		if err := w.uint(*f.v, f.what); err != nil {
-			return err
-		}
-	}
-	disabled := byte(0)
-	if o.DisableBucketing {
-		disabled = 1
-	}
-	if err := w.byte(disabled); err != nil {
+	if err := writeFields(w, optionFields(&st.Opts, &engine)...); err != nil {
 		return err
 	}
-
-	if err := w.uint(st.N1, "n1"); err != nil {
+	if err := w.flag(st.Opts.DisableBucketing); err != nil {
 		return err
 	}
-	if err := w.uint(st.N2, "n2"); err != nil {
+	if err := writeFields(w, field{&st.N1, "n1"}, field{&st.N2, "n2"}); err != nil {
 		return err
 	}
-	if err := w.uint(len(st.Pairs), "pair count"); err != nil {
+	if err := writePairs(w, st.Pairs, "pair count"); err != nil {
 		return err
 	}
-	if err := writeU32s(w, 2*len(st.Pairs), func(i int) uint32 {
-		if i%2 == 0 {
-			return uint32(st.Pairs[i/2].Left)
-		}
-		return uint32(st.Pairs[i/2].Right)
-	}); err != nil {
+	if err := writeFields(w, stateSchedule(st)...); err != nil {
 		return err
 	}
-	if err := w.uint(st.Seeds, "seed count"); err != nil {
+	if err := w.flag(st.HybridFrontier); err != nil {
 		return err
 	}
-	if err := w.uint(st.Sweeps, "sweep count"); err != nil {
+	if err := writeFields(w, stateWindow(st)...); err != nil {
 		return err
 	}
-	if err := w.uint(st.NextBucket, "bucket position"); err != nil {
+	if err := writePhases(w, st.Phases, "phase count"); err != nil {
 		return err
 	}
-	hybrid := byte(0)
-	if st.HybridFrontier {
-		hybrid = 1
-	}
-	if err := w.byte(hybrid); err != nil {
-		return err
-	}
-	if err := w.uint(st.PhasesDropped, "evicted phase count"); err != nil {
-		return err
-	}
-	if err := w.uint(st.DroppedMatched, "evicted match count"); err != nil {
-		return err
-	}
-
-	if err := w.uint(len(st.Phases), "phase count"); err != nil {
-		return err
-	}
-	for _, ph := range st.Phases {
-		for _, f := range []struct {
-			v    int
-			what string
-		}{
-			{ph.Iteration, "phase iteration"},
-			{ph.MinDegree, "phase min degree"},
-			{ph.Matched, "phase matched"},
-			{ph.TotalL, "phase total"},
-		} {
-			if err := w.uint(f.v, f.what); err != nil {
-				return err
-			}
-		}
-	}
-
-	return w.byte(0) // the frontier flag: no legacy frontier section
+	return w.byte(0) // the frontier flag (see Version)
 }
 
-// decodeState reads the session-state payload of the given format version.
-// Structural bounds are checked here; core.RestoreSession re-checks every
-// semantic invariant against the graphs before the state is used.
-func decodeState(r *reader, version uint64) (*core.SessionState, error) {
+// stateSchedule and stateWindow list, in wire order, the state's scalars
+// that follow the pairs and the regime flag.
+func stateSchedule(st *core.SessionState) []field {
+	return []field{
+		{&st.Seeds, "seed count"},
+		{&st.Sweeps, "sweep count"},
+		{&st.NextBucket, "bucket position"},
+	}
+}
+
+func stateWindow(st *core.SessionState) []field {
+	return []field{
+		{&st.PhasesDropped, "evicted phase count"},
+		{&st.DroppedMatched, "evicted match count"},
+	}
+}
+
+// decodeState reads the session-state payload. Structural bounds are
+// checked here; core.RestoreSession re-checks every semantic invariant
+// against the graphs before the state is used.
+func decodeState(r *reader) (*core.SessionState, error) {
 	st := &core.SessionState{}
 	var engine int
-	for _, f := range optionFields(&st.Opts, &engine) {
-		v, err := r.uint(f.what)
-		if err != nil {
-			return nil, err
-		}
-		*f.v = v
+	if err := readFields(r, optionFields(&st.Opts, &engine)...); err != nil {
+		return nil, err
 	}
-	if engine > engineSlot {
+	if engine != engineSlot {
 		return nil, fmt.Errorf("snapshot: decode engine: bad value %d", engine)
 	}
-	disabled, err := r.byte("bucketing flag")
-	if err != nil {
+	var err error
+	if st.Opts.DisableBucketing, err = r.flag("bucketing flag"); err != nil {
 		return nil, err
 	}
-	if disabled > 1 {
-		return nil, fmt.Errorf("snapshot: decode bucketing flag: bad value %d", disabled)
-	}
-	st.Opts.DisableBucketing = disabled == 1
-
-	if st.N1, err = r.uint("n1"); err != nil {
+	if err := readFields(r, field{&st.N1, "n1"}, field{&st.N2, "n2"}); err != nil {
 		return nil, err
 	}
-	if st.N2, err = r.uint("n2"); err != nil {
+	if st.Pairs, err = readPairs(r, "pair count"); err != nil {
 		return nil, err
 	}
-	nPairs, err := r.uint("pair count")
-	if err != nil {
+	if err := readFields(r, stateSchedule(st)...); err != nil {
 		return nil, err
 	}
-	if st.Pairs, err = readPairs(r, uint64(nPairs), "pairs"); err != nil {
+	if st.HybridFrontier, err = r.flag("hybrid regime flag"); err != nil {
 		return nil, err
 	}
-	if st.Seeds, err = r.uint("seed count"); err != nil {
+	if err := readFields(r, stateWindow(st)...); err != nil {
 		return nil, err
 	}
-	if st.Sweeps, err = r.uint("sweep count"); err != nil {
+	if st.Phases, err = readPhases(r, "phase count"); err != nil {
 		return nil, err
 	}
-	if st.NextBucket, err = r.uint("bucket position"); err != nil {
-		return nil, err
-	}
-	if version >= 2 {
-		// Version 1 predates the regime handoff and the bounded phase log;
-		// its streams decode with these fields zero, which is exactly the
-		// state every version-1 session was in.
-		hybrid, err := r.byte("hybrid regime flag")
-		if err != nil {
-			return nil, err
-		}
-		if hybrid > 1 {
-			return nil, fmt.Errorf("snapshot: decode hybrid regime flag: bad value %d", hybrid)
-		}
-		if hybrid == 1 && engine != engineSlot {
-			return nil, fmt.Errorf("snapshot: decode hybrid regime flag: set under pinned engine %d", engine)
-		}
-		st.HybridFrontier = hybrid == 1
-		if st.PhasesDropped, err = r.uint("evicted phase count"); err != nil {
-			return nil, err
-		}
-		if st.DroppedMatched, err = r.uint("evicted match count"); err != nil {
-			return nil, err
-		}
-	}
-
-	nPhases, err := r.uint("phase count")
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < nPhases; i++ {
-		var ph core.PhaseStat
-		for _, f := range []struct {
-			dst  *int
-			what string
-		}{
-			{&ph.Iteration, "phase iteration"},
-			{&ph.MinDegree, "phase min degree"},
-			{&ph.Matched, "phase matched"},
-			{&ph.TotalL, "phase total"},
-		} {
-			if *f.dst, err = r.uint(f.what); err != nil {
-				return nil, err
-			}
-		}
-		st.Phases = append(st.Phases, ph)
-	}
-
-	if err := skipFrontier(r, "frontier", false); err != nil {
+	if err := r.endPayload("frontier flag"); err != nil {
 		return nil, err
 	}
 	return st, nil
-}
-
-// skipFrontier reads the frontier flag that ends a state (edits false) or
-// delta (edits true) payload and drops the legacy frontier section a 1
-// opens: a work counter, then per side a row count, for a delta that many
-// gap-encoded edit indices, that many proposal nodes and scores, and a
-// worklist. Every length is consumed in bounded chunks through the
-// checksum, so a forged one fails at the truncated read instead of
-// allocating it.
-func skipFrontier(r *reader, what string, edits bool) error {
-	flag, err := r.byte(what + " flag")
-	if err != nil {
-		return err
-	}
-	switch flag {
-	case 0:
-		return nil
-	case 1:
-	default:
-		return fmt.Errorf("snapshot: decode %s flag: bad value %d", what, flag)
-	}
-	if _, err := r.uvarint(what + " work counter"); err != nil {
-		return err
-	}
-	for side := 0; side < 2; side++ {
-		rows, err := r.uvarint(what + " row count")
-		if err != nil {
-			return err
-		}
-		if edits {
-			for i := uint64(0); i < rows; i++ {
-				if _, err := r.uvarint(what + " edit index"); err != nil {
-					return err
-				}
-			}
-		}
-		if err := skipU32s(r, rows, what+" proposals"); err != nil {
-			return err
-		}
-		if err := skipU32s(r, rows, what+" scores"); err != nil {
-			return err
-		}
-		dirty, err := r.uvarint(what + " worklist length")
-		if err != nil {
-			return err
-		}
-		if err := skipU32s(r, dirty, what+" worklist"); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/sociograph/reconcile/internal/core"
@@ -209,11 +210,14 @@ func TestReadRejectsCorruption(t *testing.T) {
 		t.Error("garbage accepted")
 	}
 
-	// Version skew is refused explicitly.
-	skew := append([]byte(nil), valid...)
-	skew[4] = Version + 1
-	if _, _, _, err := Read(bytes.NewReader(skew)); err == nil {
-		t.Error("future version accepted")
+	// Every version but the current one is refused explicitly: the older
+	// one as much as a newer one.
+	for _, v := range []byte{Version - 1, Version + 1} {
+		skew := append([]byte(nil), valid...)
+		skew[4] = v
+		if _, _, _, err := Read(bytes.NewReader(reframe(skew))); err == nil || !strings.Contains(err.Error(), "version") {
+			t.Errorf("version %d: err = %v, want a version refusal", v, err)
+		}
 	}
 
 	// Every truncation is an error, never a panic.

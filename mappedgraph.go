@@ -35,19 +35,18 @@ var ErrGraphClosed = graph.ErrMappedClosed
 // valid only until Close. Readers that can overlap a Close — a job run
 // racing a delete — bracket their use with Acquire/Release; Close fails all
 // future Acquires, waits for outstanding ones to drain, then unmaps. A
-// heap-backed instance (legacy file, or !MmapSupported) honors the same
-// protocol with nothing to unmap.
+// heap-backed instance (a binary-format file, or !MmapSupported) honors the
+// same protocol with nothing to unmap.
 type MappedGraph struct {
 	m *graph.Mapped
 }
 
 // OpenGraphMapped opens a graph file for mapped reading. Files written by
 // WriteGraphMapped are served from the mapping (or the heap fallback);
-// legacy files written by WriteGraphBinary are transparently decoded onto
-// the heap behind the same lifetime API, so a store can flip -mmap on over
-// an existing data directory. Corrupt, truncated, or structurally invalid
-// files return an error — the whole image is validated before any graph is
-// handed out.
+// files written by WriteGraphBinary are decoded onto the heap behind the
+// same lifetime API, so one open path reads either format. Corrupt,
+// truncated, or structurally invalid files return an error — the whole
+// image is validated before any graph is handed out.
 func OpenGraphMapped(path string) (*MappedGraph, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -72,8 +71,7 @@ func OpenGraphMapped(path string) (*MappedGraph, error) {
 }
 
 // WriteGraphMapped writes g in the mappable container format OpenGraphMapped
-// serves zero-copy. ReadGraphBinary also reads this format, so either flag
-// setting can read files written under the other.
+// serves zero-copy. ReadGraphBinary also reads this format, onto the heap.
 func WriteGraphMapped(w io.Writer, g *Graph) error { return graph.EncodeMappable(w, g) }
 
 // Graph returns the mapped graph, or nil once Close has begun. The result
@@ -81,7 +79,7 @@ func WriteGraphMapped(w io.Writer, g *Graph) error { return graph.EncodeMappable
 func (m *MappedGraph) Graph() *Graph { return m.m.Graph() }
 
 // Mapped reports whether this instance is backed by a live file mapping
-// (false for heap fallbacks and legacy-format files).
+// (false for heap fallbacks and binary-format files).
 func (m *MappedGraph) Mapped() bool { return !m.m.Heap() }
 
 // Acquire pins the mapping and returns its graph; pair every success with

@@ -97,8 +97,8 @@ func Restore(rd io.Reader, opts ...Option) (*Reconciler, error) {
 // as Restore. The graphs must be the very ones the snapshot was taken over
 // (shape is verified; content fidelity is the caller's store to guarantee).
 // cmd/serve's store is the chain form of this: it persists the graphs next
-// to its checkpoint chain with WriteGraphMapped (WriteGraphBinary under
-// -mmap=false), and on boot replays the chain and attaches the result with
+// to its checkpoint chain with WriteGraphMapped, and on boot opens them
+// with OpenGraphMapped, replays the chain and attaches the result with
 // RestoreSessionState.
 func RestoreState(g1, g2 *Graph, rd io.Reader, opts ...Option) (*Reconciler, error) {
 	st, err := snapshot.ReadState(rd)
@@ -188,9 +188,8 @@ func WriteGraphBinary(w io.Writer, g *Graph) error { return snapshot.WriteGraph(
 // ReadGraphBinary reads a graph written by WriteGraphBinary — or by
 // WriteGraphMapped, sniffed by magic and decoded onto the heap — and
 // re-validates its structural invariants; corrupt or truncated input
-// returns an error. Reading both formats (as OpenGraphMapped does from the
-// other side) means a store can flip its on-disk graph format either way
-// without migrating existing files.
+// returns an error. Like OpenGraphMapped, it reads every graph file this
+// package writes, whichever format it is in.
 func ReadGraphBinary(r io.Reader) (*Graph, error) {
 	br := bufio.NewReader(r)
 	if peek, err := br.Peek(len(graph.MappableMagic)); err == nil && string(peek) == graph.MappableMagic {
