@@ -23,23 +23,25 @@ import (
 //     floor only gates which accumulated candidates are eligible — so all
 //     levels can be derived from one accumulation; see
 //     scorer.selectLevels);
-//   - a dirty worklist of nodes whose cached proposals may be stale, seeded
-//     from the initial links with every unmatched node whose linked-neighbor
+//   - a queued flag per node whose cached proposals may be stale, set
+//     from the initial links on every unmatched node whose linked-neighbor
 //     count reaches the threshold (nodes below it provably abstain — the
 //     zero-initialized row — until a new link queues them);
 //
-// and, for the left side, one live-row bitset per schedule level: for every
-// unmatched v, bit v of level j is set exactly when v's cached row at level
-// j proposes someone. Rows change only when a node is re-scored, which
-// updates its bits, and a node's bits are cleared for good once it is
-// matched — at its commit, or when the scan meets a node AddSeeds matched.
+// and, for the left side, a dirty worklist of its queued nodes and one
+// live-row bitset per schedule level: for every unmatched v, bit v of level
+// j is set exactly when v's cached row at level j proposes someone. Rows
+// change only when a node is re-scored, which updates its bits, and a
+// node's bits are cleared for good once it is matched — at its commit, or
+// when the scan meets a node AddSeeds matched.
 //
-// A bucket pass refreshes the dirty nodes, runs the same ascending
-// mutual-best commit scan as the full scan over the live rows of its
-// level — the bitset walked word by word, so the scan costs O(n1/64 + live
-// rows), not O(n1), and commits in the same ascending order — and then
-// invalidates exactly the nodes whose scoring inputs a committed link (a, b)
-// touched:
+// A bucket pass refreshes the dirty left nodes, collects the live rows of
+// its level — the bitset walked word by word, so the walk costs O(n1/64 +
+// live rows), not O(n1) — re-scores the queued right nodes those rows
+// target, which are the only right rows the pass reads, runs the same
+// ascending mutual-best commit scan as the full scan over the collected
+// rows, and then invalidates exactly the nodes whose scoring inputs a
+// committed link (a, b) touched:
 //
 //   - N1(a) / N2(b): they gained a witness source (and their linked-neighbor
 //     count changed);
@@ -61,6 +63,10 @@ type frontierState struct {
 
 	left  frontierSide
 	right frontierSide
+	// dirty lists the queued left nodes to re-score before the next commit
+	// scan. The right side keeps flags only: a queued right row is
+	// re-scored when a live left row targets it.
+	dirty []graph.NodeID
 
 	// live holds the left side's live-row bitsets, level-major: bit v of
 	// level j is word live[j*words+v/64]. A matched node's bits may lag
@@ -68,20 +74,28 @@ type frontierState struct {
 	live  []uint64
 	words int
 
-	// rescored counts nodes drained from the worklists since the state was
-	// built — at session start, at the handoff, or at restore, which starts
-	// it over — the frontier's scoring work. The full scan's
-	// equivalent is (n1+n2) × passes; tests assert the frontier stays far
-	// below that and goes fully idle once a sweep commits nothing.
-	rescored int64
+	// Scratch reused by every bucket: run holds the nodes one re-scoring
+	// batch covers, rows the live rows a commit scan collected as
+	// (id, target) pairs.
+	run  []graph.NodeID
+	rows []graph.Pair
+
+	// rescored counts, per side (indexed by passDirection), the rows
+	// re-scored since the state was built — at session start, at the
+	// handoff, or at restore, which starts it over — the frontier's scoring
+	// work. The full scan's equivalent is (n1+n2) × passes; tests assert the
+	// frontier stays far below that, that the right side re-scores only
+	// the rows commits read, and that it goes fully idle once a sweep
+	// commits nothing.
+	rescored [2]int64
 	// scanned counts the cache rows the commit scans read over the same
 	// span: one per live bit visited, where a full scan would read n1 per
 	// bucket.
 	scanned int64
 }
 
-// frontierSide is the per-side persistent state: the proposal cache and the
-// dirty worklist.
+// frontierSide is one side's proposal cache and the flags of its stale
+// rows.
 type frontierSide struct {
 	// cache holds each node's proposal at every bucket level, row-major:
 	// cache[v*len(levels)+j] is node v's proposal at schedule level j. Rows of
@@ -89,13 +103,10 @@ type frontierSide struct {
 	// check.
 	cache   []candidate
 	nLevels int
-	// queued[v] reports whether v is on dirty; it dedups invalidations
-	// between refreshes.
+	// queued[v] reports whether v's row may be stale and is due for a
+	// re-score; a clean row equals what a fresh scoring would produce. On
+	// the left it also keeps v off the dirty worklist twice.
 	queued []bool
-	// dirty lists the nodes to re-score before the next commit scan.
-	dirty []graph.NodeID
-
-	run []graph.NodeID // scratch: the eligible slice of a drain
 }
 
 // topExpOf returns log2 of the schedule's highest degree floor.
@@ -110,60 +121,65 @@ func newFrontierState(g1, g2 *graph.Graph, m *Matching, lc *linkedCounts, opts O
 	}
 	f.left.init(g1.NumNodes(), len(levels), m.left, lc.left, f.threshold)
 	f.right.init(g2.NumNodes(), len(levels), m.right, lc.right, f.threshold)
+	f.dirty = make([]graph.NodeID, 0, g1.NumNodes())
+	for v, q := range f.left.queued {
+		if q {
+			f.dirty = append(f.dirty, graph.NodeID(v))
+		}
+	}
 	f.words = (g1.NumNodes() + 63) / 64
 	f.live = make([]uint64, len(levels)*f.words)
 	return f
 }
 
-// init sizes the side and seeds the worklist from the initial links. Only
-// nodes that could propose at all are queued: an unmatched node with at
-// least threshold linked neighbors. Everything else already has its correct
-// row — the zero row is exactly the abstention a scoring would cache — and
-// is queued by invalidatePair the moment a new link changes that.
+// init sizes the side and queues from the initial links only the nodes
+// that could propose at all: an unmatched node with at least threshold
+// linked neighbors. Everything else already has its correct row — the zero
+// row is exactly the abstention a scoring would cache — and is queued by
+// invalidatePair the moment a new link changes that.
 func (s *frontierSide) init(n, nLevels int, selfMatched []graph.NodeID, linked []int32, threshold int32) {
 	s.cache = make([]candidate, n*nLevels)
 	s.nLevels = nLevels
 	s.queued = make([]bool, n)
-	s.dirty = make([]graph.NodeID, 0, n)
-	for v := 0; v < n; v++ {
-		if selfMatched[v] == NoMatch && linked[v] >= threshold {
-			s.queued[v] = true
-			s.dirty = append(s.dirty, graph.NodeID(v))
-		}
+	for v := range s.queued {
+		s.queued[v] = selfMatched[v] == NoMatch && linked[v] >= threshold
 	}
 }
 
-// mark queues v for re-scoring unless already queued.
-func (s *frontierSide) mark(v graph.NodeID) {
-	if !s.queued[v] {
-		s.queued[v] = true
-		s.dirty = append(s.dirty, v)
+// markLeft queues left node v for re-scoring, listing it on the dirty
+// worklist unless it is already queued. A right node is queued by setting
+// its flag alone.
+func (f *frontierState) markLeft(v graph.NodeID) {
+	if !f.left.queued[v] {
+		f.left.queued[v] = true
+		f.dirty = append(f.dirty, v)
 	}
 }
 
 // runBucket performs one frontier bucket pass at schedule level `level`
-// (floor minDeg == levels[level]): refresh stale proposals, commit mutual
-// bests in the same ascending order as the full scan, then invalidate
-// around the new links. Returns the number of links committed.
+// (floor minDeg == levels[level]): refresh the stale left proposals, collect
+// the level's live rows and re-score the stale right rows they target,
+// commit mutual bests in the same ascending order as the full scan, then
+// invalidate around the new links. Returns the number of links committed.
 func (f *frontierState) runBucket(g1, g2 *graph.Graph, m *Matching, lc *linkedCounts, ws *walkState, level, minDeg int, opts Options) int {
 	ws.sync(g1, g2, m)
-	f.refreshSide(fromLeft, g1, g2, m, lc, ws, minDeg, opts)
-	f.refreshSide(fromRight, g1, g2, m, lc, ws, minDeg, opts)
+	f.refreshLeft(g1, g2, m, lc, ws, minDeg, opts)
 
+	// Only live rows can commit; collect them as (id, target) in ascending
+	// id order, with each queued target once. Nothing commits during the
+	// walk, so it reads the matching as the pass began, and clearing a
+	// matched node's bits touches only the node being visited while the
+	// word being walked is a copy: the walk visits exactly the rows that
+	// were live when it began.
 	nLevels := len(f.levels)
-	start := m.Len()
-	// Only live rows can commit. Commits clear bits of the node being
-	// visited only, and the word being walked is a copy, so the walk visits
-	// exactly the rows that were live when the scan began.
+	rows, targets := f.rows[:0], f.run[:0]
 	for i, word := range f.live[level*f.words : (level+1)*f.words] {
 		for ; word != 0; word &= word - 1 {
 			id := graph.NodeID(i<<6 | bits.TrailingZeros64(word))
 			f.scanned++
 			// A node matched in an earlier pass (or by AddSeeds) has a stale
 			// row; gating on the Matching here is equivalent to the full
-			// scan's empty proposal (left nodes only become matched at
-			// their own scan index, so the check also matches the pass-start
-			// state during the scan). It never proposes again.
+			// scan's empty proposal. It never proposes again.
 			if m.left[id] != NoMatch {
 				f.setLive(id, true)
 				continue
@@ -171,20 +187,34 @@ func (f *frontierState) runBucket(g1, g2 *graph.Graph, m *Matching, lc *linkedCo
 			if g1.Degree(id) < minDeg {
 				continue
 			}
-			// The partner's own floor and threshold eligibility are already
-			// baked into the cached back-proposal: level-j candidates have
-			// degree >= levels[j], and a node below the linked-count
-			// threshold caches empty proposals.
 			c := f.left.cache[int(id)*nLevels+level]
-			back := f.right.cache[int(c.node)*nLevels+level]
-			if back.score == 0 || back.node != id {
-				continue
+			rows = append(rows, graph.Pair{Left: id, Right: c.node})
+			if f.right.queued[c.node] {
+				f.right.queued[c.node] = false
+				targets = append(targets, c.node)
 			}
-			pr := graph.Pair{Left: id, Right: c.node}
-			m.add(pr)
-			lc.addPair(g1, g2, pr)
-			f.setLive(id, true)
 		}
+	}
+	f.rows, f.run = rows, targets
+	// The commit reads a right row only as the back row of a collected
+	// row's target, so only these stale right rows must be brought current;
+	// every other one stays queued. Scoring them before any commit scores
+	// them against the matching as the pass began, as the left refresh did.
+	f.rescore(fromRight, targets, g1, g2, m, lc, ws, opts)
+
+	start := m.Len()
+	for _, pr := range rows {
+		// The partner's own floor and threshold eligibility are already
+		// baked into the cached back-proposal: level-j candidates have
+		// degree >= levels[j], and a node below the linked-count
+		// threshold caches empty proposals.
+		back := f.right.cache[int(pr.Right)*nLevels+level]
+		if back.score == 0 || back.node != pr.Left {
+			continue
+		}
+		m.add(pr)
+		lc.addPair(g1, g2, pr)
+		f.setLive(pr.Left, true)
 	}
 	committed := m.pairs[start:]
 	for _, pr := range committed {
@@ -219,7 +249,7 @@ func (f *frontierState) setLive(v graph.NodeID, matched bool) {
 //     a changed linked-count — their scores against everything can rise;
 //   - candidate loss: nodes that could score the newly matched b (resp. a)
 //     as a candidate — via some matched u2 ∈ N2(b) — no longer may. Here the
-//     cached rows prove most nodes unaffected (see markIfAffected), so only
+//     cached rows prove most nodes unaffected (see affected), so only
 //     rows that name the lost candidate or abstained are re-opened.
 //
 // Already-matched nodes are skipped throughout: they never propose again and
@@ -227,34 +257,40 @@ func (f *frontierState) setLive(v graph.NodeID, matched bool) {
 func (f *frontierState) invalidatePair(g1, g2 *graph.Graph, m *Matching, lc *linkedCounts, pr graph.Pair) {
 	for _, u := range g1.Neighbors(pr.Left) {
 		if m.left[u] == NoMatch && lc.left[u] >= f.threshold {
-			f.left.mark(u)
+			f.markLeft(u)
 		}
 	}
 	for _, u2 := range g2.Neighbors(pr.Right) {
 		if u1 := m.right[u2]; u1 != NoMatch {
 			for _, w := range g1.Neighbors(u1) {
-				f.left.markIfAffected(w, pr.Right, m.left, lc.left, f.threshold)
+				if f.left.affected(w, pr.Right, m.left, lc.left, f.threshold) {
+					f.markLeft(w)
+				}
 			}
 		}
 	}
 	// Right side, symmetric.
 	for _, u2 := range g2.Neighbors(pr.Right) {
 		if m.right[u2] == NoMatch && lc.right[u2] >= f.threshold {
-			f.right.mark(u2)
+			f.right.queued[u2] = true
 		}
 	}
 	for _, u1 := range g1.Neighbors(pr.Left) {
 		if u2 := m.left[u1]; u2 != NoMatch {
 			for _, w := range g2.Neighbors(u2) {
-				f.right.markIfAffected(w, pr.Left, m.right, lc.right, f.threshold)
+				if f.right.affected(w, pr.Left, m.right, lc.right, f.threshold) {
+					f.right.queued[w] = true
+				}
 			}
 		}
 	}
 }
 
-// markIfAffected queues v after the candidate `lost` became ineligible, but
-// only when v's cached row could actually change:
+// affected reports whether v must be queued after the candidate `lost`
+// became ineligible, which holds only when v's cached row could actually
+// change. It reads only clean rows, which are current:
 //
+//   - v queued: already due for a re-score — skip;
 //   - v matched: never proposes again — skip;
 //   - v's linked-count below the threshold (and unqueued, so unchanged since
 //     its scoring): the row is a cached abstention that removing a candidate
@@ -269,67 +305,67 @@ func (f *frontierState) invalidatePair(g1, g2 *graph.Graph, m *Matching, lc *lin
 //     `lost` ≠ best tied with it cannot displace), the witness count is
 //     untouched, and the margin gate only loosens as competitors leave —
 //     skip.
-func (s *frontierSide) markIfAffected(v, lost graph.NodeID, selfMatched []graph.NodeID, linked []int32, threshold int32) {
+func (s *frontierSide) affected(v, lost graph.NodeID, selfMatched []graph.NodeID, linked []int32, threshold int32) bool {
 	if s.queued[v] || selfMatched[v] != NoMatch || linked[v] < threshold {
-		return
+		return false
 	}
-	row := s.cache[int(v)*s.nLevels : (int(v)+1)*s.nLevels]
-	for _, c := range row {
+	for _, c := range s.cache[int(v)*s.nLevels : (int(v)+1)*s.nLevels] {
 		if c.score == 0 || c.node == lost {
-			s.queued[v] = true
-			s.dirty = append(s.dirty, v)
-			return
+			return true
 		}
 	}
+	return false
 }
 
-// frontierGrain is the minimum dirty-worklist share per goroutine before the
-// refresh fans out; below it the spawn overhead dominates.
+// frontierGrain is the minimum share of a re-scoring batch per goroutine
+// before it fans out; below it the spawn overhead dominates.
 const frontierGrain = 256
 
-// refreshSide re-scores the queued nodes on one side that this pass can
-// actually read — those with degree >= minDeg; the rest cannot propose or be
-// proposed at this floor, so they stay queued and are scored at their first
-// eligible (lower-floor) pass, collapsing any dirtying in between. Workers
-// (if any) write disjoint cache rows from read-only shared state, so the
-// result is independent of scheduling; the left side's live bits are
-// updated afterwards, serially, so no bitset word is shared between workers.
-func (f *frontierState) refreshSide(dir passDirection, g1, g2 *graph.Graph, m *Matching, lc *linkedCounts, ws *walkState, minDeg int, opts Options) {
-	side := &f.left
-	ga := g1
-	if dir == fromRight {
-		side = &f.right
-		ga = g2
-	}
-	if len(side.dirty) == 0 {
+// refreshLeft re-scores the dirty left nodes that this pass can actually
+// read — those with degree >= minDeg; the rest cannot propose at this floor,
+// so they stay queued and are scored at their first eligible (lower-floor)
+// pass, collapsing any dirtying in between. The live bits are updated after
+// the re-scoring, serially, so no bitset word is shared between workers.
+func (f *frontierState) refreshLeft(g1, g2 *graph.Graph, m *Matching, lc *linkedCounts, ws *walkState, minDeg int, opts Options) {
+	if len(f.dirty) == 0 {
 		return
 	}
 	floor := f.levels[len(f.levels)-1]
-	deferred := side.dirty[:0]
-	work := side.run[:0]
-	for _, v := range side.dirty {
-		if d := ga.Degree(v); d < minDeg {
+	deferred := f.dirty[:0]
+	work := f.run[:0]
+	for _, v := range f.dirty {
+		if d := g1.Degree(v); d < minDeg {
 			if d < floor {
-				// Below the schedule's lowest floor: never proposes, never a
-				// candidate — its row is never read, so drop it for good.
-				side.queued[v] = false
+				// Below the schedule's lowest floor: never proposes — its
+				// row is never read, so drop it for good.
+				f.left.queued[v] = false
 				continue
 			}
 			deferred = append(deferred, v)
 			continue
 		}
-		side.queued[v] = false
+		f.left.queued[v] = false
 		work = append(work, v)
 	}
-	side.dirty = deferred
-	side.run = work
+	f.dirty, f.run = deferred, work
+	f.rescore(fromLeft, work, g1, g2, m, lc, ws, opts)
+	for _, v := range work {
+		f.setLive(v, m.left[v] != NoMatch)
+	}
+}
+
+// rescore recomputes the cache rows of dir's nodes in work against the
+// current matching, fanned out over the workers once the batch holds
+// 2×frontierGrain nodes. Workers write disjoint cache rows from read-only
+// shared state, so the result is independent of scheduling.
+func (f *frontierState) rescore(dir passDirection, work []graph.NodeID, g1, g2 *graph.Graph, m *Matching, lc *linkedCounts, ws *walkState, opts Options) {
 	if len(work) == 0 {
 		return
 	}
-	f.rescored += int64(len(work))
+	f.rescored[dir] += int64(len(work))
 	// Accumulate candidates down to the schedule's lowest floor; per-level
 	// eligibility is applied by the selection.
-	p := opts.passParams(floor)
+	p := opts.passParams(f.levels[len(f.levels)-1])
 	workers := max(1, min(opts.workers(), len(work)/frontierGrain))
 	scorers, partners := ws.scorers(dir, g1, g2, m, p.weighted, workers)
 	parallelChunks(len(work), workers, func(w, lo, hi int) {
@@ -337,11 +373,6 @@ func (f *frontierState) refreshSide(dir passDirection, g1, g2 *graph.Graph, m *M
 			f.rescoreNode(dir, scorers[w], v, g1, g2, m, lc, partners, p)
 		}
 	})
-	if dir == fromLeft {
-		for _, v := range work {
-			f.setLive(v, m.left[v] != NoMatch)
-		}
-	}
 }
 
 // rescoreNode recomputes v's cache row — its proposal at every bucket level —

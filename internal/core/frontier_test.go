@@ -195,6 +195,9 @@ func TestFrontierCancelPartialResult(t *testing.T) {
 	}
 }
 
+// totalRescored is the rows both sides re-scored since the state was built.
+func (f *frontierState) totalRescored() int64 { return f.rescored[fromLeft] + f.rescored[fromRight] }
+
 // TestFrontierSkipsCleanNodes pins the scheduling claim itself: once a sweep
 // commits nothing, every cache is clean and further sweeps re-score nothing,
 // where the full engines would rescan both node sets every pass.
@@ -206,7 +209,7 @@ func TestFrontierSkipsCleanNodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.RunUntilStable(context.Background(), 10)
-	afterStable := s.fr.rescored
+	afterStable := s.fr.totalRescored()
 	live := 0
 	for _, w := range s.fr.live {
 		live += bits.OnesCount64(w)
@@ -215,7 +218,7 @@ func TestFrontierSkipsCleanNodes(t *testing.T) {
 
 	// The stable sweep found nothing, so no node was invalidated.
 	s.Run(context.Background(), 1)
-	if got := s.fr.rescored; got != afterStable {
+	if got := s.fr.totalRescored(); got != afterStable {
 		t.Fatalf("converged sweep re-scored %d nodes, want 0", got-afterStable)
 	}
 	// Its commit scans read only live rows — at most what the live sets held
@@ -234,9 +237,98 @@ func TestFrontierSkipsCleanNodes(t *testing.T) {
 	// stay well under the full engines' per-sweep cost times the sweep count.
 	passes := len(s.Result().Phases)
 	fullWork := int64(g1.NumNodes()+g2.NumNodes()) * int64(passes)
-	if s.fr.rescored*2 > fullWork {
+	if s.fr.totalRescored()*2 > fullWork {
 		t.Fatalf("frontier re-scored %d nodes over %d passes; full engines would score %d — no scheduling win",
-			s.fr.rescored, passes, fullWork)
+			s.fr.totalRescored(), passes, fullWork)
+	}
+}
+
+// bucketTargets is the distinct targets of the rows the commit scan of the
+// bucket ev just ran collected, rebuilt from the state after it: the rows
+// still live at the bucket's level and unmatched, whose bits and cache rows
+// no later step of the bucket changed, and the rows it committed, whose
+// targets are their partners.
+func bucketTargets(s *Session, ev PhaseEvent) map[graph.NodeID]bool {
+	f := s.fr
+	level, nLevels := ev.Bucket-1, len(f.levels)
+	targets := make(map[graph.NodeID]bool)
+	for v := 0; v < s.g1.NumNodes(); v++ {
+		id := graph.NodeID(v)
+		if s.m.left[id] == NoMatch && s.g1.Degree(id) >= ev.MinDegree &&
+			f.live[level*f.words+v/64]&(1<<(v%64)) != 0 {
+			targets[f.left.cache[v*nLevels+level].node] = true
+		}
+	}
+	for _, pr := range s.m.pairs[s.m.Len()-ev.Matched:] {
+		targets[pr.Right] = true
+	}
+	return targets
+}
+
+// TestFrontierRightRescoresOnlyTargets is the exact work gate of the lazy
+// right side: a queued right row is re-scored only when a live left row of
+// the bucket targets it, because the commit reads no other right row. On a
+// restored session ingesting seeds at one worker, every bucket re-scores at
+// most the distinct targets of its collected rows, the right side re-scores
+// at most a quarter of what the left does (an eager refresh of every queued
+// right node re-scores about as many rows as the left), and the links are
+// the full scan's.
+func TestFrontierRightRescoresOnlyTargets(t *testing.T) {
+	g1, g2, seeds := testInstance(13, 600)
+	const hold, batch = 20, 5
+	early, late := seeds[:len(seeds)-hold], seeds[len(seeds)-hold:]
+	ctx := context.Background()
+	opts := pathFrontier.on(DefaultOptions())
+	opts.Workers = 1
+	s, err := NewSession(g1, g2, early, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.RunUntilStable(ctx, 10); err != nil {
+		t.Fatal(err)
+	}
+	r, err := RestoreSession(g1, g2, s.ExportState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var right int64
+	r.SetProgress(func(ev PhaseEvent) {
+		got := r.fr.rescored[fromRight] - right
+		right = r.fr.rescored[fromRight]
+		if want := len(bucketTargets(r, ev)); got > int64(want) {
+			t.Errorf("sweep %d bucket %d re-scored %d right rows; its collected rows target %d",
+				ev.Iteration, ev.Bucket, got, want)
+		}
+	})
+	// A late seed may conflict with a discovered link; AddSeeds then keeps
+	// the seeds before it, on both paths alike.
+	ingest := func(s *Session, b []graph.Pair) {
+		s.AddSeeds(b)
+		if _, err := s.RunUntilStable(ctx, 10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < hold; i += batch {
+		ingest(r, late[i:i+batch])
+	}
+	left, right := r.fr.rescored[fromLeft], r.fr.rescored[fromRight]
+	t.Logf("%d ingests re-scored %d left and %d right rows", hold/batch, left, right)
+	if right == 0 || right*4 > left {
+		t.Fatalf("ingests re-scored %d right rows against %d left, want at most a quarter", right, left)
+	}
+
+	full, err := NewSession(g1, g2, early, pathSequential.on(DefaultOptions()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := full.RunUntilStable(ctx, 10); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < hold; i += batch {
+		ingest(full, late[i:i+batch])
+	}
+	if !pairsEqual(r.Result().Pairs, full.Result().Pairs) {
+		t.Fatalf("restored frontier found %d pairs, the full scan %d", r.Len(), full.Len())
 	}
 }
 
@@ -268,17 +360,22 @@ func checkLiveRows(t *testing.T, s *Session, where string) {
 // across the hybrid handoff. A restored session holds no frontier state
 // until its first bucket builds it (TestRunStateLifetime), so there the
 // AddSeeds only extends the matching and the check comes at that bucket.
+// The four-worker row must reach the fan-out of a bucket's right targets —
+// a batch of at least 2×frontierGrain — which its cold run does, so under
+// -race it also checks that workers writing those rows stay ahead of the
+// commit that reads them.
 func TestFrontierLiveRowInvariant(t *testing.T) {
 	g1, g2, seeds := testInstance(17, 2500)
 	configs := []struct {
-		name string
-		set  func(*Options)
+		name   string
+		set    func(*Options)
+		fanOut bool // some bucket re-scores its right targets on several workers
 	}{
-		{"workers1", func(o *Options) { o.Workers = 1 }},
-		{"workers4", func(o *Options) { o.Workers = 4 }},
-		{"unbucketed", func(o *Options) { o.DisableBucketing = true }},
-		{"maxdegree8", func(o *Options) { o.MaxDegree = 8; o.MinBucketExp = 0 }},
-		{"hybrid", func(o *Options) { o.pin = pinNone }},
+		{"workers1", func(o *Options) { o.Workers = 1 }, false},
+		{"workers4", func(o *Options) { o.Workers = 4 }, true},
+		{"unbucketed", func(o *Options) { o.DisableBucketing = true }, false},
+		{"maxdegree8", func(o *Options) { o.MaxDegree = 8; o.MinBucketExp = 0 }, false},
+		{"hybrid", func(o *Options) { o.pin = pinNone }, false},
 	}
 	ctx := context.Background()
 	for _, cfg := range configs {
@@ -286,11 +383,15 @@ func TestFrontierLiveRowInvariant(t *testing.T) {
 		cfg.set(&opts)
 		t.Run(cfg.name, func(t *testing.T) {
 			checked := 0
+			var peak int64 // the largest batch of right targets one bucket re-scored
 			hook := func(s *Session, phase string) func(PhaseEvent) {
+				var right int64
 				return func(ev PhaseEvent) {
 					if s.fr != nil {
 						checked++
 						checkLiveRows(t, s, fmt.Sprintf("%s sweep %d bucket %d", phase, ev.Iteration, ev.Bucket))
+						peak = max(peak, s.fr.rescored[fromRight]-right)
+						right = s.fr.rescored[fromRight]
 					}
 				}
 			}
@@ -354,6 +455,9 @@ func TestFrontierLiveRowInvariant(t *testing.T) {
 			if checked == 0 {
 				t.Fatal("no frontier bucket was checked")
 			}
+			if cfg.fanOut && peak < 2*frontierGrain {
+				t.Fatalf("largest right batch %d never fanned out over workers (needs %d)", peak, 2*frontierGrain)
+			}
 		})
 	}
 }
@@ -376,9 +480,9 @@ func TestFrontierAddSeedsReactivates(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.RunUntilStable(context.Background(), 10)
-	idle := s.fr.rescored
+	idle := s.fr.totalRescored()
 	s.Run(context.Background(), 1)
-	if s.fr.rescored != idle {
+	if s.fr.totalRescored() != idle {
 		t.Fatal("converged session not idle")
 	}
 
@@ -398,7 +502,7 @@ func TestFrontierAddSeedsReactivates(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.RunUntilStable(context.Background(), 10)
-	if s.fr.rescored == idle {
+	if s.fr.totalRescored() == idle {
 		t.Fatal("AddSeeds did not re-open the frontier")
 	}
 

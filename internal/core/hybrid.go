@@ -11,7 +11,7 @@ package core
 // committed link invalidates its neighborhood on both sides), while the
 // full scan pays for graph size regardless. When the sweep commit
 // rate is high, frontier invalidation churn approaches a full rescan and the
-// all-levels re-scoring makes it several times slower than the full scan (0.17x
+// all-levels re-scoring makes it several times slower than the full scan (0.22x
 // on the calibration instance's first sweep); when it is low, frontier
 // skips almost all scoring work and wins many times over.
 
@@ -22,38 +22,40 @@ package core
 // and the frontier handles later seed bursts through its own invalidation.
 //
 // Measured with BenchmarkHybridCrossover (internal/core/bench_test.go) on
-// a shared two-vCPU Xeon VM at 2.0 GHz (linux/amd64, GOMAXPROCS=1,
-// go1.24.0, 2026-10-19; min of 12 runs at -benchtime 5x, in two batches of
-// 6 alternating with the previous commit's binary), after walks began
-// listing a candidate only once its count reaches T under the paper's
-// rule. On the 2x20k-node preferential-attachment calibration instance,
-// per-sweep cost of a warm session (parallel vs frontier, ns), and of the
-// frontier sweep right after a restore (rebuild):
+// a shared two-vCPU Xeon VM (linux/amd64, GOMAXPROCS=1, go1.24.0,
+// 2026-10-20; min of 12 runs at -benchtime 5x, in two batches of 6
+// alternating with the previous commit's binary), after the frontier's
+// right side began re-scoring a stale row only where a live left row
+// targets it. On the 2x20k-node preferential-attachment calibration
+// instance, per-sweep cost of a warm session (parallel vs frontier, ns),
+// and of the frontier sweep right after a restore (rebuild):
 //
-//	rate 0.241    9.6M vs 48.0M  rebuild 49.7M  (parallel 5.0x)
-//	rate 0.062    4.0M vs 11.2M  rebuild 12.4M  (parallel 2.8x)
-//	rate 0.012    1.8M vs  3.9M  rebuild  6.4M  (parallel 2.1x)
-//	rate 0.0023   1.4M vs  1.3M  rebuild  5.7M  (level)
-//	rate 0.0006   1.3M vs  0.42M rebuild  5.3M  (frontier 3.2x)
-//	rate 0.0002   1.3M vs  0.10M rebuild  5.0M  (frontier 13x)
+//	rate 0.241    8.7M vs 39.3M  rebuild 36.4M  (parallel 4.5x)
+//	rate 0.062    3.5M vs  7.7M  rebuild  9.1M  (parallel 2.2x)
+//	rate 0.012    1.8M vs  2.2M  rebuild  4.6M  (parallel 1.2x)
+//	rate 0.0023   1.5M vs  0.71M rebuild  3.9M  (frontier 2.1x)
+//	rate 0.0006   1.3M vs  0.23M rebuild  3.7M  (frontier 5.9x)
+//	rate 0.0002   1.3M vs  0.06M rebuild  3.4M  (frontier 22x)
 //
-// The same runs of the previous commit read 12.4M vs 64.6M at 0.241, 3.7M
-// vs 14.3M at 0.062, 2.0M vs 5.0M at 0.012 and 1.5M vs 1.8M at 0.0023: the
-// frontier got cheaper at every rate and the full scan at every rate but
-// 0.062 (this host's minima move by 10% from batch to batch), and the warm
-// regimes are still level at 0.0023 with the frontier winning from 0.0006
-// on. The switch fires at the
-// sweep boundary after a sweep whose rate is below 0.02, so here it fires
-// after the 0.012 sweep: the 0.0023 sweep pays the all-dirty rebuild (the
-// rebuild row, which also builds the candidate lists a handoff takes
+// The same runs of the previous commit read rebuilds of 40.3M, 10.7M,
+// 5.5M, 4.7M, 4.6M and 4.3M, so the rebuild fell 10-21%, and warm
+// frontier sweeps of 45.2M, 9.3M, 3.2M, 1.05M, 0.35M and 0.09M; the
+// parallel rows run unchanged code and read within 2%. The frontier now
+// wins the warm 0.0023 sweep, where the two were level. The switch fires
+// at the sweep boundary after a sweep whose rate is below 0.02, so here it
+// fires after the 0.012 sweep: the 0.0023 sweep pays the all-dirty rebuild
+// (the rebuild row, which also builds the candidate lists a handoff takes
 // over), and every later sweep and every AddSeeds re-run runs at frontier
 // speed. Firing a sweep later (a constant between 0.0023 and 0.012) would
 // run the 0.0023 sweep on parallel and pay the rebuild on the 0.0006 one:
-// 1.4M + 5.3M against 5.7M + 0.42M, 10% in the present constant's favour. A rebuild costs three
-// to four parallel sweeps at the low rates, so the handoff pays off over
-// the sweeps and re-runs that follow it; the serve and incremental
-// workloads, which decide a move, were not measured with another
-// constant, so it stays (ROADMAP).
+// 1.5M + 3.7M against 3.9M + 0.23M, 20% in the present constant's favour.
+// Firing a sweep earlier (a constant between 0.012 and 0.062) would pay
+// the rebuild on the 0.012 sweep and run the 0.0023 one warm: 4.6M + 0.71M
+// against 1.8M + 3.9M, 8% in that constant's favour, within the 12% by
+// which this host's batch minima moved. A rebuild costs about three parallel sweeps at the
+// low rates, so the handoff pays off over the sweeps and re-runs that
+// follow it; the serve and incremental workloads, which decide a move,
+// were not measured with another constant, so it stays (ROADMAP).
 // Commit-dense sweeps never trigger it: cold-batch sweeps on the recorded
 // workloads run at rates 0.05-0.3 until convergence, incremental AddSeeds
 // sweeps at <0.001.

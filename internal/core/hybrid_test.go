@@ -85,10 +85,10 @@ func TestHybridAutoSwitch(t *testing.T) {
 	if s.fr == nil {
 		t.Fatal("frontier state not built after the switch")
 	}
-	idle := s.fr.rescored
+	idle := s.fr.totalRescored()
 	s.Run(context.Background(), 1)
-	if s.fr.rescored != idle {
-		t.Fatalf("converged sweep re-scored %d nodes, want 0", s.fr.rescored-idle)
+	if s.fr.totalRescored() != idle {
+		t.Fatalf("converged sweep re-scored %d nodes, want 0", s.fr.totalRescored()-idle)
 	}
 }
 

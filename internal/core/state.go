@@ -12,9 +12,9 @@ import (
 // immutable graphs: the configuration, the matching with its seed boundary,
 // the bucket-schedule position, the phase log and the hybrid regime bit.
 // Everything else a session holds — linked-neighbor counts, the candidate
-// lists, the frontier's proposal cache and worklists — is a function
-// of the graphs and the matching, so the restored session's first bucket
-// builds it instead of reading it. Exporting at any bucket boundary and
+// lists, the frontier's proposal cache, stale flags and worklist — is a
+// function of the graphs and the matching, so the restored session's first
+// bucket builds it instead of reading it. Exporting at any bucket boundary and
 // restoring over the same graphs yields a session whose future output is
 // bit-identical to the uninterrupted original — the guarantee the
 // resume-equivalence and snapshot fuzz suites pin.
