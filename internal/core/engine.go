@@ -227,10 +227,10 @@ func (st *scanState) back(w graph.NodeID, p passParams) candidate {
 // from the direction's pool; outputs land in disjoint slices of the
 // direction's proposals and the candidate lists are only read. A left pass
 // under derive first clears the column words and lends them to its
-// scorers for the pass, and every worker folds into them by CAS, whose
-// result does not depend on the order. So no synchronization beyond
-// waiting for the chunks is needed and the result is independent of
-// scheduling.
+// scorers for the pass, and each worker's one-level selections
+// (scorer.selectLevels) fold into them by CAS, whose result does not
+// depend on the order. So no synchronization beyond waiting for the chunks
+// is needed and the result is independent of scheduling.
 func (st *scanState) pass(dir passDirection, g1, g2 *graph.Graph, m *Matching, lc *linkedCounts, ws *walkState, p passParams, workers int) {
 	best, cols := st.leftBest, st.cols
 	if dir == fromRight {

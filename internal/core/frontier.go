@@ -17,12 +17,13 @@ import (
 // side,
 //
 //   - a persistent proposal cache: for every node, its best-candidate
-//     proposal at every bucket level of the schedule, computed in one walk
-//     of the session's candidate lists down to the schedule's lowest floor
-//     (the witness accumulation does not depend on the degree floor — the
-//     floor only gates which accumulated candidates are eligible — so all
-//     levels can be derived from one accumulation; see
-//     scorer.selectLevels);
+//     proposal at every bucket level of the schedule. The node scorer both
+//     regimes share (scorer.scoreNode) computes a row in one walk of the
+//     session's candidate lists down to the schedule's lowest floor and one
+//     selection at every level (scorer.selectLevels): the witness
+//     accumulation does not depend on the degree floor, which only gates
+//     which accumulated candidates are eligible. The full scan asks the same
+//     scorer for the one level at its pass floor;
 //   - a queued flag per node whose cached proposals may be stale, set
 //     from the initial links on every unmatched node whose linked-neighbor
 //     count reaches the threshold (nodes below it provably abstain — the
@@ -58,7 +59,6 @@ import (
 // the same work as the full scan.
 type frontierState struct {
 	levels    []int // descending 2^j degree floors, one per bucket pass of a sweep
-	topExp    int   // log2(levels[0])
 	threshold int32 // Options.Threshold, fixed for the session
 
 	left  frontierSide
@@ -98,9 +98,9 @@ type frontierState struct {
 // rows.
 type frontierSide struct {
 	// cache holds each node's proposal at every bucket level, row-major:
-	// cache[v*len(levels)+j] is node v's proposal at schedule level j. Rows of
-	// matched nodes are stale and gated out by the commit scan's Matching
-	// check.
+	// cache[v*len(levels)+j] is node v's proposal at schedule level j. A
+	// matched node's row is never read: every reader checks the Matching
+	// first (see rescore).
 	cache   []candidate
 	nLevels int
 	// queued[v] reports whether v's row may be stale and is due for a
@@ -109,14 +109,15 @@ type frontierSide struct {
 	queued []bool
 }
 
-// topExpOf returns log2 of the schedule's highest degree floor.
-func topExpOf(levels []int) int { return bits.Len(uint(levels[0])) - 1 }
+// row is node v's cache row: its proposal at every level.
+func (s *frontierSide) row(v graph.NodeID) []candidate {
+	return s.cache[int(v)*s.nLevels : (int(v)+1)*s.nLevels]
+}
 
 func newFrontierState(g1, g2 *graph.Graph, m *Matching, lc *linkedCounts, opts Options) *frontierState {
 	levels := opts.BucketSchedule(g1, g2)
 	f := &frontierState{
 		levels:    levels,
-		topExp:    topExpOf(levels),
 		threshold: int32(opts.Threshold),
 	}
 	f.left.init(g1.NumNodes(), len(levels), m.left, lc.left, f.threshold)
@@ -227,7 +228,7 @@ func (f *frontierState) runBucket(g1, g2 *graph.Graph, m *Matching, lc *linkedCo
 // level the row proposes someone, unless v is matched, which clears them
 // all for good.
 func (f *frontierState) setLive(v graph.NodeID, matched bool) {
-	row := f.left.cache[int(v)*len(f.levels) : (int(v)+1)*len(f.levels)]
+	row := f.left.row(v)
 	bit := uint64(1) << (v & 63)
 	for j, c := range row {
 		w := &f.live[j*f.words+int(v>>6)]
@@ -309,7 +310,7 @@ func (s *frontierSide) affected(v, lost graph.NodeID, selfMatched []graph.NodeID
 	if s.queued[v] || selfMatched[v] != NoMatch || linked[v] < threshold {
 		return false
 	}
-	for _, c := range s.cache[int(v)*s.nLevels : (int(v)+1)*s.nLevels] {
+	for _, c := range s.row(v) {
 		if c.score == 0 || c.node == lost {
 			return true
 		}
@@ -355,52 +356,32 @@ func (f *frontierState) refreshLeft(g1, g2 *graph.Graph, m *Matching, lc *linked
 }
 
 // rescore recomputes the cache rows of dir's nodes in work against the
-// current matching, fanned out over the workers once the batch holds
-// 2×frontierGrain nodes. Workers write disjoint cache rows from read-only
-// shared state, so the result is independent of scheduling.
+// current matching through the one node scorer (scorer.scoreNode), fanned
+// out over the workers once the batch holds 2×frontierGrain nodes. Workers
+// write disjoint cache rows from read-only shared state, so the result is
+// independent of scheduling. A node matched since it was queued gets the
+// zero row, as the full scan gives it, and no reader sees that row: the
+// live-row collection, affected and setLive check the Matching before a
+// row, and no re-scored right target is matched, because it is the
+// proposal of a current left row, and a current row proposes only
+// unmatched nodes.
 func (f *frontierState) rescore(dir passDirection, work []graph.NodeID, g1, g2 *graph.Graph, m *Matching, lc *linkedCounts, ws *walkState, opts Options) {
 	if len(work) == 0 {
 		return
 	}
 	f.rescored[dir] += int64(len(work))
-	// Accumulate candidates down to the schedule's lowest floor; per-level
-	// eligibility is applied by the selection.
+	// Walk down to the schedule's lowest floor; the selection applies each
+	// level's own.
 	p := opts.passParams(f.levels[len(f.levels)-1])
+	side := &f.left
+	if dir == fromRight {
+		side = &f.right
+	}
 	workers := max(1, min(opts.workers(), len(work)/frontierGrain))
 	scorers, partners := ws.scorers(dir, g1, g2, m, p.weighted, workers)
 	parallelChunks(len(work), workers, func(w, lo, hi int) {
 		for _, v := range work[lo:hi] {
-			f.rescoreNode(dir, scorers[w], v, g1, g2, m, lc, partners, p)
+			scorers[w].scoreNode(dir, v, g1, g2, m, lc, partners, p, side.row(v))
 		}
 	})
-}
-
-// rescoreNode recomputes v's cache row — its proposal at every bucket level —
-// from the current matching state, walking partners' candidate lists.
-func (f *frontierState) rescoreNode(dir passDirection, sc *scorer, v graph.NodeID, g1, g2 *graph.Graph, m *Matching, lc *linkedCounts, partners *candLists, p passParams) {
-	ga, gb, link, selfMatched, _ := passViews(dir, g1, g2, m)
-	linked := lc.left
-	cache := f.left.cache
-	if dir == fromRight {
-		linked = lc.right
-		cache = f.right.cache
-	}
-	nLevels := len(f.levels)
-	row := cache[int(v)*nLevels : (int(v)+1)*nLevels]
-	if selfMatched[v] != NoMatch {
-		// Matched nodes never propose again; the commit scan gates their
-		// stale rows on the Matching.
-		return
-	}
-	if linked[v] < p.threshold {
-		// The node's score with any partner is bounded by its linked-neighbor
-		// count; cache the abstention (valid until the count changes, which
-		// re-queues the node).
-		for j := range row {
-			row[j] = candidate{}
-		}
-		return
-	}
-	sc.walk(v, ga, gb, link, partners, p)
-	sc.selectLevels(p, f.topExp, partners.class, row)
 }

@@ -98,9 +98,9 @@ func (s *Session) endSweep() {
 		// identical state from the matching at the restored first bucket.
 		// The frontier takes over the candidate lists; the full scan's
 		// proposals and column words have no further use (the frontier
-		// selects through selectLevels and folds nothing), and no scorer
-		// holds the words past its pass, so dropping the scan state frees
-		// them.
+		// lends its scorers no words, so its selections fold nothing), and
+		// no scorer holds the words past its pass, so dropping the scan
+		// state frees them.
 		s.hybridSwitched = true
 		s.scan = nil
 	}

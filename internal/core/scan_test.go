@@ -301,10 +301,10 @@ func TestScanStateLifetime(t *testing.T) {
 	}
 }
 
-// referenceSelect is the selection the one-pass loops replace: rank every
-// touched candidate by count (or weight), keep the first strict maximum
-// with lowest-ID replacement among ties, then take the maximum count among
-// the others for the margin.
+// referenceSelect is the proposal rule written plainly, in three loops:
+// rank every touched candidate by count (or weight), keep the first strict
+// maximum with lowest-ID replacement among ties, then take the maximum
+// count among the others for the margin.
 func referenceSelect(scores []int32, weights []float32, touched []graph.NodeID, p passParams) candidate {
 	rank := func(w graph.NodeID) float64 {
 		if weights != nil {
@@ -346,17 +346,17 @@ func referenceSelect(scores []int32, weights []float32, touched []graph.NodeID, 
 	return candidate{node: best, score: selCount}
 }
 
-// TestOnePassSelection runs hand-built candidate sets through the one-pass
+// TestOnePassSelection runs hand-built candidate sets through the one-level
 // selection and checks each against the expected proposal and against the
-// three-loop rule it replaces, which reads every candidate. Each set is
-// listed as a walk lists it: every candidate, or under derive only those at
-// count >= T, so the derive cases check that leaving the others out changes
-// nothing; every count-ranked case without a margin also runs under derive,
-// where the selection must fold each listed candidate's count and the
-// walking node's ID into the candidate's column word and touch no other.
-// The next walk must read every count as 0. The all-levels selection must
-// agree with the same rule at every level: with even IDs in the top level's
-// degree class and odd IDs one class below, level 0 sees the even
+// three-loop rule (referenceSelect), which reads every candidate. Each set
+// is listed as a walk lists it: every candidate, or under derive only those
+// at count >= T, so the derive cases check that leaving the others out
+// changes nothing; every count-ranked case without a margin also runs under
+// derive, where the selection must fold each listed candidate's count and
+// the walking node's ID into the candidate's column word and touch no
+// other. The next walk must read every count as 0. The all-levels selection
+// must agree with the same rule at every level: with even IDs in the top
+// level's degree class and odd IDs one class below, level 0 sees the even
 // candidates only and level 1 sees all of them.
 func TestOnePassSelection(t *testing.T) {
 	type cand struct {
@@ -435,7 +435,7 @@ func TestOnePassSelection(t *testing.T) {
 				name += "/derive"
 			}
 			t.Run(name, func(t *testing.T) {
-				p := passParams{threshold: tc.threshold, ties: tc.ties, weighted: tc.weighted, minMargin: tc.margin, derive: derive}
+				p := passParams{minDeg: 1, minClass: 1, threshold: tc.threshold, ties: tc.ties, weighted: tc.weighted, minMargin: tc.margin, derive: derive}
 				counts := make([]int32, n)
 				var weights []float32
 				if tc.weighted {
@@ -488,16 +488,18 @@ func TestOnePassSelection(t *testing.T) {
 					}
 				}
 
+				class := make([]uint8, n)
+				for _, c := range tc.touched {
+					class[c.node] = uint8(2 - c.node%2)
+				}
 				words := stage()
 				if derive {
 					sc.cols = make([]atomic.Uint64, n)
 				}
-				var got candidate
-				if tc.weighted {
-					got = sc.selectWeighted(p)
-				} else {
-					got = sc.selectCount(p, v)
-				}
+				// One level at p's floor, 1, which admits both classes.
+				var one [1]candidate
+				sc.selectLevels(p, v, class, one[:])
+				got := one[0]
 				if got != tc.want {
 					t.Errorf("selected %+v, want %+v", got, tc.want)
 				}
@@ -510,19 +512,15 @@ func TestOnePassSelection(t *testing.T) {
 					}
 				}
 				sc.cols = nil
-				readsZero("selection")
+				readsZero("one-level selection")
 
-				class := make([]uint8, n)
-				for _, c := range tc.touched {
-					class[c.node] = uint8(2 - c.node%2)
-				}
 				stage()
 				want := []candidate{{}, ref}
 				if len(even) > 0 {
 					want[0] = referenceSelect(counts, weights, even, p)
 				}
 				out := make([]candidate, 2)
-				sc.selectLevels(p, 1, class, out)
+				sc.selectLevels(p, v, class, out)
 				for j := range out {
 					if out[j] != want[j] {
 						t.Errorf("level %d selected %+v, the rule selects %+v", j, out[j], want[j])
@@ -534,15 +532,26 @@ func TestOnePassSelection(t *testing.T) {
 	}
 }
 
-// TestWalkListsCandidatesAtT checks the walk's listing against brute force.
-// On a fixed instance and a partial matching, for every eligible node of
-// both directions at several floors, the walk must list exactly the
-// unmatched partners at or above the floor whose SimilarityWitnesses count
-// reaches the pass's listing count — T under the paper's rule, 1 under
-// Adamic-Adar ranking or a margin — each once and with that count. One
-// scorer walks every node in turn, so this also checks that no walk reads
-// another's counts. It reports how many candidates were listed against how
-// many a walk touches (count >= 1).
+// TestWalkListsCandidatesAtT checks the one scoring path against brute
+// force, node by node. On a fixed instance and a partial matching, for
+// every eligible node of both directions at the floors 8, 4, 2 and 1:
+//
+//   - the walk must list exactly the unmatched partners at or above the
+//     floor whose SimilarityWitnesses count reaches the pass's listing count
+//     — T under the paper's rule, 1 under Adamic-Adar ranking or a margin —
+//     each once and with that count;
+//   - the one-level selection at that floor must propose what
+//     referenceSelect proposes over every such partner at count >= 1, with
+//     each Adamic-Adar weight summed in N(v) order, as the walk sums it, so
+//     the float sums agree bit for bit.
+//
+// Then scoreNode scores every node once at all four levels, walking to
+// floor 1: at each floor the node's degree meets, the level must equal the
+// one-level proposal there, which is the zero candidate for a matched node
+// or one below T linked neighbors. One scorer walks every node in turn, so
+// this also checks that no walk reads another's counts. It reports how many
+// candidates were listed against how many a walk touches (count >= 1), and
+// how many one-level selections proposed someone.
 func TestWalkListsCandidatesAtT(t *testing.T) {
 	g1, g2, seeds := testInstance(31, 300)
 	m, err := NewMatching(g1.NumNodes(), g2.NumNodes(), seeds)
@@ -561,43 +570,68 @@ func TestWalkListsCandidatesAtT(t *testing.T) {
 		{"adamic-adar", func(o *Options) { o.Scoring = ScoreAdamicAdar }, 1},
 		{"margin1", func(o *Options) { o.MinMargin = 1 }, 1},
 	}
+	floors := []int{8, 4, 2, 1} // a schedule's levels, top first
 	for _, cfg := range configs {
 		t.Run(cfg.name, func(t *testing.T) {
 			opts := DefaultOptions()
 			cfg.set(&opts)
-			listed, touched := 0, 0
-			for _, minDeg := range []int{1, 2, 8} {
-				p := opts.passParams(minDeg)
-				for _, dir := range []passDirection{fromLeft, fromRight} {
-					ga, gb, link, selfMatched, partnerMatched := passViews(dir, g1, g2, m)
-					linked := lc.left
+			listed, touched, proposed := 0, 0, 0
+			for _, dir := range []passDirection{fromLeft, fromRight} {
+				ga, gb, link, selfMatched, partnerMatched := passViews(dir, g1, g2, m)
+				linked := lc.left
+				if dir == fromRight {
+					linked = lc.right
+				}
+				witnesses := func(v, w graph.NodeID) int32 {
 					if dir == fromRight {
-						linked = lc.right
+						v, w = w, v
 					}
-					partners := newCandLists(gb, partnerMatched)
-					sc := newScorer(gb.NumNodes(), p.weighted)
+					return int32(SimilarityWitnesses(g1, g2, m, v, w))
+				}
+				partners := newCandLists(gb, partnerMatched)
+				weighted := opts.Scoring == ScoreAdamicAdar
+				sc := newScorer(gb.NumNodes(), weighted)
+				counts := make([]int32, gb.NumNodes())
+				var weights []float32
+				if weighted {
+					weights = make([]float32, gb.NumNodes())
+				}
+				// oneLevel[j][v] is node v's one-level proposal at floors[j].
+				oneLevel := make([][]candidate, len(floors))
+				for j, minDeg := range floors {
+					p := opts.passParams(minDeg)
+					oneLevel[j] = make([]candidate, ga.NumNodes())
 					for v := 0; v < ga.NumNodes(); v++ {
 						id := graph.NodeID(v)
 						if selfMatched[id] != NoMatch || ga.Degree(id) < minDeg || int(linked[id]) < opts.Threshold {
 							continue
 						}
-						var want []graph.NodeID
+						var all, want []graph.NodeID
 						for w := 0; w < gb.NumNodes(); w++ {
 							wid := graph.NodeID(w)
 							if partnerMatched[wid] != NoMatch || gb.Degree(wid) < minDeg {
 								continue
 							}
-							c := SimilarityWitnesses(g1, g2, m, id, wid)
-							if dir == fromRight {
-								c = SimilarityWitnesses(g1, g2, m, wid, id)
+							c := witnesses(id, wid)
+							if c == 0 {
+								continue
 							}
-							if c >= 1 {
-								touched++
+							all = append(all, wid)
+							counts[wid] = c
+							if weighted {
+								var sum float32
+								for _, u := range ga.Neighbors(id) {
+									if u2 := link[u]; u2 != NoMatch && gb.HasEdge(u2, wid) {
+										sum += witnessWeight(ga.Degree(u), gb.Degree(u2))
+									}
+								}
+								weights[wid] = sum
 							}
-							if c >= cfg.listAt {
+							if int(c) >= cfg.listAt {
 								want = append(want, wid)
 							}
 						}
+						touched += len(all)
 						sc.walk(id, ga, gb, link, &partners, p)
 						got := slices.Clone(sc.listed)
 						slices.Sort(got)
@@ -605,23 +639,43 @@ func TestWalkListsCandidatesAtT(t *testing.T) {
 							t.Fatalf("floor %d dir %d node %d: listed %v, want %v", minDeg, dir, v, got, want)
 						}
 						for _, w := range got {
-							c := SimilarityWitnesses(g1, g2, m, id, w)
-							if dir == fromRight {
-								c = SimilarityWitnesses(g1, g2, m, w, id)
-							}
-							if int(sc.count(w)) != c {
-								t.Fatalf("floor %d dir %d node %d: candidate %d reads count %d, want %d", minDeg, dir, v, w, sc.count(w), c)
+							if c := int32(sc.scores[w] - sc.base); c != counts[w] {
+								t.Fatalf("floor %d dir %d node %d: candidate %d reads count %d, want %d", minDeg, dir, v, w, c, counts[w])
 							}
 						}
 						listed += len(got)
-						sc.listed = sc.listed[:0]
+						sc.selectLevels(p, id, partners.class, oneLevel[j][v:v+1])
+						var ref candidate
+						if len(all) > 0 {
+							ref = referenceSelect(counts, weights, all, p)
+						}
+						if oneLevel[j][v] != ref {
+							t.Fatalf("floor %d dir %d node %d: selected %+v, the rule over brute-force candidates selects %+v", minDeg, dir, v, oneLevel[j][v], ref)
+						}
+						if ref.score != 0 {
+							proposed++
+						}
+						for _, w := range all {
+							counts[w] = 0
+						}
+					}
+				}
+				p := opts.passParams(floors[len(floors)-1])
+				out := make([]candidate, len(floors))
+				for v := 0; v < ga.NumNodes(); v++ {
+					id := graph.NodeID(v)
+					sc.scoreNode(dir, id, g1, g2, m, lc, &partners, p, out)
+					for j, floor := range floors {
+						if ga.Degree(id) >= floor && out[j] != oneLevel[j][v] {
+							t.Fatalf("dir %d node %d: level %d (floor %d) selected %+v, the one-level selection %+v", dir, v, j, floor, out[j], oneLevel[j][v])
+						}
 					}
 				}
 			}
-			if listed == 0 {
-				t.Fatal("no candidate was listed")
+			if listed == 0 || proposed == 0 {
+				t.Fatalf("listed %d candidates and proposed %d times; the instance exercises nothing", listed, proposed)
 			}
-			t.Logf("listed %d of %d touched candidates", listed, touched)
+			t.Logf("listed %d of %d touched candidates; %d one-level proposals", listed, touched, proposed)
 		})
 	}
 }

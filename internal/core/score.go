@@ -91,9 +91,9 @@ type scorer struct {
 	// uses it.
 	levels [][]graph.NodeID
 	// cols is, during a full-scan left pass under derive, the scan's column
-	// words, which selectCount folds every listed pair into; nil otherwise.
-	// The pass lends them for its duration only, so dropping the scan state
-	// frees them.
+	// words, which the one-level selection folds every listed pair into; nil
+	// otherwise. The pass lends them for its duration only, so dropping the
+	// scan state frees them.
 	cols []atomic.Uint64
 }
 
@@ -103,25 +103,6 @@ func newScorer(nPartners int, weighted bool) *scorer {
 		s.weights = make([]float32, nPartners)
 	}
 	return s
-}
-
-// bestFor is v's proposal at the pass's degree floor: one walk, then the
-// single-level selection. Candidates are ranked by witness count (or by
-// Adamic-Adar weight under weighted scoring); the winner must have count >=
-// threshold, survive the tie policy, and beat every other candidate's count
-// by minMargin.
-func (s *scorer) bestFor(
-	v graph.NodeID,
-	ga, gb *graph.Graph,
-	link []graph.NodeID,
-	partners *candLists,
-	p passParams,
-) candidate {
-	s.walk(v, ga, gb, link, partners, p)
-	if s.weights != nil {
-		return s.selectWeighted(p)
-	}
-	return s.selectCount(p, v)
 }
 
 // walk accumulates the similarity-witness counts of every candidate partner
@@ -136,9 +117,9 @@ func (s *scorer) bestFor(
 // class), so the walk stops at the first partner below the floor and never
 // looks at a matched one. A candidate is listed when its count reaches
 // p.listAt(). Each candidate's witnesses are added in N(v) order, so its
-// Adamic-Adar weight is the same float sum whichever selection reads it. It
-// is the one scoring kernel: the full scan walks down to the pass's floor,
-// the frontier down to the schedule's lowest.
+// Adamic-Adar weight is the same float sum whichever regime reads it. It is
+// the one scoring kernel: the full scan walks down to the pass's floor, the
+// frontier down to the schedule's lowest.
 func (s *scorer) walk(
 	v graph.NodeID,
 	ga, gb *graph.Graph,
@@ -186,47 +167,6 @@ func (s *scorer) stamp(d int) {
 	}
 	s.base = s.end
 	s.end += uint32(d)
-}
-
-// count is the witness count of w, a candidate the current walk listed.
-func (s *scorer) count(w graph.NodeID) int32 { return int32(s.scores[w] - s.base) }
-
-// selectCount is v's selection under witness-count ranking, in one loop
-// over the listed candidates: the proposal is the lowest-ID candidate with
-// the top count; a tie is more than one candidate at the top count, and the
-// margin is measured against the runner-up count (the top count itself when
-// tied). The result depends on the candidates' counts only, not on the
-// order they were listed in. With column words lent, the listed candidates
-// are exactly those at count >= T (derive), and the loop folds every pair
-// (v, w) of them into w's word.
-func (s *scorer) selectCount(p passParams, v graph.NodeID) candidate {
-	var (
-		best      graph.NodeID
-		top, next int32 // the top count and the highest count below it
-		atTop     int32 // candidates scoring top
-	)
-	for _, w := range s.listed {
-		c := s.count(w)
-		if s.cols != nil {
-			foldColumn(&s.cols[w], v, c)
-		}
-		switch {
-		case c > top:
-			best, top, next, atTop = w, c, top, 1
-		case c == top:
-			atTop++
-			if w < best {
-				best = w
-			}
-		case c > next:
-			next = c
-		}
-	}
-	s.listed = s.listed[:0]
-	if atTop > 1 {
-		next = top
-	}
-	return p.accept(best, top, next, atTop > 1)
 }
 
 // A column word is one right node's column maximum over the pairs a derive
@@ -277,52 +217,9 @@ func (p passParams) decodeColumn(word uint64) candidate {
 	return p.accept(graph.NodeID(word), top, top, word&colTie != 0)
 }
 
-// selectWeighted is the selection under Adamic-Adar ranking: the proposal is
-// the lowest-ID candidate with the top weight, a tie is more than one
-// candidate at that weight, and the threshold and margin still apply to
-// witness counts — the margin against the highest count among the other
-// candidates. Each weight is a sum accumulated in N(v) order, so it too is
-// independent of the order candidates were listed in.
-func (s *scorer) selectWeighted(p passParams) candidate {
-	var (
-		best      graph.NodeID
-		bestW     float32
-		bestCount int32
-		tie       bool
-		top, next int32 // the top count and the highest count below it
-		atTop     int32 // candidates scoring top
-	)
-	for _, w := range s.listed {
-		c, wt := s.count(w), s.weights[w]
-		switch {
-		case wt > bestW:
-			best, bestW, bestCount, tie = w, wt, c, false
-		case wt == bestW:
-			tie = true
-			if w < best {
-				best, bestCount = w, c
-			}
-		}
-		switch {
-		case c > top:
-			top, next, atTop = c, top, 1
-		case c == top:
-			atTop++
-		case c > next:
-			next = c
-		}
-	}
-	s.listed = s.listed[:0]
-	maxOther := top
-	if bestCount == top && atTop == 1 {
-		maxOther = next
-	}
-	return p.accept(best, bestCount, maxOther, tie)
-}
-
 // accept applies the threshold, tie and margin rules to the selected
 // candidate best with witness count selCount, where maxOther is the highest
-// count among the other candidates.
+// count among the other candidates; only the margin rule reads it.
 func (p passParams) accept(best graph.NodeID, selCount, maxOther int32, tie bool) candidate {
 	switch {
 	case selCount < p.threshold:
@@ -335,68 +232,99 @@ func (p passParams) accept(best graph.NodeID, selCount, maxOther int32, tie bool
 	return candidate{node: best, score: selCount}
 }
 
-// selectLevels is the selection at every schedule level at once, after a
-// walk down to the schedule's lowest floor: out[j] is the proposal bestFor
-// would return at level j's floor. A candidate of degree class c is first
-// eligible at level topExp+1-c (level 0 for every class above the top
-// floor's), so the listed candidates are grouped by that level and the
-// levels are added one by one as the floor descends, keeping the running
-// best and tie and the top two witness counts for the margin rule. Like the
-// single-level selections it reads only counts, weights and IDs.
-func (s *scorer) selectLevels(p passParams, topExp int, class []uint8, out []candidate) {
-	if len(s.levels) < len(out) {
-		s.levels = make([][]graph.NodeID, len(out))
+// selectLevels is the proposal rule, the one selection of both regimes.
+// After a walk down to p's floor, out[j] is v's proposal at level j: the
+// last level's floor is p's, and each level above doubles it, as the bucket
+// schedule's floors do. The proposal is the candidate with the top witness
+// count (the top Adamic-Adar weight under weighted scoring), the lowest ID
+// among those tied at it, through accept with the highest count among the
+// other candidates. With 2^topExp the top floor, a candidate of degree
+// class c is first eligible at level topExp+1-c (level 0 for every class
+// above the top floor's), so with several levels the listed candidates are
+// grouped by that level and the levels are added one by one as the floor
+// descends, keeping the running best and tie and, under a margin, the top
+// two counts. The full scan asks for one level, its pass floor, where every
+// listed candidate is eligible, so the list is read as it is; with column
+// words lent, each pair (v, w) is first folded into w's word.
+//
+// The ranking loop carries only what every rule reads. The fold and the
+// margin's counts run in loops of their own over the same candidates:
+// inside the ranking loop they slowed Adamic-Adar ranking without a margin,
+// which runs neither, by about 15% over a whole BenchmarkWeightedScoring run
+// (the fold) and by 20-40% over its selections replayed alone (the counts),
+// at GOMAXPROCS 1 on a 2-vCPU Xeon VM. The result reads only counts,
+// weights and IDs, never the order the walk listed them in.
+func (s *scorer) selectLevels(p passParams, v graph.NodeID, class []uint8, out []candidate) {
+	if len(s.listed) == 0 { // no candidate, at any level
+		clear(out)
+		return
 	}
-	for _, w := range s.listed {
-		j := max(0, topExp+1-int(class[w]))
-		s.levels[j] = append(s.levels[j], w)
+	group := s.listed
+	if len(out) > 1 {
+		if len(s.levels) < len(out) {
+			s.levels = make([][]graph.NodeID, len(out))
+		}
+		topExp := int(p.minClass) + len(out) - 2
+		for _, w := range s.listed {
+			j := max(0, topExp+1-int(class[w]))
+			s.levels[j] = append(s.levels[j], w)
+		}
+	}
+	scores, base, weights := s.scores, s.base, s.weights
+	margin := p.minMargin > 0
+	if s.cols != nil { // one level, in a full-scan left pass under derive
+		for _, w := range s.listed {
+			foldColumn(&s.cols[w], v, int32(scores[w]-base))
+		}
 	}
 	var (
-		best    graph.NodeID
-		bestKey float64
-		tie     bool
-		have    bool
-		cnt1    int32 // top witness count among candidates so far
-		mult1   int32 // how many candidates attain cnt1
-		cnt2    int32 // runner-up witness count
+		best graph.NodeID
+		// key is best's rank: its count, or its weight's bits, which order
+		// as the weights do because every weight is positive.
+		key       uint32
+		tie       bool
+		top, next int32 // the top count and the highest count below it
+		atTop     int32 // candidates scoring top
 	)
 	for j := range out {
-		for _, w := range s.levels[j] {
-			c := s.count(w)
-			k := float64(c)
-			if s.weights != nil {
-				k = float64(s.weights[w])
+		if len(out) > 1 {
+			group = s.levels[j]
+			s.levels[j] = group[:0]
+		}
+		for _, w := range group {
+			k := scores[w] - base
+			if weights != nil {
+				k = math.Float32bits(weights[w])
 			}
 			switch {
-			case !have || k > bestKey:
-				best, bestKey, tie, have = w, k, false, true
-			case k == bestKey:
-				if p.ties == TieLowestID && w < best {
-					best = w
-				}
-				tie = true
-			}
-			switch {
-			case c > cnt1:
-				cnt1, cnt2, mult1 = c, cnt1, 1
-			case c == cnt1:
-				mult1++
-			case c > cnt2:
-				cnt2 = c
+			case k > key:
+				best, key, tie = w, k, false
+			case k == key:
+				best, tie = min(best, w), true
 			}
 		}
-		s.levels[j] = s.levels[j][:0]
-		if !have {
+		if margin {
+			for _, w := range group {
+				switch c := int32(scores[w] - base); {
+				case c > top:
+					top, next, atTop = c, top, 1
+				case c == top:
+					atTop++
+				case c > next:
+					next = c
+				}
+			}
+		}
+		if key == 0 { // no candidate yet
 			out[j] = candidate{}
 			continue
 		}
-		selCount := s.count(best)
-		// Max witness count among candidates other than the selected one.
-		maxOther := cnt1
-		if selCount == cnt1 && mult1 == 1 {
-			maxOther = cnt2
+		count := int32(scores[best] - base)
+		maxOther := top
+		if count == top && atTop == 1 {
+			maxOther = next
 		}
-		out[j] = p.accept(best, selCount, maxOther, tie)
+		out[j] = p.accept(best, count, maxOther, tie)
 	}
 	s.listed = s.listed[:0]
 }
@@ -418,12 +346,31 @@ func passViews(dir passDirection, g1, g2 *graph.Graph, m *Matching) (ga, gb *gra
 	return g2, g1, m.right, m.right, m.left
 }
 
-// scoreRange computes candidates for nodes [lo, hi) of the iterating side.
-// out[v] receives the proposal for node v (zero candidate when none).
-// Eligibility: the node itself is unmatched, has degree >= minDeg, and has
-// at least threshold linked neighbors (its score with any partner is
-// bounded by that count, so fewer linked neighbors cannot clear T).
-// partners holds the candidate lists of the other side's graph.
+// scoreNode writes v's proposals into row, one per level as selectLevels
+// numbers them: the last at p's floor. A matched node, or one with fewer than threshold linked
+// neighbors, abstains at every level: its score with any partner is
+// bounded by that count. Any other node is walked once, down to p's floor,
+// and selected at every level. It is the one node scorer of both regimes:
+// the full scan asks for its pass floor alone, the frontier for every level
+// of the schedule. partners holds the candidate lists of the other side's
+// graph.
+func (s *scorer) scoreNode(dir passDirection, v graph.NodeID, g1, g2 *graph.Graph, m *Matching, lc *linkedCounts, partners *candLists, p passParams, row []candidate) {
+	ga, gb, link, selfMatched, _ := passViews(dir, g1, g2, m)
+	linked := lc.left
+	if dir == fromRight {
+		linked = lc.right
+	}
+	if selfMatched[v] != NoMatch || linked[v] < p.threshold {
+		clear(row)
+		return
+	}
+	s.walk(v, ga, gb, link, partners, p)
+	s.selectLevels(p, v, partners.class, row)
+}
+
+// scoreRange writes the proposals of nodes [lo, hi) of the iterating side
+// at p's floor: out[v] is node v's, the zero candidate when it has none. A
+// node below the floor abstains; scoreNode scores every other one.
 func scoreRange(
 	dir passDirection,
 	g1, g2 *graph.Graph,
@@ -435,18 +382,14 @@ func scoreRange(
 	sc *scorer,
 	out []candidate,
 ) {
-	ga, gb, link, selfMatched, _ := passViews(dir, g1, g2, m)
-	linked := lc.left
-	if dir == fromRight {
-		linked = lc.right
-	}
+	ga, _, _, _, _ := passViews(dir, g1, g2, m)
 	for v := lo; v < hi; v++ {
-		out[v] = candidate{}
 		id := graph.NodeID(v)
-		if selfMatched[id] != NoMatch || ga.Degree(id) < p.minDeg || linked[id] < p.threshold {
+		if ga.Degree(id) < p.minDeg {
+			out[v] = candidate{}
 			continue
 		}
-		out[v] = sc.bestFor(id, ga, gb, link, partners, p)
+		sc.scoreNode(dir, id, g1, g2, m, lc, partners, p, out[v:v+1])
 	}
 }
 

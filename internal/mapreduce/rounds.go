@@ -140,7 +140,7 @@ func bucketRounds(cfg Config, g1, g2 *graph.Graph, m *core.Matching, minDeg int,
 
 	// Round 3: per-node maxima under the configured ranking, tie policy,
 	// threshold and margin — the same selection core's scorer makes
-	// (selectCount, or selectWeighted under Adamic-Adar ranking).
+	// (scorer.selectLevels).
 	proposals := Run(cfg, scoredPairs,
 		func(s scored, emit func(nodeKey, scored)) {
 			emit(nodeKey{0, s.pair.v1}, s)
